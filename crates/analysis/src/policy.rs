@@ -54,14 +54,14 @@ const RESULT_AFFECTING: &[&str] = &[
 /// Crates allowed to read wall-clock time and OS entropy (D02 exempt):
 /// the bench harness times real work by design.
 ///
-/// `dba-backend` is deliberately NOT here, even though its measured
-/// backend times physical operators: all of its timing flows through the
-/// injectable `ClockSource` seam, and the single place the real
-/// wall-clock enters (`clock.rs::wall_clock`) carries a reasoned
-/// `// lint: allow(D02)`. Keeping the crate under D02 means any *other*
-/// `Instant::now` in backend business logic — a raw read that would
-/// bypass clock injection and break scripted-clock determinism — still
-/// fires (fixture: `d02_backend.rs`).
+/// `dba-engine` is deliberately NOT here, even though its executor times
+/// physical operators: all of its timing flows through the `BudgetTimer`
+/// it is built with, and the single place the real wall-clock enters
+/// (`BudgetTimer::wall` in dba-common's `clock.rs`) carries a reasoned
+/// `// lint: allow(D02)`. Keeping the engine under D02 means any *other*
+/// `Instant::now` in operator code — a raw read that would bypass the
+/// timer and break scripted-clock determinism — still fires (fixture:
+/// `d02_executor.rs`).
 const WALL_CLOCK_OK: &[&str] = &["dba-bench"];
 
 const CATALOG_MUTATIONS: &[&[&str]] = &[&["self", ".", "indexes"], &["self", ".", "drift"]];
@@ -191,12 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_stays_under_d02() {
-        // The measured backend must keep D02: only the reasoned allow on
+    fn executor_stays_under_d02() {
+        // The timed executor must keep D02: only the reasoned allow on
         // the clock seam may read the wall-clock, never operator code.
-        let p = policy_for(Path::new("crates/backend/src/measured.rs")).unwrap();
-        assert!(p.d02, "dba-backend must not be wall-clock exempt");
-        let p = policy_for(Path::new("crates/backend/src/clock.rs")).unwrap();
+        let p = policy_for(Path::new("crates/engine/src/exec.rs")).unwrap();
+        assert!(p.d02, "dba-engine must not be wall-clock exempt");
+        let p = policy_for(Path::new("crates/common/src/clock.rs")).unwrap();
         assert!(p.d02, "the seam is sanctioned by allow comment, not policy");
     }
 

@@ -28,8 +28,8 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     ("D01", "no unnormalized HashMap/HashSet iteration in result-affecting crates"),
     (
         "D02",
-        "no wall-clock / OS-entropy reads outside dba-bench; dba-backend's injectable clock \
-         seam (clock.rs) is the one sanctioned boundary, via a reasoned allow",
+        "no wall-clock / OS-entropy reads outside dba-bench; `BudgetTimer::wall` (dba-common \
+         clock.rs) is the one sanctioned clock seam, via a reasoned allow",
     ),
     ("D03", "no partial_cmp(..).unwrap() float ordering (use total_cmp)"),
     ("C01", "mutex access via the SafetyLedger wrapper; no guard across Advisor calls"),
@@ -1056,7 +1056,7 @@ pub fn g02_lock_order(model: &Model, files: &[FileModel]) -> Vec<(usize, Finding
 // ---------------------------------------------------------------------------
 
 /// G03: in the regret-accounting crates, plan *pricing* must flow through
-/// the memoized, version-validated `WhatIfService`/`WhatIf` path. A raw
+/// the memoized, version-validated `WhatIfService`. A raw
 /// `Planner::new` there either duplicates that engine without its version
 /// checks (a correctness hazard for regret math) or is a genuine
 /// execution path — which must say so in an `allow(G03)` reason. Runs on
@@ -1078,7 +1078,7 @@ pub fn g03_pricing_discipline(toks: &[Tok], policy: &FilePolicy) -> Vec<Finding>
                 toks[i].line,
                 format!(
                     "raw `Planner::new` in `{}`: plan pricing here must route \
-                     through the shared WhatIfService/WhatIf (memoized, \
+                     through the shared WhatIfService (memoized, \
                      version-validated) so regret accounting stays on the \
                      authoritative path; if this is genuinely an execution \
                      path, say why with `// lint: allow(G03) — reason`",

@@ -64,13 +64,13 @@ fn d02_is_exempt_in_bench() {
 }
 
 #[test]
-fn d02_fires_in_backend_business_logic() {
-    // dba-backend stays under D02: the raw Instant::now in operator code
+fn d02_fires_in_executor_operator_code() {
+    // dba-engine stays under D02: the raw Instant::now in operator code
     // fires, while the clock-seam form with its reasoned allow (the shape
-    // of crates/backend/src/clock.rs) is suppressed.
+    // of `BudgetTimer::wall` in crates/common/src/clock.rs) is suppressed.
     assert_findings(
-        "d02_backend.rs",
-        "crates/backend/src/measured.rs",
+        "d02_executor.rs",
+        "crates/engine/src/exec.rs",
         &[("D02", 9)],
     );
 }

@@ -492,7 +492,7 @@ mod tests {
             let ctx = PlannerContext::from_catalog(cat, &stats, &cost);
             // lint: allow(G03) — execution path: plans feed Executor::execute, what-if memoization must not intercept them
             let planner = Planner::new(&ctx);
-            let exec = Executor::new(cost.clone());
+            let mut exec = Executor::new(cost.clone());
             let execs: Vec<QueryExecution> = qs
                 .iter()
                 .map(|q| exec.execute(cat, q, &planner.plan(q)))

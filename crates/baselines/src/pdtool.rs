@@ -456,7 +456,7 @@ mod tests {
         let ctx = PlannerContext::from_catalog(catalog, stats, cost);
         // lint: allow(G03) — execution path: plans feed Executor::execute, what-if memoization must not intercept them
         let planner = Planner::new(&ctx);
-        let exec = Executor::new(cost.clone());
+        let mut exec = Executor::new(cost.clone());
         queries
             .iter()
             .map(|q| exec.execute(catalog, q, &planner.plan(q)))

@@ -1,13 +1,13 @@
-//! Criterion benchmarks for the measured backend's hot paths: B+Tree
-//! probes and vectorized batch heap scans. These are the operators the
-//! `Measured` backend times on the wall-clock, so their own overheads
-//! bound how small a workload the calibration fit can resolve.
+//! Criterion benchmarks for the executor's timed hot paths: vectorized
+//! batch heap scans and index seeks with heap gather, run on a `Measured`
+//! executor. These are the operators the executor times on the
+//! wall-clock, so their own overheads bound how small a workload the
+//! calibration fit can resolve.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use dba_backend::BTree;
-use dba_common::{ColumnId, QueryId, TableId, TemplateId};
-use dba_engine::{CostModel, Predicate, Query};
+use dba_common::{BudgetTimer, ColumnId, QueryId, TableId, TemplateId};
+use dba_engine::{BackendKind, CostModel, ExecutionBackend, Predicate, Query};
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
@@ -47,31 +47,16 @@ fn range_query(lo: i64, hi: i64) -> Query {
     }
 }
 
-/// B+Tree point and range probes on a 200k-row index.
-fn bench_btree_probe(c: &mut Criterion) {
-    let mut catalog = bench_catalog();
-    let meta = catalog
-        .create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
-        .unwrap();
-    let index = catalog.index(meta.id).unwrap().clone();
-    let tree = BTree::from_index(&index, catalog.table(TableId(0)));
-
-    let mut v = 0i64;
-    c.bench_function("btree_probe_point_200k", |b| {
-        b.iter(|| {
-            v = (v + 7919) % 100_000;
-            tree.probe(&[v], None)
-        })
-    });
-    c.bench_function("btree_probe_range_200k", |b| {
-        b.iter(|| {
-            v = (v + 7919) % 99_000;
-            tree.probe(&[], Some((v, v + 1_000)))
-        })
-    });
+/// The `Measured` executor on the wall-clock.
+fn measured() -> Box<dyn ExecutionBackend> {
+    dba_engine::timed(
+        CostModel::unit_scale(),
+        BackendKind::Measured,
+        BudgetTimer::wall(),
+    )
 }
 
-/// Vectorized batch heap scan through the measured backend, ~1% selective
+/// Vectorized batch heap scan through the measured executor, ~1% selective
 /// over 200k rows. `cold` round-robins over independently generated (but
 /// identical) table allocations so each iteration touches memory the CPU
 /// caches have not just seen; `warm` rescans one allocation.
@@ -85,7 +70,7 @@ fn bench_batch_scan(c: &mut Criterion) {
         Planner::new(&ctx).plan(&q)
     };
     assert!(scan_plan.indexes_used().is_empty(), "must be a heap scan");
-    let mut backend = dba_backend::measured(cost);
+    let mut backend = measured();
 
     let mut i = 0usize;
     c.bench_function("batch_scan_cold_200k", |b| {
@@ -99,8 +84,7 @@ fn bench_batch_scan(c: &mut Criterion) {
     });
 }
 
-/// Measured index seek end to end, including the one-time B+Tree bulk
-/// build on first touch (`cold`) vs the cached steady state (`warm`).
+/// Measured index seek end to end: probe, residual filter and heap gather.
 fn bench_measured_seek(c: &mut Criterion) {
     let mut catalog = bench_catalog();
     catalog
@@ -115,16 +99,8 @@ fn bench_measured_seek(c: &mut Criterion) {
     };
     assert!(!seek_plan.indexes_used().is_empty(), "must use the index");
 
-    c.bench_function("measured_seek_cold_200k", |b| {
-        b.iter_batched(
-            || dba_backend::measured(CostModel::unit_scale()),
-            |mut backend| backend.execute(&catalog, &q, &seek_plan),
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("measured_seek_warm_200k", |b| {
-        let mut backend = dba_backend::measured(CostModel::unit_scale());
-        backend.execute(&catalog, &q, &seek_plan); // build + cache the tree
+    let mut backend = measured();
+    c.bench_function("measured_seek_200k", |b| {
         b.iter(|| backend.execute(&catalog, &q, &seek_plan))
     });
 }
@@ -132,6 +108,6 @@ fn bench_measured_seek(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_btree_probe, bench_batch_scan, bench_measured_seek
+    targets = bench_batch_scan, bench_measured_seek
 );
 criterion_main!(benches);

@@ -13,7 +13,7 @@ use dba_core::{
     AlphaSchedule, C2Ucb, C2UcbConfig,
 };
 use dba_engine::{simulated, CostModel, Predicate, Query};
-use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIf, WhatIfService};
+use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIfService};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
 };
@@ -172,14 +172,14 @@ fn bench_optimizer(c: &mut Criterion) {
     let hypo: Vec<IndexDef> = (0..16)
         .map(|i| IndexDef::new(TableId(0), vec![(i % 4) as u16], vec![]))
         .collect();
-    // Fresh facade per iteration: this bench measures *cold* what-if
-    // planning over 16 candidates — a reused facade would answer from
-    // the service memo after the first iteration and measure only the
-    // recost hit path (whatif_guard_round_warm covers that).
+    // Fresh service per iteration: this bench measures *cold* what-if
+    // planning over 16 candidates — a reused service would answer from
+    // its memo after the first iteration and measure only the recost hit
+    // path (whatif_guard_round_warm covers that).
     c.bench_function("whatif_16_hypotheticals", |b| {
         b.iter_batched(
-            || WhatIf::new(&catalog, &stats, &cost),
-            |mut wi| wi.cost_query(&q, &hypo, false),
+            || WhatIfService::new(cost.clone()),
+            |mut wi| wi.cost_query(&catalog, &stats, &q, &hypo, false),
             BatchSize::SmallInput,
         )
     });

@@ -1,31 +1,28 @@
-//! Backend-parity figure (extension): the `Measured` execution backend
-//! against the `Simulated` one it must agree with.
+//! Backend figure (extension): what the engine's executor measures next
+//! to what it prices.
 //!
 //! For each scenario ({static, shifting, drift}) the same MAB session runs
-//! twice over identical shared data: once on the pure `Simulated` backend
-//! (the path every published figure uses) and once on the lock-step
-//! [`DualBackend`](dba_backend::DualBackend), which executes every query
-//! through **both** backends and panics unless the logical results —
-//! `result_rows`, `indexes_used`, per-access `rows_out` — are bit-exact.
-//! The dual run reports the simulated timings, so its trajectory must also
-//! be bit-identical to the pure simulated run: the measured path rides
-//! along without perturbing a single published number.
+//! twice over identical shared data: once untimed (the path every
+//! published figure uses) and once with the executor timing every
+//! operator on the wall-clock. The timed run still reports the simulated
+//! prices, so its trajectory must be bit-identical to the untimed one:
+//! timing perturbs no published number.
 //!
-//! The dual runs leave behind per-operator [`OpSample`]s — physical work
+//! The timed runs leave behind per-operator [`OpSample`]s — physical work
 //! counters with both the measured wall-clock and the simulated price for
 //! the *same* access — from which the binary reports measured-vs-simulated
 //! time divergence per operator class. A calibration pass
-//! ([`dba_backend::calibrate`]) then fits the `CostModel` per-operator
+//! ([`dba_engine::calibrate`]) then fits the `CostModel` per-operator
 //! constants against a seeded microbench and must reduce the maximum
 //! per-operator divergence.
 //!
 //! Writes `results/fig_backend.json`. Self-checking; `DBA_QUICK=1` shrinks
 //! the scale factor and round counts.
 
-use dba_backend::{calibrate, dual, wall_clock};
 use dba_bench::harness::parallel_map_ordered;
 use dba_bench::{results_json, suite_threads, write_text, ExperimentEnv, RunResult, TunerKind};
-use dba_engine::{CostModel, OpKind, OpSample};
+use dba_common::BudgetTimer;
+use dba_engine::{calibrate, timed, BackendKind, CostModel, OpKind, OpSample};
 use dba_optimizer::StatsCatalog;
 use dba_session::SessionBuilder;
 use dba_storage::Catalog;
@@ -40,7 +37,7 @@ struct Scenario {
 struct ScenarioOutcome {
     name: &'static str,
     simulated: RunResult,
-    dual: RunResult,
+    timed: RunResult,
     samples: Vec<OpSample>,
 }
 
@@ -69,7 +66,7 @@ fn main() {
     ];
 
     println!(
-        "Backend parity — Simulated vs Measured lock-step (SSB sf={}, seed={}, {} rounds/scenario)",
+        "Executor timing — untimed vs wall-clock-timed sessions (SSB sf={}, seed={}, {} rounds/scenario)",
         env.sf, env.seed, rounds
     );
 
@@ -82,18 +79,17 @@ fn main() {
         run_scenario(&bench, &base, &stats, scenario, env.seed)
     });
 
-    // --- Self-check 1: the dual trajectory is bit-identical to the pure
-    // simulated one (per-query logical parity already held, or the dual
-    // backend would have panicked mid-run).
+    // --- Self-check 1: timing every operator leaves the simulated
+    // trajectory bit-identical and records samples.
     for o in &outcomes {
-        assert_trajectories_bit_identical(o.name, &o.simulated, &o.dual);
+        assert_trajectories_bit_identical(o.name, &o.simulated, &o.timed);
         assert!(
             !o.samples.is_empty(),
-            "{}: the dual run must leave measured operator samples behind",
+            "{}: the timed run must leave measured operator samples behind",
             o.name
         );
         println!(
-            "{:>9}: {} rounds bit-identical across backends, {} operator samples",
+            "{:>9}: {} rounds bit-identical with timing on, {} operator samples",
             o.name,
             o.simulated.rounds.len(),
             o.samples.len()
@@ -125,7 +121,7 @@ fn main() {
     // --- Self-check 2: calibration tightens the fit. The microbench runs
     // on the real wall-clock, so the *ratios* vary run to run — the
     // invariant is that fitting reduces the worst per-operator divergence.
-    let report = calibrate(&CostModel::paper_scale(), wall_clock(), env.seed);
+    let report = calibrate(&CostModel::paper_scale(), BudgetTimer::wall(), env.seed);
     let before = report.max_divergence_before();
     let after = report.max_divergence_after();
     println!("\n# Calibration (seeded microbench, wall-clock)");
@@ -161,7 +157,7 @@ fn main() {
         "calibration must reduce the maximum per-operator divergence: {after:.4} vs {before:.4}"
     );
 
-    // --- Results JSON: the simulated trajectories plus parity/calibration
+    // --- Results JSON: the simulated trajectories plus timing/calibration
     // metadata.
     let mut cal_ops = String::from("[");
     for (i, op) in report.ops.iter().enumerate() {
@@ -184,7 +180,7 @@ fn main() {
         ("sf", format!("{}", env.sf)),
         ("seed", format!("{}", env.seed)),
         ("rounds", format!("{rounds}")),
-        ("parity", "\"bit-exact\"".to_string()),
+        ("timed_trajectory", "\"bit-exact\"".to_string()),
         ("operator_samples", format!("{}", all_samples.len())),
         ("calibration_divergence_before", format!("{before:.4}")),
         ("calibration_divergence_after", format!("{after:.4}")),
@@ -196,14 +192,14 @@ fn main() {
     eprintln!("wrote results/fig_backend.json");
 
     println!(
-        "\nself-checks passed: logical parity bit-exact on all {} scenarios, \
+        "\nself-checks passed: timed trajectories bit-exact on all {} scenarios, \
          calibration reduced divergence {before:.4} -> {after:.4}",
         results.len()
     );
 }
 
-/// Run `scenario` twice over the shared substrate — pure simulated and
-/// dual lock-step — and drain the dual run's operator samples.
+/// Run `scenario` twice over the shared substrate — untimed and timed on
+/// the wall-clock — and drain the timed run's operator samples.
 fn run_scenario(
     bench: &Benchmark,
     base: &Catalog,
@@ -235,27 +231,31 @@ fn run_scenario(
         .run()
         .unwrap_or_else(|e| panic!("{} simulated: {e}", scenario.name));
 
-    let mut dual_session = build(Some(dual(CostModel::paper_scale())));
-    let dual_result = dual_session
+    let mut timed_session = build(Some(timed(
+        CostModel::paper_scale(),
+        BackendKind::Simulated,
+        BudgetTimer::wall(),
+    )));
+    let timed_result = timed_session
         .run()
-        .unwrap_or_else(|e| panic!("{} dual: {e}", scenario.name));
-    let samples = dual_session.backend_mut().take_op_samples();
+        .unwrap_or_else(|e| panic!("{} timed: {e}", scenario.name));
+    let samples = timed_session.backend_mut().take_op_samples();
 
     ScenarioOutcome {
         name: scenario.name,
         simulated,
-        dual: dual_result,
+        timed: timed_result,
         samples,
     }
 }
 
-fn assert_trajectories_bit_identical(scenario: &str, sim: &RunResult, dual: &RunResult) {
+fn assert_trajectories_bit_identical(scenario: &str, sim: &RunResult, timed: &RunResult) {
     assert_eq!(
         sim.rounds.len(),
-        dual.rounds.len(),
-        "{scenario}: round count differs across backends"
+        timed.rounds.len(),
+        "{scenario}: round count differs with timing on"
     );
-    for (a, b) in sim.rounds.iter().zip(&dual.rounds) {
+    for (a, b) in sim.rounds.iter().zip(&timed.rounds) {
         for (part, x, y) in [
             ("recommendation", a.recommendation, b.recommendation),
             ("creation", a.creation, b.creation),
@@ -265,7 +265,7 @@ fn assert_trajectories_bit_identical(scenario: &str, sim: &RunResult, dual: &Run
             assert_eq!(
                 x.secs().to_bits(),
                 y.secs().to_bits(),
-                "{scenario}: round {} {part} diverges across backends: {} vs {}",
+                "{scenario}: round {} {part} diverges with timing on: {} vs {}",
                 a.round,
                 x.secs(),
                 y.secs()

@@ -94,12 +94,9 @@ fn main() {
     // the guarded MAB session (parallel sessions cannot share one file).
     // Wall-clock stamps are advisory and never feed back into results.
     let trace: Option<Obs> = env.trace_path().map(|path| {
-        let start = std::time::Instant::now();
         let obs = Obs::jsonl(&path)
             .unwrap_or_else(|e| panic!("DBA_TRACE={path}: {e}"))
-            .with_timer(BudgetTimer::with_source(move || {
-                start.elapsed().as_secs_f64()
-            }));
+            .with_timer(BudgetTimer::wall());
         eprintln!("tracing guarded MAB run to {path}");
         obs
     });

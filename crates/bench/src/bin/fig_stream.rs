@@ -33,8 +33,6 @@
 //! the usual `DBA_SF` / `DBA_SEED` / `DBA_QUICK` / `DBA_ROUNDS` /
 //! `DBA_THREADS`.
 
-use std::time::Instant;
-
 use dba_bench::harness::parallel_map_ordered;
 use dba_bench::{
     run_stream_one, stream_results_json, suite_threads, write_csv, write_text, DegradeLevel,
@@ -156,10 +154,9 @@ fn main() {
             }
             config
         });
-        // Wall-clock is allowed here (bench crate) and advisory only: the
-        // injected source never influences the run, only the telemetry.
-        let start = Instant::now();
-        let timer = BudgetTimer::with_source(move || start.elapsed().as_secs_f64());
+        // Wall-clock is advisory only: the timer never influences the
+        // run, only the telemetry.
+        let timer = BudgetTimer::wall();
         let result = run_stream_one(
             &bench,
             &base,

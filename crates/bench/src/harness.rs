@@ -75,10 +75,8 @@ pub fn env_backend_kind() -> BackendKind {
 }
 
 /// Parse an environment variable, warning (rather than silently
-/// defaulting) when a value is present but unparsable. Public so
-/// diagnostic bins with their own defaults (e.g. `debug_mab`) keep the
-/// same warn-never-silently-default contract as `ExperimentEnv`.
-pub fn env_parsed<T: std::str::FromStr>(name: &str, default: T) -> T {
+/// defaulting) when a value is present but unparsable.
+fn env_parsed<T: std::str::FromStr>(name: &str, default: T) -> T {
     match std::env::var(name) {
         Ok(raw) => match raw.parse() {
             Ok(v) => v,

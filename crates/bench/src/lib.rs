@@ -18,8 +18,8 @@
 //!   to sequential ones — sessions fork shared data by `Arc` and every
 //!   run is deterministic in its seed;
 //! * `DBA_BACKEND` — execution backend (`simulated`, the default every
-//!   published figure uses, or `measured` for real physical operators
-//!   timed on the wall-clock; see `crates/backend`).
+//!   published figure uses, or `measured`: the same executor charging
+//!   each operator's wall-clock time; see `dba_engine::exec`).
 //!
 //! All driving goes through [`dba_session::TuningSession`]; this crate
 //! only configures sessions and formats their results.

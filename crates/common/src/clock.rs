@@ -168,17 +168,19 @@ impl SimClock {
     }
 }
 
-/// An *advisory* wall-clock budget timer with an injected time source.
+/// The workspace's one clock type: an *advisory* timer with an injected
+/// time source.
 ///
 /// Simulated cost units are the primary latency currency everywhere in the
-/// workspace; wall-clock readings are telemetry only and must never
-/// influence results. This type keeps that rule lintable: crates on
-/// result-affecting paths (session, core, safety) hold a `BudgetTimer` and
-/// call [`mark`](Self::mark)/[`elapsed_secs`](Self::elapsed_secs) without
-/// ever naming a wall-clock API — the harness crate (where wall-clock is
-/// allowed) injects a monotonic-seconds closure via
-/// [`with_source`](Self::with_source). Everyone else gets
-/// [`disabled`](Self::disabled), where every reading is `None`.
+/// workspace; wall-clock readings are telemetry (or, on a `Measured`
+/// executor, the measurement itself) and must never steer a simulated
+/// result. This type keeps that rule lintable: crates on result-affecting
+/// paths (session, core, safety, the engine's executor) hold a
+/// `BudgetTimer` and call [`mark`](Self::mark)/[`elapsed_secs`](Self::elapsed_secs)
+/// without ever naming a wall-clock API. The real clock enters only
+/// through [`wall`](Self::wall); tests inject [`scripted`](Self::scripted)
+/// or any closure via [`with_source`](Self::with_source). Everyone else
+/// gets [`disabled`](Self::disabled), where every reading is `None`.
 pub struct BudgetTimer {
     source: Option<Box<dyn Fn() -> f64 + Send>>,
     mark: Option<f64>,
@@ -194,13 +196,37 @@ impl BudgetTimer {
         }
     }
 
-    /// A timer reading monotonic seconds from `source`. Only harness code
-    /// with wall-clock dispensation should construct one of these.
+    /// A timer reading monotonic seconds from `source`.
     pub fn with_source(source: impl Fn() -> f64 + Send + 'static) -> Self {
         BudgetTimer {
             source: Some(Box::new(source)),
             mark: None,
         }
+    }
+
+    /// The real monotonic clock: seconds since construction.
+    ///
+    /// The single place the workspace reads the OS clock outside
+    /// `dba-bench`; everything else receives time through a `BudgetTimer`,
+    /// so rule D02 keeps firing on any other read.
+    pub fn wall() -> Self {
+        // lint: allow(D02) — the workspace's one sanctioned clock seam: every timing read is injected through a BudgetTimer, so operators stay clock-free and tests script time
+        let start = std::time::Instant::now();
+        BudgetTimer::with_source(move || start.elapsed().as_secs_f64())
+    }
+
+    /// A deterministic fake clock: each read advances time by `step_s`
+    /// seconds, so one `mark`/`elapsed_secs` pair always spans one step.
+    /// The tick counter lives inside the timer, so two scripted timers
+    /// never interfere and timed runs are bit-identical across runs,
+    /// thread counts and machines.
+    pub fn scripted(step_s: f64) -> Self {
+        let ticks = std::cell::Cell::new(0u64);
+        BudgetTimer::with_source(move || {
+            let t = ticks.get() + 1;
+            ticks.set(t);
+            t as f64 * step_s
+        })
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -311,5 +337,31 @@ mod tests {
         // negative.
         fake_now.store(99, Ordering::Relaxed);
         assert_eq!(t.elapsed_secs(), Some(0.0));
+    }
+
+    #[test]
+    fn scripted_timers_are_deterministic_and_independent() {
+        let read = |t: &mut BudgetTimer| {
+            t.mark();
+            t.elapsed_secs()
+        };
+        let (mut a, mut b) = (BudgetTimer::scripted(0.5), BudgetTimer::scripted(0.5));
+        assert_eq!(read(&mut a), Some(0.5));
+        assert_eq!(read(&mut a), Some(0.5));
+        assert_eq!(
+            read(&mut b),
+            Some(0.5),
+            "a second timer starts its own count"
+        );
+    }
+
+    #[test]
+    fn wall_timer_is_monotonic_and_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<BudgetTimer>();
+        let mut t = BudgetTimer::wall();
+        assert!(t.is_enabled());
+        t.mark();
+        assert!(t.elapsed_secs().unwrap() >= 0.0);
     }
 }

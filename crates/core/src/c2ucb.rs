@@ -132,24 +132,14 @@ impl C2Ucb {
         dot(&self.theta(), x)
     }
 
-    /// UCB scores for a batch of contexts (Eq. 1):
-    /// `r̂_t(i) = θ̂'x_t(i) + α_t √(x_t(i)' V⁻¹ x_t(i))`.
-    pub fn ucb_scores(&self, contexts: &[Vec<f64>]) -> Vec<f64> {
-        let theta = self.theta();
-        let alpha = self.config.alpha.alpha(self.round + 1);
-        contexts
-            .iter()
-            .map(|x| dot(&theta, x) + alpha * self.scatter.width_sq(x).sqrt())
-            .collect()
-    }
-
     /// Exploration width (the boost term without α) for one context.
     pub fn width(&self, x: &[f64]) -> f64 {
         self.scatter.width_sq(x).sqrt()
     }
 
-    /// Sparse batch scoring: same results as [`Self::ucb_scores`] but
-    /// O(nnz²) per arm instead of O(d²).
+    /// UCB scores for a batch of sparse contexts (Eq. 1):
+    /// `r̂_t(i) = θ̂'x_t(i) + α_t √(x_t(i)' V⁻¹ x_t(i))`, O(nnz²) per arm
+    /// instead of O(d²).
     pub fn ucb_scores_sparse(&self, contexts: &[crate::linalg::SparseVec]) -> Vec<f64> {
         let theta = self.theta();
         let alpha = self.config.alpha.alpha(self.round + 1);
@@ -314,7 +304,7 @@ mod tests {
         for _ in 0..50 {
             bandit.update(&[(vec![1.0, 0.0], 1.0)]);
         }
-        let scores = bandit.ucb_scores(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let scores = bandit.ucb_scores_sparse(&[vec![(0, 1.0)], vec![(1, 1.0)]]);
         // Mean of dim0 arm is ~1.0, dim1 arm is 0. But the boost for dim1
         // is maximal (1.0) while dim0's has collapsed.
         let width0 = bandit.width(&[1.0, 0.0]);
@@ -481,7 +471,7 @@ mod tests {
         let mk = || {
             let mut b = C2Ucb::new(3, config(1.0));
             b.update(&[(vec![1.0, 0.5, 0.2], 2.0)]);
-            b.ucb_scores(&[vec![0.3, 0.3, 0.3], vec![1.0, 0.0, 0.0]])
+            b.ucb_scores_sparse(&[vec![(0, 0.3), (1, 0.3), (2, 0.3)], vec![(0, 1.0)]])
         };
         assert_eq!(mk(), mk(), "C2UCB is deterministic (§V-C volatility)");
     }

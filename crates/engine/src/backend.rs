@@ -1,21 +1,20 @@
 //! The execution seam: [`ExecutionBackend`] abstracts *how* a physical
 //! [`Plan`] is run.
 //!
-//! Two implementations exist. The [`Executor`] in this crate is the
-//! `Simulated` backend: it evaluates predicates and joins over the real
-//! column data but charges time through the [`CostModel`]. The `Measured`
-//! backend (crate `dba-backend`) runs the same plans through real physical
-//! operators — vectorized batch scans, a bulk-loaded B+Tree, hash /
-//! index-nested-loop joins — and reports wall-clock from an injectable
-//! source. Both produce the same [`QueryExecution`] shape, so reward
-//! shaping, the safety ledger, and observability consume either
-//! interchangeably; on identical catalog state they must agree **bit
-//! exactly** on the logical fields (`result_rows`, `indexes_used`,
-//! per-access `rows_out`) and differ only in time.
+//! The engine's [`Executor`] is the one operator implementation: it runs
+//! every plan over the real column data, prices each operator through the
+//! [`CostModel`], and, when built with an enabled [`BudgetTimer`], also
+//! times each operator and records an [`OpSample`]. [`BackendKind`] only
+//! chooses which of the two times feeds [`QueryExecution`]: `Simulated`
+//! (the price; [`simulated`]) or `Measured` (the clock; [`timed`]). A
+//! `Simulated` executor with a timer runs the untimed trajectory bit for
+//! bit and leaves samples behind for calibration. The trait stays open so
+//! callers can wrap an executor (e.g. to time it from outside).
 
 use std::fmt;
 use std::str::FromStr;
 
+use dba_common::BudgetTimer;
 use dba_storage::Catalog;
 
 use crate::cost::CostModel;
@@ -28,10 +27,10 @@ use crate::query::Query;
 /// harness and selectable via `SessionBuilder::backend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Cost-model pricing over real data (the [`Executor`]).
+    /// Executions report the cost-model price of each operator.
     #[default]
     Simulated,
-    /// Real physical operators timed by an injectable clock.
+    /// Executions report each operator's time on the executor's clock.
     Measured,
 }
 
@@ -100,12 +99,12 @@ impl OpKind {
 /// One operator execution paired with the work it performed: the raw
 /// material for fitting [`CostModel`] constants against measured time.
 ///
-/// `sim_s` is what the simulated cost model charges for the *same* access
-/// (so divergence is computable per sample without re-running), while the
-/// work counters describe what the measured operator physically did —
-/// under drift these differ by design: the simulated model prices the live
-/// (accounting-grown) heap, the measured operator can only touch
-/// materialised rows.
+/// `sim_s` is what the cost model charges for the access and `measured_s`
+/// what the executor's clock observed, so divergence is computable per
+/// sample without re-running. The work counters describe what the operator
+/// physically did; under drift they differ from the priced work by design:
+/// the cost model prices the live (accounting-grown) heap, the operator
+/// can only touch materialised rows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpSample {
     pub op_index: usize,
@@ -113,7 +112,7 @@ pub struct OpSample {
     pub pages: u64,
     /// Rows pushed through the operator's CPU loop.
     pub rows: u64,
-    /// B+Tree root-to-leaf descents performed.
+    /// Index probes (root-to-leaf descents) performed.
     pub descents: u64,
     /// Hash-build input rows.
     pub build_rows: u64,
@@ -123,7 +122,7 @@ pub struct OpSample {
     pub out_rows: u64,
     /// Simulated seconds the [`CostModel`] charges for this access.
     pub sim_s: f64,
-    /// Seconds observed on the backend's injected clock.
+    /// Seconds observed on the executor's timer.
     pub measured_s: f64,
 }
 
@@ -146,9 +145,8 @@ impl OpSample {
 
 /// A strategy for executing physical plans.
 ///
-/// `execute` takes `&mut self` because measured backends maintain state
-/// between calls (cached B+Trees, drained-on-demand calibration samples);
-/// the simulated implementation simply ignores the mutability.
+/// `execute` takes `&mut self` because a timed executor accumulates
+/// calibration samples between calls.
 pub trait ExecutionBackend: Send {
     /// Which backend family this is (drives reporting and env selection).
     fn kind(&self) -> BackendKind;
@@ -180,16 +178,23 @@ pub trait ExecutionBackend: Send {
     }
 }
 
-/// The `Simulated` backend: the cost-model-priced [`Executor`], boxed.
-/// The canonical construction path for callers outside this crate —
-/// `Executor::new` is an engine-internal detail.
+/// The `Simulated` backend: the untimed [`Executor`], boxed. The canonical
+/// construction path for callers outside this crate.
 pub fn simulated(cost: CostModel) -> Box<dyn ExecutionBackend> {
     Box::new(Executor::new(cost))
 }
 
+/// The [`Executor`] timing every operator on `timer`, boxed: `Measured`
+/// on [`BudgetTimer::wall`] runs real timed execution, `Simulated` on any
+/// timer reproduces [`simulated`] bit for bit while recording samples.
+/// Panics if `kind` is `Measured` and `timer` is disabled.
+pub fn timed(cost: CostModel, kind: BackendKind, timer: BudgetTimer) -> Box<dyn ExecutionBackend> {
+    Box::new(Executor::timed(cost, kind, timer))
+}
+
 impl ExecutionBackend for Executor {
     fn kind(&self) -> BackendKind {
-        BackendKind::Simulated
+        Executor::kind(self)
     }
 
     fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
@@ -198,6 +203,10 @@ impl ExecutionBackend for Executor {
 
     fn cost_model(&self) -> &CostModel {
         Executor::cost_model(self)
+    }
+
+    fn take_op_samples(&mut self) -> Vec<OpSample> {
+        Executor::take_op_samples(self)
     }
 }
 
@@ -239,6 +248,25 @@ mod tests {
         assert!(!backend.measures_wall_clock());
         assert!(backend.take_op_samples().is_empty());
         assert!(backend.cost_model().time_scale > 0.0);
+    }
+
+    #[test]
+    fn timed_factory_reports_its_kind() {
+        let measured = timed(
+            CostModel::unit_scale(),
+            BackendKind::Measured,
+            BudgetTimer::scripted(1e-6),
+        );
+        assert_eq!(measured.kind(), BackendKind::Measured);
+        assert_eq!(measured.name(), "measured");
+        assert!(measured.measures_wall_clock());
+        let shadow = timed(
+            CostModel::unit_scale(),
+            BackendKind::Simulated,
+            BudgetTimer::scripted(1e-6),
+        );
+        assert_eq!(shadow.kind(), BackendKind::Simulated);
+        assert!(!shadow.measures_wall_clock());
     }
 
     #[test]

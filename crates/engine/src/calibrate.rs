@@ -3,8 +3,8 @@
 //!
 //! The simulated [`CostModel`] charges seconds per unit of physical work
 //! (page read, row filtered, descent, hash build/probe, aggregate row).
-//! Each measured [`OpSample`] records exactly those work counters next to
-//! the seconds observed on the backend's clock, so fitting the constants is
+//! Each timed [`OpSample`] records exactly those work counters next to
+//! the seconds observed on the executor's timer, so fitting the constants is
 //! ordinary linear least squares: minimise `‖X·θ − y‖²` where a sample's
 //! feature row `X_i` holds its counters in constant order and `y_i` its
 //! measured seconds. [`fit`] solves the (ridge-damped) normal equations;
@@ -15,15 +15,16 @@
 //! carries `time_scale = 1.0`; the paper-scale compensation factor is a
 //! property of the simulation, not of the hardware being measured.
 
-use dba_common::{ColumnId, QueryId, SimSeconds, TableId, TemplateId};
-use dba_engine::plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
-use dba_engine::{CostModel, ExecutionBackend, JoinPred, OpKind, OpSample, Predicate, Query};
+use dba_common::{BudgetTimer, ColumnId, QueryId, SimSeconds, TableId, TemplateId};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
 };
 
-use crate::clock::ClockSource;
-use crate::measured::MeasuredBackend;
+use crate::backend::{BackendKind, OpKind, OpSample};
+use crate::cost::CostModel;
+use crate::exec::Executor;
+use crate::plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
+use crate::query::{JoinPred, Predicate, Query};
 
 /// Constants being fitted, in feature order.
 const FITTED: [&str; 6] = [
@@ -233,14 +234,14 @@ fn solve6(mut a: [[f64; 6]; 6], mut b: [f64; 6]) -> [f64; 6] {
     x
 }
 
-/// Run the seeded microbench workload through a fresh [`MeasuredBackend`]
-/// and return its operator samples.
+/// Run the seeded microbench workload through a fresh `Measured`
+/// [`Executor`] timed on `timer` and return its operator samples.
 ///
 /// Three tables with deliberately different row widths (padding decorrelates
 /// pages from rows), covering indexes throughout (no random-heap term — see
 /// [`features`]), and a spread of selectivities per operator so the design
 /// matrix is well conditioned.
-pub fn microbench_samples(cost: &CostModel, clock: ClockSource, seed: u64) -> Vec<OpSample> {
+pub fn microbench_samples(cost: &CostModel, timer: BudgetTimer, seed: u64) -> Vec<OpSample> {
     let wide = TableSchema::new(
         "cal_wide",
         vec![
@@ -295,7 +296,7 @@ pub fn microbench_samples(cost: &CostModel, clock: ClockSource, seed: u64) -> Ve
         .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
         .unwrap();
 
-    let mut backend = MeasuredBackend::with_clock(cost.clone(), clock);
+    let mut backend = Executor::timed(cost.clone(), BackendKind::Measured, timer);
     let col = ColumnId::new;
     let mut qid = 0u64;
     let mut run = |tables: Vec<TableId>,
@@ -304,7 +305,7 @@ pub fn microbench_samples(cost: &CostModel, clock: ClockSource, seed: u64) -> Ve
                    payload: Vec<ColumnId>,
                    aggregated: bool,
                    plan: Plan,
-                   backend: &mut MeasuredBackend| {
+                   backend: &mut Executor| {
         let q = Query {
             id: QueryId(qid),
             template: TemplateId(0),
@@ -445,14 +446,13 @@ pub fn microbench_samples(cost: &CostModel, clock: ClockSource, seed: u64) -> Ve
 }
 
 /// Full calibration workflow: microbench → fit → report.
-pub fn calibrate(base: &CostModel, clock: ClockSource, seed: u64) -> CalibrationReport {
-    fit(&microbench_samples(base, clock, seed), base)
+pub fn calibrate(base: &CostModel, timer: BudgetTimer, seed: u64) -> CalibrationReport {
+    fit(&microbench_samples(base, timer, seed), base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::scripted;
 
     /// Synthetic timings drawn *from* unit-scale constants: the fit must
     /// recover them (near-)exactly and drive divergence to ~0.
@@ -468,7 +468,7 @@ mod tests {
             unit.hash_probe_row_s,
             unit.agg_row_s,
         ];
-        let mut samples = microbench_samples(&base, scripted(1e-7), 17);
+        let mut samples = microbench_samples(&base, BudgetTimer::scripted(1e-7), 17);
         for s in &mut samples {
             let f = features(s);
             s.measured_s = f.iter().zip(&truth).map(|(a, b)| a * b).sum();
@@ -495,7 +495,8 @@ mod tests {
 
     #[test]
     fn microbench_covers_every_operator_deterministically() {
-        let samples = microbench_samples(&CostModel::paper_scale(), scripted(1e-7), 17);
+        let samples =
+            microbench_samples(&CostModel::paper_scale(), BudgetTimer::scripted(1e-7), 17);
         for op in OpKind::ALL {
             assert!(
                 samples.iter().any(|s| s.op() == op),
@@ -503,7 +504,7 @@ mod tests {
             );
         }
         // Scripted clock ⇒ the whole sample set is reproducible bit-exactly.
-        let again = microbench_samples(&CostModel::paper_scale(), scripted(1e-7), 17);
+        let again = microbench_samples(&CostModel::paper_scale(), BudgetTimer::scripted(1e-7), 17);
         assert_eq!(samples.len(), again.len());
         for (a, b) in samples.iter().zip(&again) {
             assert_eq!(a.op(), b.op());
@@ -515,7 +516,7 @@ mod tests {
 
     #[test]
     fn calibrate_reduces_divergence_on_scripted_clock() {
-        let report = calibrate(&CostModel::paper_scale(), scripted(1e-7), 23);
+        let report = calibrate(&CostModel::paper_scale(), BudgetTimer::scripted(1e-7), 23);
         assert!(
             report.max_divergence_before() > 1.0,
             "paper-scale constants are nowhere near scripted-clock seconds"

@@ -1,19 +1,33 @@
 //! The executor: runs a physical [`Plan`] against real column data.
 //!
-//! Execution is *actual*: predicates are evaluated over the stored codes,
-//! joins materialise real matching row ids, and every operator is charged
-//! simulated time from the shared [`CostModel`] using the **observed**
+//! Execution is *actual*: predicates are evaluated over the stored codes in
+//! vectorized batches, seeks probe the sorted index and gather the needed
+//! columns from the heap, covering scans walk the index leaves, joins
+//! materialise real matching row ids and aggregates sum the payload. Every
+//! operator is priced from the shared [`CostModel`] using the **observed**
 //! cardinalities. The per-access statistics it emits ([`AccessStats`]) are
 //! exactly the observations the paper's reward shaping consumes: which
 //! index served which table, how long the access took, and what a full
 //! table scan cost when one was performed.
+//!
+//! An executor built with an enabled [`BudgetTimer`] also times each
+//! operator with one `mark`/`elapsed_secs` pair and records an [`OpSample`]
+//! pairing the operator's work counters with both its price and the
+//! measured seconds. [`BackendKind`] only picks which of the two times the
+//! execution reports: `Simulated` reports the price, so a timed simulated
+//! run is bit-identical to an untimed one; `Measured` reports the clock.
 
-use dba_common::{IndexId, QueryId, SimSeconds, TableId};
-use dba_storage::{Catalog, Index, Table};
+use dba_common::{BudgetTimer, IndexId, QueryId, SimSeconds, TableId};
+use dba_storage::{Catalog, Index, Table, PAGE_BYTES};
 
+use crate::backend::{BackendKind, OpKind, OpSample};
 use crate::cost::CostModel;
 use crate::plan::{seek_shape, AccessMethod, JoinAlgo, Plan};
 use crate::query::{Predicate, Query};
+
+/// Rows per batch in the vectorized filter: one selection-vector refill
+/// per window keeps the working set cache-resident.
+const BATCH_ROWS: usize = 4096;
 
 /// Observed statistics for one table access operator.
 #[derive(Debug, Clone)]
@@ -21,8 +35,8 @@ pub struct AccessStats {
     pub table: TableId,
     /// The index used, or `None` for a heap scan.
     pub index: Option<IndexId>,
-    /// Simulated time spent in this access operator (for index nested-loop
-    /// inner sides: the total across all probes).
+    /// Time charged to this access operator (for index nested-loop inner
+    /// sides: the total across all probes).
     pub time: SimSeconds,
     /// Actual rows emitted after local predicates.
     pub rows_out: u64,
@@ -76,9 +90,15 @@ impl QueryExecution {
 }
 
 /// Runs plans over the catalog, producing observed statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Executor {
     cost: CostModel,
+    /// Which time the execution reports: the price or the clock.
+    kind: BackendKind,
+    timer: BudgetTimer,
+    /// Samples recorded since the last drain; stays unallocated when the
+    /// timer is disabled.
+    samples: Vec<OpSample>,
 }
 
 /// Intermediate relation during left-deep join execution: parallel vectors
@@ -106,19 +126,66 @@ impl Intermediate {
 }
 
 impl Executor {
+    /// The simulated executor: prices every operator and times none.
     pub fn new(cost: CostModel) -> Self {
-        Executor { cost }
+        Executor::timed(cost, BackendKind::Simulated, BudgetTimer::disabled())
+    }
+
+    /// An executor that also times every operator on `timer`, reporting
+    /// the price (`Simulated`) or the measured seconds (`Measured`).
+    ///
+    /// Panics if `kind` is `Measured` and `timer` is disabled: such an
+    /// executor would have no time to report.
+    pub fn timed(cost: CostModel, kind: BackendKind, timer: BudgetTimer) -> Self {
+        assert!(
+            kind == BackendKind::Simulated || timer.is_enabled(),
+            "a measured executor needs an enabled timer"
+        );
+        Executor {
+            cost,
+            kind,
+            timer,
+            samples: Vec::new(),
+        }
     }
 
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }
 
+    pub fn kind(&self) -> BackendKind {
+        self.kind
+    }
+
+    /// Drain the operator samples recorded since the last call (none
+    /// without a timer).
+    pub fn take_op_samples(&mut self) -> Vec<OpSample> {
+        std::mem::take(&mut self.samples)
+    }
+
+    /// Close the operator whose work began at the last `timer.mark()`:
+    /// when timed, record its sample; return the time the execution is
+    /// charged for it.
+    fn charge(&mut self, price: SimSeconds, sample: OpSample) -> SimSeconds {
+        let Some(measured_s) = self.timer.elapsed_secs() else {
+            return price;
+        };
+        self.samples.push(OpSample {
+            sim_s: price.secs(),
+            measured_s,
+            ..sample
+        });
+        match self.kind {
+            BackendKind::Simulated => price,
+            BackendKind::Measured => SimSeconds::new(measured_s),
+        }
+    }
+
     /// Execute `plan` for `query`, returning observed statistics.
     ///
     /// Panics if the plan references indexes that are not materialised —
     /// plans must be produced against the same catalog state.
-    pub fn execute(&self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
+    pub fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
         let mut accesses = Vec::with_capacity(1 + plan.joins.len());
         let mut join_time = SimSeconds::ZERO;
 
@@ -159,6 +226,7 @@ impl Executor {
                     accesses.push(stats);
 
                     // Build on the inner side, probe with the outer.
+                    self.timer.mark();
                     let inner_vals = inner_table.column(inner_col.ordinal).data();
                     let mut build: std::collections::HashMap<i64, Vec<u32>> =
                         std::collections::HashMap::with_capacity(inner_rows.len());
@@ -183,7 +251,16 @@ impl Executor {
                         }
                     }
                     let len = new_cols[0].len();
-                    join_time += self.cost.hash_join(build_rows, probe_rows, len as u64);
+                    let price = self.cost.hash_join(build_rows, probe_rows, len as u64);
+                    join_time += self.charge(
+                        price,
+                        OpSample {
+                            build_rows,
+                            probe_rows,
+                            out_rows: len as u64,
+                            ..OpSample::with_op(OpKind::HashJoin)
+                        },
+                    );
                     inter.tables.push(step.access.table);
                     inter.columns = new_cols;
                     inter.len = len;
@@ -201,16 +278,20 @@ impl Executor {
                         step.access.method,
                         AccessMethod::IndexSeek { covering: true, .. }
                     );
+                    let leaf_cap = leaf_capacity(inner_table, index);
 
+                    self.timer.mark();
                     let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
                     let mut new_cols: Vec<Vec<u32>> =
                         (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
                     let mut total_matched = 0u64;
                     let mut total_out = 0u64;
+                    let mut leaves = 0u64;
                     for k in 0..inter.len {
                         let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
                         let (s, e) = index.probe(inner_table, &[ov], None);
                         total_matched += (e - s) as u64;
+                        leaves += leaves_spanned(index, leaf_cap, s, e);
                         for &ir in &index.ordered_rows()[s..e] {
                             if row_matches(inner_table, ir, &inner_preds) {
                                 for (ci, col) in inter.columns.iter().enumerate() {
@@ -221,14 +302,23 @@ impl Executor {
                             }
                         }
                     }
-                    let leaf_row_bytes = leaf_row_bytes(inner_table, index);
                     let heap_fetches = if covering { 0 } else { total_matched };
-                    let time = self.cost.inl_probes(
+                    let price = self.cost.inl_probes(
                         inter.len as u64,
                         total_matched,
-                        leaf_row_bytes,
+                        leaf_row_bytes(inner_table, index),
                         heap_fetches,
                         catalog.live_heap_pages(step.access.table),
+                    );
+                    let time = self.charge(
+                        price,
+                        OpSample {
+                            pages: leaves,
+                            rows: total_matched,
+                            descents: inter.len as u64,
+                            out_rows: total_out,
+                            ..OpSample::with_op(OpKind::InlProbe)
+                        },
                     );
                     accesses.push(AccessStats {
                         table: step.access.table,
@@ -246,7 +336,27 @@ impl Executor {
         }
 
         let agg_time = if query.aggregated {
-            self.cost.aggregate(inter.len as u64)
+            // Sum every payload column over the joined row ids: the work
+            // `agg_row_s` prices.
+            self.timer.mark();
+            for pc in &query.payload {
+                if let Some(pos) = inter.table_pos(pc.table) {
+                    let col = catalog.table(pc.table).column(pc.ordinal).data();
+                    let sum = inter.columns[pos]
+                        .iter()
+                        .fold(0i64, |acc, &r| acc.wrapping_add(col[r as usize]));
+                    std::hint::black_box(sum);
+                }
+            }
+            let price = self.cost.aggregate(inter.len as u64);
+            self.charge(
+                price,
+                OpSample {
+                    rows: inter.len as u64,
+                    out_rows: 1,
+                    ..OpSample::with_op(OpKind::Aggregate)
+                },
+            )
         } else {
             SimSeconds::ZERO
         };
@@ -262,38 +372,41 @@ impl Executor {
         }
     }
 
-    /// Run a single-table access, returning matching row ids and stats.
+    /// Run a single-table access, returning matching row ids (ascending,
+    /// whatever the method) and stats.
     fn run_access(
-        &self,
+        &mut self,
         catalog: &Catalog,
         table: &Table,
         method: &AccessMethod,
         preds: &[Predicate],
         query: &Query,
     ) -> (Vec<u32>, AccessStats) {
-        match method {
+        let (rows, index, price, sample) = match method {
             AccessMethod::FullScan => {
-                let rows = filter_all(table, preds);
-                // Time is charged over the *live* heap: drift-grown tables
-                // scan slower even though only generated rows materialise.
-                let time = self.cost.scan(
+                self.timer.mark();
+                let rows = batch_filter(table, preds);
+                // Priced over the *live* heap: drift-grown tables scan
+                // slower even though only generated rows materialise.
+                let price = self.cost.scan(
                     catalog.live_heap_pages(table.id()),
                     catalog.live_rows(table.id()),
                 );
-                let stats = AccessStats {
-                    table: table.id(),
-                    index: None,
-                    time,
-                    rows_out: rows.len() as u64,
-                    is_full_scan: true,
+                let sample = OpSample {
+                    pages: table.heap_pages(),
+                    rows: table.rows() as u64,
+                    ..OpSample::with_op(OpKind::SeqScan)
                 };
-                (rows, stats)
+                (rows, None, price, sample)
             }
             AccessMethod::IndexSeek { index, covering } => {
                 let ix = catalog
                     .index(*index)
                     .expect("plan references unmaterialised index");
                 let shape = seek_shape(ix.def(), preds);
+                let leaf_cap = leaf_capacity(table, ix);
+
+                self.timer.mark();
                 let (s, e) = ix.probe(table, &shape.eq_values, shape.range);
                 let matched = (e - s) as u64;
                 let mut rows = Vec::with_capacity(e - s);
@@ -302,23 +415,29 @@ impl Executor {
                         rows.push(r);
                     }
                 }
-                // A non-covering seek fetches every leaf-matched row from the
-                // heap (residuals and payload are evaluated there).
+                // A non-covering seek fetches the columns the query needs
+                // from the heap: the work the random heap reads stand for.
+                if !covering {
+                    let mut fetched = Vec::new();
+                    for ord in query.columns_needed_on(table.id()) {
+                        table.column(ord).gather_into(&rows, &mut fetched);
+                        std::hint::black_box(fetched.as_slice());
+                    }
+                }
                 let heap_fetches = if *covering { 0 } else { matched };
-                let time = self.cost.index_seek(
+                let price = self.cost.index_seek(
                     matched,
                     leaf_row_bytes(table, ix),
                     heap_fetches,
                     catalog.live_heap_pages(table.id()),
                 );
-                let stats = AccessStats {
-                    table: table.id(),
-                    index: Some(*index),
-                    time,
-                    rows_out: rows.len() as u64,
-                    is_full_scan: false,
+                let sample = OpSample {
+                    pages: leaves_spanned(ix, leaf_cap, s, e),
+                    rows: matched,
+                    descents: 1,
+                    ..OpSample::with_op(OpKind::IndexSeek)
                 };
-                (rows, stats)
+                (rows, Some(*index), price, sample)
             }
             AccessMethod::CoveringScan { index } => {
                 let ix = catalog
@@ -328,24 +447,49 @@ impl Executor {
                     ix.def().covers(&query.columns_needed_on(table.id())),
                     "covering scan over a non-covering index"
                 );
-                let rows = filter_all(table, preds);
+
+                // Walk the leaf level in key order, then restore heap
+                // order so every access method emits ascending row ids.
+                self.timer.mark();
+                let mut rows: Vec<u32> = ix
+                    .ordered_rows()
+                    .iter()
+                    .copied()
+                    .filter(|&r| row_matches(table, r, preds))
+                    .collect();
+                rows.sort_unstable();
                 // Maintained leaves grow with the table (drift): the
                 // catalog's live accounting scales each index by the growth
                 // it actually absorbed since creation.
-                let leaf_pages = catalog.index_live_leaf_pages(ix.id());
-                let time = self
-                    .cost
-                    .covering_scan(leaf_pages, catalog.live_rows(table.id()));
-                let stats = AccessStats {
-                    table: table.id(),
-                    index: Some(*index),
-                    time,
-                    rows_out: rows.len() as u64,
-                    is_full_scan: false,
+                let price = self.cost.covering_scan(
+                    catalog.index_live_leaf_pages(ix.id()),
+                    catalog.live_rows(table.id()),
+                );
+                let leaves = ix.ordered_rows().len().div_ceil(leaf_capacity(table, ix));
+                let sample = OpSample {
+                    pages: leaves as u64,
+                    rows: table.rows() as u64,
+                    ..OpSample::with_op(OpKind::CoveringScan)
                 };
-                (rows, stats)
+                (rows, Some(*index), price, sample)
             }
-        }
+        };
+        let rows_out = rows.len() as u64;
+        let time = self.charge(
+            price,
+            OpSample {
+                out_rows: rows_out,
+                ..sample
+            },
+        );
+        let stats = AccessStats {
+            table: table.id(),
+            index,
+            time,
+            rows_out,
+            is_full_scan: index.is_none(),
+        };
+        (rows, stats)
     }
 }
 
@@ -354,21 +498,45 @@ fn leaf_row_bytes(table: &Table, index: &Index) -> u64 {
     table.columns_width(&index.def().key_cols) + table.columns_width(&index.def().include_cols) + 8
 }
 
-/// Row ids of `table` matching all `preds` (full evaluation).
-fn filter_all(table: &Table, preds: &[Predicate]) -> Vec<u32> {
-    if preds.is_empty() {
-        return (0..table.rows() as u32).collect();
+/// Entries per physical leaf page of `index` (at least 8).
+fn leaf_capacity(table: &Table, index: &Index) -> usize {
+    ((PAGE_BYTES / leaf_row_bytes(table, index)) as usize).max(8)
+}
+
+/// Leaf pages a probe touches to return entries `[start, end)`: the pages
+/// the range spans, or the one leaf a miss lands on (none in an empty
+/// index).
+fn leaves_spanned(index: &Index, leaf_cap: usize, start: usize, end: usize) -> u64 {
+    if index.ordered_rows().is_empty() {
+        0
+    } else if end > start {
+        ((end - 1) / leaf_cap - start / leaf_cap + 1) as u64
+    } else {
+        1
     }
-    let cols: Vec<&[i64]> = preds
-        .iter()
-        .map(|p| table.column(p.column.ordinal).data())
-        .collect();
+}
+
+/// Row ids of `table` matching all `preds`, ascending: seed a selection
+/// vector per [`BATCH_ROWS`] window from the first predicate, then refine
+/// it in place with the rest.
+fn batch_filter(table: &Table, preds: &[Predicate]) -> Vec<u32> {
+    let n = table.rows();
+    let Some((first, rest)) = preds.split_first() else {
+        return (0..n as u32).collect();
+    };
+    let seed = table.column(first.column.ordinal);
     let mut out = Vec::new();
-    for r in 0..table.rows() {
-        let ok = preds.iter().zip(&cols).all(|(p, c)| p.matches(c[r]));
-        if ok {
-            out.push(r as u32);
+    let mut batch = Vec::with_capacity(BATCH_ROWS.min(n));
+    for start in (0..n).step_by(BATCH_ROWS) {
+        let end = (start + BATCH_ROWS).min(n);
+        batch.clear();
+        seed.fill_matching_in(first.lo, first.hi, start, end, &mut batch);
+        for p in rest {
+            table
+                .column(p.column.ordinal)
+                .retain_matching(p.lo, p.hi, &mut batch);
         }
+        out.extend_from_slice(&batch);
     }
     out
 }
@@ -458,7 +626,7 @@ mod tests {
     fn full_scan_counts_match_ground_truth() {
         let cat = catalog();
         let q = single_table_query(vec![Predicate::range(col(1, 2), 0, 99)], vec![col(1, 0)]);
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
         let truth = cat.table(TableId(1)).column(2).count_in_range(0, 99) as u64;
         assert_eq!(result.result_rows, truth);
@@ -477,7 +645,7 @@ mod tests {
             .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
             .unwrap();
         let q = single_table_query(vec![Predicate::range(col(1, 2), 10, 30)], vec![col(1, 0)]);
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let seek_plan = Plan {
             driver: TableAccess {
                 table: TableId(1),
@@ -533,7 +701,7 @@ mod tests {
             payload: vec![col(0, 0)],
             aggregated: false,
         };
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let seek_plan = Plan {
             driver: TableAccess {
                 table: TableId(0),
@@ -569,7 +737,7 @@ mod tests {
             .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
             .unwrap();
         let q = single_table_query(vec![Predicate::range(col(1, 2), 10, 300)], vec![col(1, 0)]);
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let mk = |id, cov| Plan {
             driver: TableAccess {
                 table: TableId(1),
@@ -647,7 +815,7 @@ mod tests {
             aggregated: true,
             est_cost: SimSeconds::ZERO,
         };
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &plan);
         assert_eq!(result.result_rows, true_join_rows(&cat));
         assert!(result.join_time.secs() > 0.0);
@@ -683,7 +851,7 @@ mod tests {
             aggregated: true,
             est_cost: SimSeconds::ZERO,
         };
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &inl_plan);
         assert_eq!(result.result_rows, true_join_rows(&cat));
         // The INL inner access is attributed to the index.
@@ -701,7 +869,7 @@ mod tests {
     fn drifted_table_scans_slower_but_returns_same_rows() {
         let mut cat = catalog();
         let q = single_table_query(vec![Predicate::range(col(1, 2), 0, 99)], vec![col(1, 0)]);
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let before = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
         cat.apply_drift(TableId(1), 50_000, 0, 0);
         let after = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
@@ -732,7 +900,7 @@ mod tests {
             aggregated: false,
             est_cost: SimSeconds::ZERO,
         };
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let before = exec.execute(&cat, &q, &plan);
         cat.apply_drift(TableId(1), 45_000, 0, 0); // 10× growth
         let after = exec.execute(&cat, &q, &plan);
@@ -748,8 +916,202 @@ mod tests {
     fn empty_predicates_scan_emits_all_rows() {
         let cat = catalog();
         let q = single_table_query(vec![], vec![col(1, 0)]);
-        let exec = Executor::new(CostModel::unit_scale());
+        let mut exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
         assert_eq!(result.result_rows, 5000);
+    }
+
+    /// One plan per operator class over the two-table catalog: every
+    /// access method, both join algorithms, and an aggregate.
+    fn operator_sweep(cat: &mut Catalog) -> Vec<(Query, Plan)> {
+        let seek_ix = cat
+            .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
+            .unwrap();
+        let cover_ix = cat
+            .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
+            .unwrap();
+        let fk_ix = cat
+            .create_index(IndexDef::new(TableId(1), vec![1], vec![]))
+            .unwrap();
+        let q = single_table_query(vec![Predicate::range(col(1, 2), 10, 300)], vec![col(1, 0)]);
+        let single = |method| Plan {
+            driver: TableAccess {
+                table: TableId(1),
+                method,
+                est_rows: 0.0,
+            },
+            joins: vec![],
+            aggregated: false,
+            est_cost: SimSeconds::ZERO,
+        };
+        let jq = join_query();
+        let join_pred = jq.joins[0];
+        let join = |algo, method| Plan {
+            driver: TableAccess {
+                table: TableId(0),
+                method: AccessMethod::FullScan,
+                est_rows: 0.0,
+            },
+            joins: vec![JoinStep {
+                access: TableAccess {
+                    table: TableId(1),
+                    method,
+                    est_rows: 0.0,
+                },
+                algo,
+                join: join_pred,
+                est_rows_out: 0.0,
+            }],
+            aggregated: true,
+            est_cost: SimSeconds::ZERO,
+        };
+        vec![
+            (q.clone(), single(AccessMethod::FullScan)),
+            (
+                q.clone(),
+                single(AccessMethod::IndexSeek {
+                    index: seek_ix.id,
+                    covering: false,
+                }),
+            ),
+            (
+                q.clone(),
+                single(AccessMethod::IndexSeek {
+                    index: cover_ix.id,
+                    covering: true,
+                }),
+            ),
+            (q, single(AccessMethod::CoveringScan { index: cover_ix.id })),
+            (jq.clone(), join(JoinAlgo::Hash, AccessMethod::FullScan)),
+            (
+                jq,
+                join(
+                    JoinAlgo::IndexNestedLoop,
+                    AccessMethod::IndexSeek {
+                        index: fk_ix.id,
+                        covering: false,
+                    },
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn untimed_executor_records_no_samples() {
+        let mut cat = catalog();
+        let mut exec = Executor::new(CostModel::unit_scale());
+        for (q, plan) in operator_sweep(&mut cat) {
+            exec.execute(&cat, &q, &plan);
+        }
+        assert_eq!(exec.samples.capacity(), 0, "no sample buffer is allocated");
+        assert!(exec.take_op_samples().is_empty());
+    }
+
+    #[test]
+    fn timed_simulated_is_bit_identical_and_samples_every_operator() {
+        let mut cat = catalog();
+        let mut plain = Executor::new(CostModel::unit_scale());
+        let mut timed = Executor::timed(
+            CostModel::unit_scale(),
+            BackendKind::Simulated,
+            BudgetTimer::scripted(1e-6),
+        );
+        let mut ops = Vec::new();
+        for (q, plan) in operator_sweep(&mut cat) {
+            let a = plain.execute(&cat, &q, &plan);
+            let b = timed.execute(&cat, &q, &plan);
+            assert_eq!(a.total.secs().to_bits(), b.total.secs().to_bits());
+            assert_eq!(a.result_rows, b.result_rows);
+            for (x, y) in a.accesses.iter().zip(&b.accesses) {
+                assert_eq!(x.time.secs().to_bits(), y.time.secs().to_bits());
+                assert_eq!((x.rows_out, x.index), (y.rows_out, y.index));
+            }
+            // Each access's sample carries exactly the price it was charged.
+            let samples = timed.take_op_samples();
+            for access in &b.accesses {
+                assert!(samples
+                    .iter()
+                    .any(|s| s.sim_s.to_bits() == access.time.secs().to_bits()));
+            }
+            assert!(samples.iter().all(|s| s.measured_s > 0.0));
+            ops.extend(samples.iter().map(OpSample::op));
+        }
+        for op in OpKind::ALL {
+            assert!(ops.contains(&op), "no {op:?} sample");
+        }
+    }
+
+    #[test]
+    fn measured_executor_charges_the_clock() {
+        let cat = catalog();
+        let q = single_table_query(vec![Predicate::range(col(1, 2), 0, 99)], vec![col(1, 0)]);
+        let plan = scan_plan(TableId(1), 0.0);
+        let mut measured = Executor::timed(
+            CostModel::unit_scale(),
+            BackendKind::Measured,
+            BudgetTimer::scripted(0.5),
+        );
+        let m = measured.execute(&cat, &q, &plan);
+        let s = Executor::new(CostModel::unit_scale()).execute(&cat, &q, &plan);
+        assert_eq!(m.result_rows, s.result_rows);
+        assert_eq!(m.accesses[0].rows_out, s.accesses[0].rows_out);
+        // One mark/elapsed pair per operator: the scripted clock advances
+        // exactly one step between them.
+        assert_eq!(m.total.secs(), 0.5);
+        let samples = measured.take_op_samples();
+        assert_eq!(samples.len(), 1);
+        assert_eq!(samples[0].op(), OpKind::SeqScan);
+        assert_eq!(samples[0].sim_s, s.total.secs());
+        assert_eq!(samples[0].measured_s, 0.5);
+        assert!(measured.take_op_samples().is_empty(), "samples drain");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an enabled timer")]
+    fn measured_executor_without_a_timer_is_rejected() {
+        Executor::timed(
+            CostModel::unit_scale(),
+            BackendKind::Measured,
+            BudgetTimer::disabled(),
+        );
+    }
+
+    #[test]
+    fn batch_filter_is_ascending_and_complete() {
+        let cat = catalog();
+        let t = cat.table(TableId(1));
+        let preds = [
+            Predicate::range(col(1, 2), 100, 700),
+            Predicate::range(col(1, 1), 0, 150),
+        ];
+        let want: Vec<u32> = (0..t.rows() as u32)
+            .filter(|&r| row_matches(t, r, &preds))
+            .collect();
+        assert_eq!(batch_filter(t, &preds), want);
+        assert_eq!(batch_filter(t, &[]).len(), t.rows());
+    }
+
+    #[test]
+    fn probe_leaves_follow_page_sized_leaves() {
+        let sequential = |rows, id| {
+            let key = ColumnSpec::new("k", ColumnType::Int, Distribution::Sequential);
+            let t = TableBuilder::new(TableSchema::new("seq", vec![key]), rows).build(id, 1);
+            let ix = Index::build(IndexId(0), IndexDef::new(id, vec![0], vec![]), &t);
+            (t, ix)
+        };
+        let (t, ix) = sequential(60_000, TableId(0));
+        // 16-byte leaf rows: 512 entries per 8 KiB leaf.
+        let cap = leaf_capacity(&t, &ix);
+        assert_eq!(cap, 512);
+        let leaves = |lo, hi| {
+            let (s, e) = ix.probe(&t, &[], Some((lo, hi)));
+            leaves_spanned(&ix, cap, s, e)
+        };
+        assert_eq!(leaves(0, 511), 1);
+        assert_eq!(leaves(0, 512), 2);
+        assert_eq!(leaves(0, 59_999), 60_000u64.div_ceil(512));
+        assert_eq!(leaves(70_000, 70_000), 1, "a miss still lands on a leaf");
+        let (_, empty) = sequential(0, TableId(1));
+        assert_eq!(leaves_spanned(&empty, cap, 0, 0), 0);
     }
 }

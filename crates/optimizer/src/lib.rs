@@ -6,8 +6,8 @@
 //! single-column statistics, estimates cardinalities under the uniformity
 //! and attribute-value-independence assumptions the paper criticises, plans
 //! access paths and join orders by estimated cost, and exposes a
-//! [`WhatIf`] interface for costing hypothetical index configurations
-//! without materialising them.
+//! what-if interface ([`WhatIfService`]) for costing hypothetical index
+//! configurations without materialising them.
 //!
 //! The estimation errors are not bugs — they are the faithful reproduction
 //! of the behaviour that makes optimiser-trusting advisors fail under skew
@@ -23,12 +23,10 @@ pub mod est;
 pub mod plan_cache;
 pub mod planner;
 pub mod stats;
-pub mod whatif;
 pub mod whatif_service;
 
 pub use est::CardEstimator;
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use planner::{IndexCandidate, Planner, PlannerContext};
 pub use stats::{ColumnStats, Histogram, StatsCatalog, TableStats, HISTOGRAM_BUCKETS};
-pub use whatif::{WhatIf, WhatIfOutcome};
-pub use whatif_service::{ConfigCost, WhatIfService, WhatIfStats};
+pub use whatif_service::{ConfigCost, WhatIfOutcome, WhatIfService, WhatIfStats};

@@ -1,14 +1,17 @@
-//! The what-if **service**: a long-lived, version-validated layer that
-//! memoizes hypothetical plans and prices whole batches of configurations
-//! in one pass.
+//! The what-if **service**: cost queries under hypothetical index
+//! configurations without materialising anything, through a long-lived,
+//! version-validated layer that memoizes hypothetical plans and prices
+//! whole batches of configurations in one pass.
 //!
-//! The per-call [`WhatIf`](crate::WhatIf) facade replans every (query,
-//! configuration) pair from scratch — fine for a one-shot advisor
-//! invocation, quadratic pain for anything that prices many overlapping
-//! configurations every round (a guardrail's leave-one-out rollback
-//! assessment is O(used-indexes × queries) fresh plans). This service is
-//! the shared subsystem behind all of them: it reuses the invalidation
-//! machinery the [`PlanCache`](crate::PlanCache) proved out, keyed on
+//! This is the AutoAdmin-style API ([19] in the paper) that commercial
+//! advisors are built on, and through which every optimiser misestimate
+//! flows into the advisor's decisions. Replanning every (query,
+//! configuration) pair from scratch would be quadratic pain for anything
+//! that prices many overlapping configurations every round (a guardrail's
+//! leave-one-out rollback assessment is O(used-indexes × queries) fresh
+//! plans). This service is the shared subsystem behind all of them: it
+//! reuses the invalidation machinery the [`PlanCache`](crate::PlanCache)
+//! proved out, keyed on
 //!
 //! * the query **template** (parameterised-plan reuse, with the same
 //!   recost guard against parameter-sensitivity regressions);
@@ -24,14 +27,15 @@
 //!   as the plan cache validates them.
 //!
 //! Candidate definitions are interned once and given stable synthetic ids
-//! in the hypothetical range, so a cached plan is meaningful under every
+//! in a reserved range ([`HYPOTHETICAL_BASE`] and up) so they can never
+//! collide with (or be executed against) real materialised indexes, and so
+//! a cached plan is meaningful under every
 //! configuration that contains the same definitions — regardless of the
 //! order or position a caller lists them in. Materialised indexes exposed
 //! through `include_materialised` are interned the same way and priced at
 //! their **live** (drift-grown) sizes, the same convention hypotheticals
 //! get, so incremental-benefit comparisons are apples-to-apples under
-//! drift (the old facade priced materialised candidates at creation-time
-//! sizes).
+//! drift.
 
 use std::collections::HashMap;
 
@@ -42,7 +46,20 @@ use dba_storage::{Catalog, IndexDef};
 use crate::plan_cache::RECOMPILE_COST_FACTOR;
 use crate::planner::{IndexCandidate, Planner, PlannerContext};
 use crate::stats::StatsCatalog;
-use crate::whatif::{WhatIfOutcome, HYPOTHETICAL_BASE};
+
+/// First id used for hypothetical indexes.
+pub const HYPOTHETICAL_BASE: u64 = 1 << 48;
+
+/// Result of costing one query under a hypothetical configuration.
+#[derive(Debug, Clone)]
+pub struct WhatIfOutcome {
+    /// Optimiser-estimated execution cost of the best plan found.
+    pub est_cost: SimSeconds,
+    /// Positions (into the hypothetical set) of indexes the plan used.
+    pub used_hypothetical: Vec<usize>,
+    /// The plan itself (useful for debugging / advisor explanations).
+    pub plan: Plan,
+}
 
 /// Cached what-if plans are swept once the memo grows past this many
 /// entries: any entry whose versions no longer validate is dropped. Live
@@ -128,7 +145,7 @@ pub struct ConfigCost {
 /// The long-lived what-if subsystem. One per tuning session, shared by
 /// everything that costs hypothetical configurations — the guardrail's
 /// shadow baselines and rollback assessment, PDTool's candidate scoring,
-/// and the [`WhatIf`](crate::WhatIf) facade.
+/// and one-shot probes in tests and examples.
 #[derive(Debug, Clone)]
 pub struct WhatIfService {
     cost: CostModel,
@@ -493,6 +510,51 @@ mod tests {
 
     fn service() -> WhatIfService {
         WhatIfService::new(CostModel::unit_scale())
+    }
+
+    #[test]
+    fn hypothetical_index_reduces_estimated_cost() {
+        let cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        let mut svc = service();
+        let q = hot_query(1, 77);
+        let without = svc.cost_query(&cat, &stats, &q, &[], false);
+        let with = svc.cost_query(
+            &cat,
+            &stats,
+            &q,
+            &[IndexDef::new(TableId(0), vec![1], vec![0])],
+            false,
+        );
+        assert!(with.est_cost.secs() < without.est_cost.secs());
+        assert_eq!(with.used_hypothetical, vec![0]);
+        assert!(without.used_hypothetical.is_empty());
+        // An unselective candidate the plan ignores changes nothing.
+        let with_junk = svc
+            .cost_query(
+                &cat,
+                &stats,
+                &q,
+                &[IndexDef::new(TableId(0), vec![2], vec![])],
+                false,
+            )
+            .est_cost;
+        assert!((without.est_cost.secs() - with_junk.secs()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn workload_costing_counts_usage() {
+        let cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        let defs = [
+            IndexDef::new(TableId(0), vec![1], vec![0]),
+            IndexDef::new(TableId(0), vec![2], vec![]),
+        ];
+        let queries = vec![hot_query(1, 77); 3];
+        let (total, usage) = service().cost_workload(&cat, &stats, &queries, &defs, false);
+        assert!(total.secs() > 0.0);
+        assert_eq!(usage[0], 3, "selective index used by every query");
+        assert_eq!(usage[1], 0, "unselective index never used");
     }
 
     /// Repeated costings of an unchanged (template, config) pair hit the

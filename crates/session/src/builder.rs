@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dba_baselines::{
     DdqnAdvisor, DdqnConfig, InvokeSchedule, NoIndexAdvisor, PdToolAdvisor, PdToolConfig,
 };
-use dba_common::{DbError, DbResult, SimSeconds};
+use dba_common::{BudgetTimer, DbError, DbResult, SimSeconds};
 use dba_core::{Advisor, MabConfig, MabTuner};
 use dba_engine::{BackendKind, CostModel, ExecutionBackend};
 use dba_optimizer::StatsCatalog;
@@ -27,7 +27,9 @@ impl BackendChoice {
     fn into_backend(self, cost: &CostModel) -> Box<dyn ExecutionBackend> {
         match self {
             BackendChoice::Kind(BackendKind::Simulated) => dba_engine::simulated(cost.clone()),
-            BackendChoice::Kind(BackendKind::Measured) => dba_backend::measured(cost.clone()),
+            BackendChoice::Kind(BackendKind::Measured) => {
+                dba_engine::timed(cost.clone(), BackendKind::Measured, BudgetTimer::wall())
+            }
             BackendChoice::Custom(backend) => backend,
         }
     }
@@ -146,18 +148,18 @@ impl SessionBuilder {
     }
 
     /// Select the execution backend by kind: `Simulated` (default — the
-    /// cost-priced engine executor, bit-exact with every prior trajectory)
-    /// or `Measured` (real physical operators from `dba-backend`, timed on
-    /// the wall-clock). The bench harness maps the `DBA_BACKEND` env knob
-    /// here.
+    /// engine executor charging cost-model prices, bit-exact with every
+    /// prior trajectory) or `Measured` (the same executor charging each
+    /// operator's wall-clock time). The bench harness maps the
+    /// `DBA_BACKEND` env knob here.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.backend = BackendChoice::Kind(kind);
         self
     }
 
-    /// Install a caller-constructed backend (e.g. `dba_backend::dual` for
-    /// lock-step parity checking, or a measured backend on an injected
-    /// clock for deterministic tests). Overrides
+    /// Install a caller-constructed backend (e.g. `dba_engine::timed` with
+    /// a scripted clock for deterministic measured tests, or a `Simulated`
+    /// executor with a timer to collect calibration samples). Overrides
     /// [`backend`](SessionBuilder::backend).
     pub fn backend_boxed(mut self, backend: Box<dyn ExecutionBackend>) -> Self {
         self.backend = BackendChoice::Custom(backend);

@@ -64,9 +64,9 @@ pub struct TuningSession<A: Advisor> {
     workload: WorkloadKind,
     seed: u64,
     memory_budget_bytes: u64,
-    /// The execution seam: how physical plans are run. `Simulated` (the
-    /// engine's cost-priced executor) by default; `Measured` (real
-    /// operators on an injected clock, crate `dba-backend`) or any custom
+    /// The execution seam: how physical plans are run. The engine's
+    /// executor reporting cost-model prices (`Simulated`) by default; the
+    /// same executor reporting its clock (`Measured`) or any custom
     /// implementation via
     /// [`SessionBuilder::backend`](crate::SessionBuilder::backend) /
     /// [`SessionBuilder::backend_boxed`](crate::SessionBuilder::backend_boxed).
@@ -200,7 +200,7 @@ impl<A: Advisor> TuningSession<A> {
         &*self.backend
     }
 
-    /// Mutable backend access — e.g. to drain a measured backend's
+    /// Mutable backend access — e.g. to drain a timed executor's
     /// per-operator calibration samples via `take_op_samples`.
     pub fn backend_mut(&mut self) -> &mut dyn ExecutionBackend {
         &mut *self.backend

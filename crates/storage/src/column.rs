@@ -141,8 +141,8 @@ impl Column {
     }
 
     /// Gather the codes of `rows` into `out` (cleared first). The heap-fetch
-    /// primitive of the measured backend: materialises the selected values
-    /// in selection order.
+    /// primitive of the executor's non-covering seeks: materialises the
+    /// selected values in selection order.
     #[inline]
     pub fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
         out.clear();

@@ -64,8 +64,13 @@ fn main() {
     for custkey in [0i64, 1, 5, 777, 7777] {
         let q = query_for(custkey);
         // What-if: estimated cost with the hypothetical index.
-        let mut wi = WhatIf::new(&catalog, &stats, &cost);
-        let estimate = wi.cost_query(&q, std::slice::from_ref(&index), false);
+        let estimate = WhatIfService::new(cost.clone()).cost_query(
+            &catalog,
+            &stats,
+            &q,
+            std::slice::from_ref(&index),
+            false,
+        );
 
         // Reality: materialise, plan, execute, measure.
         let meta = catalog.create_index(index.clone()).expect("create");

@@ -63,15 +63,19 @@ pub use dba_core as bandit;
 pub use dba_engine as engine;
 
 /// Execution backends: the [`ExecutionBackend`](engine::ExecutionBackend)
-/// seam plus the factory functions that construct its implementations —
-/// the cost-priced `Simulated` backend, the physical `Measured` backend,
-/// and the lock-step parity `dual` backend. Sessions select one via
-/// [`SessionBuilder::backend`](session::SessionBuilder::backend) (or the
-/// `DBA_BACKEND` env knob in the bench harness).
+/// seam over the engine's one executor. [`simulated`](engine::simulated)
+/// builds the untimed executor; [`timed`](engine::timed) adds a
+/// [`BudgetTimer`](common::BudgetTimer) (`wall()` or a deterministic
+/// `scripted(step)`) that times every operator into an
+/// [`OpSample`](engine::OpSample), with [`BackendKind`](engine::BackendKind)
+/// choosing whether executions report prices or measured time. Sessions
+/// select one via [`SessionBuilder::backend`](session::SessionBuilder::backend)
+/// (or the `DBA_BACKEND` env knob in the bench harness); `calibrate` fits
+/// the cost model to the samples.
 pub mod backend {
-    pub use dba_backend::{dual, dual_with_clock, measured, measured_with_clock};
-    pub use dba_backend::{scripted, wall_clock, ClockSource};
-    pub use dba_engine::{simulated, BackendKind, ExecutionBackend, OpKind, OpSample};
+    pub use dba_common::BudgetTimer;
+    pub use dba_engine::{calibrate, microbench_samples, CalibrationReport};
+    pub use dba_engine::{simulated, timed, BackendKind, ExecutionBackend, OpKind, OpSample};
 }
 pub use dba_optimizer as optimizer;
 pub use dba_safety as safety;
@@ -87,7 +91,7 @@ pub mod prelude {
     pub use dba_engine::{
         simulated, BackendKind, CostModel, ExecutionBackend, Executor, Query, QueryExecution,
     };
-    pub use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIf, WhatIfService};
+    pub use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIfService};
     pub use dba_safety::{SafeguardedAdvisor, SafetyConfig, SafetyReport};
     pub use dba_session::{
         RoundEvent, RoundRecord, RunResult, SessionBuilder, TunerKind, TuningSession,

@@ -96,14 +96,14 @@ fn whatif_matches_materialised_costing() {
         .0;
     let def = IndexDef::new(lineitem, vec![shipdate], vec![]);
 
-    let hypo = WhatIf::new(&catalog, &stats, &cost)
-        .cost_query(&q, std::slice::from_ref(&def), false)
+    let hypo = WhatIfService::new(cost.clone())
+        .cost_query(&catalog, &stats, &q, std::slice::from_ref(&def), false)
         .est_cost;
 
     let mut catalog2 = catalog.fork_empty();
     catalog2.create_index(def).unwrap();
-    let real = WhatIf::new(&catalog2, &stats, &cost)
-        .cost_query(&q, &[], true)
+    let real = WhatIfService::new(cost)
+        .cost_query(&catalog2, &stats, &q, &[], true)
         .est_cost;
     assert!((hypo.secs() - real.secs()).abs() < 1e-9);
 }
