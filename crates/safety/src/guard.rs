@@ -24,7 +24,9 @@ use crate::ledger::SafetyLedger;
 /// 3. otherwise lets the inner advisor act, then **vetoes** creations
 ///    that violate the memory headroom or the round's creation budget —
 ///    the vetoed indexes are dropped and their build time refunded, as a
-///    guardrail consulting the what-if API before building would do;
+///    guardrail consulting the what-if API before building would do. No
+///    plan has read them yet, so their leaf order was never sorted: a
+///    veto costs a catalog insert and a drop, not a sort;
 /// 4. in `after_round`, closes the round's ledger entry: shadow prices
 ///    (empty config and freeze-counterfactual), regret, the throttle
 ///    latch and the next round's rollback verdicts — all priced through

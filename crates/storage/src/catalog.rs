@@ -332,7 +332,11 @@ impl Catalog {
     /// Materialise an index. Returns the new index id and its size.
     ///
     /// The caller is responsible for charging creation time through the cost
-    /// model; the catalog only builds the structure.
+    /// model; the catalog only records the definition and size. The leaf
+    /// order is sorted the first time a plan reads it
+    /// ([`Index::ordered_rows`]), once for every snapshot sharing the
+    /// index, so an index dropped unread (a vetoed creation) is never
+    /// sorted.
     // bumps: catalog_version
     pub fn create_index(&mut self, def: IndexDef) -> DbResult<IndexMeta> {
         if def.key_cols.is_empty() {

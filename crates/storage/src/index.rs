@@ -2,10 +2,15 @@
 //!
 //! An index is an ordering of the table's row ids by a tuple of key columns
 //! (a sorted permutation — the moral equivalent of a B+-tree's leaf level).
+//! Building one records only its definition and size; the permutation is
+//! sorted the first time a probe or scan reads it, so an index no plan
+//! reads (a vetoed or unused creation) is never sorted.
 //! Probes bisect on an equality prefix plus an optional range on the next
 //! key column, exactly the access pattern the planner's `IndexSeek` uses.
 //! `include_cols` model covering indexes: columns carried in the leaves so
 //! qualifying queries never touch the heap.
+
+use std::sync::OnceLock;
 
 use dba_common::{IndexId, TableId};
 use serde::{Deserialize, Serialize};
@@ -84,36 +89,24 @@ fn index_bytes(table: &Table, def: &IndexDef) -> u64 {
 pub struct Index {
     id: IndexId,
     def: IndexDef,
-    /// Row ids of the table, ordered by the key tuple.
-    perm: Vec<u32>,
+    /// Row ids of the table ordered by (key tuple, row id), sorted on first
+    /// read. Snapshots sharing the `Arc<Index>` share the one sort.
+    order: OnceLock<Vec<u32>>,
     size_bytes: u64,
     rows: usize,
 }
 
 impl Index {
-    /// Build the index by sorting the table's row ids on the key tuple.
+    /// Define the index over `table`: its size and row count. The leaf
+    /// order is not sorted here but by the first [`Self::ordered_rows`] or
+    /// [`Self::probe`].
     pub fn build(id: IndexId, def: IndexDef, table: &Table) -> Self {
         assert_eq!(def.table, table.id(), "index/table mismatch");
-        let keys: Vec<&[i64]> = def
-            .key_cols
-            .iter()
-            .map(|&c| table.column(c).data())
-            .collect();
-        let mut perm: Vec<u32> = (0..table.rows() as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            for k in &keys {
-                let ord = k[a as usize].cmp(&k[b as usize]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b)
-        });
         let size_bytes = index_bytes(table, &def);
         Index {
             id,
             def,
-            perm,
+            order: OnceLock::new(),
             size_bytes,
             rows: table.rows(),
         }
@@ -144,15 +137,17 @@ impl Index {
         self.size_bytes.div_ceil(crate::table::PAGE_BYTES).max(1)
     }
 
-    /// Row ids in key order.
-    #[inline]
-    pub fn ordered_rows(&self) -> &[u32] {
-        &self.perm
+    /// Row ids in (key tuple, row id) order, sorted on the first call.
+    /// `table` must be the indexed table: any other would cache a wrong
+    /// order, so a mismatched id panics.
+    pub fn ordered_rows(&self, table: &Table) -> &[u32] {
+        assert_eq!(self.def.table, table.id(), "index/table mismatch");
+        self.order.get_or_init(|| sort_rows(&self.def, table))
     }
 
-    /// Probe: find the contiguous `perm` range matching `eq_prefix` values
-    /// on the first `eq_prefix.len()` key columns, optionally narrowed by an
-    /// inclusive `[lo, hi]` range on the next key column.
+    /// Probe: find the contiguous leaf-order range matching `eq_prefix`
+    /// values on the first `eq_prefix.len()` key columns, optionally
+    /// narrowed by an inclusive `[lo, hi]` range on the next key column.
     ///
     /// Returns `(start, end)` half-open bounds into [`Self::ordered_rows`].
     pub fn probe(
@@ -209,24 +204,50 @@ impl Index {
             None => (None, None),
         };
 
-        let start = self
-            .perm
-            .partition_point(|&r| cmp_row(r, lo_bound, false) == std::cmp::Ordering::Less);
-        let end = self
-            .perm
-            .partition_point(|&r| cmp_row(r, hi_bound, true) != std::cmp::Ordering::Greater);
+        let order = self.ordered_rows(table);
+        let start =
+            order.partition_point(|&r| cmp_row(r, lo_bound, false) == std::cmp::Ordering::Less);
+        let end =
+            order.partition_point(|&r| cmp_row(r, hi_bound, true) != std::cmp::Ordering::Greater);
         (start, end.max(start))
     }
 }
 
+/// Row ids of `table` sorted on `def`'s key tuple, ties broken by row id.
+fn sort_rows(def: &IndexDef, table: &Table) -> Vec<u32> {
+    let keys: Vec<&[i64]> = def
+        .key_cols
+        .iter()
+        .map(|&c| table.column(c).data())
+        .collect();
+    let mut perm: Vec<u32> = (0..table.rows() as u32).collect();
+    perm.sort_unstable_by(|&a, &b| {
+        for k in &keys {
+            let ord = k[a as usize].cmp(&k[b as usize]);
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        a.cmp(&b)
+    });
+    perm
+}
+
 #[cfg(test)]
 mod tests {
+    use std::panic::catch_unwind;
+    use std::sync::Arc;
+
     use super::*;
     use crate::column::ColumnType;
     use crate::gen::{ColumnSpec, Distribution};
     use crate::table::{TableBuilder, TableSchema};
 
     fn table() -> Table {
+        table_as(TableId(0))
+    }
+
+    fn table_as(id: TableId) -> Table {
         let schema = TableSchema::new(
             "t",
             vec![
@@ -239,7 +260,7 @@ mod tests {
                 ColumnSpec::new("c", ColumnType::Int, Distribution::Sequential),
             ],
         );
-        TableBuilder::new(schema, 2000).build(TableId(0), 11)
+        TableBuilder::new(schema, 2000).build(id, 11)
     }
 
     #[test]
@@ -250,7 +271,7 @@ mod tests {
             let (s, e) = ix.probe(&t, &[v], None);
             let expected = t.column(0).count_in_range(v, v);
             assert_eq!(e - s, expected, "value {v}");
-            for &r in &ix.ordered_rows()[s..e] {
+            for &r in &ix.ordered_rows(&t)[s..e] {
                 assert_eq!(t.column(0).value(r as usize), v);
             }
         }
@@ -273,7 +294,7 @@ mod tests {
             .filter(|(&a, &b)| a == 3 && (10..=20).contains(&b))
             .count();
         assert_eq!(e - s, expected);
-        for &r in &ix.ordered_rows()[s..e] {
+        for &r in &ix.ordered_rows(&t)[s..e] {
             assert_eq!(t.column(0).value(r as usize), 3);
             let b = t.column(1).value(r as usize);
             assert!((10..=20).contains(&b));
@@ -333,17 +354,46 @@ mod tests {
     #[test]
     fn ordered_rows_are_sorted_by_key() {
         let t = table();
+        // Key order differs from column order, and the 2000 rows share
+        // the 1000 possible (b, a) tuples: the row-id tie-break decides.
         let ix = Index::build(
             IndexId(6),
-            IndexDef::new(TableId(0), vec![0, 1], vec![]),
+            IndexDef::new(TableId(0), vec![1, 0], vec![]),
             &t,
         );
-        let rows = ix.ordered_rows();
-        for w in rows.windows(2) {
-            let (a, b) = (w[0] as usize, w[1] as usize);
-            let ka = (t.column(0).value(a), t.column(1).value(a));
-            let kb = (t.column(0).value(b), t.column(1).value(b));
-            assert!(ka <= kb);
-        }
+        let (a, b) = (t.column(0).data(), t.column(1).data());
+        let mut reference: Vec<((i64, i64), u32)> =
+            (0..t.rows()).map(|r| ((b[r], a[r]), r as u32)).collect();
+        reference.sort_unstable();
+        let ties = reference.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(ties > 0, "no duplicate keys");
+        let expected: Vec<u32> = reference.iter().map(|&(_, r)| r).collect();
+        assert_eq!(ix.ordered_rows(&t), expected.as_slice());
+    }
+
+    #[test]
+    fn order_is_sorted_once_on_first_read_and_shared() {
+        let t = table();
+        let ix = Arc::new(Index::build(
+            IndexId(7),
+            IndexDef::new(TableId(0), vec![0], vec![]),
+            &t,
+        ));
+        assert!(ix.order.get().is_none(), "build must not sort");
+
+        // Another table would cache a wrong order: refused, nothing cached.
+        let other = table_as(TableId(1));
+        let wrong = catch_unwind(|| ix.ordered_rows(&other).len());
+        assert!(wrong.is_err(), "ordered_rows accepted another table");
+        assert!(ix.order.get().is_none());
+
+        let (s, e) = ix.probe(&t, &[3], None);
+        assert_eq!(e - s, t.column(0).count_in_range(3, 3));
+        let sorted = ix.order.get().expect("the first probe sorts").as_ptr();
+
+        // A second holder (a catalog snapshot) reads the same leaves.
+        let snapshot = Arc::clone(&ix);
+        assert_eq!(snapshot.ordered_rows(&t).as_ptr(), sorted);
+        assert_eq!(ix.ordered_rows(&t).as_ptr(), sorted);
     }
 }
