@@ -79,18 +79,21 @@ const PRICING_DISCIPLINE: &[&str] = &["dba-safety", "dba-baselines"];
 /// G01 entry points — traits whose impl methods are result-affecting.
 pub const ENTRY_TRAITS: &[&str] = &["Advisor"];
 /// G01 entry points — inherent methods that drive or summarize a tuning
-/// trajectory.
-pub const ENTRY_METHODS: &[(&str, &[&str])] = &[(
-    "TuningSession",
-    &[
-        "run",
-        "run_with",
-        "step",
-        "step_with",
-        "into_result",
-        "result",
-    ],
-)];
+/// trajectory, round by round or window by window.
+pub const ENTRY_METHODS: &[(&str, &[&str])] = &[
+    (
+        "TuningSession",
+        &[
+            "run",
+            "run_with",
+            "step",
+            "step_with",
+            "into_result",
+            "result",
+        ],
+    ),
+    ("StreamingSession", &["step", "run", "into_result"]),
+];
 /// G01 entry points — free fns that emit records/JSON for baselines.
 pub const ENTRY_FREE_FNS: &[&str] = &["results_json", "series_rows", "totals_rows"];
 
@@ -198,6 +201,18 @@ mod tests {
         assert!(p.d02, "dba-engine must not be wall-clock exempt");
         let p = policy_for(Path::new("crates/common/src/clock.rs")).unwrap();
         assert!(p.d02, "the seam is sanctioned by allow comment, not policy");
+    }
+
+    /// The streaming driver's trajectory (what `BENCH_fig_stream.json`
+    /// gates) is under G01 just like the round-by-round one.
+    #[test]
+    fn g01_entries_cover_both_drivers() {
+        for ty in ["TuningSession", "StreamingSession"] {
+            let (_, methods) = ENTRY_METHODS.iter().find(|(t, _)| *t == ty).unwrap();
+            for method in ["step", "run", "into_result"] {
+                assert!(methods.contains(&method), "{ty}::{method} is no entry");
+            }
+        }
     }
 
     #[test]

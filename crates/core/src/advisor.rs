@@ -157,10 +157,10 @@ pub trait Advisor: Send {
         executions: &[QueryExecution],
     );
 
-    /// Streaming drivers announce the upcoming window's degrade level
-    /// before calling [`before_round`](Self::before_round). Fixed-round
-    /// drivers never call this, so the default (ignore; always run at
-    /// [`DegradeLevel::Full`]) keeps every existing advisor correct.
+    /// The session announces the upcoming window's degrade level before
+    /// every [`before_round`](Self::before_round); a round batch always
+    /// runs at [`DegradeLevel::Full`]. Advisors without a degraded mode
+    /// keep the default (ignore; always run the full step).
     fn begin_window(&mut self, _mode: &WindowMode) {}
 
     /// `(scatter re-inversions, decay events)` of the advisor's bandit, if

@@ -127,8 +127,8 @@ pub struct MabTuner {
     /// regardless of database size.
     reward_scale: Option<f64>,
     rounds: usize,
-    /// The degrade level a streaming driver announced for the upcoming
-    /// window; fixed-round drivers never touch it, so it stays `Full`.
+    /// The degrade level the session announced for the upcoming window
+    /// (always `Full` for a round batch).
     window_mode: WindowMode,
     /// Observability handle (`dba-obs`), attached by the session at build
     /// time. Defaults to recording-off; the per-arm score/reward events

@@ -129,14 +129,18 @@ struct CachedPlan {
     deps: Vec<TableDep>,
 }
 
-/// Total estimated cost and per-candidate usage counts of one priced
-/// configuration (one element of a [`marginals`](WhatIfService::marginals)
+/// Total estimated cost, per-query costs and per-candidate usage counts
+/// of one priced configuration (what
+/// [`cost_workload_weighted`](WhatIfService::cost_workload_weighted)
+/// returns, and one element of a [`marginals`](WhatIfService::marginals)
 /// batch).
 #[derive(Debug, Clone)]
 pub struct ConfigCost {
     /// Optimiser-estimated execution cost of the workload under this
-    /// configuration.
+    /// configuration, each query billed `weight ×` its price.
     pub total: SimSeconds,
+    /// Each query's *unweighted* estimated cost, in workload order.
+    pub per_query: Vec<f64>,
     /// How many queries used each candidate (parallel to the
     /// configuration's definition slice).
     pub usage: Vec<u32>,
@@ -385,26 +389,26 @@ impl WhatIfService {
         hypothetical: &[IndexDef],
         include_materialised: bool,
     ) -> (SimSeconds, Vec<u32>) {
-        let mut total = SimSeconds::ZERO;
-        let mut usage = vec![0u32; hypothetical.len()];
-        for q in queries {
-            let outcome = self.cost_query(catalog, stats, q, hypothetical, include_materialised);
-            total += outcome.est_cost;
-            for i in outcome.used_hypothetical {
-                usage[i] += 1;
-            }
-        }
-        (total, usage)
+        let unit = vec![1.0; queries.len()];
+        let cost = self.cost_workload_weighted(
+            catalog,
+            stats,
+            queries,
+            &unit,
+            hypothetical,
+            include_materialised,
+        );
+        (cost.total, cost.usage)
     }
 
-    /// Like [`cost_workload`](Self::cost_workload) with a per-query
-    /// arrival weight: streaming windows execute one bound instance per
-    /// distinct template and scale by that template's arrival count, so
-    /// shadow prices must scale the same way. Returns the weighted total
-    /// plus the *unweighted* per-query costs, which callers memoize as
-    /// per-template prices to amortise pricing across windows. With every
-    /// weight exactly 1.0 the total reproduces `cost_workload`
-    /// bit-for-bit (`x × 1.0` is an IEEE identity).
+    /// Cost a workload under one hypothetical configuration with a
+    /// per-query arrival weight: streaming windows execute one bound
+    /// instance per distinct template and scale by that template's arrival
+    /// count, so shadow prices must scale the same way. The result carries
+    /// the weighted total, the *unweighted* per-query costs (which callers
+    /// memoize as per-template prices to amortise pricing across windows)
+    /// and per-candidate usage counts. Unit weights are exact: `x × 1.0`
+    /// is an IEEE identity, so a unit-weighted total is the plain sum.
     pub fn cost_workload_weighted(
         &mut self,
         catalog: &Catalog,
@@ -413,16 +417,24 @@ impl WhatIfService {
         weights: &[f64],
         hypothetical: &[IndexDef],
         include_materialised: bool,
-    ) -> (SimSeconds, Vec<f64>) {
+    ) -> ConfigCost {
         debug_assert_eq!(queries.len(), weights.len());
         let mut total = SimSeconds::ZERO;
         let mut per_query = Vec::with_capacity(queries.len());
+        let mut usage = vec![0u32; hypothetical.len()];
         for (q, &w) in queries.iter().zip(weights) {
             let outcome = self.cost_query(catalog, stats, q, hypothetical, include_materialised);
             per_query.push(outcome.est_cost.secs());
             total += outcome.est_cost * w;
+            for i in outcome.used_hypothetical {
+                usage[i] += 1;
+            }
         }
-        (total, per_query)
+        ConfigCost {
+            total,
+            per_query,
+            usage,
+        }
     }
 
     /// Price many hypothetical configurations over one workload in a
@@ -439,12 +451,18 @@ impl WhatIfService {
         configs: &[Vec<IndexDef>],
         include_materialised: bool,
     ) -> Vec<ConfigCost> {
+        let unit = vec![1.0; queries.len()];
         configs
             .iter()
             .map(|config| {
-                let (total, usage) =
-                    self.cost_workload(catalog, stats, queries, config, include_materialised);
-                ConfigCost { total, usage }
+                self.cost_workload_weighted(
+                    catalog,
+                    stats,
+                    queries,
+                    &unit,
+                    config,
+                    include_materialised,
+                )
             })
             .collect()
     }
@@ -681,23 +699,26 @@ mod tests {
         }
     }
 
-    /// Configurations differing only on tables a query does not touch
-    /// share the query's cached plan — the sharing that makes the batched
-    /// marginals pass cheap.
+    /// Unit arrival weights are exact: the weighted total is the plain
+    /// sum of the per-query costings, bit for bit.
     #[test]
     fn unit_weights_reproduce_cost_workload_bitwise() {
         let catalog = catalog();
         let stats = StatsCatalog::build(&catalog);
         let queries: Vec<Query> = (0..4).map(|i| hot_query(1, i * 100)).collect();
-        let (plain, _) = service().cost_workload(&catalog, &stats, &queries, &[], false);
+        let mut reference = SimSeconds::ZERO;
+        for q in &queries {
+            reference += service()
+                .cost_query(&catalog, &stats, q, &[], false)
+                .est_cost;
+        }
         let weights = vec![1.0; queries.len()];
-        let (weighted, per_query) =
+        let weighted =
             service().cost_workload_weighted(&catalog, &stats, &queries, &weights, &[], false);
-        assert_eq!(plain.secs().to_bits(), weighted.secs().to_bits());
-        assert_eq!(per_query.len(), queries.len());
+        assert_eq!(reference.secs().to_bits(), weighted.total.secs().to_bits());
         assert_eq!(
-            per_query.iter().sum::<f64>().to_bits(),
-            plain.secs().to_bits()
+            weighted.per_query.iter().sum::<f64>().to_bits(),
+            reference.secs().to_bits()
         );
     }
 
@@ -707,14 +728,18 @@ mod tests {
         let stats = StatsCatalog::build(&catalog);
         let queries = vec![hot_query(1, 500)];
         let mut svc = service();
-        let (unit, per_query) =
-            svc.cost_workload_weighted(&catalog, &stats, &queries, &[1.0], &[], false);
-        let (scaled, _) =
-            svc.cost_workload_weighted(&catalog, &stats, &queries, &[250.0], &[], false);
-        assert!((scaled.secs() - 250.0 * unit.secs()).abs() < 1e-9 * scaled.secs().abs().max(1.0));
-        assert_eq!(per_query[0], unit.secs());
+        let unit = svc.cost_workload_weighted(&catalog, &stats, &queries, &[1.0], &[], false);
+        let scaled = svc
+            .cost_workload_weighted(&catalog, &stats, &queries, &[250.0], &[], false)
+            .total;
+        let unit_s = unit.total.secs();
+        assert!((scaled.secs() - 250.0 * unit_s).abs() < 1e-9 * scaled.secs().abs().max(1.0));
+        assert_eq!(unit.per_query[0], unit_s);
     }
 
+    /// Configurations differing only on tables a query does not touch
+    /// share the query's cached plan — the sharing that makes the batched
+    /// marginals pass cheap.
     #[test]
     fn marginals_share_subplans_across_configs() {
         let mut cat = catalog();

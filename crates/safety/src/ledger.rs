@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dba_common::{IndexId, SimSeconds, TemplateId};
+use dba_common::{IndexId, TemplateId};
 use dba_core::{DataChange, DegradeLevel, WindowMode};
 use dba_engine::{CostModel, Query, QueryExecution};
 use dba_optimizer::{StatsCatalog, WhatIfService};
@@ -129,17 +129,17 @@ pub(crate) struct SafetyState {
     /// for the next round boundary (the guard applies catalog mutations
     /// only in `before_round`).
     pending_rollbacks: Vec<IndexId>,
-    /// Degrade level of the window being accounted (streaming drivers set
-    /// it through [`note_window_mode`](Self::note_window_mode); fixed-round
-    /// sessions never do, leaving every round at `Full`).
+    /// Degrade level of the window being accounted, set through
+    /// [`note_window_mode`](Self::note_window_mode) (round batches run at
+    /// `Full`).
     window_level: DegradeLevel,
     /// Templates whose arrival share moved — the re-pricing scope of an
     /// `Amortized` close.
     changed_templates: HashSet<TemplateId>,
     /// Per-query arrival counts for the pending window, parallel to
-    /// `queries`. Streaming sessions execute one instance per distinct
-    /// template and bill `weight ×` its price; `None` is the fixed-round
-    /// path, whose accounting stays byte-identical to the unweighted code.
+    /// `queries`: the session executes one instance per arrival entry and
+    /// bills `weight ×` its price (unit weights for a round batch). `None`
+    /// — a driver that reported no counts — closes at unit weights.
     window_weights: Option<Vec<f64>>,
     /// Amortisation memo: each template's most recent unit shadow prices
     /// `(noindex_s, prev_s)`. Refreshed whenever a template is re-priced
@@ -184,9 +184,9 @@ impl SafetyState {
     }
 
     /// Record the pending window's per-query arrival counts (parallel to
-    /// the `note_execution` workload). Streaming sessions call this right
-    /// before the observation step; the weights are consumed when the
-    /// window closes.
+    /// the `note_execution` workload). The session calls this right before
+    /// every observation step; the weights are consumed when the window
+    /// closes.
     pub(crate) fn note_window_weights(&mut self, weights: Vec<f64>) {
         self.window_weights = Some(weights);
     }
@@ -234,18 +234,16 @@ impl SafetyState {
             return Vec::new();
         };
         self.quarantine.retain(|_, expiry| *expiry > pending.round);
-        let weights = self.window_weights.take();
+        let weights = self
+            .window_weights
+            .take()
+            .unwrap_or_else(|| vec![1.0; self.queries.len()]);
         let level = self.window_level;
         self.window_level = DegradeLevel::Full;
         let (shadow_noindex_s, shadow_prev_s) = if self.queries.is_empty() {
             (0.0, 0.0)
-        } else if let Some(weights) = weights.as_deref() {
-            self.shadow_price_weighted(catalog, stats, whatif, weights, level)
         } else {
-            let (ni, _) = whatif.cost_workload(catalog, stats, &self.queries, &[], false);
-            let (pv, _) =
-                whatif.cost_workload(catalog, stats, &self.queries, &self.prev_config, false);
-            (ni.secs(), pv.secs())
+            self.shadow_price(catalog, stats, whatif, &weights, level)
         };
         let actual_s = pending.rec_s + pending.cre_s + pending.exec_s + pending.maint_s;
         let regret_s = actual_s - shadow_noindex_s;
@@ -255,78 +253,53 @@ impl SafetyState {
         // Rollback assessment: each index's marginal what-if gain on the
         // round's workload, minus the maintenance it billed. Consistently
         // negative over the window ⇒ the index is harming the workload.
+        // Benefit is weighted like the executions it is netted against,
+        // or every index of a streaming window looks maintenance-dominated.
         // Degraded streaming windows skip it — the leave-one-out pass is
         // the most optimiser-hungry part of the close, and a benefit
         // window that fills only on `Full` windows still converges, just
         // more slowly.
         let mut victims = Vec::new();
         if !self.queries.is_empty() && level == DegradeLevel::Full {
-            let defs: Vec<(IndexId, IndexDef)> = catalog
+            let (ids, all): (Vec<IndexId>, Vec<IndexDef>) = catalog
                 .all_indexes()
                 .map(|ix| (ix.id(), ix.def().clone()))
-                .collect();
-            if !defs.is_empty() {
-                let all: Vec<IndexDef> = defs.iter().map(|(_, d)| d.clone()).collect();
+                .unzip();
+            if !all.is_empty() {
                 // The full-config pass also reports which candidates any
                 // plan used: an index no plan touches has marginal benefit
                 // exactly 0, so only the used ones need a leave-one-out
                 // pass — and those passes share every untouched query's
                 // plan with the full pass through the service's memo.
-                let (full, usage) =
-                    whatif.cost_workload(catalog, stats, &self.queries, &all, false);
-                // Streaming windows bill weighted executions, so benefit
-                // must be weighted the same way or every index looks
-                // maintenance-dominated; the re-costings land entirely on
-                // the memo the unweighted pass just filled.
-                let full = match weights.as_deref() {
-                    Some(w) => {
-                        whatif
-                            .cost_workload_weighted(catalog, stats, &self.queries, w, &all, false)
-                            .0
-                    }
-                    None => full,
-                };
-                let loo_configs: Vec<Vec<IndexDef>> = defs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(skip, _)| usage[skip] > 0)
-                    .map(|(skip, _)| {
-                        defs.iter()
-                            .enumerate()
-                            .filter(|&(j, _)| j != skip)
-                            .map(|(_, (_, d))| d.clone())
-                            .collect()
-                    })
-                    .collect();
-                let loo_totals: Vec<SimSeconds> = match weights.as_deref() {
-                    Some(w) => loo_configs
-                        .iter()
-                        .map(|cfg| {
-                            whatif
-                                .cost_workload_weighted(
-                                    catalog,
-                                    stats,
-                                    &self.queries,
-                                    w,
-                                    cfg,
-                                    false,
-                                )
-                                .0
-                        })
-                        .collect(),
-                    None => whatif
-                        .marginals(catalog, stats, &self.queries, &loo_configs, false)
-                        .into_iter()
-                        .map(|c| c.total)
-                        .collect(),
-                };
-                let mut loo = loo_totals.into_iter();
-                for (skip, (id, _)) in defs.iter().enumerate() {
-                    let marginal = if usage[skip] == 0 {
+                let full = whatif.cost_workload_weighted(
+                    catalog,
+                    stats,
+                    &self.queries,
+                    &weights,
+                    &all,
+                    false,
+                );
+                for (skip, id) in ids.iter().enumerate() {
+                    let marginal = if full.usage[skip] == 0 {
                         0.0
                     } else {
-                        let without = loo.next().expect("one leave-one-out pass per used index");
-                        (without - full).secs().max(0.0)
+                        let without: Vec<IndexDef> = all
+                            .iter()
+                            .enumerate()
+                            .filter(|&(j, _)| j != skip)
+                            .map(|(_, d)| d.clone())
+                            .collect();
+                        let without = whatif
+                            .cost_workload_weighted(
+                                catalog,
+                                stats,
+                                &self.queries,
+                                &weights,
+                                &without,
+                                false,
+                            )
+                            .total;
+                        (without - full.total).secs().max(0.0)
                     };
                     let maint = self.maintenance_by_index.get(id).copied().unwrap_or(0.0);
                     let window = self.benefit_windows.entry(*id).or_default();
@@ -379,15 +352,15 @@ impl SafetyState {
         victims
     }
 
-    /// Weighted shadow pricing for streaming windows: each distinct
-    /// template executed once, billed `weight ×` its unit price. `Full`
-    /// re-prices every query live and refreshes the per-template memo;
+    /// Weighted shadow pricing: each executed instance is billed
+    /// `weight ×` its unit price (a round batch runs at unit weights).
+    /// `Full` re-prices every query live and refreshes the per-template memo;
     /// `Amortized` re-prices only the templates whose arrival share
     /// changed; `ReuseConfig` answers entirely from the memo. Templates
     /// the memo has never seen (a burst introducing fresh templates under
     /// a blown budget) are priced live at any level — a stale price is an
     /// acceptable degrade, a missing one is not.
-    fn shadow_price_weighted(
+    fn shadow_price(
         &mut self,
         catalog: &Catalog,
         stats: &StatsCatalog,
@@ -419,9 +392,9 @@ impl SafetyState {
         if !live.is_empty() {
             let queries: Vec<Query> = live.iter().map(|&i| self.queries[i].clone()).collect();
             let live_weights: Vec<f64> = live.iter().map(|&i| weights[i]).collect();
-            let (ni_total, ni_each) =
+            let noindex =
                 whatif.cost_workload_weighted(catalog, stats, &queries, &live_weights, &[], false);
-            let (pv_total, pv_each) = whatif.cost_workload_weighted(
+            let prev = whatif.cost_workload_weighted(
                 catalog,
                 stats,
                 &queries,
@@ -429,9 +402,9 @@ impl SafetyState {
                 &self.prev_config,
                 false,
             );
-            noindex_s += ni_total.secs();
-            prev_s += pv_total.secs();
-            for ((q, &ni), &pv) in queries.iter().zip(&ni_each).zip(&pv_each) {
+            noindex_s += noindex.total.secs();
+            prev_s += prev.total.secs();
+            for ((q, &ni), &pv) in queries.iter().zip(&noindex.per_query).zip(&prev.per_query) {
                 self.template_prices.insert(q.template, (ni, pv));
             }
         }
@@ -565,12 +538,11 @@ impl SafetyLedger {
         self.lock().is_throttled()
     }
 
-    /// Streaming sessions: record the pending window's per-query arrival
-    /// counts (parallel to the workload handed to the guard's observation
-    /// step) so the window closes against weighted shadow prices. Call
-    /// immediately before the advisor's `after_round`; fixed-round
-    /// sessions never call this and keep the unweighted accounting
-    /// byte-for-byte.
+    /// Record the pending window's per-query arrival counts (parallel to
+    /// the workload handed to the guard's observation step) so the window
+    /// closes against weighted shadow prices. Call immediately before the
+    /// advisor's `after_round`; a window closed without counts is priced
+    /// at unit weights, which is what a round batch reports.
     pub fn note_window_weights(&self, weights: Vec<f64>) {
         self.lock().note_window_weights(weights);
     }

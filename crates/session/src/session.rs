@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use dba_common::{BudgetTimer, DbResult, SimSeconds, TemplateId};
-use dba_engine::{ExecutionBackend, Plan, Query, QueryExecution};
+use dba_engine::{ExecutionBackend, Query, QueryExecution};
 use dba_obs::Obs;
 use dba_optimizer::{PlanCache, Planner, PlannerContext, StatsCatalog, WhatIfService};
 use dba_safety::{SafetyLedger, SafetySnapshot};
@@ -258,7 +258,10 @@ impl<A: Advisor> TuningSession<A> {
     }
 
     /// [`step`](Self::step), emitting a [`RoundEvent`] to `observer` after
-    /// the round completes.
+    /// the round completes. A round is the [`ArrivalProcess::RoundBatch`]
+    /// window of `next_round` — the round's queries in order, one arrival
+    /// each — run through [`step_window`](Self::step_window) at
+    /// [`DegradeLevel::Full`](dba_core::DegradeLevel::Full) with no timer.
     pub fn step_with(
         &mut self,
         observer: &mut dyn FnMut(&RoundEvent),
@@ -266,123 +269,19 @@ impl<A: Advisor> TuningSession<A> {
         if self.is_finished() {
             return Ok(None);
         }
-        let round = self.next_round;
-        // Field-precise construction: borrowing via `self.sequencer()`
-        // would hold all of `self` across the advisor's mutable calls.
-        let sequencer = WorkloadSequencer::with_order(
-            &self.benchmark,
-            self.workload,
-            self.seed,
-            &self.template_order,
-        );
-
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_enter("session.round");
-
-        // 1. Recommendation: the advisor adjusts the physical design,
-        //    costing hypotheticals through the session's shared service.
-        self.obs.span_enter("round.advise");
-        let whatif_before = self.whatif.stats();
-        let bandit_before = self.advisor.bandit_counters();
-        let advisor_cost =
-            self.advisor
-                .before_round(round, &mut self.catalog, &self.stats, &mut self.whatif);
-        self.sim_now += advisor_cost.recommendation + advisor_cost.creation;
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_exit("round.advise");
-
-        // 2. Execution: plan against the current design — through the plan
-        //    cache, so templates whose tables saw no index/stats/drift
-        //    change since their last plan skip the planner — then run.
-        self.obs.span_enter("round.execute");
-        let queries = sequencer.round_queries(&self.catalog, round)?;
-        let cache_before = self.plan_cache.stats();
-        let executions: Vec<QueryExecution> = {
-            // Field-precise borrows: the cache is mutated while the
-            // planner context holds the catalog and statistics.
-            let catalog = &self.catalog;
-            let stats = &self.stats;
-            let backend = &mut self.backend;
-            let plan_cache = &mut self.plan_cache;
-            let ctx = PlannerContext::from_catalog(catalog, stats, &self.cost);
-            let planner = Planner::new(&ctx);
-            queries
-                .iter()
-                .map(|q| {
-                    let plan = plan_cache.get_or_plan(catalog, stats, &planner, q);
-                    backend.execute(catalog, q, plan)
-                })
-                .collect()
-        };
-        let cache_after = self.plan_cache.stats();
-        let execution: SimSeconds = executions.iter().map(|e| e.total).sum();
-        self.sim_now += execution;
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_exit("round.execute");
-
-        // Session-side shift intensity for the record (same definition as
-        // any advisor-internal query store: the fraction of this round's
-        // distinct templates that were previously unseen).
-        let shift_intensity = self.note_shift_intensity(&queries);
-
-        // 3. Data change: apply the round's drift deltas, charge every
-        //    materialised index its maintenance bill, and let statistics go
-        //    stale (auto-refreshing past the threshold). The advisor's
-        //    observation step must price against the state the queries
-        //    actually ran on, so drifting rounds snapshot the catalog and
-        //    statistics first — overlay clones over the shared `Arc`'d
-        //    base, a few cheap `Vec`s, never the data.
-        self.obs.span_enter("round.drift");
-        let pre_drift = self
-            .drift
-            .as_ref()
-            .map(|_| (self.catalog.clone(), self.stats.clone()));
-        let maintenance = self.apply_drift(round);
-        self.sim_now += maintenance;
-        self.obs.set_sim_now(self.sim_now);
-        self.obs.span_exit("round.drift");
-
-        // 4. Observation: feed actual run-time statistics back, with
-        //    execution-time catalog/stats access (kills the one-round-late
-        //    shadow-pricing bias guarded sessions used to carry).
-        let (exec_catalog, exec_stats) = match &pre_drift {
-            Some((catalog, stats)) => (catalog, stats),
-            None => (&self.catalog, &self.stats),
-        };
-        let mut ctx = RoundContext {
-            catalog: exec_catalog,
-            stats: exec_stats,
-            whatif: &mut self.whatif,
-        };
-        self.obs.span_enter("round.observe");
-        self.advisor.after_round(&mut ctx, &queries, &executions);
-        self.obs.span_exit("round.observe");
-        self.obs.span_exit("session.round");
-        let whatif_after = self.whatif.stats();
-        let bandit_after = self.advisor.bandit_counters();
-
-        let record = RoundRecord {
-            round: round + 1,
-            recommendation: advisor_cost.recommendation,
-            creation: advisor_cost.creation,
-            execution,
-            maintenance,
-            plan_cache_hits: cache_after.hits - cache_before.hits,
-            plan_cache_misses: cache_after.misses - cache_before.misses,
-            whatif_hits: whatif_after.hits - whatif_before.hits,
-            whatif_misses: whatif_after.misses - whatif_before.misses,
-            shift_intensity,
-            bandit_refreshes: bandit_after.0 - bandit_before.0,
-            bandit_decays: bandit_after.1 - bandit_before.1,
-        };
-        self.records.push(record);
-        self.next_round += 1;
-
+        let process = ArrivalProcess::RoundBatch;
+        let window = self.arrival_window(process, self.next_round);
+        let (record, _) = self.step_window(
+            process,
+            &window,
+            &WindowMode::default(),
+            &mut BudgetTimer::disabled(),
+        )?;
         let event = RoundEvent {
             round: record.round,
             rounds_total: self.rounds_total(),
             record,
-            queries: queries.len(),
+            queries: window.arrivals.len(),
             index_count: self.catalog.all_indexes().count(),
             index_bytes: self.catalog.live_index_bytes(),
             stats_staleness: self.stats.max_staleness(),
@@ -392,17 +291,23 @@ impl<A: Advisor> TuningSession<A> {
         Ok(Some(record))
     }
 
-    /// Run one streaming observation window: recommend under the caller's
-    /// degrade `mode`, execute one bound instance per distinct arriving
-    /// template, scale by arrival count, and observe. Data drift and
-    /// workload shifts apply only on `round_boundary` windows — exactly
-    /// where the fixed-round model applies them — so a
-    /// [`ArrivalProcess::RoundBatch`] process (every window one whole
-    /// round, unit counts) reproduces [`step`](Self::step)'s trajectory
-    /// bit for bit. Returns the window's record (its `round` field holds
-    /// the 1-based *window* index) plus the advisory wall-clock span of
-    /// the recommend step when `timer` is enabled. Drive through
-    /// [`StreamingSession`](crate::StreamingSession) rather than directly.
+    /// Window `w` of `process` over this session's workload, scheduled on
+    /// the template order computed once at build time.
+    pub(crate) fn arrival_window(&self, process: ArrivalProcess, w: usize) -> ArrivalWindow {
+        ArrivalSchedule::new(self.sequencer(), process, self.seed).window(w)
+    }
+
+    /// Run one observation window — the body of every step, round or
+    /// streaming. Recommend under the caller's degrade `mode`, execute one
+    /// bound instance per arrival entry and scale it by its count, and
+    /// observe. Data drift and workload shifts apply only on
+    /// `round_boundary` windows. [`step`](Self::step) runs each round as
+    /// its [`ArrivalProcess::RoundBatch`] window (unit counts, every window
+    /// a boundary); [`StreamingSession`](crate::StreamingSession) runs
+    /// Poisson and bursty windows under its degrade ladder. Returns the
+    /// window's record (its `round` field holds the 1-based *window*
+    /// index) plus the advisory wall-clock span of the recommend step when
+    /// `timer` is enabled.
     pub fn step_window(
         &mut self,
         process: ArrivalProcess,
@@ -411,22 +316,14 @@ impl<A: Advisor> TuningSession<A> {
         timer: &mut BudgetTimer,
     ) -> DbResult<(RoundRecord, Option<f64>)> {
         let round = window.round;
-        let sequencer = WorkloadSequencer::with_order(
-            &self.benchmark,
-            self.workload,
-            self.seed,
-            &self.template_order,
-        );
-        let schedule = ArrivalSchedule::new(sequencer, process, self.seed);
-        let queries = schedule.window_queries(&self.catalog, window)?;
-        let counts: Vec<u64> = window.arrivals.iter().map(|&(_, c)| c).collect();
-
         self.obs.set_sim_now(self.sim_now);
-        self.obs.span_enter("session.window");
+        self.obs.span_enter("session.step");
 
-        // 1. Recommendation, under the window's degrade mode. The timer is
-        //    advisory wall-clock telemetry: reported, never branched on —
-        //    the degrade ladder itself runs on simulated cost.
+        // 1. Recommendation: the advisor adjusts the physical design under
+        //    the window's degrade mode, costing hypotheticals through the
+        //    session's shared service. The timer is advisory wall-clock
+        //    telemetry: reported, never branched on — the degrade ladder
+        //    itself runs on simulated cost.
         self.obs.span_enter("round.advise");
         let whatif_before = self.whatif.stats();
         let bandit_before = self.advisor.bandit_counters();
@@ -440,11 +337,18 @@ impl<A: Advisor> TuningSession<A> {
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_exit("round.advise");
 
-        // 2. Execution: plan and run each distinct template's instance
-        //    once, then scale the observed statistics by its arrival count.
+        // 2. Execution: bind the window's queries, plan them against the
+        //    current design — through the plan cache, so templates whose
+        //    tables saw no index/stats/drift change since their last plan
+        //    skip the planner — run each once, and scale the observed
+        //    statistics by its arrival count.
         self.obs.span_enter("round.execute");
+        let queries = ArrivalSchedule::new(self.sequencer(), process, self.seed)
+            .window_queries(&self.catalog, window)?;
         let cache_before = self.plan_cache.stats();
         let executions: Vec<QueryExecution> = {
+            // Field-precise borrows: the cache is mutated while the
+            // planner context holds the catalog and statistics.
             let catalog = &self.catalog;
             let stats = &self.stats;
             let backend = &mut self.backend;
@@ -453,10 +357,10 @@ impl<A: Advisor> TuningSession<A> {
             let planner = Planner::new(&ctx);
             queries
                 .iter()
-                .zip(&counts)
-                .map(|(q, &count)| {
+                .zip(&window.arrivals)
+                .map(|(q, &(_, count))| {
                     let plan = plan_cache.get_or_plan(catalog, stats, &planner, q);
-                    scale_execution(&backend.execute(catalog, q, plan), count)
+                    scale_execution(backend.execute(catalog, q, plan), count)
                 })
                 .collect()
         };
@@ -466,10 +370,19 @@ impl<A: Advisor> TuningSession<A> {
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_exit("round.execute");
 
+        // Session-side shift intensity for the record (same definition as
+        // any advisor-internal query store: the fraction of this window's
+        // distinct templates that were previously unseen).
         let shift_intensity = self.note_shift_intensity(&queries);
 
         // 3. Data change, at round boundaries only (mid-round windows are
-        //    pure observation).
+        //    pure observation): apply the round's drift deltas, charge
+        //    every materialised index its maintenance bill, and let
+        //    statistics go stale (auto-refreshing past the threshold). The
+        //    advisor's observation step must price against the state the
+        //    queries actually ran on, so drifting rounds snapshot the
+        //    catalog and statistics first — overlay clones over the shared
+        //    `Arc`'d base, a few cheap `Vec`s, never the data.
         let boundary = window.round_boundary;
         self.obs.span_enter("round.drift");
         let pre_drift =
@@ -483,10 +396,12 @@ impl<A: Advisor> TuningSession<A> {
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_exit("round.drift");
 
-        // 4. Observation. Guarded sessions get the window's arrival counts
-        //    first, so the ledger closes against weighted shadow prices.
+        // 4. Observation: feed actual run-time statistics back, with
+        //    execution-time catalog/stats access. Guarded sessions get the
+        //    window's arrival counts first, so the ledger closes against
+        //    weighted shadow prices.
         if let Some(ledger) = &self.safety {
-            ledger.note_window_weights(counts.iter().map(|&c| c as f64).collect());
+            ledger.note_window_weights(window.arrivals.iter().map(|&(_, c)| c as f64).collect());
         }
         let (exec_catalog, exec_stats) = match &pre_drift {
             Some((catalog, stats)) => (catalog, stats),
@@ -500,7 +415,7 @@ impl<A: Advisor> TuningSession<A> {
         self.obs.span_enter("round.observe");
         self.advisor.after_round(&mut ctx, &queries, &executions);
         self.obs.span_exit("round.observe");
-        self.obs.span_exit("session.window");
+        self.obs.span_exit("session.step");
         let whatif_after = self.whatif.stats();
         let bandit_after = self.advisor.bandit_counters();
 
@@ -655,33 +570,16 @@ impl<A: Advisor> TuningSession<A> {
     pub fn whatif_stats(&self) -> dba_optimizer::WhatIfStats {
         self.whatif.stats()
     }
-
-    /// Plan (without executing) the queries of `round` against the current
-    /// physical design — diagnostic introspection for tools that explain
-    /// what the optimiser would do.
-    pub fn plan_round(&self, round: usize) -> DbResult<Vec<(Query, Plan)>> {
-        let sequencer = self.sequencer();
-        let queries = sequencer.round_queries(&self.catalog, round)?;
-        let ctx = PlannerContext::from_catalog(&self.catalog, &self.stats, &self.cost);
-        let planner = Planner::new(&ctx);
-        Ok(queries
-            .into_iter()
-            .map(|q| {
-                let plan = planner.plan(&q);
-                (q, plan)
-            })
-            .collect())
-    }
 }
 
 /// Scale one executed instance to `count` identical arrivals: every
 /// simulated-time field and cardinality multiplies, so reward shaping and
 /// regret accounting see the window's aggregate workload while the engine
-/// executed the instance once. `count == 1` returns the execution
-/// untouched — the `RoundBatch` path stays bit-exact by construction.
-fn scale_execution(e: &QueryExecution, count: u64) -> QueryExecution {
+/// executed the instance once. `count == 1` hands the execution back
+/// untouched, so a round batch bills exactly what the engine measured.
+fn scale_execution(e: QueryExecution, count: u64) -> QueryExecution {
     if count == 1 {
-        return e.clone();
+        return e;
     }
     let k = count as f64;
     QueryExecution {
@@ -705,9 +603,33 @@ fn scale_execution(e: &QueryExecution, count: u64) -> QueryExecution {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::builder::{SessionBuilder, TunerKind};
     use dba_workloads::{ssb::ssb, DataDrift, DriftRates, WorkloadKind};
+
+    /// The scenario matrix the cross-tuner sweeps share: static, shifting
+    /// and random workloads of 4 rounds, plus a drifting static one.
+    pub(crate) fn scenarios() -> Vec<(WorkloadKind, Option<DataDrift>)> {
+        let drift = DataDrift::uniform(DriftRates::new(0.05, 0.02, 0.02));
+        vec![
+            (WorkloadKind::Static { rounds: 4 }, None),
+            (
+                WorkloadKind::Shifting {
+                    groups: 2,
+                    rounds_per_group: 2,
+                },
+                None,
+            ),
+            (
+                WorkloadKind::Random {
+                    rounds: 4,
+                    queries_per_round: 5,
+                },
+                None,
+            ),
+            (WorkloadKind::Static { rounds: 4 }, Some(drift)),
+        ]
+    }
 
     /// The whole substrate crosses threads: shared bases are `Sync`, built
     /// sessions (boxed advisors included) are `Send` — what the parallel
@@ -875,6 +797,30 @@ mod tests {
         session.step().unwrap();
         let result = session.run().unwrap();
         assert_eq!(result.rounds.len(), 4, "run() completes remaining rounds");
+    }
+
+    /// A streaming driver over a session that already ran rounds resumes
+    /// at the first round not yet run instead of replaying from window 0.
+    #[test]
+    fn streaming_resumes_after_manual_steps() {
+        use crate::stream::{StreamConfig, StreamingSession};
+        use dba_workloads::ArrivalProcess;
+        let mut session = SessionBuilder::new()
+            .benchmark(ssb(0.02))
+            .workload(WorkloadKind::Static { rounds: 4 })
+            .tuner(TunerKind::NoIndex)
+            .build()
+            .unwrap();
+        session.step().unwrap();
+        session.step().unwrap();
+        let streaming =
+            StreamingSession::new(session, StreamConfig::unbounded(ArrivalProcess::RoundBatch));
+        assert_eq!(streaming.windows_done(), 2);
+        let result = streaming.run().unwrap();
+        let rounds: Vec<usize> = result.run.rounds.iter().map(|r| r.round).collect();
+        assert_eq!(rounds, vec![1, 2, 3, 4], "no round runs twice");
+        let windows: Vec<usize> = result.windows.iter().map(|w| w.window).collect();
+        assert_eq!(windows, vec![2, 3]);
     }
 
     #[test]
@@ -1057,28 +1003,7 @@ mod tests {
     fn guarded_sweep_across_scenarios_is_panic_free_and_finite() {
         use dba_safety::SafetyConfig;
         let bench = ssb(0.02);
-        let scenarios: Vec<(WorkloadKind, Option<DataDrift>)> = vec![
-            (WorkloadKind::Static { rounds: 4 }, None),
-            (
-                WorkloadKind::Shifting {
-                    groups: 2,
-                    rounds_per_group: 2,
-                },
-                None,
-            ),
-            (
-                WorkloadKind::Random {
-                    rounds: 4,
-                    queries_per_round: 5,
-                },
-                None,
-            ),
-            (
-                WorkloadKind::Static { rounds: 4 },
-                Some(DataDrift::uniform(DriftRates::new(0.05, 0.02, 0.02))),
-            ),
-        ];
-        for (workload, drift) in &scenarios {
+        for (workload, drift) in &scenarios() {
             for guarded in [false, true] {
                 for tuner in [TunerKind::Mab, TunerKind::Ddqn { seed: 3 }] {
                     let mut builder = SessionBuilder::new()

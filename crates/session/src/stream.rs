@@ -20,7 +20,7 @@
 use dba_common::{BudgetTimer, DbResult, SimSeconds};
 use dba_core::{Advisor, DegradeLevel, WindowMode};
 use dba_safety::SafetyReport;
-use dba_workloads::{ArrivalProcess, ArrivalSchedule, ArrivalWindow, Benchmark, WorkloadSequencer};
+use dba_workloads::{ArrivalProcess, ArrivalWindow};
 
 use crate::record::{RoundRecord, RunResult};
 use crate::session::TuningSession;
@@ -233,11 +233,6 @@ fn percentile(mut samples: Vec<f64>, p: f64) -> Option<f64> {
 /// Deadline-aware streaming driver around a [`TuningSession`].
 pub struct StreamingSession<A: Advisor> {
     session: TuningSession<A>,
-    /// Own copy of the benchmark, so window materialisation can borrow it
-    /// while the session is driven mutably. `WorkloadSequencer::new` over
-    /// the same benchmark/kind/seed reproduces the session's template
-    /// order exactly (the order is a pure function of those three).
-    benchmark: Benchmark,
     config: StreamConfig,
     controller: DegradeController,
     timer: BudgetTimer,
@@ -253,18 +248,19 @@ pub struct StreamingSession<A: Advisor> {
 pub type DynStreamingSession = StreamingSession<Box<dyn Advisor>>;
 
 impl<A: Advisor> StreamingSession<A> {
+    /// Drive `session` window by window, starting at the first window of
+    /// the first round it has not run yet.
     pub fn new(session: TuningSession<A>, config: StreamConfig) -> Self {
-        let benchmark = session.benchmark().clone();
         let controller = DegradeController::new(config.budget_s);
+        let next_window = session.rounds_done() * config.arrival.windows_per_round();
         StreamingSession {
             session,
-            benchmark,
             config,
             controller,
             timer: BudgetTimer::disabled(),
             prev_shares: Vec::new(),
             windows: Vec::new(),
-            next_window: 0,
+            next_window,
         }
     }
 
@@ -305,14 +301,7 @@ impl<A: Advisor> StreamingSession<A> {
             return Ok(None);
         }
         let w = self.next_window;
-        let window = {
-            let seq = WorkloadSequencer::new(
-                &self.benchmark,
-                self.session.workload(),
-                self.session.seed(),
-            );
-            ArrivalSchedule::new(seq, self.config.arrival, self.session.seed()).window(w)
-        };
+        let window = self.session.arrival_window(self.config.arrival, w);
         let cur_shares = arrival_shares(&window);
 
         // Window 0 always runs Full (it carries the tuner's setup charge
@@ -326,7 +315,7 @@ impl<A: Advisor> StreamingSession<A> {
         let changed_templates = if level == DegradeLevel::Amortized {
             changed_shares(&self.prev_shares, &cur_shares, self.config.share_epsilon)
                 .into_iter()
-                .map(|ti| self.benchmark.templates()[ti].id)
+                .map(|ti| self.session.benchmark().templates()[ti].id)
                 .collect()
         } else {
             Vec::new()
@@ -474,8 +463,10 @@ fn changed_shares(prev: &[(usize, f64)], cur: &[(usize, f64)], epsilon: f64) -> 
 mod tests {
     use super::*;
     use crate::builder::{SessionBuilder, TunerKind};
+    use crate::session::tests::scenarios;
+    use dba_optimizer::StatsCatalog;
     use dba_safety::SafetyConfig;
-    use dba_workloads::{ssb::ssb, WorkloadKind};
+    use dba_workloads::{ssb::ssb, DataDrift, DriftRates, WorkloadKind};
 
     fn builder(tuner: TunerKind) -> SessionBuilder {
         SessionBuilder::new()
@@ -485,40 +476,79 @@ mod tests {
             .seed(7)
     }
 
-    /// ISSUE invariant: with no budget, the streaming driver over
-    /// `RoundBatch` arrivals reduces *exactly* to the fixed-round model —
-    /// every record field, including cache counters, bit-identical.
+    /// With no budget, the streaming driver over `RoundBatch` arrivals
+    /// reduces *exactly* to the fixed-round model for every scenario ×
+    /// tuner × guard combination: every record field (what-if and plan
+    /// cache counters included) and the whole safety report, compared by
+    /// their `Debug` output.
     #[test]
     fn unbounded_roundbatch_reduces_to_the_fixed_round_trajectory() {
-        let fixed = {
-            let mut s = builder(TunerKind::Mab).build().unwrap();
-            s.run().unwrap()
-        };
-        let streamed = {
-            let s = builder(TunerKind::Mab).build().unwrap();
-            StreamingSession::new(s, StreamConfig::unbounded(ArrivalProcess::RoundBatch))
-                .run()
-                .unwrap()
-        };
-        assert_eq!(streamed.windows.len(), fixed.rounds.len());
-        assert_eq!(
-            format!("{:?}", streamed.run.rounds),
-            format!("{:?}", fixed.rounds),
-            "streaming RoundBatch must reproduce the round-batch records bitwise"
-        );
-        assert_eq!(streamed.degraded_windows(), 0);
-        assert_eq!(streamed.blown_windows(), 0);
-        for w in &streamed.windows {
-            assert!(w.round_boundary);
-            assert_eq!(w.level, DegradeLevel::Full);
-            assert_eq!(w.wall_recommend_s, None, "no timer injected");
+        let bench = ssb(0.01);
+        let base = bench.build_catalog(7).unwrap();
+        let stats = StatsCatalog::build(&base);
+        let tuners = [
+            TunerKind::NoIndex,
+            TunerKind::PdTool,
+            TunerKind::Mab,
+            TunerKind::Ddqn { seed: 3 },
+        ];
+        for (workload, drift) in &scenarios() {
+            for tuner in tuners {
+                for guarded in [false, true] {
+                    let build = || {
+                        let mut b = SessionBuilder::new()
+                            .benchmark(bench.clone())
+                            .shared_data(&base)
+                            .shared_stats(&stats)
+                            .workload(*workload)
+                            .tuner(tuner)
+                            .seed(7);
+                        if let Some(drift) = drift {
+                            b = b.data_drift(drift.clone());
+                        }
+                        if guarded {
+                            b = b.safeguard(SafetyConfig::default());
+                        }
+                        b.build().unwrap()
+                    };
+                    let label = format!(
+                        "{workload:?}/drift={}/{tuner:?}/guarded={guarded}",
+                        drift.is_some()
+                    );
+                    let fixed = build().run().unwrap();
+                    let streamed = StreamingSession::new(
+                        build(),
+                        StreamConfig::unbounded(ArrivalProcess::RoundBatch),
+                    )
+                    .run()
+                    .unwrap();
+                    assert_eq!(
+                        format!("{:?}", streamed.run.rounds),
+                        format!("{:?}", fixed.rounds),
+                        "{label}: round records"
+                    );
+                    assert_eq!(
+                        format!("{:?}", streamed.run.safety),
+                        format!("{:?}", fixed.safety),
+                        "{label}: safety report"
+                    );
+                    assert_eq!(streamed.windows.len(), fixed.rounds.len(), "{label}");
+                    assert_eq!(streamed.degraded_windows(), 0, "{label}");
+                    assert_eq!(streamed.blown_windows(), 0, "{label}");
+                    for w in &streamed.windows {
+                        assert!(w.round_boundary, "{label}");
+                        assert_eq!(w.level, DegradeLevel::Full, "{label}");
+                        assert_eq!(w.wall_recommend_s, None, "{label}: no timer injected");
+                    }
+                }
+            }
         }
     }
 
-    /// Guarded equivalence: unit window weights must leave the safety
-    /// trajectory and every time field identical to the round-batch run.
-    /// What-if cache counters are excluded — the weighted shadow pass
-    /// legitimately hits the memo where the unweighted pass recomputes.
+    /// Guarded equivalence on the default static scenario: unit window
+    /// weights leave the safety trajectory and every time field identical
+    /// to the round-batch run. The table above extends this to every
+    /// scenario and to whole-record equality.
     #[test]
     fn unbounded_guarded_roundbatch_matches_times_and_safety() {
         let guarded = |streaming: bool| {
@@ -548,6 +578,63 @@ mod tests {
         }
         let (sa, fa) = (streamed.safety.unwrap(), fixed.safety.unwrap());
         assert_eq!(format!("{sa:?}"), format!("{fa:?}"));
+    }
+
+    /// Empty windows are survivable: at zero arrivals every window runs no
+    /// queries, yet drift still lands at round boundaries and a guarded
+    /// session closes one safety record per window.
+    #[test]
+    fn zero_arrival_windows_still_drift_and_close() {
+        let empty = ArrivalProcess::Poisson {
+            rate_per_min: 0.0,
+            window_secs: 3.0,
+            windows_per_round: 2,
+        };
+        for tuner in [
+            TunerKind::Mab,
+            TunerKind::PdTool,
+            TunerKind::Ddqn { seed: 3 },
+        ] {
+            for guarded in [false, true] {
+                let mut b = builder(tuner)
+                    .workload(WorkloadKind::Static { rounds: 3 })
+                    .data_drift(DataDrift::uniform(DriftRates::new(0.05, 0.0, 0.0)));
+                if guarded {
+                    b = b.safeguard(SafetyConfig::default());
+                }
+                let label = format!("{tuner:?}/guarded={guarded}");
+                let mut s =
+                    StreamingSession::new(b.build().unwrap(), StreamConfig::unbounded(empty));
+                while s.step().unwrap().is_some() {}
+                assert!(s.session().catalog().has_drift(), "{label}: no drift");
+                assert!(
+                    s.session().stats().max_staleness() > 0.0,
+                    "{label}: drift must leave statistics stale"
+                );
+                let result = s.into_result();
+                assert_eq!(result.windows.len(), 6, "{label}");
+                for w in &result.windows {
+                    assert_eq!(w.arrivals, 0, "{label}");
+                    let r = &w.record;
+                    for v in [
+                        r.recommendation.secs(),
+                        r.creation.secs(),
+                        r.execution.secs(),
+                        r.maintenance.secs(),
+                        r.shift_intensity,
+                    ] {
+                        assert!(v.is_finite(), "{label}: non-finite record");
+                    }
+                }
+                match result.run.safety {
+                    Some(safety) if guarded => {
+                        assert_eq!(safety.rounds.len(), 6, "{label}: one close per window")
+                    }
+                    None if !guarded => {}
+                    other => panic!("{label}: unexpected safety report {other:?}"),
+                }
+            }
+        }
     }
 
     /// A starved budget engages the degrade ladder in contract order:
