@@ -273,9 +273,9 @@ impl PdToolAdvisor {
 
         // What-if benefits: estimated workload cost without candidates vs
         // with each candidate alone, as one batched marginals pass.
-        let (base_cost, _) = whatif.cost_workload(catalog, stats, workload, &[], false);
+        let (base_cost, _) = whatif.cost_workload(catalog, stats, workload, &[]);
         let configs: Vec<Vec<IndexDef>> = candidates.iter().cloned().map(|d| vec![d]).collect();
-        let costs = whatif.marginals(catalog, stats, workload, &configs, false);
+        let costs = whatif.marginals(catalog, stats, workload, &configs);
         let mut scored: Vec<(IndexDef, f64, u64)> = candidates
             .into_iter()
             .zip(costs)

@@ -179,7 +179,7 @@ fn bench_optimizer(c: &mut Criterion) {
     c.bench_function("whatif_16_hypotheticals", |b| {
         b.iter_batched(
             || WhatIfService::new(cost.clone()),
-            |mut wi| wi.cost_query(&catalog, &stats, &q, &hypo, false),
+            |mut wi| wi.cost_query(&catalog, &stats, &q, &hypo),
             BatchSize::SmallInput,
         )
     });
@@ -262,8 +262,8 @@ fn bench_whatif_service(c: &mut Criterion) {
 
     let guard_round = |svc: &mut WhatIfService| {
         // Shadow baselines: do-nothing and freeze-counterfactual.
-        let _ = svc.cost_workload(&catalog, &stats, &queries, &[], false);
-        let _ = svc.cost_workload(&catalog, &stats, &queries, &defs, false);
+        let _ = svc.cost_workload(&catalog, &stats, &queries, &[]);
+        let _ = svc.cost_workload(&catalog, &stats, &queries, &defs);
         // Rollback assessment: leave-one-out marginals, one batch.
         let loo: Vec<Vec<IndexDef>> = (0..defs.len())
             .map(|skip| {
@@ -274,7 +274,7 @@ fn bench_whatif_service(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        svc.marginals(&catalog, &stats, &queries, &loo, false)
+        svc.marginals(&catalog, &stats, &queries, &loo)
     };
 
     c.bench_function("whatif_guard_round_cold", |b| {

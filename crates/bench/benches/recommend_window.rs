@@ -4,8 +4,7 @@
 //! * `recommend_window_cold` — the first window: arm generation, scatter
 //!   setup, a full score-and-select pass over a cold what-if memo.
 //! * `recommend_window_warm` — a steady-state window after convergence:
-//!   unchanged context fingerprints served from the score memo, batched
-//!   scatter updates, a warm what-if memo. This is the number that must
+//!   batched scatter updates and a warm what-if memo. This is the number that must
 //!   stay inside the per-window budget at the fleet's arrival rate.
 //!
 //! Both drive the real `StreamingSession` over SSB with the MAB streaming
@@ -23,8 +22,8 @@ use dba_workloads::{ssb::ssb, Benchmark, WorkloadKind};
 
 const SEED: u64 = 7;
 const SF: f64 = 0.02;
-/// Warm-up: enough windows for the bandit to converge and the what-if /
-/// fingerprint memos to fill (3 rounds × 8 windows).
+/// Warm-up: enough windows for the bandit to converge and the what-if
+/// memo to fill (3 rounds × 8 windows).
 const WARM_WINDOWS: usize = 16;
 
 fn build_stream(benchmark: &Benchmark, base: &Catalog) -> DynStreamingSession {

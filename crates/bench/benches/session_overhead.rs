@@ -52,7 +52,8 @@ fn run_hand_wired(benchmark: &Benchmark, base: &Catalog) -> f64 {
             queries
                 .iter()
                 .map(|q| {
-                    let plan = plan_cache.get_or_plan(&catalog, &stats, &planner, q);
+                    let (plan, _) =
+                        plan_cache.get_or_plan(q.template, &catalog, &stats, &planner, q);
                     executor.execute(&catalog, q, plan)
                 })
                 .collect()

@@ -6,7 +6,7 @@
 //! Runs NoIndex / MAB / MAB+guard under the steady Poisson preset and the
 //! bursty flash-crowd preset (6× rate over the whole template universe in
 //! the last 2 of every 10 windows). MAB runs the streaming fast path
-//! (batched scatter updates, fingerprint-memoized arm scores); the degrade
+//! (one batched scatter update per window); the degrade
 //! ladder itself runs on *simulated* recommend cost, so every run is
 //! deterministic and thread-count independent. Wall-clock per-window
 //! latency is measured alongside as advisory telemetry.

@@ -297,9 +297,10 @@ pub fn run_one_with_drift(
 /// [`StreamingSession`](dba_session::StreamingSession): arrival windows
 /// under the given stream configuration instead of fixed rounds. `guard`
 /// wraps the tuner in the safety guardrail; `mab` overrides the MAB
-/// configuration (e.g. `streaming_fast_path`) and is ignored for other
-/// tuners; `timer` supplies advisory wall-clock telemetry
-/// ([`BudgetTimer::disabled`] keeps the run purely simulated).
+/// configuration (e.g. `streaming_fast_path`, the batched per-window
+/// update) and is ignored for other tuners; `timer` supplies advisory
+/// wall-clock telemetry ([`BudgetTimer::disabled`] keeps the run purely
+/// simulated).
 #[allow(clippy::too_many_arguments)]
 pub fn run_stream_one(
     benchmark: &Benchmark,

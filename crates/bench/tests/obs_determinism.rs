@@ -131,6 +131,16 @@ fn recording_is_invisible_to_guarded_results() {
         )),
         "a guarded run must emit a round-close event per round"
     );
+    // Both memos mirror their stats into counters one for one. Equality
+    // only: this scenario drifts every round, so plan-cache hits are 0.
+    for (counter, total) in [
+        ("plan_cache.hit", recorded.total_plan_cache_hits()),
+        ("plan_cache.miss", recorded.total_plan_cache_misses()),
+        ("whatif.hit", recorded.total_whatif_hits()),
+        ("whatif.miss", recorded.total_whatif_misses()),
+    ] {
+        assert_eq!(ring.counter_total(counter), total, "{counter}");
+    }
 }
 
 #[test]

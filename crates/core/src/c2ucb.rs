@@ -79,12 +79,6 @@ pub struct C2Ucb {
     scatter: ShermanMorrisonInverse,
     b: Vec<f64>,
     round: usize,
-    /// Bumped whenever `θ̂`/`V⁻¹` change (observations or forgetting);
-    /// invalidates the fingerprint score cache.
-    model_version: u64,
-    /// Context-fingerprint → UCB score memo, valid for one model version.
-    score_cache: std::collections::HashMap<u64, f64>,
-    score_cache_version: u64,
 }
 
 impl C2Ucb {
@@ -99,9 +93,6 @@ impl C2Ucb {
             ),
             b: vec![0.0; dim],
             round: 0,
-            model_version: 0,
-            score_cache: std::collections::HashMap::new(),
-            score_cache_version: 0,
         }
     }
 
@@ -153,35 +144,6 @@ impl C2Ucb {
             .collect()
     }
 
-    /// Sparse batch scoring through the fingerprint memo: arms whose
-    /// context is unchanged since the model last moved are not re-scored.
-    /// Numerically this can differ from [`Self::ucb_scores_sparse`] only
-    /// through (astronomically unlikely) 64-bit fingerprint collisions, so
-    /// the streaming fast path opts in explicitly.
-    pub fn ucb_scores_sparse_cached(&mut self, contexts: &[crate::linalg::SparseVec]) -> Vec<f64> {
-        if self.score_cache_version != self.model_version {
-            self.score_cache.clear();
-            self.score_cache_version = self.model_version;
-        }
-        let alpha = self.config.alpha.alpha(self.round + 1);
-        let mut theta: Option<Vec<f64>> = None;
-        contexts
-            .iter()
-            .map(|x| {
-                let fp = context_fingerprint(x);
-                if let Some(&score) = self.score_cache.get(&fp) {
-                    return score;
-                }
-                let theta = theta.get_or_insert_with(|| self.scatter.inv().mat_vec(&self.b));
-                let mean = crate::linalg::dot_sparse(theta, x);
-                let width_sq = self.scatter.inv().quad_form_sparse(x).max(0.0);
-                let score = mean + alpha * width_sq.sqrt();
-                self.score_cache.insert(fp, score);
-                score
-            })
-            .collect()
-    }
-
     /// Sparse update: densifies each context for the Sherman–Morrison
     /// update (plays per round are few, so this is cheap).
     pub fn update_sparse(&mut self, plays: &[(crate::linalg::SparseVec, f64)]) {
@@ -209,7 +171,6 @@ impl C2Ucb {
                 }
             }
             self.scatter.refresh();
-            self.model_version += 1;
         }
         self.round += 1;
     }
@@ -223,9 +184,6 @@ impl C2Ucb {
             for (bi, xi) in self.b.iter_mut().zip(x) {
                 *bi += r * xi;
             }
-        }
-        if !plays.is_empty() {
-            self.model_version += 1;
         }
         self.round += 1;
     }
@@ -242,25 +200,7 @@ impl C2Ucb {
         for bi in &mut self.b {
             *bi *= gamma;
         }
-        self.model_version += 1;
     }
-}
-
-/// FNV-1a over a sparse context's `(dimension, value-bits)` stream: the
-/// within-window identity key for skip-rescoring.
-pub fn context_fingerprint(x: &crate::linalg::SparseVec) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for &(i, v) in x {
-        for byte in (i as u64).to_le_bytes() {
-            h = (h ^ byte as u64).wrapping_mul(PRIME);
-        }
-        for byte in v.to_bits().to_le_bytes() {
-            h = (h ^ byte as u64).wrapping_mul(PRIME);
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -387,32 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_sparse_scores_match_uncached() {
-        let mut bandit = C2Ucb::new(4, config(1.5));
-        let plays: Vec<(crate::linalg::SparseVec, f64)> =
-            vec![(vec![(0, 1.0), (2, 0.5)], 2.0), (vec![(1, 0.8)], -0.5)];
-        bandit.update_sparse(&plays);
-        let contexts: Vec<crate::linalg::SparseVec> = vec![
-            vec![(0, 1.0), (3, 0.2)],
-            vec![(1, 0.8)],
-            vec![(0, 1.0), (3, 0.2)], // repeat → served from the memo
-        ];
-        let plain = bandit.ucb_scores_sparse(&contexts);
-        let cached = bandit.ucb_scores_sparse(&contexts);
-        assert_eq!(plain, cached);
-        let memoed = bandit.ucb_scores_sparse_cached(&contexts);
-        assert_eq!(plain, memoed, "memoised scores must be bit-identical");
-        // The memo survives rounds where nothing was played but is
-        // invalidated the moment the model moves.
-        bandit.update_sparse(&[]);
-        assert_eq!(bandit.ucb_scores_sparse_cached(&contexts), plain);
-        bandit.update_sparse(&plays);
-        let after = bandit.ucb_scores_sparse_cached(&contexts);
-        assert_ne!(after, plain, "new observations must re-score");
-        assert_eq!(after, bandit.ucb_scores_sparse(&contexts));
-    }
-
-    #[test]
     fn batched_update_tracks_sequential_model() {
         let plays: Vec<(crate::linalg::SparseVec, f64)> = vec![
             (vec![(0, 1.0), (2, 0.5)], 2.0),
@@ -450,20 +364,6 @@ mod tests {
         bandit.forget(0.5);
         let (refreshes, decays) = bandit.maintenance_counters();
         assert_eq!((refreshes, decays), (3, 1), "forgetting re-inverts");
-    }
-
-    #[test]
-    fn fingerprints_separate_distinct_contexts() {
-        let a: crate::linalg::SparseVec = vec![(0, 1.0), (2, 0.5)];
-        let b: crate::linalg::SparseVec = vec![(0, 1.0), (2, 0.5000001)];
-        let c: crate::linalg::SparseVec = vec![(2, 0.5), (0, 1.0)];
-        assert_eq!(context_fingerprint(&a), context_fingerprint(&a));
-        assert_ne!(context_fingerprint(&a), context_fingerprint(&b));
-        assert_ne!(
-            context_fingerprint(&a),
-            context_fingerprint(&c),
-            "order-sensitive"
-        );
     }
 
     #[test]

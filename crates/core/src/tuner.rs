@@ -62,11 +62,11 @@ pub struct MabConfig {
     pub first_round_setup_s: f64,
     /// Simulated per-arm scoring time (seconds/arm/round).
     pub per_arm_scored_s: f64,
-    /// Streaming hot-path switches: batch each window's observations into
-    /// one scatter update and serve unchanged-context arm scores from the
-    /// fingerprint memo. Off by default — the fast path is equivalent only
-    /// up to floating-point accumulation order, and fixed-round baselines
-    /// must stay bit-identical.
+    /// Streaming hot-path switch: batch each window's observations into
+    /// one scatter update, re-inverted once per window. Off by default —
+    /// the batched update is equivalent only up to floating-point
+    /// accumulation order, and fixed-round baselines must stay
+    /// bit-identical.
     #[serde(default)]
     pub streaming_fast_path: bool,
 }
@@ -278,11 +278,7 @@ impl MabTuner {
                 builder.build(self.registry.arm(i), materialised)
             })
             .collect();
-        let mut scores = if self.config.streaming_fast_path {
-            self.bandit.ucb_scores_sparse_cached(&contexts)
-        } else {
-            self.bandit.ucb_scores_sparse(&contexts)
-        };
+        let mut scores = self.bandit.ucb_scores_sparse(&contexts);
         let scale = self.reward_scale.unwrap_or(1.0);
         for (pos, &arm) in active.iter().enumerate() {
             if self.arm_to_index.contains_key(&arm) {
@@ -984,8 +980,8 @@ mod tests {
         assert!(outcome.dropped > 0, "full window regains drop authority");
     }
 
-    /// The streaming fast path (batched scatter update + fingerprint score
-    /// memo) must still converge on the repeating workload.
+    /// The streaming fast path (batched scatter update) must still
+    /// converge on the repeating workload.
     #[test]
     fn fast_path_converges_on_repeating_workload() {
         let mut cat = catalog();

@@ -15,9 +15,11 @@
 
 //!
 //! Replanning volume is the dominant tuning cost at scale, so the crate
-//! also provides a [`PlanCache`]: template-level plan reuse validated
-//! against per-table catalog/statistics versions, so rounds that change
-//! nothing skip the planner entirely.
+//! also provides a [`PlanCache`]: plan reuse validated against per-table
+//! catalog/statistics versions, so rounds that change nothing skip the
+//! planner entirely. It is the one plan memo: the session keys it on the
+//! query template, and the what-if service's memo is a `PlanCache` keyed
+//! on the template plus the hypothetical configuration.
 
 pub mod est;
 pub mod plan_cache;

@@ -1,4 +1,5 @@
-//! Template-level plan cache with per-table version validation.
+//! Version-validated plan reuse: the one memo behind both the session's
+//! template-level plan cache and the what-if service.
 //!
 //! The dominant cost of self-driving tuning is optimizer-call volume (the
 //! VLDBJ successor and the ML-powered-tuning overview both measure what-if
@@ -7,6 +8,9 @@
 //! configuration, same statistics. This cache skips exactly those replans
 //! — the parameterised-plan reuse of commercial systems (plans are shared
 //! across instances of one template until something they depend on moves).
+//! The key is generic: the session keys on the [`TemplateId`] alone, and
+//! the [`WhatIfService`](crate::WhatIfService) on the template plus the
+//! hypothetical configuration the plan was costed under.
 //!
 //! A cached plan records, for every table its query touches, the catalog's
 //! physical version ([`Catalog::table_version`]: moves on index
@@ -23,9 +27,11 @@
 //! the cache is per-session state, so parallel and sequential suite runs
 //! see identical hit sequences.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use dba_common::{TableId, TemplateId};
+use dba_common::{SimSeconds, TableId, TemplateId};
 use dba_engine::{Plan, Query};
 use dba_storage::Catalog;
 
@@ -40,6 +46,16 @@ use crate::stats::StatsCatalog;
 /// point one cheap fixed-plan costing triggers a real replan.
 pub const RECOMPILE_COST_FACTOR: f64 = 2.0;
 
+/// Cached plans are swept once the cache grows past this many entries: any
+/// entry whose versions no longer validate is dropped. Live entries are
+/// never evicted — the working set of keys any real session produces is
+/// far below this (a template-keyed cache holds one entry per template, so
+/// it never sweeps). After a sweep the next one is deferred until the
+/// cache doubles again, so a pathological all-live cache costs an
+/// amortised O(1) per lookup rather than a full re-validation scan on
+/// every call.
+const MAX_CACHED_PLANS: usize = 8192;
+
 /// What a cached plan depended on for one table, at planning time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TableDep {
@@ -49,14 +65,6 @@ struct TableDep {
 }
 
 impl TableDep {
-    fn current(table: TableId, catalog: &Catalog, stats: &StatsCatalog) -> TableDep {
-        TableDep {
-            table,
-            catalog_version: catalog.table_version(table),
-            stats_version: stats.table_version(table),
-        }
-    }
-
     fn is_valid(&self, catalog: &Catalog, stats: &StatsCatalog) -> bool {
         catalog.table_version(self.table) == self.catalog_version
             && stats.table_version(self.table) == self.stats_version
@@ -67,6 +75,33 @@ impl TableDep {
 struct CachedPlan {
     plan: Plan,
     deps: Vec<TableDep>,
+}
+
+impl CachedPlan {
+    fn fresh(
+        catalog: &Catalog,
+        stats: &StatsCatalog,
+        planner: &Planner<'_>,
+        query: &Query,
+    ) -> CachedPlan {
+        let deps = query
+            .tables
+            .iter()
+            .map(|&table| TableDep {
+                table,
+                catalog_version: catalog.table_version(table),
+                stats_version: stats.table_version(table),
+            })
+            .collect();
+        CachedPlan {
+            plan: planner.plan(query),
+            deps,
+        }
+    }
+
+    fn is_valid(&self, catalog: &Catalog, stats: &StatsCatalog) -> bool {
+        self.deps.iter().all(|d| d.is_valid(catalog, stats))
+    }
 }
 
 /// Running totals of cache behaviour, cheap to copy into round records.
@@ -95,20 +130,64 @@ impl PlanCacheStats {
     }
 }
 
-/// Per-session plan cache keyed by query template.
-#[derive(Debug, Clone, Default)]
-pub struct PlanCache {
-    plans: HashMap<TemplateId, CachedPlan>,
+/// The `dba-obs` counter names one cache emits, one per
+/// [`PlanCacheStats`] field.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CounterNames {
+    pub(crate) hit: &'static str,
+    pub(crate) miss: &'static str,
+    pub(crate) invalidation: &'static str,
+    pub(crate) recompilation: &'static str,
+}
+
+/// The session plan cache's `plan_cache.*` counters.
+const PLAN_CACHE_COUNTERS: CounterNames = CounterNames {
+    hit: "plan_cache.hit",
+    miss: "plan_cache.miss",
+    invalidation: "plan_cache.invalidation",
+    recompilation: "plan_cache.recompilation",
+};
+
+/// Version-validated plan cache keyed by `K` (the query template by
+/// default).
+#[derive(Debug, Clone)]
+pub struct PlanCache<K = TemplateId> {
+    plans: HashMap<K, CachedPlan>,
+    /// Cache size that triggers the next stale-entry sweep (starts at
+    /// [`MAX_CACHED_PLANS`], re-armed past the post-sweep live count so an
+    /// all-live cache is not rescanned on every lookup).
+    sweep_watermark: usize,
     stats: PlanCacheStats,
-    /// Observability handle (`dba-obs`): hit/miss/invalidation counters are
-    /// mirrored here as `plan_cache.*` events. Advisory only — never
-    /// consulted for any caching decision.
+    counters: CounterNames,
+    /// Observability handle (`dba-obs`): every [`PlanCacheStats`]
+    /// increment is mirrored as the matching [`CounterNames`] counter.
+    /// Advisory only — never consulted for any caching decision.
     obs: dba_obs::Obs,
 }
 
 impl PlanCache {
+    /// The session's template-keyed cache, counting as `plan_cache.*`.
     pub fn new() -> Self {
-        PlanCache::default()
+        PlanCache::with_counters(PLAN_CACHE_COUNTERS)
+    }
+}
+
+impl Default for PlanCache {
+    fn default() -> Self {
+        PlanCache::new()
+    }
+}
+
+impl<K: Eq + Hash> PlanCache<K> {
+    /// An empty cache whose `dba-obs` counters are named `counters`.
+    pub(crate) fn with_counters(counters: CounterNames) -> Self {
+        PlanCache {
+            plans: HashMap::new(),
+            sweep_watermark: MAX_CACHED_PLANS,
+            stats: PlanCacheStats::default(),
+            counters,
+            obs: dba_obs::Obs::noop(),
+        }
     }
 
     /// Attach the session's observability handle. Counters emitted from
@@ -117,8 +196,10 @@ impl PlanCache {
         self.obs = obs.clone();
     }
 
-    /// The plan for `query`'s template. A cached plan is reused — a **hit**
-    /// that skips the planner's candidate search — iff
+    /// The plan cached under `key` for `query`, with its estimated cost
+    /// under `query`'s bindings. A cached plan is reused — a **hit** that
+    /// skips the planner's candidate search and returns the plan's recost
+    /// — iff
     ///
     /// 1. every table the query touches is still at the catalog and
     ///    statistics versions the plan was produced under (index
@@ -127,84 +208,65 @@ impl PlanCache {
     ///    stays within [`RECOMPILE_COST_FACTOR`] of its plan-time estimate
     ///    (the parameter-sensitivity guard).
     ///
-    /// Anything else plans fresh through `planner` and re-caches.
+    /// Anything else plans fresh through `planner`, re-caches, and returns
+    /// the new plan's estimate. `key` must determine everything `planner`
+    /// exposes beyond the versioned catalog and statistics.
     pub fn get_or_plan(
         &mut self,
+        key: K,
         catalog: &Catalog,
         stats: &StatsCatalog,
         planner: &Planner<'_>,
         query: &Query,
-    ) -> &Plan {
-        use std::collections::hash_map::Entry;
-        match self.plans.entry(query.template) {
+    ) -> (&Plan, SimSeconds) {
+        if self.plans.len() > self.sweep_watermark {
+            self.plans.retain(|_, c| c.is_valid(catalog, stats));
+            self.sweep_watermark = (self.plans.len() * 2).max(MAX_CACHED_PLANS);
+        }
+        let names = self.counters;
+        let cached = match self.plans.entry(key) {
             Entry::Occupied(mut e) => {
-                if !e.get().deps.iter().all(|d| d.is_valid(catalog, stats)) {
+                if !e.get().is_valid(catalog, stats) {
                     self.stats.misses += 1;
                     self.stats.invalidations += 1;
-                    self.obs.counter("plan_cache.miss", 1);
-                    self.obs.counter("plan_cache.invalidation", 1);
-                    e.insert(Self::plan_fresh(catalog, stats, planner, query));
-                } else if !Self::recost_ok(planner, query, &e.get().plan) {
+                    self.obs.counter(names.miss, 1);
+                    self.obs.counter(names.invalidation, 1);
+                } else if let Some(recost) = Self::recost(planner, query, &e.get().plan) {
+                    self.stats.hits += 1;
+                    self.obs.counter(names.hit, 1);
+                    return (&e.into_mut().plan, recost);
+                } else {
                     self.stats.misses += 1;
                     self.stats.recompilations += 1;
-                    self.obs.counter("plan_cache.miss", 1);
-                    self.obs.counter("plan_cache.recompilation", 1);
-                    e.insert(Self::plan_fresh(catalog, stats, planner, query));
-                } else {
-                    self.stats.hits += 1;
-                    self.obs.counter("plan_cache.hit", 1);
+                    self.obs.counter(names.miss, 1);
+                    self.obs.counter(names.recompilation, 1);
                 }
-                &e.into_mut().plan
+                e.insert(CachedPlan::fresh(catalog, stats, planner, query));
+                e.into_mut()
             }
             Entry::Vacant(v) => {
                 self.stats.misses += 1;
-                self.obs.counter("plan_cache.miss", 1);
-                &v.insert(Self::plan_fresh(catalog, stats, planner, query))
-                    .plan
+                self.obs.counter(names.miss, 1);
+                v.insert(CachedPlan::fresh(catalog, stats, planner, query))
             }
-        }
+        };
+        (&cached.plan, cached.plan.est_cost)
     }
 
-    /// Parameter-sensitivity guard: does the cached plan still look sane
-    /// for this instance's bindings? One fixed-plan costing, no search.
-    fn recost_ok(planner: &Planner<'_>, query: &Query, plan: &Plan) -> bool {
-        match planner.cost_plan(query, plan) {
-            Some(recost) => recost.secs() <= plan.est_cost.secs() * RECOMPILE_COST_FACTOR,
-            // The plan references an index the context no longer exposes —
-            // should be caught by versioning, but never reuse it.
-            None => false,
-        }
-    }
-
-    fn plan_fresh(
-        catalog: &Catalog,
-        stats: &StatsCatalog,
-        planner: &Planner<'_>,
-        query: &Query,
-    ) -> CachedPlan {
-        let deps = query
-            .tables
-            .iter()
-            .map(|&t| TableDep::current(t, catalog, stats))
-            .collect();
-        CachedPlan {
-            plan: planner.plan(query),
-            deps,
-        }
+    /// Parameter-sensitivity guard: the cached plan's cost under this
+    /// instance's bindings, if it still looks sane. One fixed-plan
+    /// costing, no search. `None` also when the plan references an index
+    /// the context no longer exposes — versioning should catch that, but
+    /// such a plan is never reused.
+    fn recost(planner: &Planner<'_>, query: &Query, plan: &Plan) -> Option<SimSeconds> {
+        planner
+            .cost_plan(query, plan)
+            .filter(|recost| recost.secs() <= plan.est_cost.secs() * RECOMPILE_COST_FACTOR)
     }
 
     /// Running hit/miss/invalidation totals.
     pub fn stats(&self) -> PlanCacheStats {
         self.stats
-    }
-
-    /// Cached templates.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
     }
 }
 
@@ -268,7 +330,10 @@ mod tests {
         let ctx = PlannerContext::from_catalog(cat, stats, &cost);
         let planner = Planner::new(&ctx);
         let misses_before = cache.stats().misses;
-        let plan = cache.get_or_plan(cat, stats, &planner, q).clone();
+        let plan = cache
+            .get_or_plan(q.template, cat, stats, &planner, q)
+            .0
+            .clone();
         *planned += (cache.stats().misses - misses_before) as usize;
         plan
     }
@@ -357,7 +422,8 @@ mod tests {
             ..query(1, 0)
         };
         let plan = cache
-            .get_or_plan(&cat, &stats, &planner, &selective)
+            .get_or_plan(selective.template, &cat, &stats, &planner, &selective)
+            .0
             .clone();
         assert!(plan.driver.method.index_id().is_some(), "seek plan sniffed");
 
@@ -368,7 +434,8 @@ mod tests {
             ..query(1, 0)
         };
         let plan = cache
-            .get_or_plan(&cat, &stats, &planner, &unselective)
+            .get_or_plan(unselective.template, &cat, &stats, &planner, &unselective)
+            .0
             .clone();
         assert_eq!(plan.driver.method.index_id(), None, "recompiled to scan");
         assert_eq!(cache.stats().recompilations, 1);
@@ -390,5 +457,45 @@ mod tests {
         stats.refresh_stale(&cat, 0.2);
         plan_with(&mut cache, &cat, &stats, &q, &mut planned);
         assert_eq!(planned, 2, "refreshed statistics force a replan");
+    }
+
+    /// Past the sweep watermark, a lookup first drops every entry whose
+    /// versions no longer validate; live entries survive and the watermark
+    /// re-arms.
+    #[test]
+    fn stale_entries_are_swept_past_the_watermark() {
+        let mut cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        let mut cache = PlanCache::new();
+        let mut planned = 0;
+        for t in 0..40 {
+            plan_with(&mut cache, &cat, &stats, &query(t, 0), &mut planned);
+        }
+        let live = query(1_000, 1);
+        plan_with(&mut cache, &cat, &stats, &live, &mut planned);
+        assert_eq!(cache.plans.len(), 41);
+
+        // Stale every hot-table plan, then lower the watermark so the
+        // next lookup sweeps.
+        cat.apply_drift(TableId(0), 10, 0, 0);
+        cache.sweep_watermark = 4;
+        plan_with(&mut cache, &cat, &stats, &live, &mut planned);
+        assert_eq!(
+            cache.plans.len(),
+            1,
+            "only the still-valid cold plan survives"
+        );
+        assert_eq!(
+            cache.stats().hits,
+            1,
+            "the live plan is served after the sweep"
+        );
+        assert_eq!(cache.sweep_watermark, MAX_CACHED_PLANS);
+
+        // A swept plan is gone, not merely stale: looking it up is a cold
+        // miss, not an invalidation.
+        plan_with(&mut cache, &cat, &stats, &query(0, 0), &mut planned);
+        assert_eq!(cache.stats().invalidations, 0);
+        assert_eq!(planned, 42);
     }
 }

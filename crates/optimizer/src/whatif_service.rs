@@ -1,7 +1,7 @@
 //! The what-if **service**: cost queries under hypothetical index
 //! configurations without materialising anything, through a long-lived,
-//! version-validated layer that memoizes hypothetical plans and prices
-//! whole batches of configurations in one pass.
+//! version-validated memo of hypothetical plans that prices whole batches
+//! of configurations in one pass.
 //!
 //! This is the AutoAdmin-style API ([19] in the paper) that commercial
 //! advisors are built on, and through which every optimiser misestimate
@@ -9,9 +9,9 @@
 //! configuration) pair from scratch would be quadratic pain for anything
 //! that prices many overlapping configurations every round (a guardrail's
 //! leave-one-out rollback assessment is O(used-indexes × queries) fresh
-//! plans). This service is the shared subsystem behind all of them: it
-//! reuses the invalidation machinery the [`PlanCache`](crate::PlanCache)
-//! proved out, keyed on
+//! plans). This service is the shared subsystem behind all of them. Its
+//! memo is a [`PlanCache`] — the same version validation, recost guard and
+//! sweep the session's plan cache runs — keyed on
 //!
 //! * the query **template** (parameterised-plan reuse, with the same
 //!   recost guard against parameter-sensitivity regressions);
@@ -21,34 +21,40 @@
 //!   only elsewhere share one cached plan — this is what makes the batched
 //!   [`marginals`](WhatIfService::marginals) pass cheap: a leave-one-out
 //!   configuration replans only the queries that touch the left-out
-//!   index's table);
-//! * the per-table **catalog version** (moves on index create/drop and
-//!   applied drift) and **statistics version** (moves on refresh), exactly
-//!   as the plan cache validates them.
+//!   index's table).
+//!
+//! The cache validates each plan against the per-table **catalog version**
+//! (moves on index create/drop and applied drift) and **statistics
+//! version** (moves on refresh).
 //!
 //! Candidate definitions are interned once and given stable synthetic ids
 //! in a reserved range ([`HYPOTHETICAL_BASE`] and up) so they can never
 //! collide with (or be executed against) real materialised indexes, and so
 //! a cached plan is meaningful under every
 //! configuration that contains the same definitions — regardless of the
-//! order or position a caller lists them in. Materialised indexes exposed
-//! through `include_materialised` are interned the same way and priced at
-//! their **live** (drift-grown) sizes, the same convention hypotheticals
-//! get, so incremental-benefit comparisons are apples-to-apples under
-//! drift.
+//! order or position a caller lists them in. Candidates are priced at
+//! their **live** (drift-grown) sizes.
 
 use std::collections::HashMap;
 
 use dba_common::{IndexId, SimSeconds, TemplateId};
-use dba_engine::{CostModel, Plan, Query};
+use dba_engine::{CostModel, Query};
 use dba_storage::{Catalog, IndexDef};
 
-use crate::plan_cache::RECOMPILE_COST_FACTOR;
+use crate::plan_cache::{CounterNames, PlanCache, PlanCacheStats};
 use crate::planner::{IndexCandidate, Planner, PlannerContext};
 use crate::stats::StatsCatalog;
 
 /// First id used for hypothetical indexes.
 pub const HYPOTHETICAL_BASE: u64 = 1 << 48;
+
+/// The what-if memo's `whatif.*` counters.
+const WHATIF_COUNTERS: CounterNames = CounterNames {
+    hit: "whatif.hit",
+    miss: "whatif.miss",
+    invalidation: "whatif.invalidation",
+    recompilation: "whatif.recompilation",
+};
 
 /// Result of costing one query under a hypothetical configuration.
 #[derive(Debug, Clone)]
@@ -57,77 +63,10 @@ pub struct WhatIfOutcome {
     pub est_cost: SimSeconds,
     /// Positions (into the hypothetical set) of indexes the plan used.
     pub used_hypothetical: Vec<usize>,
-    /// The plan itself (useful for debugging / advisor explanations).
-    pub plan: Plan,
 }
 
-/// Cached what-if plans are swept once the memo grows past this many
-/// entries: any entry whose versions no longer validate is dropped. Live
-/// entries are never evicted — the working set of (template ×
-/// fingerprint) pairs any real session produces is far below this. After
-/// a sweep the next one is deferred until the memo doubles again, so a
-/// pathological all-live memo costs an amortised O(1) per costing rather
-/// than a full re-validation scan on every call.
-pub const MAX_CACHED_WHATIF_PLANS: usize = 8192;
-
-/// Running totals of service behaviour, cheap to copy into round records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WhatIfStats {
-    /// Costings answered from the memo (replans skipped).
-    pub hits: u64,
-    /// Costings that had to plan (cold, invalidated, or recompiled).
-    pub misses: u64,
-    /// Misses caused by a catalog/statistics version moving under a
-    /// cached plan.
-    pub invalidations: u64,
-    /// Misses caused by the parameter-sensitivity guard: the cached
-    /// plan's recost under the instance's bindings exceeded
-    /// [`RECOMPILE_COST_FACTOR`] × its plan-time estimate.
-    pub recompilations: u64,
-}
-
-impl WhatIfStats {
-    /// Hits over all costings (0 when nothing was costed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
-/// What a cached what-if plan depended on for one table, at planning time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TableDep {
-    table: dba_common::TableId,
-    catalog_version: u64,
-    stats_version: u64,
-}
-
-impl TableDep {
-    fn is_valid(&self, catalog: &Catalog, stats: &StatsCatalog) -> bool {
-        catalog.table_version(self.table) == self.catalog_version
-            && stats.table_version(self.table) == self.stats_version
-    }
-}
-
-/// Memo key: template × configuration fingerprint. The fingerprint is the
-/// sorted interned ids of the candidate definitions on the query's tables
-/// (exact, not a hash — no collision risk), plus whether materialised
-/// indexes were exposed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    template: TemplateId,
-    include_materialised: bool,
-    config: Vec<u32>,
-}
-
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    plan: Plan,
-    deps: Vec<TableDep>,
-}
+/// The what-if memo's running totals: the plan cache's stats.
+pub type WhatIfStats = PlanCacheStats;
 
 /// Total estimated cost, per-query costs and per-candidate usage counts
 /// of one priced configuration (what
@@ -153,40 +92,28 @@ pub struct ConfigCost {
 #[derive(Debug, Clone)]
 pub struct WhatIfService {
     cost: CostModel,
-    /// Interned candidate definitions: `defs[id]` is the definition with
-    /// interned id `id`; synthetic planner ids are
-    /// `HYPOTHETICAL_BASE + id`.
-    defs: Vec<IndexDef>,
+    /// Interned candidate definitions, numbered in first-seen order;
+    /// synthetic planner ids are `HYPOTHETICAL_BASE + id`.
     interned: HashMap<IndexDef, u32>,
-    plans: HashMap<PlanKey, CachedPlan>,
-    /// Memo size that triggers the next stale-entry sweep (starts at
-    /// [`MAX_CACHED_WHATIF_PLANS`], re-armed past the post-sweep live
-    /// count so an all-live memo is not rescanned on every costing).
-    sweep_watermark: usize,
-    stats: WhatIfStats,
-    /// Observability handle (`dba-obs`): hit/miss/invalidation counters
-    /// are mirrored here as `whatif.*` events. Advisory only — never
-    /// consulted for any memoization decision.
-    obs: dba_obs::Obs,
+    /// Memo key: template × configuration fingerprint, the sorted interned
+    /// ids of the candidates on the query's tables (exact, not a hash — no
+    /// collision risk).
+    plans: PlanCache<(TemplateId, Vec<u32>)>,
 }
 
 impl WhatIfService {
     pub fn new(cost: CostModel) -> Self {
         WhatIfService {
             cost,
-            defs: Vec::new(),
             interned: HashMap::new(),
-            plans: HashMap::new(),
-            sweep_watermark: MAX_CACHED_WHATIF_PLANS,
-            stats: WhatIfStats::default(),
-            obs: dba_obs::Obs::noop(),
+            plans: PlanCache::with_counters(WHATIF_COUNTERS),
         }
     }
 
     /// Attach the session's observability handle. Counters emitted from
     /// here on mirror [`WhatIfStats`] increments one-for-one.
     pub fn set_obs(&mut self, obs: &dba_obs::Obs) {
-        self.obs = obs.clone();
+        self.plans.set_obs(obs);
     }
 
     /// The cost model every costing runs through.
@@ -196,16 +123,7 @@ impl WhatIfService {
 
     /// Running hit/miss/invalidation totals.
     pub fn stats(&self) -> WhatIfStats {
-        self.stats
-    }
-
-    /// Cached plans currently held.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.plans.stats()
     }
 
     /// Intern `def`, returning its stable id.
@@ -213,8 +131,7 @@ impl WhatIfService {
         if let Some(&id) = self.interned.get(def) {
             return id;
         }
-        let id = self.defs.len() as u32;
-        self.defs.push(def.clone());
+        let id = self.interned.len() as u32;
         self.interned.insert(def.clone(), id);
         id
     }
@@ -231,8 +148,7 @@ impl WhatIfService {
         (id.raw() >= HYPOTHETICAL_BASE).then(|| (id.raw() - HYPOTHETICAL_BASE) as u32)
     }
 
-    /// Cost one query under `hypothetical` definitions (plus, when
-    /// `include_materialised`, the catalog's real indexes — at their live
+    /// Cost one query under `hypothetical` definitions (at their live
     /// sizes). Served from the memo when the template was already planned
     /// under the same candidate set on the query's tables and nothing
     /// those tables depend on has moved; the cached plan is still recosted
@@ -244,43 +160,25 @@ impl WhatIfService {
         stats: &StatsCatalog,
         query: &Query,
         hypothetical: &[IndexDef],
-        include_materialised: bool,
     ) -> WhatIfOutcome {
         // Interned ids of the caller's candidate set (first occurrence
         // wins for duplicated definitions).
         let hypo_ids: Vec<u32> = hypothetical.iter().map(|d| self.intern(d)).collect();
-        let mut config: Vec<u32> = Vec::new();
-        let mut sizes: HashMap<u32, u64> = HashMap::new();
+        let mut candidates: Vec<IndexCandidate> = Vec::new();
         for (def, &id) in hypothetical.iter().zip(&hypo_ids) {
-            if query.tables.contains(&def.table) && !config.contains(&id) {
-                config.push(id);
-                sizes.insert(id, catalog.estimated_live_bytes(def));
+            let id = Self::planner_id(id);
+            if query.tables.contains(&def.table) && candidates.iter().all(|c| c.id != id) {
+                candidates.push(IndexCandidate {
+                    id,
+                    def: def.clone(),
+                    size_bytes: catalog.estimated_live_bytes(def),
+                });
             }
         }
-        if include_materialised {
-            for ix in catalog.all_indexes() {
-                if !query.tables.contains(&ix.def().table) {
-                    continue;
-                }
-                let id = self.intern(ix.def());
-                if !config.contains(&id) {
-                    config.push(id);
-                    // Live (drift-grown) size — same convention as the
-                    // hypotheticals, so incremental-benefit comparisons
-                    // stay apples-to-apples under drift.
-                    sizes.insert(id, catalog.index_live_bytes(ix.id()));
-                }
-            }
-        }
-        config.sort_unstable();
-
-        let candidates: Vec<IndexCandidate> = config
+        candidates.sort_unstable_by_key(|c| c.id);
+        let config = candidates
             .iter()
-            .map(|&id| IndexCandidate {
-                id: Self::planner_id(id),
-                def: self.defs[id as usize].clone(),
-                size_bytes: sizes[&id],
-            })
+            .filter_map(|c| Self::interned_id(c.id))
             .collect();
         let ctx = PlannerContext {
             catalog,
@@ -289,84 +187,13 @@ impl WhatIfService {
             indexes: candidates,
         };
         let planner = Planner::new(&ctx);
-
-        let key = PlanKey {
-            template: query.template,
-            include_materialised,
-            config,
-        };
-        let plan_fresh = |planner: &Planner<'_>| CachedPlan {
-            plan: planner.plan(query),
-            deps: query
-                .tables
-                .iter()
-                .map(|&t| TableDep {
-                    table: t,
-                    catalog_version: catalog.table_version(t),
-                    stats_version: stats.table_version(t),
-                })
-                .collect(),
-        };
-
-        if self.plans.len() > self.sweep_watermark {
+        let (plan, est_cost) =
             self.plans
-                .retain(|_, c| c.deps.iter().all(|d| d.is_valid(catalog, stats)));
-            // Re-arm past the surviving live set: if everything was still
-            // valid, the next sweep waits for the memo to double rather
-            // than rescanning on every costing from here on.
-            self.sweep_watermark = (self.plans.len() * 2).max(MAX_CACHED_WHATIF_PLANS);
-        }
-
-        use std::collections::hash_map::Entry;
-        let (cached, est_cost) = match self.plans.entry(key) {
-            Entry::Occupied(mut e) => {
-                if !e.get().deps.iter().all(|d| d.is_valid(catalog, stats)) {
-                    self.stats.misses += 1;
-                    self.stats.invalidations += 1;
-                    self.obs.counter("whatif.miss", 1);
-                    self.obs.counter("whatif.invalidation", 1);
-                    e.insert(plan_fresh(&planner));
-                    let c = e.into_mut();
-                    let est = c.plan.est_cost;
-                    (c, est)
-                } else {
-                    match planner.cost_plan(query, &e.get().plan) {
-                        Some(recost)
-                            if recost.secs()
-                                <= e.get().plan.est_cost.secs() * RECOMPILE_COST_FACTOR =>
-                        {
-                            self.stats.hits += 1;
-                            self.obs.counter("whatif.hit", 1);
-                            (e.into_mut(), recost)
-                        }
-                        _ => {
-                            // Recost exceeded the guard (or the plan could
-                            // not be revalidated): recompile.
-                            self.stats.misses += 1;
-                            self.stats.recompilations += 1;
-                            self.obs.counter("whatif.miss", 1);
-                            self.obs.counter("whatif.recompilation", 1);
-                            e.insert(plan_fresh(&planner));
-                            let c = e.into_mut();
-                            let est = c.plan.est_cost;
-                            (c, est)
-                        }
-                    }
-                }
-            }
-            Entry::Vacant(v) => {
-                self.stats.misses += 1;
-                self.obs.counter("whatif.miss", 1);
-                let c = v.insert(plan_fresh(&planner));
-                let est = c.plan.est_cost;
-                (c, est)
-            }
-        };
+                .get_or_plan((query.template, config), catalog, stats, &planner, query);
 
         // Map plan-used interned ids back to positions in the caller's
-        // hypothetical slice (materialised-only candidates map to none).
-        let used_hypothetical: Vec<usize> = cached
-            .plan
+        // hypothetical slice.
+        let used_hypothetical = plan
             .indexes_used()
             .into_iter()
             .filter_map(Self::interned_id)
@@ -375,7 +202,6 @@ impl WhatIfService {
         WhatIfOutcome {
             est_cost,
             used_hypothetical,
-            plan: cached.plan.clone(),
         }
     }
 
@@ -387,17 +213,9 @@ impl WhatIfService {
         stats: &StatsCatalog,
         queries: &[Query],
         hypothetical: &[IndexDef],
-        include_materialised: bool,
     ) -> (SimSeconds, Vec<u32>) {
         let unit = vec![1.0; queries.len()];
-        let cost = self.cost_workload_weighted(
-            catalog,
-            stats,
-            queries,
-            &unit,
-            hypothetical,
-            include_materialised,
-        );
+        let cost = self.cost_workload_weighted(catalog, stats, queries, &unit, hypothetical);
         (cost.total, cost.usage)
     }
 
@@ -416,14 +234,13 @@ impl WhatIfService {
         queries: &[Query],
         weights: &[f64],
         hypothetical: &[IndexDef],
-        include_materialised: bool,
     ) -> ConfigCost {
         debug_assert_eq!(queries.len(), weights.len());
         let mut total = SimSeconds::ZERO;
         let mut per_query = Vec::with_capacity(queries.len());
         let mut usage = vec![0u32; hypothetical.len()];
         for (q, &w) in queries.iter().zip(weights) {
-            let outcome = self.cost_query(catalog, stats, q, hypothetical, include_materialised);
+            let outcome = self.cost_query(catalog, stats, q, hypothetical);
             per_query.push(outcome.est_cost.secs());
             total += outcome.est_cost * w;
             for i in outcome.used_hypothetical {
@@ -449,21 +266,11 @@ impl WhatIfService {
         stats: &StatsCatalog,
         queries: &[Query],
         configs: &[Vec<IndexDef>],
-        include_materialised: bool,
     ) -> Vec<ConfigCost> {
         let unit = vec![1.0; queries.len()];
         configs
             .iter()
-            .map(|config| {
-                self.cost_workload_weighted(
-                    catalog,
-                    stats,
-                    queries,
-                    &unit,
-                    config,
-                    include_materialised,
-                )
-            })
+            .map(|config| self.cost_workload_weighted(catalog, stats, queries, &unit, config))
             .collect()
     }
 }
@@ -536,13 +343,12 @@ mod tests {
         let stats = StatsCatalog::build(&cat);
         let mut svc = service();
         let q = hot_query(1, 77);
-        let without = svc.cost_query(&cat, &stats, &q, &[], false);
+        let without = svc.cost_query(&cat, &stats, &q, &[]);
         let with = svc.cost_query(
             &cat,
             &stats,
             &q,
             &[IndexDef::new(TableId(0), vec![1], vec![0])],
-            false,
         );
         assert!(with.est_cost.secs() < without.est_cost.secs());
         assert_eq!(with.used_hypothetical, vec![0]);
@@ -554,7 +360,6 @@ mod tests {
                 &stats,
                 &q,
                 &[IndexDef::new(TableId(0), vec![2], vec![])],
-                false,
             )
             .est_cost;
         assert!((without.est_cost.secs() - with_junk.secs()).abs() < 1e-12);
@@ -569,7 +374,7 @@ mod tests {
             IndexDef::new(TableId(0), vec![2], vec![]),
         ];
         let queries = vec![hot_query(1, 77); 3];
-        let (total, usage) = service().cost_workload(&cat, &stats, &queries, &defs, false);
+        let (total, usage) = service().cost_workload(&cat, &stats, &queries, &defs);
         assert!(total.secs() > 0.0);
         assert_eq!(usage[0], 3, "selective index used by every query");
         assert_eq!(usage[1], 0, "unselective index never used");
@@ -585,8 +390,8 @@ mod tests {
         let defs = vec![IndexDef::new(TableId(0), vec![1], vec![0])];
         let q = hot_query(1, 77);
 
-        let first = svc.cost_query(&cat, &stats, &q, &defs, false);
-        let again = svc.cost_query(&cat, &stats, &q, &defs, false);
+        let first = svc.cost_query(&cat, &stats, &q, &defs);
+        let again = svc.cost_query(&cat, &stats, &q, &defs);
         assert_eq!(svc.stats().hits, 1);
         assert_eq!(svc.stats().misses, 1);
         assert!((first.est_cost.secs() - again.est_cost.secs()).abs() < 1e-12);
@@ -594,9 +399,7 @@ mod tests {
     }
 
     /// Index create/drop on a query's table moves its catalog version and
-    /// invalidates cached what-if plans under unchanged keys (mirrors
-    /// `plan_cache.rs`); the materialised-set path sees the new index
-    /// through its configuration fingerprint.
+    /// invalidates cached what-if plans under unchanged keys.
     #[test]
     fn index_create_and_drop_invalidate() {
         let mut cat = catalog();
@@ -606,26 +409,19 @@ mod tests {
 
         // Empty-config entry: creates and drops move the table version
         // under an unchanged key, forcing a revalidating replan.
-        let baseline = svc.cost_query(&cat, &stats, &q, &[], false).est_cost;
+        let baseline = svc.cost_query(&cat, &stats, &q, &[]).est_cost;
         let meta = cat
             .create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
             .unwrap();
-        let after_create = svc.cost_query(&cat, &stats, &q, &[], false).est_cost;
+        let after_create = svc.cost_query(&cat, &stats, &q, &[]).est_cost;
         assert_eq!(svc.stats().invalidations, 1, "create invalidates");
         assert!(
             (after_create.secs() - baseline.secs()).abs() < 1e-9,
             "no candidates exposed — cost unchanged, but revalidated"
         );
         cat.drop_index(meta.id).unwrap();
-        svc.cost_query(&cat, &stats, &q, &[], false);
+        svc.cost_query(&cat, &stats, &q, &[]);
         assert_eq!(svc.stats().invalidations, 2, "drop invalidates");
-
-        // The materialised-set path keys on the index set itself: after a
-        // create, the new fingerprint's plan sees the index.
-        cat.create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
-            .unwrap();
-        let with_ix = svc.cost_query(&cat, &stats, &q, &[], true);
-        assert!(with_ix.est_cost.secs() < baseline.secs(), "index visible");
     }
 
     /// Applied drift invalidates only the plans over the drifted table.
@@ -637,11 +433,11 @@ mod tests {
         let hot = hot_query(1, 77);
         let cold = cold_query(2);
 
-        svc.cost_query(&cat, &stats, &hot, &[], false);
-        svc.cost_query(&cat, &stats, &cold, &[], false);
+        svc.cost_query(&cat, &stats, &hot, &[]);
+        svc.cost_query(&cat, &stats, &cold, &[]);
         cat.apply_drift(TableId(0), 1_000, 0, 0);
-        svc.cost_query(&cat, &stats, &hot, &[], false);
-        svc.cost_query(&cat, &stats, &cold, &[], false);
+        svc.cost_query(&cat, &stats, &hot, &[]);
+        svc.cost_query(&cat, &stats, &cold, &[]);
         assert_eq!(svc.stats().invalidations, 1, "only the hot plan replans");
         assert_eq!(svc.stats().hits, 1, "the cold plan survives");
     }
@@ -654,23 +450,25 @@ mod tests {
         let mut svc = service();
         let q = hot_query(1, 77);
 
-        svc.cost_query(&cat, &stats, &q, &[], false);
+        svc.cost_query(&cat, &stats, &q, &[]);
         cat.apply_drift(TableId(0), 30_000, 0, 0);
         stats.note_drift(TableId(0), 30_000);
         stats.refresh_stale(&cat, 0.2);
-        svc.cost_query(&cat, &stats, &q, &[], false);
+        svc.cost_query(&cat, &stats, &q, &[]);
         // Drift + refresh both moved versions; one lookup, one invalidation.
         assert_eq!(svc.stats().invalidations, 1);
         assert_eq!(svc.stats().hits, 0);
     }
 
     /// The defining what-if property survives the cached path: a
-    /// hypothetical index is costed exactly like the real thing — under
-    /// drift too, now that both sides are priced at live sizes.
+    /// hypothetical index is costed exactly like the real thing by the
+    /// planner over the materialised catalog — under drift too, since both
+    /// sides are priced at live sizes.
     #[test]
     fn hypothetical_and_materialised_costs_agree_through_the_cache() {
         let def = IndexDef::new(TableId(0), vec![1], vec![0]);
         let q = hot_query(1, 77);
+        let cost = CostModel::unit_scale();
 
         for drifted in [false, true] {
             let mut cat = catalog();
@@ -680,22 +478,22 @@ mod tests {
             let stats = StatsCatalog::build(&cat);
             let mut svc = service();
             // Twice, so the second costing runs the cached path.
-            svc.cost_query(&cat, &stats, &q, std::slice::from_ref(&def), false);
+            svc.cost_query(&cat, &stats, &q, std::slice::from_ref(&def));
             let hypo = svc
-                .cost_query(&cat, &stats, &q, std::slice::from_ref(&def), false)
+                .cost_query(&cat, &stats, &q, std::slice::from_ref(&def))
                 .est_cost;
+            assert_eq!(svc.stats().hits, 1, "drifted={drifted}: cached path ran");
 
-            let mut cat2 = cat.clone();
-            cat2.create_index(def.clone()).unwrap();
-            svc.cost_query(&cat2, &stats, &q, &[], true);
-            let real = svc.cost_query(&cat2, &stats, &q, &[], true).est_cost;
+            let mut materialised = cat.clone();
+            materialised.create_index(def.clone()).unwrap();
+            let ctx = PlannerContext::from_catalog(&materialised, &stats, &cost);
+            let real = Planner::new(&ctx).plan(&q).est_cost;
             assert!(
                 (hypo.secs() - real.secs()).abs() < 1e-9,
                 "drifted={drifted}: hypo {} vs materialised {}",
                 hypo.secs(),
                 real.secs()
             );
-            assert_eq!(svc.stats().hits, 2, "drifted={drifted}: cached path ran");
         }
     }
 
@@ -708,13 +506,10 @@ mod tests {
         let queries: Vec<Query> = (0..4).map(|i| hot_query(1, i * 100)).collect();
         let mut reference = SimSeconds::ZERO;
         for q in &queries {
-            reference += service()
-                .cost_query(&catalog, &stats, q, &[], false)
-                .est_cost;
+            reference += service().cost_query(&catalog, &stats, q, &[]).est_cost;
         }
         let weights = vec![1.0; queries.len()];
-        let weighted =
-            service().cost_workload_weighted(&catalog, &stats, &queries, &weights, &[], false);
+        let weighted = service().cost_workload_weighted(&catalog, &stats, &queries, &weights, &[]);
         assert_eq!(reference.secs().to_bits(), weighted.total.secs().to_bits());
         assert_eq!(
             weighted.per_query.iter().sum::<f64>().to_bits(),
@@ -728,9 +523,9 @@ mod tests {
         let stats = StatsCatalog::build(&catalog);
         let queries = vec![hot_query(1, 500)];
         let mut svc = service();
-        let unit = svc.cost_workload_weighted(&catalog, &stats, &queries, &[1.0], &[], false);
+        let unit = svc.cost_workload_weighted(&catalog, &stats, &queries, &[1.0], &[]);
         let scaled = svc
-            .cost_workload_weighted(&catalog, &stats, &queries, &[250.0], &[], false)
+            .cost_workload_weighted(&catalog, &stats, &queries, &[250.0], &[])
             .total;
         let unit_s = unit.total.secs();
         assert!((scaled.secs() - 250.0 * unit_s).abs() < 1e-9 * scaled.secs().abs().max(1.0));
@@ -759,7 +554,7 @@ mod tests {
             vec![cold_ix.clone()],
             vec![hot_ix.clone()],
         ];
-        let costs = svc.marginals(&cat, &stats, &queries, &configs, false);
+        let costs = svc.marginals(&cat, &stats, &queries, &configs);
         assert_eq!(costs.len(), 3);
         assert_eq!(svc.stats().misses, 4, "4 distinct (query, subset) plans");
         assert_eq!(svc.stats().hits, 2, "2 shared sub-plans");
@@ -783,7 +578,7 @@ mod tests {
 
         // Sniff a selective instance: ~1 of 100k rows → a seek plan.
         let selective = hot_query(1, 77);
-        let sniffed = svc.cost_query(&cat, &stats, &selective, &defs, false);
+        let sniffed = svc.cost_query(&cat, &stats, &selective, &defs);
         assert_eq!(sniffed.used_hypothetical, vec![0], "seek plan sniffed");
 
         // Same template, catastrophic bindings: the whole domain.
@@ -791,7 +586,7 @@ mod tests {
             predicates: vec![Predicate::range(ColumnId::new(TableId(0), 1), 0, 99_999)],
             ..hot_query(1, 0)
         };
-        let recompiled = svc.cost_query(&cat, &stats, &unselective, &defs, false);
+        let recompiled = svc.cost_query(&cat, &stats, &unselective, &defs);
         assert_eq!(svc.stats().recompilations, 1);
         assert!(
             recompiled.used_hypothetical.is_empty(),
@@ -811,36 +606,13 @@ mod tests {
         let junk = IndexDef::new(TableId(0), vec![2], vec![]);
         let q = hot_query(1, 77);
 
-        let first = svc.cost_query(&cat, &stats, &q, &[junk.clone(), a.clone()], false);
+        let first = svc.cost_query(&cat, &stats, &q, &[junk.clone(), a.clone()]);
         assert_eq!(first.used_hypothetical, vec![1]);
         // Same candidate set, different order: the sorted fingerprint
         // matches, the cached plan is reused, usage maps to position 0.
-        let second = svc.cost_query(&cat, &stats, &q, &[a.clone(), junk.clone()], false);
+        let second = svc.cost_query(&cat, &stats, &q, &[a.clone(), junk.clone()]);
         assert_eq!(svc.stats().hits, 1);
         assert_eq!(second.used_hypothetical, vec![0]);
         assert!((first.est_cost.secs() - second.est_cost.secs()).abs() < 1e-12);
-    }
-
-    /// The sweep keeps the memo bounded: stale entries are dropped once
-    /// the cap is exceeded, live ones survive.
-    #[test]
-    fn stale_entries_are_swept_past_the_cap() {
-        let mut cat = catalog();
-        let stats = StatsCatalog::build(&cat);
-        let mut svc = service();
-        // Many templates over the hot table, then invalidate them all.
-        for t in 0..40 {
-            svc.cost_query(&cat, &stats, &hot_query(t, 7), &[], false);
-        }
-        cat.apply_drift(TableId(0), 10, 0, 0);
-        let live = cold_query(1_000);
-        svc.cost_query(&cat, &stats, &live, &[], false);
-        assert_eq!(svc.len(), 41);
-        // Force a sweep by dropping the cap to something tiny via direct
-        // retain — the public path only sweeps past MAX_CACHED_WHATIF_PLANS,
-        // which is too large to exercise here cheaply.
-        svc.plans
-            .retain(|_, c| c.deps.iter().all(|d| d.is_valid(&cat, &stats)));
-        assert_eq!(svc.len(), 1, "only the still-valid cold plan survives");
     }
 }

@@ -271,14 +271,8 @@ impl SafetyState {
                 // exactly 0, so only the used ones need a leave-one-out
                 // pass — and those passes share every untouched query's
                 // plan with the full pass through the service's memo.
-                let full = whatif.cost_workload_weighted(
-                    catalog,
-                    stats,
-                    &self.queries,
-                    &weights,
-                    &all,
-                    false,
-                );
+                let full =
+                    whatif.cost_workload_weighted(catalog, stats, &self.queries, &weights, &all);
                 for (skip, id) in ids.iter().enumerate() {
                     let marginal = if full.usage[skip] == 0 {
                         0.0
@@ -296,7 +290,6 @@ impl SafetyState {
                                 &self.queries,
                                 &weights,
                                 &without,
-                                false,
                             )
                             .total;
                         (without - full.total).secs().max(0.0)
@@ -393,14 +386,13 @@ impl SafetyState {
             let queries: Vec<Query> = live.iter().map(|&i| self.queries[i].clone()).collect();
             let live_weights: Vec<f64> = live.iter().map(|&i| weights[i]).collect();
             let noindex =
-                whatif.cost_workload_weighted(catalog, stats, &queries, &live_weights, &[], false);
+                whatif.cost_workload_weighted(catalog, stats, &queries, &live_weights, &[]);
             let prev = whatif.cost_workload_weighted(
                 catalog,
                 stats,
                 &queries,
                 &live_weights,
                 &self.prev_config,
-                false,
             );
             noindex_s += noindex.total.secs();
             prev_s += prev.total.secs();

@@ -502,7 +502,7 @@ mod tests {
         let qs = vec![query(0, 5), query(1, 77)];
         // Independent reference: the do-nothing price of this workload on
         // the pre-drift catalog.
-        let (reference, _) = svc().cost_workload(&cat, &stats, &qs, &[], false);
+        let (reference, _) = svc().cost_workload(&cat, &stats, &qs, &[]);
 
         guard.before_round(0, &mut cat, &stats, &mut whatif);
         let ex = run_round(&cat, &stats, &cost, &qs);
@@ -522,7 +522,7 @@ mod tests {
         // The quantity the old pricing would have charged — the same
         // workload on the post-drift catalog — is strictly larger, which
         // is exactly the overpricing the snapshot eliminates.
-        let (post_drift, _) = svc().cost_workload(&cat, &stats, &qs, &[], false);
+        let (post_drift, _) = svc().cost_workload(&cat, &stats, &qs, &[]);
         assert!(
             post_drift.secs() > reference.secs(),
             "insert-heavy drift must make the post-drift price larger \
@@ -553,7 +553,7 @@ mod tests {
             cost.clone(),
         );
         let qs = vec![query(0, 5)];
-        let (unit, _) = svc().cost_workload(&cat, &stats, &qs, &[], false);
+        let (unit, _) = svc().cost_workload(&cat, &stats, &qs, &[]);
 
         // Window 0 (Full, weight 250): live pricing, weighted total.
         guard.begin_window(&WindowMode::default());

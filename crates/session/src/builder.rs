@@ -261,8 +261,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Override the MAB tuner's configuration (e.g. enable
-    /// `streaming_fast_path` or tune `refresh_every` for a streaming run).
+    /// Override the MAB tuner's configuration (e.g. enable the batched
+    /// per-window update with `streaming_fast_path`, or tune
+    /// `refresh_every`, for a streaming run).
     /// Only consulted when the tuner is [`TunerKind::Mab`]; a
     /// `memory_budget_bytes` of 0 in the config inherits the session's
     /// budget, matching [`safeguard`](SessionBuilder::safeguard).
@@ -297,6 +298,7 @@ impl SessionBuilder {
                 "session builder: memory budget of 0 bytes leaves no room for any index".into(),
             ));
         }
+        validate_cost_model(&self.cost)?;
         let catalog = match self.shared_data {
             Some(base) => Catalog::from_base(base),
             None => benchmark.build_catalog(self.seed)?,
@@ -386,6 +388,37 @@ impl SessionBuilder {
         let advisor = make(&p.catalog, &p.cost, p.budget);
         Ok(p.into_session(advisor))
     }
+}
+
+/// Every cost constant must be finite and non-negative, and `time_scale`
+/// finite and positive: a NaN, infinite or negative constant would
+/// otherwise yield an `Ok` session with NaN, infinite or negative totals.
+fn validate_cost_model(cost: &CostModel) -> DbResult<()> {
+    let constants = [
+        ("seq_page_s", cost.seq_page_s),
+        ("rand_page_s", cost.rand_page_s),
+        ("cpu_row_s", cost.cpu_row_s),
+        ("hash_build_row_s", cost.hash_build_row_s),
+        ("hash_probe_row_s", cost.hash_probe_row_s),
+        ("sort_cmp_s", cost.sort_cmp_s),
+        ("btree_descent_s", cost.btree_descent_s),
+        ("agg_row_s", cost.agg_row_s),
+        ("write_page_s", cost.write_page_s),
+    ];
+    for (name, value) in constants {
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(DbError::Invalid(format!(
+                "session builder: cost model {name} = {value} must be finite and >= 0"
+            )));
+        }
+    }
+    if !(cost.time_scale.is_finite() && cost.time_scale > 0.0) {
+        return Err(DbError::Invalid(format!(
+            "session builder: cost model time_scale = {} must be finite and > 0",
+            cost.time_scale
+        )));
+    }
+    Ok(())
 }
 
 /// Validated substrate, ready to pair with an advisor.
@@ -520,6 +553,43 @@ mod tests {
             .data_drift(DataDrift::none().with_table("nope", DriftRates::new(0.1, 0.0, 0.0)))
             .build();
         assert!(unknown_table.is_err());
+    }
+
+    /// Each cost constant × {NaN, ∞, −1}, plus a zero `time_scale`, is a
+    /// typed error naming the field, not a session with a broken total.
+    #[test]
+    fn invalid_cost_model_is_rejected() {
+        type Field = fn(&mut CostModel) -> &mut f64;
+        let fields: [(&str, Field); 10] = [
+            ("seq_page_s", |c| &mut c.seq_page_s),
+            ("rand_page_s", |c| &mut c.rand_page_s),
+            ("cpu_row_s", |c| &mut c.cpu_row_s),
+            ("hash_build_row_s", |c| &mut c.hash_build_row_s),
+            ("hash_probe_row_s", |c| &mut c.hash_probe_row_s),
+            ("sort_cmp_s", |c| &mut c.sort_cmp_s),
+            ("btree_descent_s", |c| &mut c.btree_descent_s),
+            ("agg_row_s", |c| &mut c.agg_row_s),
+            ("write_page_s", |c| &mut c.write_page_s),
+            ("time_scale", |c| &mut c.time_scale),
+        ];
+        let cases = fields
+            .iter()
+            .flat_map(|&(name, field)| {
+                [f64::NAN, f64::INFINITY, -1.0].map(|value| (name, field, value))
+            })
+            .chain([("time_scale", fields[9].1, 0.0)]);
+        for (name, field, value) in cases {
+            let mut cost = CostModel::paper_scale();
+            *field(&mut cost) = value;
+            let result = SessionBuilder::new()
+                .benchmark(ssb(0.01))
+                .tuner(TunerKind::Mab)
+                .workload(WorkloadKind::Static { rounds: 1 })
+                .cost_model(cost)
+                .build();
+            let msg = invalid_msg(result);
+            assert!(msg.contains(name), "{name} = {value}: {msg}");
+        }
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl<A: Advisor> TuningSession<A> {
                 .iter()
                 .zip(&window.arrivals)
                 .map(|(q, &(_, count))| {
-                    let plan = plan_cache.get_or_plan(catalog, stats, &planner, q);
+                    let (plan, _) = plan_cache.get_or_plan(q.template, catalog, stats, &planner, q);
                     scale_execution(backend.execute(catalog, q, plan), count)
                 })
                 .collect()

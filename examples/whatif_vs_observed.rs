@@ -69,7 +69,6 @@ fn main() {
             &stats,
             &q,
             std::slice::from_ref(&index),
-            false,
         );
 
         // Reality: materialise, plan, execute, measure.

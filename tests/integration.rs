@@ -76,8 +76,9 @@ fn all_advisors_run_uniformly() {
     }
 }
 
-/// What-if estimates must equal materialised estimates (facade-level check
-/// of the optimiser's defining invariant).
+/// What-if estimates must equal the planner's estimates over the
+/// materialised index (facade-level check of the optimiser's defining
+/// invariant).
 #[test]
 fn whatif_matches_materialised_costing() {
     let bench = dba_bandits::workloads::tpch::tpch(0.02);
@@ -97,14 +98,13 @@ fn whatif_matches_materialised_costing() {
     let def = IndexDef::new(lineitem, vec![shipdate], vec![]);
 
     let hypo = WhatIfService::new(cost.clone())
-        .cost_query(&catalog, &stats, &q, std::slice::from_ref(&def), false)
+        .cost_query(&catalog, &stats, &q, std::slice::from_ref(&def))
         .est_cost;
 
     let mut catalog2 = catalog.fork_empty();
     catalog2.create_index(def).unwrap();
-    let real = WhatIfService::new(cost)
-        .cost_query(&catalog2, &stats, &q, &[], true)
-        .est_cost;
+    let ctx = PlannerContext::from_catalog(&catalog2, &stats, &cost);
+    let real = Planner::new(&ctx).plan(&q).est_cost;
     assert!((hypo.secs() - real.secs()).abs() < 1e-9);
 }
 
