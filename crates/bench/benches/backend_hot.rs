@@ -1,13 +1,16 @@
 //! Criterion benchmarks for the executor's timed hot paths: vectorized
-//! batch heap scans and index seeks with heap gather, run on a `Measured`
-//! executor. These are the operators the executor times on the
-//! wall-clock, so their own overheads bound how small a workload the
+//! batch heap scans, index seeks with heap gather and the hash join, run
+//! on a `Measured` executor. These are the operators the executor times on
+//! the wall-clock, so their own overheads bound how small a workload the
 //! calibration fit can resolve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use dba_common::{BudgetTimer, ColumnId, QueryId, TableId, TemplateId};
-use dba_engine::{BackendKind, CostModel, ExecutionBackend, Predicate, Query};
+use dba_common::{BudgetTimer, ColumnId, QueryId, SimSeconds, TableId, TemplateId};
+use dba_engine::{
+    AccessMethod, BackendKind, CostModel, ExecutionBackend, JoinAlgo, JoinPred, JoinStep, OpKind,
+    Plan, Predicate, Query, TableAccess,
+};
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
@@ -105,9 +108,81 @@ fn bench_measured_seek(c: &mut Criterion) {
     });
 }
 
+/// Measured hash join of a 20k-row dimension (probe side) with a 200k-row
+/// fact table (build side) on its foreign key, so every build key repeats
+/// about ten times. The plan is built by hand: both sides are full scans
+/// and the only join is the hash join.
+fn bench_hash_join(c: &mut Criterion) {
+    const DIM_ROWS: usize = 20_000;
+    let dim = TableSchema::new(
+        "dim",
+        vec![ColumnSpec::new(
+            "d_key",
+            ColumnType::Int,
+            Distribution::Sequential,
+        )],
+    );
+    let fact = TableSchema::new(
+        "fact",
+        vec![ColumnSpec::new(
+            "f_dim",
+            ColumnType::Int,
+            Distribution::FkUniform {
+                parent_rows: DIM_ROWS as u64,
+            },
+        )],
+    );
+    let catalog = Catalog::new(vec![
+        TableBuilder::new(dim, DIM_ROWS).build(TableId(0), 5),
+        TableBuilder::new(fact, ROWS).build(TableId(1), 5),
+    ]);
+    let join = JoinPred::new(ColumnId::new(TableId(0), 0), ColumnId::new(TableId(1), 0));
+    let q = Query {
+        id: QueryId(0),
+        template: TemplateId(0),
+        tables: vec![TableId(0), TableId(1)],
+        predicates: vec![],
+        joins: vec![join],
+        payload: vec![],
+        aggregated: false,
+    };
+    let scan = |table| TableAccess {
+        table,
+        method: AccessMethod::FullScan,
+        est_rows: 0.0,
+    };
+    let plan = Plan {
+        driver: scan(TableId(0)),
+        joins: vec![JoinStep {
+            access: scan(TableId(1)),
+            algo: JoinAlgo::Hash,
+            join,
+            est_rows_out: 0.0,
+        }],
+        aggregated: false,
+        est_cost: SimSeconds::ZERO,
+    };
+    // Every fact row finds its one dimension row: the whole fact table is
+    // both the build side and the output.
+    let mut backend = measured();
+    backend.execute(&catalog, &q, &plan);
+    let join = backend
+        .take_op_samples()
+        .into_iter()
+        .find(|s| s.op() == OpKind::HashJoin)
+        .expect("must be a hash join");
+    assert_eq!(
+        (join.build_rows, join.probe_rows, join.out_rows),
+        (ROWS as u64, DIM_ROWS as u64, ROWS as u64)
+    );
+    c.bench_function("hash_join_fk_200k", |b| {
+        b.iter(|| backend.execute(&catalog, &q, &plan))
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_batch_scan, bench_measured_seek
+    targets = bench_batch_scan, bench_measured_seek, bench_hash_join
 );
 criterion_main!(benches);

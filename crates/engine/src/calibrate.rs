@@ -129,8 +129,19 @@ impl CalibrationReport {
 /// Fit the six operator constants to `samples` by ridge-damped least
 /// squares. `base` supplies the constants not being fitted (random page,
 /// sort, write) and the before-fit predictions in the report.
+///
+/// Panics on an empty sample set, and on a sample whose `measured_s` is
+/// not a finite, non-negative number of seconds: the samples come from the
+/// executor's own timer, so such a sample is a bug, and it would otherwise
+/// drive every fitted constant silently to the floor.
 pub fn fit(samples: &[OpSample], base: &CostModel) -> CalibrationReport {
     assert!(!samples.is_empty(), "calibration requires samples");
+    assert!(
+        samples
+            .iter()
+            .all(|s| s.measured_s.is_finite() && s.measured_s >= 0.0),
+        "calibration samples must measure finite, non-negative seconds"
+    );
 
     // Normal equations: XᵀX θ = Xᵀy.
     let mut xtx = [[0.0f64; 6]; 6];
@@ -527,6 +538,31 @@ mod tests {
             report.max_divergence_after(),
             report.max_divergence_before()
         );
+    }
+
+    /// Fit the scripted microbench samples after setting one hash-join
+    /// sample's measured seconds to `measured_s`.
+    fn fit_with_hash_join_measuring(measured_s: f64) {
+        let mut samples =
+            microbench_samples(&CostModel::paper_scale(), BudgetTimer::scripted(1e-7), 17);
+        let join = samples
+            .iter_mut()
+            .find(|s| s.op() == OpKind::HashJoin)
+            .expect("the microbench emits hash-join samples");
+        join.measured_s = measured_s;
+        fit(&samples, &CostModel::paper_scale());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-negative seconds")]
+    fn fit_rejects_an_infinite_sample() {
+        fit_with_hash_join_measuring(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-negative seconds")]
+    fn fit_rejects_a_nan_sample() {
+        fit_with_hash_join_measuring(f64::NAN);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! execution reports: `Simulated` reports the price, so a timed simulated
 //! run is bit-identical to an untimed one; `Measured` reports the clock.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use dba_common::{BudgetTimer, IndexId, QueryId, SimSeconds, TableId};
 use dba_storage::{Catalog, Index, Table, PAGE_BYTES};
 
@@ -225,31 +228,22 @@ impl Executor {
                     );
                     accesses.push(stats);
 
-                    // Build on the inner side, probe with the outer.
+                    // Build on the inner side, probe with the outer. The
+                    // build table and the hit list are dropped inside
+                    // `hash_join`, so their teardown is timed with the join.
                     self.timer.mark();
-                    let inner_vals = inner_table.column(inner_col.ordinal).data();
-                    let mut build: std::collections::HashMap<i64, Vec<u32>> =
-                        std::collections::HashMap::with_capacity(inner_rows.len());
-                    for &r in &inner_rows {
-                        build.entry(inner_vals[r as usize]).or_default().push(r);
-                    }
+                    let new_cols = hash_join(
+                        &inter.columns,
+                        outer_pos,
+                        catalog
+                            .table(outer_col.table)
+                            .column(outer_col.ordinal)
+                            .data(),
+                        &inner_rows,
+                        inner_table.column(inner_col.ordinal).data(),
+                    );
                     let build_rows = inner_rows.len() as u64;
                     let probe_rows = inter.len as u64;
-
-                    let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
-                    let mut new_cols: Vec<Vec<u32>> =
-                        (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
-                    for k in 0..inter.len {
-                        let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
-                        if let Some(matches) = build.get(&ov) {
-                            for &ir in matches {
-                                for (ci, col) in inter.columns.iter().enumerate() {
-                                    new_cols[ci].push(col[k]);
-                                }
-                                new_cols[inter.columns.len()].push(ir);
-                            }
-                        }
-                    }
                     let len = new_cols[0].len();
                     let price = self.cost.hash_join(build_rows, probe_rows, len as u64);
                     join_time += self.charge(
@@ -497,6 +491,134 @@ impl Executor {
         };
         (rows, stats)
     }
+}
+
+/// Multiplicative hasher for the hash join's `i64` keys.
+///
+/// Join keys are column codes from the program's own seeded generator,
+/// never outside input, so the join table needs no defence against keys
+/// crafted to collide and can skip SipHash. The table picks a bucket from
+/// the hash's low bits, and the low bits of a product depend only on the
+/// low bits of the key: keys that differ only above bit 31, such as the
+/// strides `k·2^32`, would all share one bucket. Folding the 128-bit
+/// product's high half into its low half lets every key bit reach them.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("join keys are i64 and hash through write_i64")
+    }
+
+    #[inline]
+    fn write_i64(&mut self, key: i64) {
+        let product = u128::from(key as u64) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The build side of one hash join in CSR form: `slots` maps each distinct
+/// key to a slot, and slot `s` owns the build rows
+/// `rows[bounds[s]..bounds[s + 1]]` in build-input order. That is three
+/// allocations per join, however many distinct keys the build side holds.
+struct JoinTable {
+    slots: HashMap<i64, u32, BuildHasherDefault<KeyHasher>>,
+    bounds: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl JoinTable {
+    /// Build over the inner rows `rows`; row `r`'s join key is `keys[r]`.
+    fn build(rows: &[u32], keys: &[i64]) -> Self {
+        let mut slots = HashMap::with_capacity_and_hasher(rows.len(), Default::default());
+        // One slot per distinct key, in order of first appearance, and
+        // each row's slot; `bounds` counts the rows of each slot.
+        let mut bounds: Vec<u32> = Vec::new();
+        let mut slot_of = Vec::with_capacity(rows.len());
+        for &r in rows {
+            let fresh = bounds.len() as u32;
+            let slot = *slots.entry(keys[r as usize]).or_insert(fresh);
+            if slot == fresh {
+                bounds.push(0);
+            }
+            bounds[slot as usize] += 1;
+            slot_of.push(slot);
+        }
+        // Running sums turn the counts into slot ends. Filling each slot
+        // backwards from its end keeps input order within the slot and
+        // leaves `bounds[s]` at its start; the extra entry is the last end.
+        bounds.push(0);
+        let mut end = 0;
+        for b in &mut bounds {
+            end += *b;
+            *b = end;
+        }
+        let mut grouped = vec![0u32; rows.len()];
+        for (&r, &slot) in rows.iter().zip(&slot_of).rev() {
+            let b = &mut bounds[slot as usize];
+            *b -= 1;
+            grouped[*b as usize] = r;
+        }
+        JoinTable {
+            slots,
+            bounds,
+            rows: grouped,
+        }
+    }
+
+    fn slot_rows(&self, slot: u32) -> &[u32] {
+        let s = slot as usize;
+        &self.rows[self.bounds[s] as usize..self.bounds[s + 1] as usize]
+    }
+}
+
+/// Hash-join the intermediate `outer` (row-id columns) with the build rows
+/// `inner_rows`: outer tuple `k` matches inner row `r` when
+/// `outer_keys[outer[key_col][k]] == inner_keys[r]`. Returns the outer
+/// columns followed by the inner row-id column, probe-major and, within
+/// one outer tuple, in `inner_rows` order: a nested loop's output exactly.
+fn hash_join(
+    outer: &[Vec<u32>],
+    key_col: usize,
+    outer_keys: &[i64],
+    inner_rows: &[u32],
+    inner_keys: &[i64],
+) -> Vec<Vec<u32>> {
+    let table = JoinTable::build(inner_rows, inner_keys);
+    let probe = &outer[key_col];
+    assert!(
+        u32::try_from(probe.len()).is_ok(),
+        "intermediate tuples are indexed by u32"
+    );
+    // Pass 1: the (outer tuple, slot) hits and the output length.
+    let mut hits: Vec<(u32, u32)> = Vec::with_capacity(probe.len());
+    let mut len = 0;
+    for (k, &r) in probe.iter().enumerate() {
+        if let Some(&slot) = table.slots.get(&outer_keys[r as usize]) {
+            hits.push((k as u32, slot));
+            len += table.slot_rows(slot).len();
+        }
+    }
+    // Pass 2: fill one output column at a time into reserved capacity.
+    let mut out = Vec::with_capacity(outer.len() + 1);
+    for col in outer {
+        let mut filled = Vec::with_capacity(len);
+        for &(k, slot) in &hits {
+            let n = table.slot_rows(slot).len();
+            filled.extend(std::iter::repeat_n(col[k as usize], n));
+        }
+        out.push(filled);
+    }
+    let mut filled = Vec::with_capacity(len);
+    for &(_, slot) in &hits {
+        filled.extend_from_slice(table.slot_rows(slot));
+    }
+    out.push(filled);
+    out
 }
 
 /// Bytes per leaf row of `index` on `table` (keys + includes + locator).
@@ -826,6 +948,133 @@ mod tests {
         assert_eq!(result.result_rows, true_join_rows(&cat));
         assert!(result.join_time.secs() > 0.0);
         assert!(result.agg_time.secs() > 0.0);
+    }
+
+    /// One [`hash_join`] input and the output length it must produce.
+    struct JoinCase {
+        name: &'static str,
+        /// Outer row-id columns and the one holding the join-key rows.
+        outer: Vec<Vec<u32>>,
+        key_col: usize,
+        /// Join keys by outer row id.
+        outer_keys: Vec<i64>,
+        /// Build rows in build order.
+        inner_rows: Vec<u32>,
+        /// Join keys by inner row id.
+        inner_keys: Vec<i64>,
+        out_rows: usize,
+    }
+
+    impl JoinCase {
+        /// The reference output: the same inputs joined by a nested loop.
+        fn nested_loop(&self) -> Vec<Vec<u32>> {
+            let mut out = vec![Vec::new(); self.outer.len() + 1];
+            for (k, &o) in self.outer[self.key_col].iter().enumerate() {
+                for &r in &self.inner_rows {
+                    if self.outer_keys[o as usize] == self.inner_keys[r as usize] {
+                        for (c, col) in self.outer.iter().enumerate() {
+                            out[c].push(col[k]);
+                        }
+                        out[self.outer.len()].push(r);
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn hash_join_output_equals_a_nested_loop() {
+        let stride = |k: i64| k << 32;
+        let cases = [
+            JoinCase {
+                name: "duplicate keys on both sides",
+                outer: vec![vec![4, 0, 2, 1, 3]],
+                key_col: 0,
+                outer_keys: vec![5, 7, 5, 9, 7],
+                inner_rows: vec![5, 3, 1, 0, 2, 4],
+                inner_keys: vec![7, 5, 7, 5, 1, 5],
+                out_rows: 10,
+            },
+            JoinCase {
+                name: "probe keys with no match",
+                outer: vec![vec![0, 1, 2, 3]],
+                key_col: 0,
+                outer_keys: vec![1, 2, 3, 4],
+                inner_rows: vec![2, 0, 1],
+                inner_keys: vec![3, 30, 40],
+                out_rows: 1,
+            },
+            JoinCase {
+                name: "empty build side",
+                outer: vec![vec![0, 1, 2]],
+                key_col: 0,
+                outer_keys: vec![1, 2, 3],
+                inner_rows: vec![],
+                inner_keys: vec![1, 2, 3],
+                out_rows: 0,
+            },
+            JoinCase {
+                name: "empty probe side",
+                outer: vec![vec![]],
+                key_col: 0,
+                outer_keys: vec![1, 2],
+                inner_rows: vec![0, 1],
+                inner_keys: vec![1, 2],
+                out_rows: 0,
+            },
+            JoinCase {
+                name: "two-column intermediate",
+                outer: vec![vec![3, 1, 0, 2], vec![2, 4, 0, 4]],
+                key_col: 1,
+                outer_keys: vec![8, -1, 6, 9, 8],
+                inner_rows: vec![1, 3, 0, 2],
+                inner_keys: vec![8, 6, 8, 7],
+                out_rows: 7,
+            },
+            JoinCase {
+                name: "extreme keys",
+                outer: vec![vec![0, 1, 2, 3, 4]],
+                key_col: 0,
+                outer_keys: vec![i64::MIN, -1, 0, i64::MAX, i64::MIN],
+                inner_rows: vec![0, 1, 2, 3, 4, 5],
+                inner_keys: vec![i64::MAX, 0, -1, i64::MIN, 1, i64::MAX],
+                out_rows: 6,
+            },
+            JoinCase {
+                name: "stride keys sharing their low 32 bits",
+                outer: vec![(0..64).rev().collect()],
+                key_col: 0,
+                outer_keys: (0..64).map(stride).collect(),
+                inner_rows: (0..96).collect(),
+                inner_keys: (0..96).map(|k| stride(k % 48)).collect(),
+                out_rows: 96,
+            },
+        ];
+        for case in &cases {
+            let got = hash_join(
+                &case.outer,
+                case.key_col,
+                &case.outer_keys,
+                &case.inner_rows,
+                &case.inner_keys,
+            );
+            assert_eq!(got, case.nested_loop(), "{}", case.name);
+            assert_eq!(got[0].len(), case.out_rows, "{}", case.name);
+        }
+    }
+
+    #[test]
+    fn key_hash_reaches_the_bucket_bits_from_every_key_bit() {
+        let hash = |key: i64| {
+            let mut h = KeyHasher::default();
+            h.write_i64(key);
+            h.finish()
+        };
+        // Stride keys share their low 32 bits; their buckets must not.
+        let buckets: std::collections::HashSet<u64> =
+            (0..1024).map(|k: i64| hash(k << 32) & 1023).collect();
+        assert!(buckets.len() > 512, "{} of 1024 buckets", buckets.len());
     }
 
     #[test]
