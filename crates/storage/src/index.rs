@@ -4,12 +4,17 @@
 //! (a sorted permutation — the moral equivalent of a B+-tree's leaf level).
 //! Building one records only its definition and size; the permutation is
 //! sorted the first time a probe or scan reads it, so an index no plan
-//! reads (a vetoed or unused creation) is never sorted.
+//! reads (a vetoed or unused creation) is never sorted. When the key
+//! columns' code ranges and the row id fit in one `u64`, the sort packs
+//! `(key₁−min₁, …, keyₙ−minₙ, row)` into one word per row and LSD-radix-sorts
+//! the words on their key bits; a wider key takes a comparator sort. Both
+//! produce the same (key tuple, row id) order.
 //! Probes bisect on an equality prefix plus an optional range on the next
 //! key column, exactly the access pattern the planner's `IndexSeek` uses.
 //! `include_cols` model covering indexes: columns carried in the leaves so
 //! qualifying queries never touch the heap.
 
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use dba_common::{IndexId, TableId};
@@ -90,7 +95,8 @@ pub struct Index {
     id: IndexId,
     def: IndexDef,
     /// Row ids of the table ordered by (key tuple, row id), sorted on first
-    /// read. Snapshots sharing the `Arc<Index>` share the one sort.
+    /// read (see [`sort_rows`]). Snapshots sharing the `Arc<Index>` share
+    /// the one sort.
     order: OnceLock<Vec<u32>>,
     size_bytes: u64,
     rows: usize,
@@ -137,12 +143,28 @@ impl Index {
         self.size_bytes.div_ceil(crate::table::PAGE_BYTES).max(1)
     }
 
-    /// Row ids in (key tuple, row id) order, sorted on the first call.
+    /// Row ids in (key tuple, row id) order, sorted on the first call: by
+    /// the packed-word radix kernel when the key's code ranges and the row
+    /// id fit in one `u64`, else by the comparator. Debug builds then check
+    /// that the rows strictly increase in (key tuple, row id).
     /// `table` must be the indexed table: any other would cache a wrong
     /// order, so a mismatched id panics.
     pub fn ordered_rows(&self, table: &Table) -> &[u32] {
         assert_eq!(self.def.table, table.id(), "index/table mismatch");
-        self.order.get_or_init(|| sort_rows(&self.def, table))
+        self.order.get_or_init(|| {
+            let order = sort_rows(&self.def, table);
+            debug_assert!(
+                order.len() == table.rows() && {
+                    let keys = key_codes(&self.def, table);
+                    order
+                        .windows(2)
+                        .all(|w| cmp_rows(&keys, w[0], w[1]) == Ordering::Less)
+                },
+                "leaf order of {:?} is not strictly increasing",
+                self.def
+            );
+            order
+        })
     }
 
     /// Probe: find the contiguous leaf-order range matching `eq_prefix`
@@ -161,12 +183,7 @@ impl Index {
             range_next.is_none() || eq_prefix.len() < self.def.key_cols.len(),
             "range column beyond key columns"
         );
-        let keys: Vec<&[i64]> = self
-            .def
-            .key_cols
-            .iter()
-            .map(|&c| table.column(c).data())
-            .collect();
+        let keys = key_codes(&self.def, table);
 
         // Compare a row against (eq_prefix, bound-on-next) lexicographically.
         // `next_bound` is interpreted per `upper`: for the lower bound we
@@ -213,24 +230,138 @@ impl Index {
     }
 }
 
-/// Row ids of `table` sorted on `def`'s key tuple, ties broken by row id.
-fn sort_rows(def: &IndexDef, table: &Table) -> Vec<u32> {
-    let keys: Vec<&[i64]> = def
-        .key_cols
+/// `def`'s key columns' codes over `table`, most significant first.
+fn key_codes<'t>(def: &IndexDef, table: &'t Table) -> Vec<&'t [i64]> {
+    def.key_cols
         .iter()
         .map(|&c| table.column(c).data())
-        .collect();
-    let mut perm: Vec<u32> = (0..table.rows() as u32).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        for k in &keys {
-            let ord = k[a as usize].cmp(&k[b as usize]);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+        .collect()
+}
+
+/// Rows `a` and `b` compared on (key tuple, row id).
+fn cmp_rows(keys: &[&[i64]], a: u32, b: u32) -> Ordering {
+    for k in keys {
+        let ord = k[a as usize].cmp(&k[b as usize]);
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    a.cmp(&b)
+}
+
+/// Row ids of `table` sorted on `def`'s key tuple, ties broken by row id.
+fn sort_rows(def: &IndexDef, table: &Table) -> Vec<u32> {
+    let keys = key_codes(def, table);
+    match PackedKey::fit(def, table) {
+        Some(packed) => packed.sort(&keys, table.rows()),
+        None => sort_rows_cmp(&keys, table.rows()),
+    }
+}
+
+/// The comparator sort: the path for keys too wide to pack, and the tests'
+/// reference order.
+fn sort_rows_cmp(keys: &[&[i64]], rows: usize) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..rows as u32).collect();
+    perm.sort_unstable_by(|&a, &b| cmp_rows(keys, a, b));
+    perm
+}
+
+/// Widest radix digit in bits: one pass's 2,048 counts stay in L1.
+const RADIX_BITS: u32 = 11;
+
+/// A key packed into one `u64` per row, `(key₁−min₁, …, keyₙ−minₙ, row)`
+/// from the most significant bits down, each field as wide as its code
+/// range. Comparing words compares (key tuple, row id).
+struct PackedKey {
+    /// Each key column's minimum code and field width in bits.
+    fields: Vec<(i64, u32)>,
+    /// Width of the row-id field in the low bits.
+    row_bits: u32,
+}
+
+impl PackedKey {
+    /// The packing of `def`'s key over `table`, or `None` when the fields
+    /// need more than 64 bits.
+    fn fit(def: &IndexDef, table: &Table) -> Option<Self> {
+        let width = |span: u64| u64::BITS - span.leading_zeros();
+        let fields: Vec<(i64, u32)> = def
+            .key_cols
+            .iter()
+            .map(|&c| {
+                let (lo, hi) = table.column(c).min_max().unwrap_or((0, 0));
+                (lo, width(hi.abs_diff(lo)))
+            })
+            .collect();
+        let row_bits = width(table.rows().saturating_sub(1) as u64);
+        let packed = PackedKey { fields, row_bits };
+        (packed.key_bits() + row_bits <= u64::BITS).then_some(packed)
+    }
+
+    fn key_bits(&self) -> u32 {
+        self.fields.iter().map(|&(_, bits)| bits).sum()
+    }
+
+    /// LSD radix passes over the key bits, each at most [`RADIX_BITS`] wide.
+    fn passes(&self) -> u32 {
+        self.key_bits().div_ceil(RADIX_BITS)
+    }
+
+    /// Row ids in (key tuple, row id) order. The words start in row order
+    /// and every pass scatters stably, so equal keys stay in row-id order
+    /// and the row bits need no pass. The last pass writes row ids straight
+    /// into the output, so at most two word buffers are live at once.
+    fn sort(&self, keys: &[&[i64]], rows: usize) -> Vec<u32> {
+        let passes = self.passes() as usize;
+        if passes == 0 {
+            return (0..rows as u32).collect();
+        }
+        let mut words = vec![0u64; rows];
+        for (&(lo, bits), key) in self.fields.iter().zip(keys) {
+            for (w, &v) in words.iter_mut().zip(*key) {
+                *w = (*w << bits) | v.abs_diff(lo);
             }
         }
-        a.cmp(&b)
-    });
-    perm
+        let digit = self.key_bits().div_ceil(passes as u32);
+        let mask = (1u64 << digit) - 1;
+        let shifts: Vec<u32> = (0..passes as u32)
+            .map(|p| self.row_bits + p * digit)
+            .collect();
+        // One counting pass over the finished words fills every pass's
+        // histogram; each then becomes its digits' first output slots.
+        let mut slots = vec![[0usize; 1 << RADIX_BITS]; passes];
+        for (row, w) in words.iter_mut().enumerate() {
+            *w = (*w << self.row_bits) | row as u64;
+            for (count, &s) in slots.iter_mut().zip(&shifts) {
+                count[((*w >> s) & mask) as usize] += 1;
+            }
+        }
+        for count in &mut slots {
+            let mut next = 0;
+            for c in count.iter_mut() {
+                (*c, next) = (next, next + *c);
+            }
+        }
+        let (last, inner) = slots.split_last_mut().expect("at least one pass");
+        if !inner.is_empty() {
+            let mut spare = vec![0u64; rows];
+            for (slot, &s) in inner.iter_mut().zip(&shifts) {
+                for &w in &words {
+                    let d = ((w >> s) & mask) as usize;
+                    spare[slot[d]] = w;
+                    slot[d] += 1;
+                }
+                std::mem::swap(&mut words, &mut spare);
+            }
+        }
+        let (s, row_mask) = (shifts[passes - 1], (1u64 << self.row_bits) - 1);
+        let mut order = vec![0u32; rows];
+        for &w in &words {
+            let d = ((w >> s) & mask) as usize;
+            order[last[d]] = (w & row_mask) as u32;
+            last[d] += 1;
+        }
+        order
+    }
 }
 
 #[cfg(test)]
@@ -395,5 +526,98 @@ mod tests {
         let snapshot = Arc::clone(&ix);
         assert_eq!(snapshot.ordered_rows(&t).as_ptr(), sorted);
         assert_eq!(ix.ordered_rows(&t).as_ptr(), sorted);
+    }
+
+    /// A `rows`-row table whose `Int` columns follow `dists`.
+    fn table_of(rows: usize, dists: Vec<Distribution>) -> Table {
+        let cols = dists
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| ColumnSpec::new(format!("c{i}"), ColumnType::Int, d))
+            .collect();
+        TableBuilder::new(TableSchema::new("t", cols), rows).build(TableId(0), 3)
+    }
+
+    #[test]
+    fn packed_sort_matches_comparator_on_edge_cases() {
+        let uniform = |lo, hi| Distribution::Uniform { lo, hi };
+        // Column 0's codes times `2^shift`: a field exactly `shift` bits
+        // wider than column 0's.
+        let scaled = |shift: u32| Distribution::Correlated {
+            source: 0,
+            a: 1 << shift,
+            b: 0,
+            m: i64::MAX,
+            noise: 0,
+        };
+        // (case, rows, columns, key, radix passes; `None` = comparator).
+        // 3,000 rows take 12 row bits, as do 4,096.
+        let cases = [
+            (
+                "negative codes, 11+4 bits",
+                3000,
+                vec![uniform(-1000, 1000), uniform(-5, 5)],
+                vec![0, 1],
+                Some(2),
+            ),
+            ("constant key", 3000, vec![uniform(7, 7)], vec![0], Some(0)),
+            ("0 rows", 0, vec![uniform(0, 9)], vec![0], Some(0)),
+            ("1 row", 1, vec![uniform(-5, 5)], vec![0], Some(0)),
+            ("11 bits", 3000, vec![uniform(0, 1500)], vec![0], Some(1)),
+            (
+                "11+1 bits",
+                3000,
+                vec![uniform(0, 1500), uniform(0, 1)],
+                vec![0, 1],
+                Some(2),
+            ),
+            (
+                "23 bits",
+                3000,
+                vec![uniform(0, 6_000_000)],
+                vec![0],
+                Some(3),
+            ),
+            (
+                "3 columns, heavy ties",
+                3000,
+                vec![uniform(0, 3), uniform(0, 2), uniform(0, 4)],
+                vec![2, 0, 1],
+                Some(1),
+            ),
+            (
+                "52+12 bits: widest packed",
+                4096,
+                vec![uniform(0, 1023), scaled(42)],
+                vec![1],
+                Some(5),
+            ),
+            (
+                "53+12 bits",
+                4096,
+                vec![uniform(0, 1023), scaled(43)],
+                vec![1],
+                None,
+            ),
+            (
+                "full i64 range",
+                3000,
+                vec![uniform(i64::MIN, i64::MAX)],
+                vec![0],
+                None,
+            ),
+        ];
+        for (case, rows, dists, key, passes) in cases {
+            let t = table_of(rows, dists);
+            let def = IndexDef::new(TableId(0), key, vec![]);
+            let packed = PackedKey::fit(&def, &t);
+            assert_eq!(
+                packed.as_ref().map(PackedKey::passes),
+                passes,
+                "{case}: path"
+            );
+            let reference = sort_rows_cmp(&key_codes(&def, &t), rows);
+            assert_eq!(sort_rows(&def, &t), reference, "{case}: order");
+        }
     }
 }
