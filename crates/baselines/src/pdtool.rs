@@ -233,8 +233,8 @@ impl PdToolAdvisor {
     /// selection → return (chosen config, simulated recommendation time).
     ///
     /// Costing goes through the session's shared [`WhatIfService`]: the
-    /// base + each-candidate-alone shape is priced as one batched
-    /// marginals pass, so queries untouched by a candidate's table reuse
+    /// base and each candidate alone are priced one `cost_workload` call
+    /// at a time, and queries untouched by a candidate's table reuse
     /// the base plan from the memo instead of replanning — and repeat
     /// invocations over an unchanged catalog reuse earlier invocations'
     /// plans outright. (The *simulated* recommendation time still bills
@@ -272,14 +272,21 @@ impl PdToolAdvisor {
         );
 
         // What-if benefits: estimated workload cost without candidates vs
-        // with each candidate alone, as one batched marginals pass.
-        let (base_cost, _) = whatif.cost_workload(catalog, stats, workload, &[]);
-        let configs: Vec<Vec<IndexDef>> = candidates.iter().cloned().map(|d| vec![d]).collect();
-        let costs = whatif.marginals(catalog, stats, workload, &configs);
+        // with each candidate alone.
+        let unit = vec![1.0; workload.len()];
+        let base_cost = whatif
+            .cost_workload(catalog, stats, workload, &unit, &[])
+            .total;
         let mut scored: Vec<(IndexDef, f64, u64)> = candidates
             .into_iter()
-            .zip(costs)
-            .map(|(def, cost)| {
+            .map(|def| {
+                let cost = whatif.cost_workload(
+                    catalog,
+                    stats,
+                    workload,
+                    &unit,
+                    std::slice::from_ref(&def),
+                );
                 let used: u32 = cost.usage.iter().sum();
                 let benefit = if used > 0 {
                     (base_cost - cost.total).secs().max(0.0)

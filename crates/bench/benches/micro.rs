@@ -260,21 +260,23 @@ fn bench_whatif_service(c: &mut Criterion) {
         })
         .collect();
 
+    let unit = vec![1.0; queries.len()];
     let guard_round = |svc: &mut WhatIfService| {
         // Shadow baselines: do-nothing and freeze-counterfactual.
-        let _ = svc.cost_workload(&catalog, &stats, &queries, &[]);
-        let _ = svc.cost_workload(&catalog, &stats, &queries, &defs);
-        // Rollback assessment: leave-one-out marginals, one batch.
-        let loo: Vec<Vec<IndexDef>> = (0..defs.len())
+        let _ = svc.cost_workload(&catalog, &stats, &queries, &unit, &[]);
+        let _ = svc.cost_workload(&catalog, &stats, &queries, &unit, &defs);
+        // Rollback assessment: one leave-one-out configuration at a time.
+        (0..defs.len())
             .map(|skip| {
-                defs.iter()
+                let without: Vec<IndexDef> = defs
+                    .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != skip)
                     .map(|(_, d)| d.clone())
-                    .collect()
+                    .collect();
+                svc.cost_workload(&catalog, &stats, &queries, &unit, &without)
             })
-            .collect();
-        svc.marginals(&catalog, &stats, &queries, &loo)
+            .collect::<Vec<_>>()
     };
 
     c.bench_function("whatif_guard_round_cold", |b| {

@@ -14,11 +14,10 @@
 
 use dba_bench::report::{series_rows, totals_rows};
 use dba_bench::{
-    harness::parallel_map_ordered, print_series, print_totals_table, results_json, suite_threads,
-    write_csv, write_text, ExperimentEnv, RunResult, TunerKind,
+    env_backend_kind, fig_session, harness::parallel_map_ordered, print_series, print_totals_table,
+    results_json, suite_threads, write_csv, write_text, ExperimentEnv, RunResult, TunerKind,
 };
 use dba_optimizer::StatsCatalog;
-use dba_session::SessionBuilder;
 use dba_storage::Catalog;
 use dba_workloads::{tpch::tpch, Benchmark, DataDrift, WorkloadKind};
 
@@ -49,14 +48,8 @@ fn run_one_checked(
     tuner: TunerKind,
     seed: u64,
 ) -> (RunResult, Vec<usize>) {
-    let mut session = SessionBuilder::new()
-        .benchmark(bench.clone())
-        .shared_data(base)
-        .shared_stats(stats)
-        .workload(kind)
+    let mut session = fig_session(bench, base, stats, kind, tuner, seed, env_backend_kind())
         .data_drift(drift.clone())
-        .tuner(tuner)
-        .seed(seed)
         .build()
         .unwrap_or_else(|e| panic!("{}: {e}", tuner.label()));
     let mut uncharged = Vec::new();

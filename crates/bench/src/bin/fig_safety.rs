@@ -25,13 +25,13 @@
 
 use dba_bench::report::{series_rows, totals_rows};
 use dba_bench::{
-    harness::parallel_map_ordered, print_series, print_totals_table, results_json, suite_threads,
-    write_csv, write_text, ExperimentEnv, RunResult, SafetyConfig, TunerKind,
+    env_backend_kind, fig_session, harness::parallel_map_ordered, print_series, print_totals_table,
+    results_json, suite_threads, write_csv, write_text, ExperimentEnv, RunResult, SafetyConfig,
+    TunerKind,
 };
 use dba_common::BudgetTimer;
 use dba_obs::Obs;
 use dba_optimizer::StatsCatalog;
-use dba_session::SessionBuilder;
 use dba_storage::Catalog;
 use dba_workloads::{ssb::ssb, Benchmark, DataDrift, DriftRates, WorkloadKind};
 
@@ -275,14 +275,8 @@ fn run_one(
     seed: u64,
     obs: Option<&Obs>,
 ) -> RunResult {
-    let mut builder = SessionBuilder::new()
-        .benchmark(bench.clone())
-        .shared_data(base)
-        .shared_stats(stats)
-        .workload(kind)
-        .data_drift(drift.clone())
-        .tuner(tuner)
-        .seed(seed);
+    let mut builder = fig_session(bench, base, stats, kind, tuner, seed, env_backend_kind())
+        .data_drift(drift.clone());
     if guarded {
         builder = builder.safeguard(safety);
     }

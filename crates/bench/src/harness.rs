@@ -57,9 +57,10 @@ pub struct ExperimentEnv {
 }
 
 /// The `DBA_BACKEND` knob, parsed once per process (warn, never silently
-/// default, matching the `ExperimentEnv` contract). The suite runners
-/// consult this so *every* session a fig binary spawns — including ones
-/// built deep inside `run_one` fan-out — runs on the selected backend.
+/// default, matching the `ExperimentEnv` contract). Fig sessions start
+/// from [`fig_session`] with this kind — including ones built deep inside
+/// `run_one` fan-out — so they run on the selected backend (`fig_backend`
+/// alone picks its executors itself).
 pub fn env_backend_kind() -> BackendKind {
     static PARSED: std::sync::OnceLock<BackendKind> = std::sync::OnceLock::new();
     *PARSED.get_or_init(|| match std::env::var("DBA_BACKEND") {
@@ -253,6 +254,29 @@ impl ExperimentEnv {
     }
 }
 
+/// Start a fig session: `tuner` over `workload` on an index-free fork of
+/// the shared generated data `base` and its statistics `stats`, executed
+/// on `backend` (callers pass [`env_backend_kind`]). Callers add drift, a
+/// guard, tracing or a MAB configuration before building.
+pub fn fig_session(
+    benchmark: &Benchmark,
+    base: &Catalog,
+    stats: &StatsCatalog,
+    workload: WorkloadKind,
+    tuner: TunerKind,
+    seed: u64,
+    backend: BackendKind,
+) -> SessionBuilder {
+    SessionBuilder::new()
+        .benchmark(benchmark.clone())
+        .shared_data(base)
+        .shared_stats(stats)
+        .workload(workload)
+        .tuner(tuner)
+        .backend(backend)
+        .seed(seed)
+}
+
 /// Run one tuner over one workload through a [`TuningSession`]. `base`
 /// and `stats` supply the shared generated data and its statistics; each
 /// run forks an index-free catalog from `base`.
@@ -279,14 +303,15 @@ pub fn run_one_with_drift(
     tuner: TunerKind,
     seed: u64,
 ) -> DbResult<RunResult> {
-    let mut builder = SessionBuilder::new()
-        .benchmark(benchmark.clone())
-        .shared_data(base)
-        .shared_stats(stats)
-        .workload(workload)
-        .tuner(tuner)
-        .backend(env_backend_kind())
-        .seed(seed);
+    let mut builder = fig_session(
+        benchmark,
+        base,
+        stats,
+        workload,
+        tuner,
+        seed,
+        env_backend_kind(),
+    );
     if let Some(drift) = drift {
         builder = builder.data_drift(drift.clone());
     }
@@ -315,14 +340,15 @@ pub fn run_stream_one(
     timer: BudgetTimer,
     seed: u64,
 ) -> DbResult<StreamResult> {
-    let mut builder = SessionBuilder::new()
-        .benchmark(benchmark.clone())
-        .shared_data(base)
-        .shared_stats(stats)
-        .workload(workload)
-        .tuner(tuner)
-        .backend(env_backend_kind())
-        .seed(seed);
+    let mut builder = fig_session(
+        benchmark,
+        base,
+        stats,
+        workload,
+        tuner,
+        seed,
+        env_backend_kind(),
+    );
     if let Some(drift) = drift {
         builder = builder.data_drift(drift.clone());
     }
@@ -367,18 +393,7 @@ pub fn run_benchmark_suite(
     tuners: &[TunerKind],
     seed: u64,
 ) -> DbResult<Vec<RunResult>> {
-    run_benchmark_suite_with_drift(benchmark, workload, None, tuners, seed)
-}
-
-/// [`run_benchmark_suite`] under an optional data-change scenario.
-pub fn run_benchmark_suite_with_drift(
-    benchmark: &Benchmark,
-    workload: WorkloadKind,
-    drift: Option<&DataDrift>,
-    tuners: &[TunerKind],
-    seed: u64,
-) -> DbResult<Vec<RunResult>> {
-    run_suite_threaded(benchmark, workload, drift, tuners, seed, suite_threads())
+    run_suite_threaded(benchmark, workload, None, tuners, seed, suite_threads())
 }
 
 /// The suite runner with an explicit worker count. `threads == 1` runs the
@@ -643,6 +658,22 @@ mod tests {
         assert!(pd.rounds[1].recommendation.secs() > 0.0);
         assert!(pd.rounds[4].recommendation.secs() > 0.0);
         assert_eq!(pd.rounds[0].recommendation.secs(), 0.0);
+    }
+
+    /// The backend kind handed to `fig_session` is the one the built
+    /// session runs on.
+    #[test]
+    fn fig_session_runs_on_the_given_backend() {
+        let bench = ssb(0.02);
+        let base = bench.build_catalog(7).unwrap();
+        let stats = StatsCatalog::build(&base);
+        let kind = WorkloadKind::Static { rounds: 1 };
+        for backend in [BackendKind::Simulated, BackendKind::Measured] {
+            let session = fig_session(&bench, &base, &stats, kind, TunerKind::NoIndex, 7, backend)
+                .build()
+                .unwrap();
+            assert_eq!(session.backend().kind(), backend);
+        }
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! on every benchmark and regenerates the paper's tables and figures.
 //!
 //! Each `src/bin/*` binary reproduces one artefact (Figures 2-8, Tables
-//! I-II, plus the `fig9_htap` dynamic-data extension) by printing the same
-//! rows/series the paper reports and writing a CSV (and, for fig9, a
-//! results JSON) under `results/`. Runs are deterministic given `DBA_SEED`.
+//! I-II, plus the `fig9_htap`, `fig_safety`, `fig_stream` and
+//! `fig_backend` extensions) by printing the same rows/series the paper
+//! reports and writing CSVs under `results/`. The four extensions write a
+//! results JSON there too (`fig_backend` writes only the JSON), and
+//! `check_baselines` diffs the first three against the committed
+//! `BENCH_*.json`. Runs are deterministic given `DBA_SEED`.
 //!
 //! Environment knobs (read by the binaries):
 //! * `DBA_SF` — scale factor (default 10, the paper's main setting);
@@ -19,7 +22,9 @@
 //!   run is deterministic in its seed;
 //! * `DBA_BACKEND` — execution backend (`simulated`, the default every
 //!   published figure uses, or `measured`: the same executor charging
-//!   each operator's wall-clock time; see `dba_engine::exec`).
+//!   each operator's wall-clock time; see `dba_engine::exec`). Every
+//!   binary that runs sessions honours it except `fig_backend`, which
+//!   picks its executors itself.
 //!
 //! All driving goes through [`dba_session::TuningSession`]; this crate
 //! only configures sessions and formats their results.
@@ -29,10 +34,9 @@ pub mod harness;
 pub mod report;
 
 pub use harness::{
-    env_backend_kind, make_advisor, run_benchmark_suite, run_benchmark_suite_with_drift, run_one,
-    run_one_with_drift, run_stream_one, run_suite_threaded, suite_threads, DegradeLevel,
-    ExperimentEnv, RoundRecord, RoundSafety, RunResult, SafetyConfig, SafetyReport, TunerKind,
-    WindowRecord,
+    env_backend_kind, fig_session, make_advisor, run_benchmark_suite, run_one, run_one_with_drift,
+    run_stream_one, run_suite_threaded, suite_threads, DegradeLevel, ExperimentEnv, RoundRecord,
+    RoundSafety, RunResult, SafetyConfig, SafetyReport, TunerKind, WindowRecord,
 };
 pub use report::{
     fmt_minutes, print_series, print_totals_table, results_json, stream_results_json, write_csv,

@@ -126,6 +126,28 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Open a run object: its `tuner` (written as `label`), `benchmark` and
+/// `workload` header and its `totals` object, shared by both results
+/// JSON layouts.
+fn push_run_head(out: &mut String, label: &str, r: &RunResult) {
+    out.push_str(&format!(
+        "    {{\n      \"tuner\": \"{}\",\n      \"benchmark\": \"{}\",\n      \
+         \"workload\": \"{}\",\n",
+        json_escape(label),
+        json_escape(&r.benchmark),
+        json_escape(&r.workload)
+    ));
+    out.push_str(&format!(
+        "      \"totals\": {{\"recommendation_s\": {:.4}, \"creation_s\": {:.4}, \
+         \"maintenance_s\": {:.4}, \"execution_s\": {:.4}, \"total_s\": {:.4}}},\n",
+        r.total_recommendation().secs(),
+        r.total_creation().secs(),
+        r.total_maintenance().secs(),
+        r.total_execution().secs(),
+        r.total().secs()
+    ));
+}
+
 /// Serialise run results (with per-round breakdowns) plus experiment
 /// metadata into a results JSON document. Hand-rolled — the offline build
 /// has no `serde_json`; the schema is flat enough that string assembly is
@@ -137,22 +159,7 @@ pub fn results_json(meta: &[(&str, String)], results: &[RunResult]) -> String {
     }
     out.push_str("  \"runs\": [\n");
     for (ri, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"tuner\": \"{}\",\n      \"benchmark\": \"{}\",\n      \
-             \"workload\": \"{}\",\n",
-            json_escape(&r.tuner),
-            json_escape(&r.benchmark),
-            json_escape(&r.workload)
-        ));
-        out.push_str(&format!(
-            "      \"totals\": {{\"recommendation_s\": {:.4}, \"creation_s\": {:.4}, \
-             \"maintenance_s\": {:.4}, \"execution_s\": {:.4}, \"total_s\": {:.4}}},\n",
-            r.total_recommendation().secs(),
-            r.total_creation().secs(),
-            r.total_maintenance().secs(),
-            r.total_execution().secs(),
-            r.total().secs()
-        ));
+        push_run_head(&mut out, &r.tuner, r);
         out.push_str(&format!(
             "      \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},\n",
             r.total_plan_cache_hits(),
@@ -264,22 +271,7 @@ pub fn stream_results_json(
     out.push_str("  \"runs\": [\n");
     for (ri, (label, s)) in runs.iter().enumerate() {
         let r = &s.run;
-        out.push_str(&format!(
-            "    {{\n      \"tuner\": \"{}\",\n      \"benchmark\": \"{}\",\n      \
-             \"workload\": \"{}\",\n",
-            json_escape(label),
-            json_escape(&r.benchmark),
-            json_escape(&r.workload)
-        ));
-        out.push_str(&format!(
-            "      \"totals\": {{\"recommendation_s\": {:.4}, \"creation_s\": {:.4}, \
-             \"maintenance_s\": {:.4}, \"execution_s\": {:.4}, \"total_s\": {:.4}}},\n",
-            r.total_recommendation().secs(),
-            r.total_creation().secs(),
-            r.total_maintenance().secs(),
-            r.total_execution().secs(),
-            r.total().secs()
-        ));
+        push_run_head(&mut out, label, r);
         out.push_str(&format!(
             "      \"bandit\": {{\"refreshes\": {}, \"decays\": {}}},\n",
             r.total_bandit_refreshes(),

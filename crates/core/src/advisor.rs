@@ -46,8 +46,8 @@ pub enum DegradeLevel {
     /// scoring and selection entirely.
     ReuseConfig,
     /// Recovering: score only arms for templates whose arrival share
-    /// changed, never drop, and let shadow pricing amortise `marginals()`
-    /// across windows from its per-template memo.
+    /// changed, never drop, and let shadow pricing amortise what-if
+    /// pricing across windows from its per-template memo.
     Amortized,
 }
 

@@ -302,7 +302,7 @@ impl Executor {
                     let price = self.cost.inl_probes(
                         inter.len as u64,
                         total_matched,
-                        leaf_row_bytes(inner_table, index),
+                        index.def().leaf_row_bytes(inner_table),
                         heap_fetches,
                         catalog.live_heap_pages(step.access.table),
                     );
@@ -425,7 +425,7 @@ impl Executor {
                 let heap_fetches = if *covering { 0 } else { matched };
                 let price = self.cost.index_seek(
                     matched,
-                    leaf_row_bytes(table, ix),
+                    ix.def().leaf_row_bytes(table),
                     heap_fetches,
                     catalog.live_heap_pages(table.id()),
                 );
@@ -621,14 +621,9 @@ fn hash_join(
     out
 }
 
-/// Bytes per leaf row of `index` on `table` (keys + includes + locator).
-fn leaf_row_bytes(table: &Table, index: &Index) -> u64 {
-    table.columns_width(&index.def().key_cols) + table.columns_width(&index.def().include_cols) + 8
-}
-
 /// Entries per physical leaf page of `index` (at least 8).
 fn leaf_capacity(table: &Table, index: &Index) -> usize {
-    ((PAGE_BYTES / leaf_row_bytes(table, index)) as usize).max(8)
+    ((PAGE_BYTES / index.def().leaf_row_bytes(table)) as usize).max(8)
 }
 
 /// Leaf pages a probe touches to return entries `[start, end)`: the pages

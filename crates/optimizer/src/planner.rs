@@ -8,10 +8,16 @@
 //! AutoAdmin). All cardinalities come from [`CardEstimator`], hence all of
 //! its misestimates propagate into plan choice, reproducing the paper's
 //! optimiser-misleads-the-advisor dynamic.
+//!
+//! Planning ([`Planner::plan`]) and recosting a fixed plan
+//! ([`Planner::cost_plan`]) price every operator — scan, seek, covering
+//! scan, hash join, index nested loop, join output and aggregate — through
+//! the same private functions, so recosting a fresh plan under the same
+//! bindings reproduces its estimate bit for bit.
 
-use dba_common::{IndexId, SimSeconds, TableId};
+use dba_common::{ColumnId, IndexId, SimSeconds, TableId};
 use dba_engine::{
-    plan::{seek_shape, AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess},
+    plan::{seek_shape, AccessMethod, JoinAlgo, JoinStep, Plan, SeekShape, TableAccess},
     CostModel, Predicate, Query,
 };
 use dba_storage::{Catalog, IndexDef, PAGE_BYTES};
@@ -78,19 +84,44 @@ impl<'a> PlannerContext<'a> {
         self.indexes.iter().filter(move |c| c.def.table == table)
     }
 
+    fn candidate(&self, id: IndexId) -> Option<&IndexCandidate> {
+        self.indexes.iter().find(|c| c.id == id)
+    }
+
     fn leaf_row_bytes(&self, cand: &IndexCandidate) -> u64 {
-        let t = self.catalog.table(cand.def.table);
-        t.columns_width(&cand.def.key_cols) + t.columns_width(&cand.def.include_cols) + 8
+        cand.def.leaf_row_bytes(self.catalog.table(cand.def.table))
     }
 }
 
-/// One costed access option during planning.
-#[derive(Debug, Clone)]
+/// What every access path on one table is priced from. Row counts come
+/// from the statistics (the optimiser's *belief* — stale under
+/// unrefreshed drift); page counts come from the storage manager's live
+/// accounting, which is always accurate.
+struct TableScope {
+    table: TableId,
+    /// The query's local predicates on the table.
+    preds: Vec<Predicate>,
+    rows: u64,
+    heap_pages: u64,
+    /// AVI selectivity of all of `preds`.
+    sel_all: f64,
+}
+
+impl TableScope {
+    /// Estimated rows emitted after all local predicates, whatever the
+    /// access path.
+    fn rows_out(&self) -> f64 {
+        self.rows as f64 * self.sel_all
+    }
+}
+
+/// One table's cheapest standalone access during planning.
 struct AccessOption {
+    scope: TableScope,
+    /// Columns the query reads from the table (what covering must cover).
+    needed: Vec<u16>,
     method: AccessMethod,
     cost: SimSeconds,
-    /// Estimated rows emitted after all local predicates.
-    rows_out: f64,
 }
 
 /// Ascending order on estimated driver output. Estimates flow out of
@@ -105,40 +136,123 @@ fn driver_order(a: f64, b: f64) -> std::cmp::Ordering {
 /// The planner.
 pub struct Planner<'a> {
     ctx: &'a PlannerContext<'a>,
+    est: CardEstimator<'a>,
 }
 
 impl<'a> Planner<'a> {
     pub fn new(ctx: &'a PlannerContext<'a>) -> Self {
-        Planner { ctx }
+        let est = CardEstimator::new(ctx.stats);
+        Planner { ctx, est }
     }
 
-    /// Produce the estimated-cheapest plan for `query`.
+    /// Produce the estimated-cheapest plan for `query`: greedy left-deep
+    /// join planning that starts from the most selective table,
+    /// repeatedly attaches the connected table minimising estimated
+    /// output, and chooses hash vs index-nested-loop per step by estimated
+    /// cost. A join-free query is its first table's best access.
     pub fn plan(&self, query: &Query) -> Plan {
-        let est = CardEstimator::new(self.ctx.stats);
+        let tables = if query.joins.is_empty() {
+            &query.tables[..1]
+        } else {
+            &query.tables[..]
+        };
+        // Per-table best standalone access, in query order.
+        let mut options: Vec<AccessOption> =
+            tables.iter().map(|&t| self.best_access(query, t)).collect();
 
-        if query.joins.is_empty() {
-            let table = query.tables[0];
-            let preds = query.predicates_on(table);
-            let needed = query.columns_needed_on(table);
-            let best = self.best_access(table, &preds, &needed, &est);
-            let agg = if query.aggregated {
-                self.ctx.cost.aggregate(best.rows_out.max(0.0) as u64)
-            } else {
-                SimSeconds::ZERO
-            };
-            return Plan {
-                driver: TableAccess {
-                    table,
-                    method: best.method.clone(),
-                    est_rows: best.rows_out,
-                },
-                joins: vec![],
-                aggregated: query.aggregated,
-                est_cost: best.cost + agg,
-            };
+        // Driver: smallest estimated output (classic greedy start; the
+        // first such table on a tie).
+        let driver = (0..options.len())
+            .min_by(|&a, &b| driver_order(options[a].scope.rows_out(), options[b].scope.rows_out()))
+            .expect("a query reads at least one table");
+        let mut joined: Vec<TableId> = vec![options[driver].scope.table];
+        let mut remaining: Vec<usize> = (0..options.len()).filter(|&i| i != driver).collect();
+        let mut current_rows = options[driver].scope.rows_out();
+        let mut total_cost = options[driver].cost;
+        let mut steps: Vec<JoinStep> = Vec::new();
+
+        while !remaining.is_empty() {
+            // Candidate next tables: connected to the joined set.
+            let mut best_choice: Option<(usize, JoinStep, SimSeconds)> = None;
+            for (ri, &i) in remaining.iter().enumerate() {
+                let option = &options[i];
+                let t = option.scope.table;
+                let Some(join) = query.joins.iter().find(|j| {
+                    j.side_on(t).is_some()
+                        && j.other_side(t).map(|c| joined.contains(&c.table)) == Some(true)
+                }) else {
+                    continue;
+                };
+                let inner_col = join.side_on(t).unwrap();
+                let outer_col = join.other_side(t).unwrap();
+                let rows_out = self.join_rows(&option.scope, current_rows, outer_col, inner_col);
+                let step = |method, est_rows, algo| JoinStep {
+                    access: TableAccess {
+                        table: t,
+                        method,
+                        est_rows,
+                    },
+                    algo,
+                    join: *join,
+                    est_rows_out: rows_out,
+                };
+
+                // Option A: hash join over the best standalone access.
+                let mut choice = (
+                    step(
+                        option.method.clone(),
+                        option.scope.rows_out(),
+                        JoinAlgo::Hash,
+                    ),
+                    self.hash_join_cost(option.cost, &option.scope, current_rows, rows_out),
+                );
+
+                // Option B: index nested-loop via an index whose first key
+                // column is the inner join column.
+                for cand in self.ctx.candidates_on(t) {
+                    if cand.def.key_cols.first() != Some(&inner_col.ordinal) {
+                        continue;
+                    }
+                    let covering = cand.def.covers(&option.needed);
+                    let (inl_cost, matched_total) =
+                        self.inl_cost(&option.scope, cand, covering, current_rows, inner_col);
+                    if inl_cost < choice.1 {
+                        let method = AccessMethod::IndexSeek {
+                            index: cand.id,
+                            covering,
+                        };
+                        let est_rows = matched_total * option.scope.sel_all;
+                        choice = (step(method, est_rows, JoinAlgo::IndexNestedLoop), inl_cost);
+                    }
+                }
+
+                if best_choice
+                    .as_ref()
+                    .is_none_or(|(_, best, _)| rows_out < best.est_rows_out)
+                {
+                    best_choice = Some((ri, choice.0, choice.1));
+                }
+            }
+
+            let (ri, step, cost) = best_choice.expect("query join graph must be connected");
+            joined.push(step.access.table);
+            remaining.swap_remove(ri);
+            total_cost += cost;
+            current_rows = step.est_rows_out;
+            steps.push(step);
         }
 
-        self.plan_joins(query, &est)
+        let driver = options.swap_remove(driver);
+        Plan {
+            driver: TableAccess {
+                table: driver.scope.table,
+                est_rows: driver.scope.rows_out(),
+                method: driver.method,
+            },
+            joins: steps,
+            aggregated: query.aggregated,
+            est_cost: self.with_aggregate(query, total_cost, current_rows),
+        }
     }
 
     /// Estimated cost of executing a **fixed** plan for `query` under the
@@ -151,329 +265,206 @@ impl<'a> Planner<'a> {
     /// Returns `None` if the plan references an index the context no
     /// longer exposes (callers must treat that as "replan").
     pub fn cost_plan(&self, query: &Query, plan: &Plan) -> Option<SimSeconds> {
-        let est = CardEstimator::new(self.ctx.stats);
-
-        let driver_preds = query.predicates_on(plan.driver.table);
-        let (driver_cost, mut current_rows) =
-            self.fixed_access_cost(plan.driver.table, &plan.driver.method, &driver_preds, &est)?;
-        let mut total = driver_cost;
+        let driver = self.scope(query, plan.driver.table);
+        let mut total = self.access_cost(&driver, &plan.driver.method)?;
+        let mut current_rows = driver.rows_out();
 
         for step in &plan.joins {
             let t = step.access.table;
-            let preds = query.predicates_on(t);
+            let scope = self.scope(query, t);
             let inner_col = step.join.side_on(t)?;
             let outer_col = step.join.other_side(t)?;
-            let inner_rows_est = est.table_output(t, &preds);
-            let rows_out = est
-                .join_output(current_rows, inner_rows_est, outer_col, inner_col)
-                .max(0.0);
-            match step.algo {
-                JoinAlgo::Hash => {
-                    let (access_cost, inner_out) =
-                        self.fixed_access_cost(t, &step.access.method, &preds, &est)?;
-                    total += access_cost
-                        + self.ctx.cost.hash_join(
-                            inner_out.max(0.0) as u64,
-                            current_rows.max(0.0) as u64,
-                            rows_out.max(0.0) as u64,
-                        );
+            let rows_out = self.join_rows(&scope, current_rows, outer_col, inner_col);
+            total += match (step.algo, &step.access.method) {
+                (JoinAlgo::Hash, method) => {
+                    let access = self.access_cost(&scope, method)?;
+                    self.hash_join_cost(access, &scope, current_rows, rows_out)
                 }
-                JoinAlgo::IndexNestedLoop => {
-                    let index = step.access.method.index_id()?;
-                    let cand = self.ctx.indexes.iter().find(|c| c.id == index)?;
-                    let covering = matches!(
-                        step.access.method,
-                        AccessMethod::IndexSeek { covering: true, .. }
-                    );
-                    let probes = current_rows.max(0.0);
-                    let matched_total = probes * est.rows_per_value(inner_col);
-                    let heap_fetches = if covering { 0 } else { matched_total as u64 };
-                    total += self.ctx.cost.inl_probes(
-                        probes as u64,
-                        matched_total as u64,
-                        self.ctx.leaf_row_bytes(cand),
-                        heap_fetches,
-                        self.ctx.catalog.live_heap_pages(t),
-                    ) * INL_RISK_FACTOR;
+                (JoinAlgo::IndexNestedLoop, &AccessMethod::IndexSeek { index, covering }) => {
+                    let cand = self.ctx.candidate(index)?;
+                    self.inl_cost(&scope, cand, covering, current_rows, inner_col)
+                        .0
                 }
-            }
+                (JoinAlgo::IndexNestedLoop, _) => return None,
+            };
             current_rows = rows_out;
         }
 
-        if query.aggregated {
-            total += self.ctx.cost.aggregate(current_rows.max(0.0) as u64);
-        }
-        Some(total)
+        Some(self.with_aggregate(query, total, current_rows))
     }
 
-    /// Estimated (cost, rows out) of one fixed access method — the same
-    /// arithmetic [`best_access`](Self::best_access) applies while
-    /// searching, restricted to a single already-chosen method.
-    fn fixed_access_cost(
-        &self,
-        table: TableId,
-        method: &AccessMethod,
-        preds: &[Predicate],
-        est: &CardEstimator<'_>,
-    ) -> Option<(SimSeconds, f64)> {
-        let rows = self.ctx.stats.rows(table);
-        let heap_pages = self.ctx.catalog.live_heap_pages(table);
-        let sel_all = est.conjunction_selectivity(preds);
-        let rows_out = rows as f64 * sel_all;
-        let cost = match method {
-            AccessMethod::FullScan => self.ctx.cost.scan(heap_pages, rows),
-            AccessMethod::IndexSeek { index, covering } => {
-                let cand = self.ctx.indexes.iter().find(|c| c.id == *index)?;
-                let shape = seek_shape(&cand.def, preds);
-                let consumed_sel = {
-                    let residual_sel = est.conjunction_selectivity(&shape.residual);
-                    if residual_sel > 0.0 {
-                        sel_all / residual_sel
-                    } else {
-                        sel_all
-                    }
-                };
-                let matched = (rows as f64 * consumed_sel).max(0.0);
-                let heap_fetches = if *covering { 0 } else { matched as u64 };
-                self.ctx.cost.index_seek(
-                    matched as u64,
-                    self.ctx.leaf_row_bytes(cand),
-                    heap_fetches,
-                    heap_pages,
+    /// The pricing inputs of `table` under `query`'s local predicates.
+    fn scope(&self, query: &Query, table: TableId) -> TableScope {
+        let preds = query.predicates_on(table);
+        TableScope {
+            table,
+            rows: self.ctx.stats.rows(table),
+            heap_pages: self.ctx.catalog.live_heap_pages(table),
+            sel_all: self.est.conjunction_selectivity(&preds),
+            preds,
+        }
+    }
+
+    /// Cheapest standalone access to `table`: full scan, every usable
+    /// index seek, or every usable covering (index-only) scan.
+    fn best_access(&self, query: &Query, table: TableId) -> AccessOption {
+        let scope = self.scope(query, table);
+        let needed = query.columns_needed_on(table);
+        let mut method = AccessMethod::FullScan;
+        let mut cost = self.scan_cost(&scope);
+        for cand in self.ctx.candidates_on(table) {
+            let covering = cand.def.covers(&needed);
+            let shape = seek_shape(&cand.def, &scope.preds);
+            let (option, option_cost) = if shape.is_selective() {
+                let seek = self.seek_cost(&scope, cand, &shape, covering);
+                (
+                    AccessMethod::IndexSeek {
+                        index: cand.id,
+                        covering,
+                    },
+                    seek,
                 )
+            } else if covering {
+                let scan = self.covering_scan_cost(&scope, cand);
+                (AccessMethod::CoveringScan { index: cand.id }, scan)
+            } else {
+                continue;
+            };
+            if option_cost < cost {
+                method = option;
+                cost = option_cost;
+            }
+        }
+        AccessOption {
+            scope,
+            needed,
+            method,
+            cost,
+        }
+    }
+
+    /// Estimated cost of reading `scope`'s table through a fixed `method`;
+    /// `None` if `method` names an index the context does not expose.
+    fn access_cost(&self, scope: &TableScope, method: &AccessMethod) -> Option<SimSeconds> {
+        Some(match method {
+            AccessMethod::FullScan => self.scan_cost(scope),
+            AccessMethod::IndexSeek { index, covering } => {
+                let cand = self.ctx.candidate(*index)?;
+                let shape = seek_shape(&cand.def, &scope.preds);
+                self.seek_cost(scope, cand, &shape, *covering)
             }
             AccessMethod::CoveringScan { index } => {
-                let cand = self.ctx.indexes.iter().find(|c| c.id == *index)?;
-                let leaf_pages = (cand.leaf_pages() as f64
-                    * self.ctx.catalog.index_growth_of(cand.id))
-                .ceil() as u64;
-                self.ctx.cost.covering_scan(leaf_pages, rows)
+                self.covering_scan_cost(scope, self.ctx.candidate(*index)?)
             }
-        };
-        Some((cost, rows_out))
+        })
     }
 
-    /// Cheapest access among full scan, every usable index seek, and every
-    /// usable covering (index-only) scan.
-    fn best_access(
+    fn scan_cost(&self, scope: &TableScope) -> SimSeconds {
+        self.ctx.cost.scan(scope.heap_pages, scope.rows)
+    }
+
+    /// Seek into `cand` through `shape`; a non-covering seek fetches every
+    /// matched row from the heap.
+    fn seek_cost(
         &self,
-        table: TableId,
-        preds: &[Predicate],
-        needed: &[u16],
-        est: &CardEstimator<'_>,
-    ) -> AccessOption {
-        // Row counts come from the statistics (the optimiser's *belief* —
-        // stale under unrefreshed drift); page counts come from the storage
-        // manager's live accounting, which is always accurate.
-        let rows = self.ctx.stats.rows(table);
-        let heap_pages = self.ctx.catalog.live_heap_pages(table);
-        let sel_all = est.conjunction_selectivity(preds);
-        let rows_out = rows as f64 * sel_all;
-
-        let mut best = AccessOption {
-            method: AccessMethod::FullScan,
-            cost: self.ctx.cost.scan(heap_pages, rows),
-            rows_out,
-        };
-
-        for cand in self.ctx.candidates_on(table) {
-            let covering = cand.def.covers(needed);
-            let shape = seek_shape(&cand.def, preds);
-            if shape.is_selective() {
-                // Selectivity of the predicates the seek consumes (AVI).
-                let consumed_sel = {
-                    let residual_sel = est.conjunction_selectivity(&shape.residual);
-                    if residual_sel > 0.0 {
-                        sel_all / residual_sel
-                    } else {
-                        sel_all
-                    }
-                };
-                let matched = (rows as f64 * consumed_sel).max(0.0);
-                let heap_fetches = if covering { 0 } else { matched as u64 };
-                let cost = self.ctx.cost.index_seek(
-                    matched as u64,
-                    self.ctx.leaf_row_bytes(cand),
-                    heap_fetches,
-                    heap_pages,
-                );
-                if cost < best.cost {
-                    best = AccessOption {
-                        method: AccessMethod::IndexSeek {
-                            index: cand.id,
-                            covering,
-                        },
-                        cost,
-                        rows_out,
-                    };
-                }
-            } else if covering {
-                // Maintained leaves grow with the table under drift —
-                // each index by the growth it absorbed since creation
-                // (its creation-time size already prices earlier growth).
-                let leaf_pages = (cand.leaf_pages() as f64
-                    * self.ctx.catalog.index_growth_of(cand.id))
-                .ceil() as u64;
-                let cost = self.ctx.cost.covering_scan(leaf_pages, rows);
-                if cost < best.cost {
-                    best = AccessOption {
-                        method: AccessMethod::CoveringScan { index: cand.id },
-                        cost,
-                        rows_out,
-                    };
-                }
+        scope: &TableScope,
+        cand: &IndexCandidate,
+        shape: &SeekShape,
+        covering: bool,
+    ) -> SimSeconds {
+        // Selectivity of the predicates the seek consumes (AVI).
+        let consumed_sel = {
+            let residual_sel = self.est.conjunction_selectivity(&shape.residual);
+            if residual_sel > 0.0 {
+                scope.sel_all / residual_sel
+            } else {
+                scope.sel_all
             }
-        }
-        best
+        };
+        let matched = (scope.rows as f64 * consumed_sel).max(0.0);
+        let heap_fetches = if covering { 0 } else { matched as u64 };
+        self.ctx.cost.index_seek(
+            matched as u64,
+            self.ctx.leaf_row_bytes(cand),
+            heap_fetches,
+            scope.heap_pages,
+        )
     }
 
-    /// Greedy left-deep join planning: start from the most selective table,
-    /// repeatedly attach the connected table minimising estimated output,
-    /// choosing hash vs index-nested-loop per step by estimated cost.
-    fn plan_joins(&self, query: &Query, est: &CardEstimator<'_>) -> Plan {
-        // Per-table best standalone access.
-        let mut accesses: Vec<(TableId, AccessOption)> = query
-            .tables
-            .iter()
-            .map(|&t| {
-                let preds = query.predicates_on(t);
-                let needed = query.columns_needed_on(t);
-                (t, self.best_access(t, &preds, &needed, est))
-            })
-            .collect();
+    /// Index-only scan of `cand`'s whole leaf level. Maintained leaves grow
+    /// with the table under drift — each index by the growth it absorbed
+    /// since creation (its creation-time size already prices earlier
+    /// growth).
+    fn covering_scan_cost(&self, scope: &TableScope, cand: &IndexCandidate) -> SimSeconds {
+        let leaf_pages =
+            (cand.leaf_pages() as f64 * self.ctx.catalog.index_growth_of(cand.id)).ceil() as u64;
+        self.ctx.cost.covering_scan(leaf_pages, scope.rows)
+    }
 
-        // Driver: smallest estimated output (classic greedy start).
-        accesses.sort_by(|a, b| driver_order(a.1.rows_out, b.1.rows_out));
-        let (driver_table, driver_access) = accesses[0].clone();
+    /// Estimated rows out of joining `scope`'s table on `inner_col` to
+    /// `outer_rows` accumulated rows on `outer_col`.
+    fn join_rows(
+        &self,
+        scope: &TableScope,
+        outer_rows: f64,
+        outer_col: ColumnId,
+        inner_col: ColumnId,
+    ) -> f64 {
+        self.est
+            .join_output(outer_rows, scope.rows_out(), outer_col, inner_col)
+            .max(0.0)
+    }
 
-        let mut joined: Vec<TableId> = vec![driver_table];
-        let mut remaining: Vec<TableId> = query
-            .tables
-            .iter()
-            .copied()
-            .filter(|&t| t != driver_table)
-            .collect();
-        let mut current_rows = driver_access.rows_out;
-        let mut total_cost = driver_access.cost;
-        let mut steps: Vec<JoinStep> = Vec::new();
+    /// Hash join building on the inner table's access (already priced at
+    /// `access`) and probing with `outer_rows` accumulated rows.
+    fn hash_join_cost(
+        &self,
+        access: SimSeconds,
+        scope: &TableScope,
+        outer_rows: f64,
+        rows_out: f64,
+    ) -> SimSeconds {
+        access
+            + self.ctx.cost.hash_join(
+                scope.rows_out().max(0.0) as u64,
+                outer_rows.max(0.0) as u64,
+                rows_out.max(0.0) as u64,
+            )
+    }
 
-        while !remaining.is_empty() {
-            // Candidate next tables: connected to the joined set.
-            let mut best_choice: Option<(usize, JoinStep, SimSeconds, f64)> = None;
-            for (ri, &t) in remaining.iter().enumerate() {
-                let Some(join) = query.joins.iter().find(|j| {
-                    j.side_on(t).is_some()
-                        && j.other_side(t).map(|c| joined.contains(&c.table)) == Some(true)
-                }) else {
-                    continue;
-                };
-                let inner_col = join.side_on(t).unwrap();
-                let preds = query.predicates_on(t);
-                let needed = query.columns_needed_on(t);
-                let local_sel = est.conjunction_selectivity(&preds);
-                let inner_rows_est = est.table_output(t, &preds);
-                let rows_out = est
-                    .join_output(
-                        current_rows,
-                        inner_rows_est,
-                        join.other_side(t).unwrap(),
-                        inner_col,
-                    )
-                    .max(0.0);
+    /// Index nested loop probing `cand` once per accumulated outer row on
+    /// `inner_col`, inflated by [`INL_RISK_FACTOR`]. Also returns the
+    /// estimated index entries matched.
+    fn inl_cost(
+        &self,
+        scope: &TableScope,
+        cand: &IndexCandidate,
+        covering: bool,
+        outer_rows: f64,
+        inner_col: ColumnId,
+    ) -> (SimSeconds, f64) {
+        let probes = outer_rows.max(0.0);
+        let matched_total = probes * self.est.rows_per_value(inner_col);
+        let heap_fetches = if covering { 0 } else { matched_total as u64 };
+        let cost = self.ctx.cost.inl_probes(
+            probes as u64,
+            matched_total as u64,
+            self.ctx.leaf_row_bytes(cand),
+            heap_fetches,
+            scope.heap_pages,
+        ) * INL_RISK_FACTOR;
+        (cost, matched_total)
+    }
 
-                // Option A: hash join over the best standalone access.
-                let standalone = self.best_access(t, &preds, &needed, est);
-                let hash_cost = standalone.cost
-                    + self.ctx.cost.hash_join(
-                        standalone.rows_out.max(0.0) as u64,
-                        current_rows.max(0.0) as u64,
-                        rows_out.max(0.0) as u64,
-                    );
-                let mut choice = (
-                    JoinStep {
-                        access: TableAccess {
-                            table: t,
-                            method: standalone.method.clone(),
-                            est_rows: standalone.rows_out,
-                        },
-                        algo: JoinAlgo::Hash,
-                        join: *join,
-                        est_rows_out: rows_out,
-                    },
-                    hash_cost,
-                );
-
-                // Option B: index nested-loop via an index whose first key
-                // column is the inner join column.
-                for cand in self.ctx.candidates_on(t) {
-                    if cand.def.key_cols.first() != Some(&inner_col.ordinal) {
-                        continue;
-                    }
-                    let covering = cand.def.covers(&needed);
-                    let probes = current_rows.max(0.0);
-                    let matched_total = probes * est.rows_per_value(inner_col);
-                    let heap_fetches = if covering { 0 } else { matched_total as u64 };
-                    let inl_cost = self.ctx.cost.inl_probes(
-                        probes as u64,
-                        matched_total as u64,
-                        self.ctx.leaf_row_bytes(cand),
-                        heap_fetches,
-                        self.ctx.catalog.live_heap_pages(t),
-                    ) * INL_RISK_FACTOR;
-                    if inl_cost < choice.1 {
-                        choice = (
-                            JoinStep {
-                                access: TableAccess {
-                                    table: t,
-                                    method: AccessMethod::IndexSeek {
-                                        index: cand.id,
-                                        covering,
-                                    },
-                                    est_rows: matched_total * local_sel,
-                                },
-                                algo: JoinAlgo::IndexNestedLoop,
-                                join: *join,
-                                est_rows_out: rows_out,
-                            },
-                            inl_cost,
-                        );
-                    }
-                }
-
-                let better = match &best_choice {
-                    None => true,
-                    Some((_, _, _, best_rows)) => rows_out < *best_rows,
-                };
-                if better {
-                    best_choice = Some((ri, choice.0, choice.1, rows_out));
-                }
-            }
-
-            let (ri, step, cost, rows_out) =
-                best_choice.expect("query join graph must be connected");
-            joined.push(step.access.table);
-            remaining.swap_remove(ri);
-            total_cost += cost;
-            current_rows = rows_out;
-            steps.push(step);
-        }
-
+    /// `total` plus the aggregate over the final `rows`, if `query`
+    /// aggregates.
+    fn with_aggregate(&self, query: &Query, total: SimSeconds, rows: f64) -> SimSeconds {
         let agg = if query.aggregated {
-            self.ctx.cost.aggregate(current_rows.max(0.0) as u64)
+            self.ctx.cost.aggregate(rows.max(0.0) as u64)
         } else {
             SimSeconds::ZERO
         };
-
-        Plan {
-            driver: TableAccess {
-                table: driver_table,
-                method: driver_access.method,
-                est_rows: driver_access.rows_out,
-            },
-            joins: steps,
-            aggregated: query.aggregated,
-            est_cost: total_cost + agg,
-        }
+        total + agg
     }
 }
 
@@ -667,9 +658,9 @@ mod tests {
         assert_eq!(plan.joins[0].access.method.index_id(), Some(meta.id));
     }
 
-    /// Revalidation arithmetic must mirror planning arithmetic: costing a
+    /// Revalidation prices through planning's own functions: costing a
     /// freshly produced plan under the same bindings reproduces its
-    /// `est_cost` exactly, for every plan shape the planner emits.
+    /// `est_cost` bit for bit, for every plan shape the planner emits.
     #[test]
     fn cost_plan_reproduces_fresh_estimates() {
         let mut cat = catalog();
@@ -694,8 +685,9 @@ mod tests {
             let recost = planner
                 .cost_plan(q, &plan)
                 .expect("fresh plan references only live indexes");
-            assert!(
-                (recost.secs() - plan.est_cost.secs()).abs() < 1e-9,
+            assert_eq!(
+                recost.secs().to_bits(),
+                plan.est_cost.secs().to_bits(),
                 "recost {} must equal est_cost {}",
                 recost.secs(),
                 plan.est_cost.secs()

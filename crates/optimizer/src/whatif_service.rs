@@ -1,7 +1,9 @@
 //! The what-if **service**: cost queries under hypothetical index
 //! configurations without materialising anything, through a long-lived,
-//! version-validated memo of hypothetical plans that prices whole batches
-//! of configurations in one pass.
+//! version-validated memo of hypothetical plans. It has two entry points:
+//! [`cost_query`](WhatIfService::cost_query) prices one query, and
+//! [`cost_workload`](WhatIfService::cost_workload) prices a weighted
+//! workload under one configuration.
 //!
 //! This is the AutoAdmin-style API ([19] in the paper) that commercial
 //! advisors are built on, and through which every optimiser misestimate
@@ -18,10 +20,10 @@
 //! * the **hypothetical-configuration fingerprint** — the interned ids of
 //!   the candidate definitions *on the query's tables* (candidates on
 //!   other tables cannot change the plan, so two configurations differing
-//!   only elsewhere share one cached plan — this is what makes the batched
-//!   [`marginals`](WhatIfService::marginals) pass cheap: a leave-one-out
-//!   configuration replans only the queries that touch the left-out
-//!   index's table).
+//!   only elsewhere share one cached plan — this is what makes pricing
+//!   many configurations one `cost_workload` call at a time cheap: a
+//!   leave-one-out or candidate-alone configuration replans only the
+//!   queries that touch the varied index's table).
 //!
 //! The cache validates each plan against the per-table **catalog version**
 //! (moves on index create/drop and applied drift) and **statistics
@@ -70,9 +72,7 @@ pub type WhatIfStats = PlanCacheStats;
 
 /// Total estimated cost, per-query costs and per-candidate usage counts
 /// of one priced configuration (what
-/// [`cost_workload_weighted`](WhatIfService::cost_workload_weighted)
-/// returns, and one element of a [`marginals`](WhatIfService::marginals)
-/// batch).
+/// [`cost_workload`](WhatIfService::cost_workload) returns).
 #[derive(Debug, Clone)]
 pub struct ConfigCost {
     /// Optimiser-estimated execution cost of the workload under this
@@ -205,29 +205,19 @@ impl WhatIfService {
         }
     }
 
-    /// Total estimated cost of a workload under one hypothetical
-    /// configuration, plus per-candidate usage counts.
-    pub fn cost_workload(
-        &mut self,
-        catalog: &Catalog,
-        stats: &StatsCatalog,
-        queries: &[Query],
-        hypothetical: &[IndexDef],
-    ) -> (SimSeconds, Vec<u32>) {
-        let unit = vec![1.0; queries.len()];
-        let cost = self.cost_workload_weighted(catalog, stats, queries, &unit, hypothetical);
-        (cost.total, cost.usage)
-    }
-
-    /// Cost a workload under one hypothetical configuration with a
-    /// per-query arrival weight: streaming windows execute one bound
+    /// Cost a workload under one hypothetical configuration, each query
+    /// billed `weight ×` its price: streaming windows execute one bound
     /// instance per distinct template and scale by that template's arrival
-    /// count, so shadow prices must scale the same way. The result carries
-    /// the weighted total, the *unweighted* per-query costs (which callers
-    /// memoize as per-template prices to amortise pricing across windows)
-    /// and per-candidate usage counts. Unit weights are exact: `x × 1.0`
-    /// is an IEEE identity, so a unit-weighted total is the plain sum.
-    pub fn cost_workload_weighted(
+    /// count, so shadow prices must scale the same way (round batches pass
+    /// unit weights; `x × 1.0` is an IEEE identity, so a unit-weighted
+    /// total is the plain sum). The result carries the weighted total, the
+    /// *unweighted* per-query costs (which callers memoize as per-template
+    /// prices to amortise pricing across windows) and per-candidate usage
+    /// counts.
+    ///
+    /// Several configurations are priced one call each; the memo's keys
+    /// share every plan a configuration change does not touch.
+    pub fn cost_workload(
         &mut self,
         catalog: &Catalog,
         stats: &StatsCatalog,
@@ -252,26 +242,6 @@ impl WhatIfService {
             per_query,
             usage,
         }
-    }
-
-    /// Price many hypothetical configurations over one workload in a
-    /// single pass. Sub-plans are shared through the memo: a query whose
-    /// tables see the same candidate subset under two configurations is
-    /// planned once — which makes the classic advisor shapes (base +
-    /// each-candidate-alone, full + leave-one-out) cost little more than
-    /// one workload pass instead of one per configuration.
-    pub fn marginals(
-        &mut self,
-        catalog: &Catalog,
-        stats: &StatsCatalog,
-        queries: &[Query],
-        configs: &[Vec<IndexDef>],
-    ) -> Vec<ConfigCost> {
-        let unit = vec![1.0; queries.len()];
-        configs
-            .iter()
-            .map(|config| self.cost_workload_weighted(catalog, stats, queries, &unit, config))
-            .collect()
     }
 }
 
@@ -374,14 +344,15 @@ mod tests {
             IndexDef::new(TableId(0), vec![2], vec![]),
         ];
         let queries = vec![hot_query(1, 77); 3];
-        let (total, usage) = service().cost_workload(&cat, &stats, &queries, &defs);
-        assert!(total.secs() > 0.0);
-        assert_eq!(usage[0], 3, "selective index used by every query");
-        assert_eq!(usage[1], 0, "unselective index never used");
+        let cost = service().cost_workload(&cat, &stats, &queries, &[1.0; 3], &defs);
+        assert!(cost.total.secs() > 0.0);
+        assert_eq!(cost.usage[0], 3, "selective index used by every query");
+        assert_eq!(cost.usage[1], 0, "unselective index never used");
     }
 
     /// Repeated costings of an unchanged (template, config) pair hit the
-    /// memo; the costs agree exactly with fresh planning.
+    /// memo; the hit's recost equals the miss's fresh estimate bit for
+    /// bit.
     #[test]
     fn repeat_costings_hit_without_replanning() {
         let cat = catalog();
@@ -394,7 +365,10 @@ mod tests {
         let again = svc.cost_query(&cat, &stats, &q, &defs);
         assert_eq!(svc.stats().hits, 1);
         assert_eq!(svc.stats().misses, 1);
-        assert!((first.est_cost.secs() - again.est_cost.secs()).abs() < 1e-12);
+        assert_eq!(
+            first.est_cost.secs().to_bits(),
+            again.est_cost.secs().to_bits()
+        );
         assert_eq!(first.used_hypothetical, again.used_hypothetical);
     }
 
@@ -509,7 +483,7 @@ mod tests {
             reference += service().cost_query(&catalog, &stats, q, &[]).est_cost;
         }
         let weights = vec![1.0; queries.len()];
-        let weighted = service().cost_workload_weighted(&catalog, &stats, &queries, &weights, &[]);
+        let weighted = service().cost_workload(&catalog, &stats, &queries, &weights, &[]);
         assert_eq!(reference.secs().to_bits(), weighted.total.secs().to_bits());
         assert_eq!(
             weighted.per_query.iter().sum::<f64>().to_bits(),
@@ -523,9 +497,9 @@ mod tests {
         let stats = StatsCatalog::build(&catalog);
         let queries = vec![hot_query(1, 500)];
         let mut svc = service();
-        let unit = svc.cost_workload_weighted(&catalog, &stats, &queries, &[1.0], &[]);
+        let unit = svc.cost_workload(&catalog, &stats, &queries, &[1.0], &[]);
         let scaled = svc
-            .cost_workload_weighted(&catalog, &stats, &queries, &[250.0], &[])
+            .cost_workload(&catalog, &stats, &queries, &[250.0], &[])
             .total;
         let unit_s = unit.total.secs();
         assert!((scaled.secs() - 250.0 * unit_s).abs() < 1e-9 * scaled.secs().abs().max(1.0));
@@ -533,8 +507,8 @@ mod tests {
     }
 
     /// Configurations differing only on tables a query does not touch
-    /// share the query's cached plan — the sharing that makes the batched
-    /// marginals pass cheap.
+    /// share the query's cached plan — the sharing that makes pricing one
+    /// configuration after another cheap.
     #[test]
     fn marginals_share_subplans_across_configs() {
         let mut cat = catalog();
@@ -549,12 +523,15 @@ mod tests {
         // shape): 3 configs × 2 queries = 6 costings, but the hot query's
         // plan under {hot_ix} is shared between configs 0 and 2, and the
         // cold query's plan under {cold_ix} between configs 0 and 1.
-        let configs = vec![
+        let configs = [
             vec![hot_ix.clone(), cold_ix.clone()],
             vec![cold_ix.clone()],
             vec![hot_ix.clone()],
         ];
-        let costs = svc.marginals(&cat, &stats, &queries, &configs);
+        let costs: Vec<ConfigCost> = configs
+            .iter()
+            .map(|config| svc.cost_workload(&cat, &stats, &queries, &[1.0; 2], config))
+            .collect();
         assert_eq!(costs.len(), 3);
         assert_eq!(svc.stats().misses, 4, "4 distinct (query, subset) plans");
         assert_eq!(svc.stats().hits, 2, "2 shared sub-plans");

@@ -271,8 +271,7 @@ impl SafetyState {
                 // exactly 0, so only the used ones need a leave-one-out
                 // pass — and those passes share every untouched query's
                 // plan with the full pass through the service's memo.
-                let full =
-                    whatif.cost_workload_weighted(catalog, stats, &self.queries, &weights, &all);
+                let full = whatif.cost_workload(catalog, stats, &self.queries, &weights, &all);
                 for (skip, id) in ids.iter().enumerate() {
                     let marginal = if full.usage[skip] == 0 {
                         0.0
@@ -284,13 +283,7 @@ impl SafetyState {
                             .map(|(_, d)| d.clone())
                             .collect();
                         let without = whatif
-                            .cost_workload_weighted(
-                                catalog,
-                                stats,
-                                &self.queries,
-                                &weights,
-                                &without,
-                            )
+                            .cost_workload(catalog, stats, &self.queries, &weights, &without)
                             .total;
                         (without - full.total).secs().max(0.0)
                     };
@@ -385,15 +378,9 @@ impl SafetyState {
         if !live.is_empty() {
             let queries: Vec<Query> = live.iter().map(|&i| self.queries[i].clone()).collect();
             let live_weights: Vec<f64> = live.iter().map(|&i| weights[i]).collect();
-            let noindex =
-                whatif.cost_workload_weighted(catalog, stats, &queries, &live_weights, &[]);
-            let prev = whatif.cost_workload_weighted(
-                catalog,
-                stats,
-                &queries,
-                &live_weights,
-                &self.prev_config,
-            );
+            let noindex = whatif.cost_workload(catalog, stats, &queries, &live_weights, &[]);
+            let prev =
+                whatif.cost_workload(catalog, stats, &queries, &live_weights, &self.prev_config);
             noindex_s += noindex.total.secs();
             prev_s += prev.total.secs();
             for ((q, &ni), &pv) in queries.iter().zip(&noindex.per_query).zip(&prev.per_query) {

@@ -13,8 +13,8 @@
 //! below): a blown budget first degrades to [`DegradeLevel::ReuseConfig`]
 //! (keep the configuration, skip scoring entirely), and only *persistent*
 //! debt escalates to [`DegradeLevel::Amortized`] (score just the arms
-//! whose templates' arrival share moved, amortising `marginals()` across
-//! windows through the what-if memo). A window under budget pays the debt
+//! whose templates' arrival share moved, amortising what-if pricing
+//! across windows through the what-if memo). A window under budget pays the debt
 //! down and the next window runs [`DegradeLevel::Full`] again.
 
 use dba_common::{BudgetTimer, DbResult, SimSeconds};

@@ -77,15 +77,18 @@ impl IndexDef {
     pub fn estimated_bytes(&self, table: &Table) -> u64 {
         index_bytes(table, self)
     }
+
+    /// Bytes of one leaf entry on `table`: the key and included columns
+    /// plus an 8-byte row locator.
+    pub fn leaf_row_bytes(&self, table: &Table) -> u64 {
+        table.columns_width(&self.key_cols) + table.columns_width(&self.include_cols) + 8
+    }
 }
 
 /// B+-tree-shaped size model: leaf payload plus ~15% structural overhead
 /// (interior nodes, per-entry headers, fill factor).
 fn index_bytes(table: &Table, def: &IndexDef) -> u64 {
-    let key_w = table.columns_width(&def.key_cols);
-    let incl_w = table.columns_width(&def.include_cols);
-    let per_row = key_w + incl_w + 8; // 8 bytes row locator
-    let leaf = per_row * table.rows() as u64;
+    let leaf = def.leaf_row_bytes(table) * table.rows() as u64;
     leaf + leaf * 3 / 20
 }
 

@@ -108,6 +108,123 @@ fn whatif_matches_materialised_costing() {
     assert!((hypo.secs() - real.secs()).abs() < 1e-9);
 }
 
+/// Recosting is planning's own arithmetic on every benchmark template:
+/// `cost_plan(q, &plan(q))` equals `plan(q).est_cost` bit for bit, and a
+/// what-if hit prices an instance exactly as the miss before it did. Every
+/// predicate and join column is indexed key-only and covering, half of the
+/// indexes before three drift rounds and half after, so seeks, covering
+/// scans, hash and index-nested-loop joins all appear, and the indexes
+/// carry different growth since creation.
+#[test]
+fn recost_reproduces_planning_on_benchmark_templates() {
+    use dba_bandits::engine::plan::{AccessMethod, JoinAlgo};
+    use dba_bandits::workloads::{ssb::ssb, tpch::tpch};
+
+    let cost = CostModel::paper_scale();
+    let (mut hash, mut inl, mut covering, mut seeks) = (0, 0, 0, 0);
+    for (bench, drift) in [
+        (tpch(0.02), DataDrift::tpch_refresh()),
+        (
+            ssb(0.05),
+            DataDrift::uniform(DriftRates::new(0.02, 0.01, 0.02)),
+        ),
+    ] {
+        let mut catalog = bench.build_catalog(21).unwrap();
+        let queries: Vec<Query> = bench
+            .templates()
+            .iter()
+            .flat_map(|t| (0..3).map(|round| t.instantiate(&catalog, QueryId(0), 21, round)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+
+        let mut defs: Vec<IndexDef> = Vec::new();
+        for q in &queries {
+            for &table in &q.tables {
+                let needed = q.columns_needed_on(table);
+                let keys = q
+                    .predicates_on(table)
+                    .into_iter()
+                    .map(|p| p.column)
+                    .chain(q.join_columns_on(table));
+                for key in keys {
+                    let rest = needed.iter().copied().filter(|&c| c != key.ordinal);
+                    for def in [
+                        IndexDef::new(table, vec![key.ordinal], vec![]),
+                        IndexDef::new(table, vec![key.ordinal], rest.collect()),
+                    ] {
+                        if !defs.contains(&def) {
+                            defs.push(def);
+                        }
+                    }
+                }
+            }
+        }
+        let (early, late) = defs.split_at(defs.len() / 2);
+        for def in early {
+            catalog.create_index(def.clone()).unwrap();
+        }
+        for round in 0..3 {
+            for d in drift.deltas_for_round(&catalog, 21, round) {
+                catalog.apply_drift(d.table, d.inserted, d.updated, d.deleted);
+            }
+        }
+        for def in late {
+            catalog.create_index(def.clone()).unwrap();
+        }
+        let stats = StatsCatalog::build(&catalog);
+        let ctx = PlannerContext::from_catalog(&catalog, &stats, &cost);
+        let planner = Planner::new(&ctx);
+
+        for q in &queries {
+            let plan = planner.plan(q);
+            let recost = planner.cost_plan(q, &plan).unwrap();
+            assert_eq!(
+                recost.secs().to_bits(),
+                plan.est_cost.secs().to_bits(),
+                "template {:?}: recost {} vs estimate {}",
+                q.template,
+                recost.secs(),
+                plan.est_cost.secs()
+            );
+            match plan.driver.method {
+                AccessMethod::IndexSeek { .. } => seeks += 1,
+                AccessMethod::CoveringScan { .. } => covering += 1,
+                AccessMethod::FullScan => {}
+            }
+            for step in &plan.joins {
+                match step.algo {
+                    JoinAlgo::Hash => hash += 1,
+                    JoinAlgo::IndexNestedLoop => inl += 1,
+                }
+                if matches!(step.access.method, AccessMethod::CoveringScan { .. }) {
+                    covering += 1;
+                }
+            }
+
+            let mut whatif = WhatIfService::new(cost.clone());
+            let miss = whatif.cost_query(&catalog, &stats, q, &defs).est_cost;
+            let hit = whatif.cost_query(&catalog, &stats, q, &defs).est_cost;
+            assert_eq!((whatif.stats().misses, whatif.stats().hits), (1, 1));
+            assert_eq!(
+                miss.secs().to_bits(),
+                hit.secs().to_bits(),
+                "template {:?}: what-if miss {} vs hit {}",
+                q.template,
+                miss.secs(),
+                hit.secs()
+            );
+        }
+    }
+    for (shape, count) in [
+        ("hash join", hash),
+        ("index nested loop", inl),
+        ("covering scan", covering),
+        ("seek driver", seeks),
+    ] {
+        assert!(count > 0, "no {shape} in any plan");
+    }
+}
+
 /// Identical seeds give bit-identical experiment streams across the whole
 /// stack (data, params, tuning) — the reproducibility contract.
 #[test]
