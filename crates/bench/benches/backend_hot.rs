@@ -2,14 +2,15 @@
 //! batch heap scans, index seeks with heap gather and the hash join, run
 //! on a `Measured` executor. These are the operators the executor times on
 //! the wall-clock, so their own overheads bound how small a workload the
-//! calibration fit can resolve.
+//! calibration fit can resolve. Each bench first asserts the shape of its
+//! operator's sample, so it measures the work it names.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dba_common::{BudgetTimer, ColumnId, QueryId, SimSeconds, TableId, TemplateId};
 use dba_engine::{
     AccessMethod, BackendKind, CostModel, ExecutionBackend, JoinAlgo, JoinPred, JoinStep, OpKind,
-    Plan, Predicate, Query, TableAccess,
+    OpSample, Plan, Predicate, Query, TableAccess,
 };
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog};
 use dba_storage::{
@@ -59,22 +60,57 @@ fn measured() -> Box<dyn ExecutionBackend> {
     )
 }
 
-/// Vectorized batch heap scan through the measured executor, ~1% selective
-/// over 200k rows. `cold` round-robins over independently generated (but
-/// identical) table allocations so each iteration touches memory the CPU
-/// caches have not just seen; `warm` rescans one allocation.
+/// Run `plan` once on `backend` and return the sample of its one `op`,
+/// dropping the samples earlier runs left.
+fn sample_of(
+    backend: &mut dyn ExecutionBackend,
+    catalog: &Catalog,
+    q: &Query,
+    plan: &Plan,
+    op: OpKind,
+) -> OpSample {
+    backend.take_op_samples();
+    backend.execute(catalog, q, plan);
+    let mut samples = backend.take_op_samples();
+    samples.retain(|s| s.op() == op);
+    assert_eq!(samples.len(), 1, "the plan must run one {op:?}");
+    samples.remove(0)
+}
+
+/// Rows of the bench table whose `v` lies in `[lo, hi]`.
+fn matching_rows(catalog: &Catalog, lo: i64, hi: i64) -> u64 {
+    catalog.table(TableId(0)).column(1).count_in_range(lo, hi) as u64
+}
+
+/// Vectorized batch heap scan through the measured executor over 200k
+/// rows, ~1% and ~50% selective. `cold` round-robins over independently
+/// generated (but identical) table allocations so each iteration touches
+/// memory the CPU caches have not just seen; `warm` and `half` rescan one
+/// allocation. At 50% the filter's match test is as unpredictable as it
+/// gets, which a per-row branch pays for and the branch-free kernels do
+/// not.
 fn bench_batch_scan(c: &mut Criterion) {
     let catalogs: Vec<Catalog> = (0..8).map(|_| bench_catalog()).collect();
     let stats = StatsCatalog::build(&catalogs[0]);
     let cost = CostModel::unit_scale();
-    let q = range_query(40_000, 41_000);
-    let scan_plan = {
+    let scan = |lo, hi| {
+        let q = range_query(lo, hi);
         let ctx = PlannerContext::from_catalog(&catalogs[0], &stats, &cost);
-        Planner::new(&ctx).plan(&q)
+        let plan = Planner::new(&ctx).plan(&q);
+        assert!(plan.indexes_used().is_empty(), "must be a heap scan");
+        (q, plan)
     };
-    assert!(scan_plan.indexes_used().is_empty(), "must be a heap scan");
     let mut backend = measured();
+    let shape = |backend: &mut dyn ExecutionBackend, q: &Query, plan: &Plan| {
+        let s = sample_of(backend, &catalogs[0], q, plan, OpKind::SeqScan);
+        (s.rows, s.out_rows)
+    };
 
+    let (q, scan_plan) = scan(40_000, 41_000);
+    assert_eq!(
+        shape(backend.as_mut(), &q, &scan_plan),
+        (ROWS as u64, matching_rows(&catalogs[0], 40_000, 41_000))
+    );
     let mut i = 0usize;
     c.bench_function("batch_scan_cold_200k", |b| {
         b.iter(|| {
@@ -84,6 +120,17 @@ fn bench_batch_scan(c: &mut Criterion) {
     });
     c.bench_function("batch_scan_warm_200k", |b| {
         b.iter(|| backend.execute(&catalogs[0], &q, &scan_plan))
+    });
+
+    let (half_q, half_plan) = scan(0, 49_999);
+    let half = matching_rows(&catalogs[0], 0, 49_999);
+    assert!((ROWS as u64 * 2 / 5..=ROWS as u64 * 3 / 5).contains(&half));
+    assert_eq!(
+        shape(backend.as_mut(), &half_q, &half_plan),
+        (ROWS as u64, half)
+    );
+    c.bench_function("batch_scan_half_200k", |b| {
+        b.iter(|| backend.execute(&catalogs[0], &half_q, &half_plan))
     });
 }
 
@@ -103,6 +150,18 @@ fn bench_measured_seek(c: &mut Criterion) {
     assert!(!seek_plan.indexes_used().is_empty(), "must use the index");
 
     let mut backend = measured();
+    let seek = sample_of(
+        backend.as_mut(),
+        &catalog,
+        &q,
+        &seek_plan,
+        OpKind::IndexSeek,
+    );
+    let matched = matching_rows(&catalog, 40_000, 40_100);
+    assert_eq!(
+        (seek.descents, seek.rows, seek.out_rows),
+        (1, matched, matched)
+    );
     c.bench_function("measured_seek_200k", |b| {
         b.iter(|| backend.execute(&catalog, &q, &seek_plan))
     });
@@ -111,73 +170,85 @@ fn bench_measured_seek(c: &mut Criterion) {
 /// Measured hash join of a 20k-row dimension (probe side) with a 200k-row
 /// fact table (build side) on its foreign key, so every build key repeats
 /// about ten times. The plan is built by hand: both sides are full scans
-/// and the only join is the hash join.
+/// and the only join is the hash join. `fk` joins the dense keys, which
+/// span 0.1 codes per build row, so the build addresses its slots
+/// directly. `sparse` joins the same keys times 1,000, about 100 codes per
+/// build row, so the build maps its keys to slots instead.
 fn bench_hash_join(c: &mut Criterion) {
     const DIM_ROWS: usize = 20_000;
-    let dim = TableSchema::new(
-        "dim",
-        vec![ColumnSpec::new(
-            "d_key",
+    for (name, spread) in [("hash_join_fk_200k", 1), ("hash_join_sparse_200k", 1_000)] {
+        // Both tables join on a copy of their key times `spread`.
+        let spread_key = ColumnSpec::new(
+            "spread_key",
             ColumnType::Int,
-            Distribution::Sequential,
-        )],
-    );
-    let fact = TableSchema::new(
-        "fact",
-        vec![ColumnSpec::new(
-            "f_dim",
-            ColumnType::Int,
-            Distribution::FkUniform {
-                parent_rows: DIM_ROWS as u64,
+            Distribution::Correlated {
+                source: 0,
+                a: spread,
+                b: 0,
+                m: i64::MAX,
+                noise: 0,
             },
-        )],
-    );
-    let catalog = Catalog::new(vec![
-        TableBuilder::new(dim, DIM_ROWS).build(TableId(0), 5),
-        TableBuilder::new(fact, ROWS).build(TableId(1), 5),
-    ]);
-    let join = JoinPred::new(ColumnId::new(TableId(0), 0), ColumnId::new(TableId(1), 0));
-    let q = Query {
-        id: QueryId(0),
-        template: TemplateId(0),
-        tables: vec![TableId(0), TableId(1)],
-        predicates: vec![],
-        joins: vec![join],
-        payload: vec![],
-        aggregated: false,
-    };
-    let scan = |table| TableAccess {
-        table,
-        method: AccessMethod::FullScan,
-        est_rows: 0.0,
-    };
-    let plan = Plan {
-        driver: scan(TableId(0)),
-        joins: vec![JoinStep {
-            access: scan(TableId(1)),
-            algo: JoinAlgo::Hash,
-            join,
-            est_rows_out: 0.0,
-        }],
-        aggregated: false,
-        est_cost: SimSeconds::ZERO,
-    };
-    // Every fact row finds its one dimension row: the whole fact table is
-    // both the build side and the output.
-    let mut backend = measured();
-    backend.execute(&catalog, &q, &plan);
-    let join = backend
-        .take_op_samples()
-        .into_iter()
-        .find(|s| s.op() == OpKind::HashJoin)
-        .expect("must be a hash join");
-    assert_eq!(
-        (join.build_rows, join.probe_rows, join.out_rows),
-        (ROWS as u64, DIM_ROWS as u64, ROWS as u64)
-    );
-    c.bench_function("hash_join_fk_200k", |b| {
-        b.iter(|| backend.execute(&catalog, &q, &plan))
-    });
+        );
+        let dim = TableSchema::new(
+            "dim",
+            vec![
+                ColumnSpec::new("d_key", ColumnType::Int, Distribution::Sequential),
+                spread_key.clone(),
+            ],
+        );
+        let fact = TableSchema::new(
+            "fact",
+            vec![
+                ColumnSpec::new(
+                    "f_dim",
+                    ColumnType::Int,
+                    Distribution::FkUniform {
+                        parent_rows: DIM_ROWS as u64,
+                    },
+                ),
+                spread_key,
+            ],
+        );
+        let catalog = Catalog::new(vec![
+            TableBuilder::new(dim, DIM_ROWS).build(TableId(0), 5),
+            TableBuilder::new(fact, ROWS).build(TableId(1), 5),
+        ]);
+        let join = JoinPred::new(ColumnId::new(TableId(0), 1), ColumnId::new(TableId(1), 1));
+        let q = Query {
+            id: QueryId(0),
+            template: TemplateId(0),
+            tables: vec![TableId(0), TableId(1)],
+            predicates: vec![],
+            joins: vec![join],
+            payload: vec![],
+            aggregated: false,
+        };
+        let scan = |table| TableAccess {
+            table,
+            method: AccessMethod::FullScan,
+            est_rows: 0.0,
+        };
+        let plan = Plan {
+            driver: scan(TableId(0)),
+            joins: vec![JoinStep {
+                access: scan(TableId(1)),
+                algo: JoinAlgo::Hash,
+                join,
+                est_rows_out: 0.0,
+            }],
+            aggregated: false,
+            est_cost: SimSeconds::ZERO,
+        };
+        // Every fact row finds its one dimension row: the whole fact table
+        // is both the build side and the output.
+        let mut backend = measured();
+        let hash = sample_of(backend.as_mut(), &catalog, &q, &plan, OpKind::HashJoin);
+        assert_eq!(
+            (hash.build_rows, hash.probe_rows, hash.out_rows),
+            (ROWS as u64, DIM_ROWS as u64, ROWS as u64)
+        );
+        c.bench_function(name, |b| b.iter(|| backend.execute(&catalog, &q, &plan)));
+    }
 }
 
 criterion_group!(

@@ -521,12 +521,28 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// The build side of one hash join in CSR form: `slots` maps each distinct
-/// key to a slot, and slot `s` owns the build rows
-/// `rows[bounds[s]..bounds[s + 1]]` in build-input order. That is three
-/// allocations per join, however many distinct keys the build side holds.
+/// Build keys spanning at most this many codes per build row are direct
+/// addressed. That bounds the slot array at 4 `u32` bounds, 16 bytes, per
+/// build row, while the map it replaces holds a 16-byte `(i64, u32)` entry
+/// and a control byte per bucket at no more than 7/8 load: at least 19
+/// bytes per row. So the direct path never takes more memory.
+const DIRECT_CODES_PER_ROW: u64 = 4;
+
+/// How a join key finds its slot in a [`JoinTable`].
+enum SlotIndex {
+    /// Dense build keys: key `k`'s slot is `k - min`, one slot for each of
+    /// the `span` codes from `min`, whether any build row holds it or not.
+    Direct { min: i64, span: u64 },
+    /// Sparse build keys: one slot per distinct key, in order of first
+    /// appearance.
+    Map(HashMap<i64, u32, BuildHasherDefault<KeyHasher>>),
+}
+
+/// The build side of one hash join in CSR form: `index` gives each key's
+/// slot, and slot `s` owns the build rows `rows[bounds[s]..bounds[s + 1]]`
+/// in build-input order.
 struct JoinTable {
-    slots: HashMap<i64, u32, BuildHasherDefault<KeyHasher>>,
+    index: SlotIndex,
     bounds: Vec<u32>,
     rows: Vec<u32>,
 }
@@ -534,24 +550,38 @@ struct JoinTable {
 impl JoinTable {
     /// Build over the inner rows `rows`; row `r`'s join key is `keys[r]`.
     fn build(rows: &[u32], keys: &[i64]) -> Self {
-        let mut slots = HashMap::with_capacity_and_hasher(rows.len(), Default::default());
-        // One slot per distinct key, in order of first appearance, and
-        // each row's slot; `bounds` counts the rows of each slot.
-        let mut bounds: Vec<u32> = Vec::new();
+        // Each row's slot, and in `bounds` the rows of each slot plus one
+        // extra entry for the last end.
         let mut slot_of = Vec::with_capacity(rows.len());
-        for &r in rows {
-            let fresh = bounds.len() as u32;
-            let slot = *slots.entry(keys[r as usize]).or_insert(fresh);
-            if slot == fresh {
-                bounds.push(0);
+        let (index, mut bounds) = match dense_span(rows, keys) {
+            Some((min, span)) => {
+                let mut bounds = vec![0u32; span as usize + 1];
+                for &r in rows {
+                    let slot = keys[r as usize].wrapping_sub(min) as u32;
+                    bounds[slot as usize] += 1;
+                    slot_of.push(slot);
+                }
+                (SlotIndex::Direct { min, span }, bounds)
             }
-            bounds[slot as usize] += 1;
-            slot_of.push(slot);
-        }
+            None => {
+                let mut slots = HashMap::with_capacity_and_hasher(rows.len(), Default::default());
+                let mut bounds: Vec<u32> = Vec::new();
+                for &r in rows {
+                    let fresh = bounds.len() as u32;
+                    let slot = *slots.entry(keys[r as usize]).or_insert(fresh);
+                    if slot == fresh {
+                        bounds.push(0);
+                    }
+                    bounds[slot as usize] += 1;
+                    slot_of.push(slot);
+                }
+                bounds.push(0);
+                (SlotIndex::Map(slots), bounds)
+            }
+        };
         // Running sums turn the counts into slot ends. Filling each slot
         // backwards from its end keeps input order within the slot and
         // leaves `bounds[s]` at its start; the extra entry is the last end.
-        bounds.push(0);
         let mut end = 0;
         for b in &mut bounds {
             end += *b;
@@ -564,9 +594,25 @@ impl JoinTable {
             grouped[*b as usize] = r;
         }
         JoinTable {
-            slots,
+            index,
             bounds,
             rows: grouped,
+        }
+    }
+
+    /// The slot of `key`, if any build row holds it.
+    #[inline]
+    fn slot(&self, key: i64) -> Option<u32> {
+        match &self.index {
+            SlotIndex::Direct { min, span } => {
+                // A key below `min` wraps to `2^64 - (min - key)`, which is
+                // at least `span` because the span ends by `i64::MAX`: one
+                // unsigned compare checks both ends.
+                let slot = key.wrapping_sub(*min) as u64;
+                let s = slot as usize;
+                (slot < *span && self.bounds[s] < self.bounds[s + 1]).then_some(slot as u32)
+            }
+            SlotIndex::Map(slots) => slots.get(&key).copied(),
         }
     }
 
@@ -574,6 +620,28 @@ impl JoinTable {
         let s = slot as usize;
         &self.rows[self.bounds[s] as usize..self.bounds[s + 1] as usize]
     }
+}
+
+/// The least of the build keys and the number of codes from it to the
+/// greatest, when that is at most [`DIRECT_CODES_PER_ROW`] per build row
+/// and fits a `u32` slot. An empty build side spans no codes. Sparse keys
+/// outgrow the limit within a few rows, and the scan stops there.
+fn dense_span(rows: &[u32], keys: &[i64]) -> Option<(i64, u64)> {
+    let limit = (DIRECT_CODES_PER_ROW * rows.len() as u64).min(u64::from(u32::MAX));
+    let mut build_keys = rows.iter().map(|&r| keys[r as usize]);
+    let Some(first) = build_keys.next() else {
+        return Some((0, 0));
+    };
+    let (mut min, mut max) = (first, first);
+    for k in build_keys {
+        min = min.min(k);
+        max = max.max(k);
+        // `abs_diff` cannot overflow, even from `i64::MIN` to `i64::MAX`.
+        if max.abs_diff(min) >= limit {
+            return None;
+        }
+    }
+    Some((min, max.abs_diff(min) + 1))
 }
 
 /// Hash-join the intermediate `outer` (row-id columns) with the build rows
@@ -598,7 +666,7 @@ fn hash_join(
     let mut hits: Vec<(u32, u32)> = Vec::with_capacity(probe.len());
     let mut len = 0;
     for (k, &r) in probe.iter().enumerate() {
-        if let Some(&slot) = table.slots.get(&outer_keys[r as usize]) {
+        if let Some(slot) = table.slot(outer_keys[r as usize]) {
             hits.push((k as u32, slot));
             len += table.slot_rows(slot).len();
         }
@@ -958,6 +1026,15 @@ mod tests {
         /// Join keys by inner row id.
         inner_keys: Vec<i64>,
         out_rows: usize,
+        /// How the build side must index its keys.
+        path: Path,
+    }
+
+    /// The two ways a [`JoinTable`] finds a key's slot.
+    #[derive(Debug, PartialEq)]
+    enum Path {
+        Direct,
+        Map,
     }
 
     impl JoinCase {
@@ -990,6 +1067,7 @@ mod tests {
                 inner_rows: vec![5, 3, 1, 0, 2, 4],
                 inner_keys: vec![7, 5, 7, 5, 1, 5],
                 out_rows: 10,
+                path: Path::Direct,
             },
             JoinCase {
                 name: "probe keys with no match",
@@ -999,6 +1077,7 @@ mod tests {
                 inner_rows: vec![2, 0, 1],
                 inner_keys: vec![3, 30, 40],
                 out_rows: 1,
+                path: Path::Map,
             },
             JoinCase {
                 name: "empty build side",
@@ -1008,6 +1087,7 @@ mod tests {
                 inner_rows: vec![],
                 inner_keys: vec![1, 2, 3],
                 out_rows: 0,
+                path: Path::Direct,
             },
             JoinCase {
                 name: "empty probe side",
@@ -1017,6 +1097,7 @@ mod tests {
                 inner_rows: vec![0, 1],
                 inner_keys: vec![1, 2],
                 out_rows: 0,
+                path: Path::Direct,
             },
             JoinCase {
                 name: "two-column intermediate",
@@ -1026,6 +1107,7 @@ mod tests {
                 inner_rows: vec![1, 3, 0, 2],
                 inner_keys: vec![8, 6, 8, 7],
                 out_rows: 7,
+                path: Path::Direct,
             },
             JoinCase {
                 name: "extreme keys",
@@ -1035,6 +1117,7 @@ mod tests {
                 inner_rows: vec![0, 1, 2, 3, 4, 5],
                 inner_keys: vec![i64::MAX, 0, -1, i64::MIN, 1, i64::MAX],
                 out_rows: 6,
+                path: Path::Map,
             },
             JoinCase {
                 name: "stride keys sharing their low 32 bits",
@@ -1044,9 +1127,85 @@ mod tests {
                 inner_rows: (0..96).collect(),
                 inner_keys: (0..96).map(|k| stride(k % 48)).collect(),
                 out_rows: 96,
+                path: Path::Map,
+            },
+            JoinCase {
+                name: "span of exactly 4 codes per build row",
+                outer: vec![vec![0, 1, 2, 3]],
+                key_col: 0,
+                outer_keys: vec![21, 10, 15, 16],
+                inner_rows: vec![0, 1, 2],
+                inner_keys: vec![10, 21, 15],
+                out_rows: 3,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "span one code wider than 4 per build row",
+                outer: vec![vec![0, 1, 2, 3]],
+                key_col: 0,
+                outer_keys: vec![22, 10, 15, 16],
+                inner_rows: vec![0, 1, 2],
+                inner_keys: vec![10, 22, 15],
+                out_rows: 3,
+                path: Path::Map,
+            },
+            JoinCase {
+                name: "negative codes",
+                outer: vec![vec![0, 1, 2, 3, 4]],
+                key_col: 0,
+                outer_keys: vec![-3, -7, -4, 0, -8],
+                inner_rows: vec![3, 1, 0, 2],
+                inner_keys: vec![-7, -3, -5, -3],
+                out_rows: 3,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "probe keys below, above and on empty slots inside the span",
+                outer: vec![(0..8).collect()],
+                key_col: 0,
+                outer_keys: vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
+                inner_rows: vec![0, 1, 2, 3],
+                inner_keys: vec![100, 103, 100, 105],
+                out_rows: 3,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "one key repeated",
+                outer: vec![vec![0, 1, 2, 3]],
+                key_col: 0,
+                outer_keys: vec![42, 41, 43, 42],
+                inner_rows: vec![4, 2, 0, 1, 3],
+                inner_keys: vec![42; 5],
+                out_rows: 10,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "direct span ending at i64::MAX",
+                outer: vec![vec![0, 1, 2, 3]],
+                key_col: 0,
+                outer_keys: vec![i64::MAX, i64::MIN, i64::MAX - 1, i64::MAX - 3],
+                inner_rows: vec![0, 1],
+                inner_keys: vec![i64::MAX, i64::MAX - 2],
+                out_rows: 1,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "direct span starting at i64::MIN",
+                outer: vec![vec![0, 1, 2]],
+                key_col: 0,
+                outer_keys: vec![i64::MAX, i64::MIN + 2, i64::MIN],
+                inner_rows: vec![1, 0],
+                inner_keys: vec![i64::MIN, i64::MIN + 1],
+                out_rows: 1,
+                path: Path::Direct,
             },
         ];
         for case in &cases {
+            let path = match JoinTable::build(&case.inner_rows, &case.inner_keys).index {
+                SlotIndex::Direct { .. } => Path::Direct,
+                SlotIndex::Map(_) => Path::Map,
+            };
+            assert_eq!(path, case.path, "{}", case.name);
             let got = hash_join(
                 &case.outer,
                 case.key_col,

@@ -88,8 +88,10 @@ impl Column {
         self.data[row]
     }
 
-    /// Count rows whose code lies in `[lo, hi]` (inclusive). This is the
-    /// ground-truth selectivity oracle used by the executor.
+    /// Count rows whose code lies in `[lo, hi]` (inclusive): the exact row
+    /// count that tests and the `whatif_vs_observed` example hold estimates
+    /// against. The executor does not call it; its scans filter through
+    /// [`Column::fill_matching_in`].
     pub fn count_in_range(&self, lo: i64, hi: i64) -> usize {
         self.data.iter().filter(|&&v| v >= lo && v <= hi).count()
     }
@@ -120,24 +122,42 @@ impl Column {
 
     /// Append the row ids in `[start, end)` whose code lies in `[lo, hi]`
     /// (inclusive) to `out`. The batch-scan seed: one tight pass over a
-    /// contiguous slice producing an ascending selection vector.
+    /// contiguous slice producing an ascending selection vector. Every row
+    /// id is written and the cursor advances only past matches, so the
+    /// pass takes no data-dependent branch.
     #[inline]
     pub fn fill_matching_in(&self, lo: i64, hi: i64, start: usize, end: usize, out: &mut Vec<u32>) {
+        let Some(width) = range_width(lo, hi) else {
+            return;
+        };
+        let base = out.len();
+        out.resize(base + (end - start), 0);
+        let sel = &mut out[base..];
+        let mut n = 0;
         for (off, &v) in self.data[start..end].iter().enumerate() {
-            if v >= lo && v <= hi {
-                out.push((start + off) as u32);
-            }
+            sel[n] = (start + off) as u32;
+            n += usize::from(v.wrapping_sub(lo) as u64 <= width);
         }
+        out.truncate(base + n);
     }
 
     /// Retain only the selected rows whose code lies in `[lo, hi]`
-    /// (inclusive). Refines a selection vector in place, preserving order.
+    /// (inclusive). Refines a selection vector in place, preserving order,
+    /// without a data-dependent branch: each row is written back at the
+    /// cursor, which advances only past matches.
     #[inline]
     pub fn retain_matching(&self, lo: i64, hi: i64, sel: &mut Vec<u32>) {
-        sel.retain(|&r| {
-            let v = self.data[r as usize];
-            v >= lo && v <= hi
-        });
+        let Some(width) = range_width(lo, hi) else {
+            sel.clear();
+            return;
+        };
+        let mut n = 0;
+        for i in 0..sel.len() {
+            let r = sel[i];
+            sel[n] = r;
+            n += usize::from(self.data[r as usize].wrapping_sub(lo) as u64 <= width);
+        }
+        sel.truncate(n);
     }
 
     /// Gather the codes of `rows` into `out` (cleared first). The heap-fetch
@@ -151,6 +171,14 @@ impl Column {
             out.push(self.data[r as usize]);
         }
     }
+}
+
+/// `hi − lo` for a non-empty range `[lo, hi]`, or `None` for an empty one.
+/// A code `v` lies in the range exactly when `v − lo`, wrapped to a `u64`,
+/// is at most this width: one unsigned compare instead of two signed ones.
+#[inline]
+fn range_width(lo: i64, hi: i64) -> Option<u64> {
+    (lo <= hi).then(|| hi.abs_diff(lo))
 }
 
 #[cfg(test)]
@@ -178,31 +206,82 @@ mod tests {
         assert_eq!(col(&[]).min_max(), None);
     }
 
+    /// The scalar reference filter: the rows of `rows` whose code lies in
+    /// `[lo, hi]`, in the order given.
+    fn scalar_filter(c: &Column, lo: i64, hi: i64, rows: &[u32]) -> Vec<u32> {
+        rows.iter()
+            .copied()
+            .filter(|&r| (lo..=hi).contains(&c.value(r as usize)))
+            .collect()
+    }
+
+    /// Codes for the filter-kernel tables, including both `i64` extremes.
+    const CODES: [i64; 11] = [5, 1, 9, 5, 2, 7, 5, 0, i64::MIN, i64::MAX, -3];
+
     #[test]
     fn fill_matching_in_matches_scalar_filter() {
-        let c = col(&[5, 1, 9, 5, 2, 7, 5, 0]);
-        let mut sel = Vec::new();
-        c.fill_matching_in(2, 7, 0, c.len(), &mut sel);
-        let scalar: Vec<u32> = (0..c.len() as u32)
-            .filter(|&r| (2..=7).contains(&c.value(r as usize)))
-            .collect();
-        assert_eq!(sel, scalar);
+        let c = col(&CODES);
+        let n = c.len();
+        // (case, lo, hi, window start, window end, rows already in `out`,
+        // rows the window adds)
+        type Case = (&'static str, i64, i64, usize, usize, &'static [u32], usize);
+        let cases: [Case; 10] = [
+            ("a middle range", 2, 7, 0, n, &[], 5),
+            ("a range up to i64::MAX", 5, i64::MAX, 0, n, &[], 6),
+            ("an empty range, lo > hi", 7, 2, 0, n, &[], 0),
+            ("the whole i64 range", i64::MIN, i64::MAX, 0, n, &[], n),
+            ("a single value", 5, 5, 0, n, &[], 3),
+            ("a single extreme value", i64::MIN, i64::MIN, 0, n, &[], 1),
+            ("a window not starting at row 0", 2, 7, 3, 9, &[], 4),
+            ("rows already in out", 2, 7, 4, n, &[99, 3, 1], 3),
+            ("no row matching", 100, 200, 0, n, &[], 0),
+            ("an empty window", i64::MIN, i64::MAX, 5, 5, &[7], 0),
+        ];
+        for (case, lo, hi, start, end, prefix, added) in cases {
+            let mut out = prefix.to_vec();
+            c.fill_matching_in(lo, hi, start, end, &mut out);
+            let window: Vec<u32> = (start as u32..end as u32).collect();
+            let mut expected = prefix.to_vec();
+            expected.extend(scalar_filter(&c, lo, hi, &window));
+            assert_eq!(out, expected, "{case}");
+            assert_eq!(out.len() - prefix.len(), added, "{case}");
+        }
 
         // Batch windows concatenate to the full result.
+        let all: Vec<u32> = (0..n as u32).collect();
         let mut batched = Vec::new();
         c.fill_matching_in(2, 7, 0, 3, &mut batched);
-        c.fill_matching_in(2, 7, 3, c.len(), &mut batched);
-        assert_eq!(batched, scalar);
+        c.fill_matching_in(2, 7, 3, n, &mut batched);
+        assert_eq!(batched, scalar_filter(&c, 2, 7, &all));
     }
 
     #[test]
     fn retain_matching_refines_in_order() {
-        let c = col(&[5, 1, 9, 5, 2, 7, 5, 0]);
-        let mut sel: Vec<u32> = vec![0, 2, 3, 5, 7];
-        c.retain_matching(5, 9, &mut sel);
-        assert_eq!(sel, vec![0, 2, 3, 5]);
-        c.retain_matching(100, 200, &mut sel);
-        assert!(sel.is_empty());
+        let c = col(&CODES);
+        // (case, lo, hi, selection, rows retained)
+        let cases: [(&str, i64, i64, &[u32], usize); 9] = [
+            ("an ascending selection", 5, 9, &[0, 2, 3, 5, 7], 4),
+            (
+                "a selection in leaf order",
+                2,
+                7,
+                &[7, 3, 10, 0, 5, 4, 1, 6],
+                5,
+            ),
+            ("an empty range, lo > hi", 9, 5, &[0, 1, 2], 0),
+            ("the whole i64 range", i64::MIN, i64::MAX, &[10, 8, 9, 0], 4),
+            ("a range from i64::MIN", i64::MIN, 0, &[10, 8, 7, 1], 3),
+            ("a single value", 5, 5, &[6, 0, 3, 1], 3),
+            ("a single extreme value", i64::MAX, i64::MAX, &[8, 9, 2], 1),
+            ("no row matching", 100, 200, &[0, 2], 0),
+            ("an empty selection", i64::MIN, i64::MAX, &[], 0),
+        ];
+        for (case, lo, hi, selection, retained) in cases {
+            let mut sel = selection.to_vec();
+            c.retain_matching(lo, hi, &mut sel);
+            assert_eq!(sel, scalar_filter(&c, lo, hi, selection), "{case}");
+            assert_eq!(sel.len(), retained, "{case}");
+        }
     }
 
     #[test]
