@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the executor's timed hot paths: vectorized
-//! batch heap scans, index seeks with heap gather and the hash join, run
-//! on a `Measured` executor. These are the operators the executor times on
+//! batch heap scans, index seeks with heap gather, a covering scan and the
+//! hash join, run on a `Measured` executor. These are the operators the executor times on
 //! the wall-clock, so their own overheads bound how small a workload the
 //! calibration fit can resolve. Each bench first asserts the shape of its
 //! operator's sample, so it measures the work it names.
@@ -167,16 +167,59 @@ fn bench_measured_seek(c: &mut Criterion) {
     });
 }
 
-/// Measured hash join of a 20k-row dimension (probe side) with a 200k-row
-/// fact table (build side) on its foreign key, so every build key repeats
-/// about ten times. The plan is built by hand: both sides are full scans
-/// and the only join is the hash join. `fk` joins the dense keys, which
-/// span 0.1 codes per build row, so the build addresses its slots
-/// directly. `sparse` joins the same keys times 1,000, about 100 codes per
-/// build row, so the build maps its keys to slots instead.
+/// Measured covering scan over 200k rows, ~50% selective: the executor
+/// walks the leaf level of an index keyed on `w`, so the matching rows come
+/// out of the walk in key order and must be put back in heap order. The
+/// plan is built by hand, so the scan is the only operator.
+fn bench_covering_scan(c: &mut Criterion) {
+    let mut catalog = bench_catalog();
+    let cover = catalog
+        .create_index(IndexDef::new(TableId(0), vec![2], vec![1, 0]))
+        .unwrap();
+    let q = range_query(0, 49_999);
+    let plan = Plan {
+        driver: TableAccess {
+            table: TableId(0),
+            method: AccessMethod::CoveringScan { index: cover.id },
+            est_rows: 0.0,
+        },
+        joins: vec![],
+        aggregated: false,
+        est_cost: SimSeconds::ZERO,
+    };
+    let mut backend = measured();
+    let scan = sample_of(backend.as_mut(), &catalog, &q, &plan, OpKind::CoveringScan);
+    assert_eq!(
+        (scan.rows, scan.out_rows),
+        (ROWS as u64, matching_rows(&catalog, 0, 49_999))
+    );
+    c.bench_function("covering_scan_200k", |b| {
+        b.iter(|| backend.execute(&catalog, &q, &plan))
+    });
+}
+
+/// Measured hash join of a 20k-row dimension with a 200k-row fact table on
+/// its foreign key, so every fact key repeats about ten times. The plan is
+/// built by hand: both sides are full scans and the only join is the hash
+/// join. The executor builds its table on the smaller input, the 20k
+/// dimension rows in every bench. `fk` and `sparse` drive with the
+/// dimension, so they build on the outer side and probe with the fact
+/// rows; `small_build` drives with the fact table and builds the dimension
+/// as the inner side. `fk` and `small_build` join the dense keys, which
+/// span 0.1 codes per input row, so the build addresses its slots directly.
+/// `sparse` joins the same keys times 1,000, about 90 codes per input row,
+/// so the build maps its keys to slots instead. Whichever side is built,
+/// the sample counts the inner rows as the build and the outer tuples as
+/// the probe, as the cost model prices them.
 fn bench_hash_join(c: &mut Criterion) {
     const DIM_ROWS: usize = 20_000;
-    for (name, spread) in [("hash_join_fk_200k", 1), ("hash_join_sparse_200k", 1_000)] {
+    let (dim_id, fact_id) = (TableId(0), TableId(1));
+    let benches = [
+        ("hash_join_fk_200k", 1, fact_id),
+        ("hash_join_sparse_200k", 1_000, fact_id),
+        ("hash_join_small_build_200k", 1, dim_id),
+    ];
+    for (name, spread, inner) in benches {
         // Both tables join on a copy of their key times `spread`.
         let spread_key = ColumnSpec::new(
             "spread_key",
@@ -210,14 +253,14 @@ fn bench_hash_join(c: &mut Criterion) {
             ],
         );
         let catalog = Catalog::new(vec![
-            TableBuilder::new(dim, DIM_ROWS).build(TableId(0), 5),
-            TableBuilder::new(fact, ROWS).build(TableId(1), 5),
+            TableBuilder::new(dim, DIM_ROWS).build(dim_id, 5),
+            TableBuilder::new(fact, ROWS).build(fact_id, 5),
         ]);
-        let join = JoinPred::new(ColumnId::new(TableId(0), 1), ColumnId::new(TableId(1), 1));
+        let join = JoinPred::new(ColumnId::new(dim_id, 1), ColumnId::new(fact_id, 1));
         let q = Query {
             id: QueryId(0),
             template: TemplateId(0),
-            tables: vec![TableId(0), TableId(1)],
+            tables: vec![dim_id, fact_id],
             predicates: vec![],
             joins: vec![join],
             payload: vec![],
@@ -228,10 +271,11 @@ fn bench_hash_join(c: &mut Criterion) {
             method: AccessMethod::FullScan,
             est_rows: 0.0,
         };
+        let driver = if inner == fact_id { dim_id } else { fact_id };
         let plan = Plan {
-            driver: scan(TableId(0)),
+            driver: scan(driver),
             joins: vec![JoinStep {
-                access: scan(TableId(1)),
+                access: scan(inner),
                 algo: JoinAlgo::Hash,
                 join,
                 est_rows_out: 0.0,
@@ -239,13 +283,14 @@ fn bench_hash_join(c: &mut Criterion) {
             aggregated: false,
             est_cost: SimSeconds::ZERO,
         };
-        // Every fact row finds its one dimension row: the whole fact table
-        // is both the build side and the output.
+        // Every fact row finds its one dimension row: the output is the
+        // whole fact table.
         let mut backend = measured();
         let hash = sample_of(backend.as_mut(), &catalog, &q, &plan, OpKind::HashJoin);
+        let rows = |table| catalog.table(table).rows() as u64;
         assert_eq!(
             (hash.build_rows, hash.probe_rows, hash.out_rows),
-            (ROWS as u64, DIM_ROWS as u64, ROWS as u64)
+            (rows(inner), rows(driver), ROWS as u64)
         );
         c.bench_function(name, |b| b.iter(|| backend.execute(&catalog, &q, &plan)));
     }
@@ -254,6 +299,6 @@ fn bench_hash_join(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_batch_scan, bench_measured_seek, bench_hash_join
+    targets = bench_batch_scan, bench_measured_seek, bench_covering_scan, bench_hash_join
 );
 criterion_main!(benches);

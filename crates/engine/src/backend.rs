@@ -114,9 +114,11 @@ pub struct OpSample {
     pub rows: u64,
     /// Index probes (root-to-leaf descents) performed.
     pub descents: u64,
-    /// Hash-build input rows.
+    /// Hash-join inner input rows, which the cost model prices as the
+    /// build, whichever side the executor builds its table on.
     pub build_rows: u64,
-    /// Hash-probe input rows.
+    /// Hash-join outer input tuples, which the cost model prices as the
+    /// probe, whichever side the executor builds its table on.
     pub probe_rows: u64,
     /// Rows emitted.
     pub out_rows: u64,

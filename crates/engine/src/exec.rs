@@ -228,9 +228,12 @@ impl Executor {
                     );
                     accesses.push(stats);
 
-                    // Build on the inner side, probe with the outer. The
-                    // build table and the hit list are dropped inside
-                    // `hash_join`, so their teardown is timed with the join.
+                    // Build on the smaller input, probe with the other. The
+                    // price and the sample keep the cost model's roles,
+                    // build = inner rows and probe = outer tuples, whichever
+                    // side is built. The build table and the hit list are
+                    // dropped inside `hash_join`, so their teardown is timed
+                    // with the join.
                     self.timer.mark();
                     let new_cols = hash_join(
                         &inter.columns,
@@ -449,15 +452,27 @@ impl Executor {
                 // Sorts the leaf order on first read, outside the timing.
                 let order = ix.ordered_rows(table);
 
-                // Walk the leaf level in key order, then restore heap
-                // order so every access method emits ascending row ids.
+                // Walk the leaf level in key order, marking each matching
+                // row in a bitmap, then read the marks out in heap order so
+                // every access method emits ascending row ids. The leaf
+                // order holds each row once, so the read-out is exactly the
+                // sorted matches.
                 self.timer.mark();
-                let mut rows: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&r| row_matches(table, r, preds))
-                    .collect();
-                rows.sort_unstable();
+                let mut marks = vec![0u64; table.rows().div_ceil(64)];
+                let mut matched = 0;
+                for &r in order {
+                    let hit = row_matches(table, r, preds);
+                    marks[r as usize / 64] |= u64::from(hit) << (r % 64);
+                    matched += usize::from(hit);
+                }
+                let mut rows = Vec::with_capacity(matched);
+                for (w, &word) in marks.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        rows.push(w as u32 * 64 + bits.trailing_zeros());
+                        bits &= bits - 1;
+                    }
+                }
                 // Maintained leaves grow with the table (drift): the
                 // catalog's live accounting scales each index by the growth
                 // it actually absorbed since creation.
@@ -521,17 +536,20 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Build keys spanning at most this many codes per build row are direct
-/// addressed. That bounds the slot array at 4 `u32` bounds, 16 bytes, per
-/// build row, while the map it replaces holds a 16-byte `(i64, u32)` entry
-/// and a control byte per bucket at no more than 7/8 load: at least 19
-/// bytes per row. So the direct path never takes more memory.
+/// Build keys spanning at most this many codes per row of the join's two
+/// inputs together are direct addressed. That bounds the slot array at 4
+/// `u32` bounds, 16 bytes, per input row, at most twice what the join holds
+/// anyway: a 4-byte row id per input row, and an 8-byte candidate hit per
+/// row of the probe side, the larger input. Counting both inputs, not the
+/// build side alone, keeps a small build direct when a large side probes
+/// it: a filtered `orders` slice keeps a wide span over its few rows, but
+/// not over the `lineitem` rows that probe it.
 const DIRECT_CODES_PER_ROW: u64 = 4;
 
 /// How a join key finds its slot in a [`JoinTable`].
 enum SlotIndex {
     /// Dense build keys: key `k`'s slot is `k - min`, one slot for each of
-    /// the `span` codes from `min`, whether any build row holds it or not.
+    /// the `span` codes from `min`, whether any build entry holds it or not.
     Direct { min: i64, span: u64 },
     /// Sparse build keys: one slot per distinct key, in order of first
     /// appearance.
@@ -539,8 +557,10 @@ enum SlotIndex {
 }
 
 /// The build side of one hash join in CSR form: `index` gives each key's
-/// slot, and slot `s` owns the build rows `rows[bounds[s]..bounds[s + 1]]`
-/// in build-input order.
+/// slot, and slot `s` owns the build entries `rows[bounds[s]..bounds[s + 1]]`
+/// in build-input order. One more slot after the keys' slots is always
+/// empty: a probe key no build entry holds gets it, so a probe reads a slot
+/// and a hit flag without branching on whether the key was found.
 struct JoinTable {
     index: SlotIndex,
     bounds: Vec<u32>,
@@ -548,34 +568,36 @@ struct JoinTable {
 }
 
 impl JoinTable {
-    /// Build over the inner rows `rows`; row `r`'s join key is `keys[r]`.
-    fn build(rows: &[u32], keys: &[i64]) -> Self {
-        // Each row's slot, and in `bounds` the rows of each slot plus one
-        // extra entry for the last end.
-        let mut slot_of = Vec::with_capacity(rows.len());
-        let (index, mut bounds) = match dense_span(rows, keys) {
+    /// Build over `len` entries, where `entry(i)` is the `i`th entry's
+    /// stored id and join key, for a join whose two inputs hold
+    /// `input_rows` rows.
+    fn build(len: usize, input_rows: usize, entry: impl Fn(usize) -> (u32, i64)) -> Self {
+        // Each entry's slot, and in `bounds` the entries of each slot, then
+        // the empty slot and one extra entry for the last end.
+        let mut slot_of = Vec::with_capacity(len);
+        let (index, mut bounds) = match dense_span((0..len).map(|i| entry(i).1), input_rows) {
             Some((min, span)) => {
-                let mut bounds = vec![0u32; span as usize + 1];
-                for &r in rows {
-                    let slot = keys[r as usize].wrapping_sub(min) as u32;
+                let mut bounds = vec![0u32; span as usize + 2];
+                for i in 0..len {
+                    let slot = entry(i).1.wrapping_sub(min) as u32;
                     bounds[slot as usize] += 1;
                     slot_of.push(slot);
                 }
                 (SlotIndex::Direct { min, span }, bounds)
             }
             None => {
-                let mut slots = HashMap::with_capacity_and_hasher(rows.len(), Default::default());
+                let mut slots = HashMap::with_capacity_and_hasher(len, Default::default());
                 let mut bounds: Vec<u32> = Vec::new();
-                for &r in rows {
+                for i in 0..len {
                     let fresh = bounds.len() as u32;
-                    let slot = *slots.entry(keys[r as usize]).or_insert(fresh);
+                    let slot = *slots.entry(entry(i).1).or_insert(fresh);
                     if slot == fresh {
                         bounds.push(0);
                     }
                     bounds[slot as usize] += 1;
                     slot_of.push(slot);
                 }
-                bounds.push(0);
+                bounds.extend([0, 0]);
                 (SlotIndex::Map(slots), bounds)
             }
         };
@@ -587,11 +609,11 @@ impl JoinTable {
             end += *b;
             *b = end;
         }
-        let mut grouped = vec![0u32; rows.len()];
-        for (&r, &slot) in rows.iter().zip(&slot_of).rev() {
+        let mut grouped = vec![0u32; len];
+        for (i, &slot) in slot_of.iter().enumerate().rev() {
             let b = &mut bounds[slot as usize];
             *b -= 1;
-            grouped[*b as usize] = r;
+            grouped[*b as usize] = entry(i).0;
         }
         JoinTable {
             index,
@@ -600,20 +622,39 @@ impl JoinTable {
         }
     }
 
-    /// The slot of `key`, if any build row holds it.
-    #[inline]
-    fn slot(&self, key: i64) -> Option<u32> {
+    /// Probe with each `(id, key)` in order. Returns the `(id, slot)` hits
+    /// in probe order and the output rows they make, one per build entry
+    /// in each hit's slot. A key that no build entry holds gets the empty
+    /// slot, and every probe writes its candidate hit while the cursor
+    /// moves past hits only, so the direct path takes no data-dependent
+    /// branch.
+    fn probe(&self, probes: impl ExactSizeIterator<Item = (u32, i64)>) -> (Vec<(u32, u32)>, usize) {
+        let mut hits = vec![(0u32, 0u32); probes.len()];
+        let (mut n, mut len) = (0, 0);
+        let mut record = |id, slot: u32| {
+            let (start, end) = (self.bounds[slot as usize], self.bounds[slot as usize + 1]);
+            hits[n] = (id, slot);
+            n += usize::from(start < end);
+            len += (end - start) as usize;
+        };
         match &self.index {
+            // A key below `min` wraps to `2^64 - (min - key)`, which is at
+            // least `span` because the span ends by `i64::MAX`: one unsigned
+            // `min` sends keys off either end to the empty slot `span`.
             SlotIndex::Direct { min, span } => {
-                // A key below `min` wraps to `2^64 - (min - key)`, which is
-                // at least `span` because the span ends by `i64::MAX`: one
-                // unsigned compare checks both ends.
-                let slot = key.wrapping_sub(*min) as u64;
-                let s = slot as usize;
-                (slot < *span && self.bounds[s] < self.bounds[s + 1]).then_some(slot as u32)
+                for (id, key) in probes {
+                    record(id, (key.wrapping_sub(*min) as u64).min(*span) as u32);
+                }
             }
-            SlotIndex::Map(slots) => slots.get(&key).copied(),
+            SlotIndex::Map(slots) => {
+                let empty = (self.bounds.len() - 2) as u32;
+                for (id, key) in probes {
+                    record(id, slots.get(&key).copied().unwrap_or(empty));
+                }
+            }
         }
+        hits.truncate(n);
+        (hits, len)
     }
 
     fn slot_rows(&self, slot: u32) -> &[u32] {
@@ -622,18 +663,17 @@ impl JoinTable {
     }
 }
 
-/// The least of the build keys and the number of codes from it to the
-/// greatest, when that is at most [`DIRECT_CODES_PER_ROW`] per build row
-/// and fits a `u32` slot. An empty build side spans no codes. Sparse keys
-/// outgrow the limit within a few rows, and the scan stops there.
-fn dense_span(rows: &[u32], keys: &[i64]) -> Option<(i64, u64)> {
-    let limit = (DIRECT_CODES_PER_ROW * rows.len() as u64).min(u64::from(u32::MAX));
-    let mut build_keys = rows.iter().map(|&r| keys[r as usize]);
-    let Some(first) = build_keys.next() else {
+/// The least of `keys` and the number of codes from it to the greatest,
+/// when that is at most [`DIRECT_CODES_PER_ROW`] per input row and fits a
+/// `u32` slot. No keys span no codes. Sparse keys outgrow the limit within
+/// a few rows, and the scan stops there.
+fn dense_span(mut keys: impl Iterator<Item = i64>, input_rows: usize) -> Option<(i64, u64)> {
+    let limit = (DIRECT_CODES_PER_ROW * input_rows as u64).min(u64::from(u32::MAX));
+    let Some(first) = keys.next() else {
         return Some((0, 0));
     };
     let (mut min, mut max) = (first, first);
-    for k in build_keys {
+    for k in keys {
         min = min.min(k);
         max = max.max(k);
         // `abs_diff` cannot overflow, even from `i64::MIN` to `i64::MAX`.
@@ -644,11 +684,45 @@ fn dense_span(rows: &[u32], keys: &[i64]) -> Option<(i64, u64)> {
     Some((min, max.abs_diff(min) + 1))
 }
 
-/// Hash-join the intermediate `outer` (row-id columns) with the build rows
+/// The input a hash join builds its table on.
+#[derive(Debug, PartialEq)]
+enum Side {
+    Inner,
+    Outer,
+}
+
+/// Build the join's table on whichever input has fewer rows, the inner one
+/// on a tie. An inner table stores inner row `r` under `inner_keys[r]`; an
+/// outer table stores tuple number `k` under `outer_keys[outer[key_col][k]]`.
+fn build_smaller_side(
+    outer: &[Vec<u32>],
+    key_col: usize,
+    outer_keys: &[i64],
+    inner_rows: &[u32],
+    inner_keys: &[i64],
+) -> (Side, JoinTable) {
+    let probe = &outer[key_col];
+    let input_rows = probe.len() + inner_rows.len();
+    if inner_rows.len() <= probe.len() {
+        let table = JoinTable::build(inner_rows.len(), input_rows, |i| {
+            let r = inner_rows[i];
+            (r, inner_keys[r as usize])
+        });
+        (Side::Inner, table)
+    } else {
+        let table = JoinTable::build(probe.len(), input_rows, |k| {
+            (k as u32, outer_keys[probe[k] as usize])
+        });
+        (Side::Outer, table)
+    }
+}
+
+/// Hash-join the intermediate `outer` (row-id columns) with the rows
 /// `inner_rows`: outer tuple `k` matches inner row `r` when
 /// `outer_keys[outer[key_col][k]] == inner_keys[r]`. Returns the outer
 /// columns followed by the inner row-id column, probe-major and, within
-/// one outer tuple, in `inner_rows` order: a nested loop's output exactly.
+/// one outer tuple, in `inner_rows` order: a nested loop's output exactly,
+/// whichever side is built.
 fn hash_join(
     outer: &[Vec<u32>],
     key_col: usize,
@@ -656,22 +730,32 @@ fn hash_join(
     inner_rows: &[u32],
     inner_keys: &[i64],
 ) -> Vec<Vec<u32>> {
-    let table = JoinTable::build(inner_rows, inner_keys);
-    let probe = &outer[key_col];
     assert!(
-        u32::try_from(probe.len()).is_ok(),
+        u32::try_from(outer[key_col].len()).is_ok(),
         "intermediate tuples are indexed by u32"
     );
-    // Pass 1: the (outer tuple, slot) hits and the output length.
-    let mut hits: Vec<(u32, u32)> = Vec::with_capacity(probe.len());
-    let mut len = 0;
-    for (k, &r) in probe.iter().enumerate() {
-        if let Some(slot) = table.slot(outer_keys[r as usize]) {
-            hits.push((k as u32, slot));
-            len += table.slot_rows(slot).len();
-        }
+    match build_smaller_side(outer, key_col, outer_keys, inner_rows, inner_keys) {
+        (Side::Inner, table) => probe_with_outer(table, outer, key_col, outer_keys),
+        (Side::Outer, table) => probe_with_inner(table, outer, inner_rows, inner_keys),
     }
-    // Pass 2: fill one output column at a time into reserved capacity.
+}
+
+/// Probe an inner-row `table` with each outer tuple in order: the hits
+/// come out probe-major, so each output column fills in one pass into
+/// capacity reserved for the output length.
+fn probe_with_outer(
+    table: JoinTable,
+    outer: &[Vec<u32>],
+    key_col: usize,
+    outer_keys: &[i64],
+) -> Vec<Vec<u32>> {
+    let probe = &outer[key_col];
+    let (hits, len) = table.probe(
+        probe
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| (k as u32, outer_keys[r as usize])),
+    );
     let mut out = Vec::with_capacity(outer.len() + 1);
     for col in outer {
         let mut filled = Vec::with_capacity(len);
@@ -686,6 +770,52 @@ fn hash_join(
         filled.extend_from_slice(table.slot_rows(slot));
     }
     out.push(filled);
+    out
+}
+
+/// Probe an outer-tuple `table` with each inner row in order, then lay the
+/// output out probe-major: tuple `k` emits one row for each inner hit on
+/// its slot, in inner order. A count, a prefix sum and a scatter give each
+/// hit its place among the rows of every tuple it matches.
+fn probe_with_inner(
+    table: JoinTable,
+    outer: &[Vec<u32>],
+    inner_rows: &[u32],
+    inner_keys: &[i64],
+) -> Vec<Vec<u32>> {
+    let (hits, len) = table.probe(inner_rows.iter().map(|&r| (r, inner_keys[r as usize])));
+    // Each tuple's output rows, turned into its first output position.
+    let mut at = vec![0usize; outer[0].len()];
+    for &(_, slot) in &hits {
+        for &k in table.slot_rows(slot) {
+            at[k as usize] += 1;
+        }
+    }
+    let mut next = 0;
+    for a in &mut at {
+        (*a, next) = (next, next + *a);
+    }
+    // Each hit takes the next position of every tuple it matches, which
+    // leaves `at[k]` at tuple `k`'s end.
+    let mut inner_col = vec![0u32; len];
+    for &(r, slot) in &hits {
+        for &k in table.slot_rows(slot) {
+            let a = &mut at[k as usize];
+            inner_col[*a] = r;
+            *a += 1;
+        }
+    }
+    let mut out = Vec::with_capacity(outer.len() + 1);
+    for col in outer {
+        let mut filled = Vec::with_capacity(len);
+        let mut start = 0;
+        for (&v, &end) in col.iter().zip(&at) {
+            filled.extend(std::iter::repeat_n(v, end - start));
+            start = end;
+        }
+        out.push(filled);
+    }
+    out.push(inner_col);
     out
 }
 
@@ -751,6 +881,10 @@ mod tests {
     /// Two-table catalog: `dim` (200 rows) and `fact` (5000 rows) with
     /// fact.f_dim a uniform FK into dim.
     fn catalog() -> Catalog {
+        catalog_with_fact_rows(5000)
+    }
+
+    fn catalog_with_fact_rows(fact_rows: usize) -> Catalog {
         let dim = TableSchema::new(
             "dim",
             vec![
@@ -780,7 +914,7 @@ mod tests {
         );
         Catalog::new(vec![
             TableBuilder::new(dim, 200).build(TableId(0), 5),
-            TableBuilder::new(fact, 5000).build(TableId(1), 5),
+            TableBuilder::new(fact, fact_rows).build(TableId(1), 5),
         ])
     }
 
@@ -1013,7 +1147,8 @@ mod tests {
         assert!(result.agg_time.secs() > 0.0);
     }
 
-    /// One [`hash_join`] input and the output length it must produce.
+    /// One [`hash_join`] input, the output length it must produce and the
+    /// table it must build.
     struct JoinCase {
         name: &'static str,
         /// Outer row-id columns and the one holding the join-key rows.
@@ -1021,12 +1156,14 @@ mod tests {
         key_col: usize,
         /// Join keys by outer row id.
         outer_keys: Vec<i64>,
-        /// Build rows in build order.
+        /// Inner rows in inner-input order.
         inner_rows: Vec<u32>,
         /// Join keys by inner row id.
         inner_keys: Vec<i64>,
         out_rows: usize,
-        /// How the build side must index its keys.
+        /// The input the join must build on.
+        side: Side,
+        /// How the built table must index its keys.
         path: Path,
     }
 
@@ -1053,6 +1190,33 @@ mod tests {
             }
             out
         }
+
+        /// Check the side and path of the table the join builds, and its
+        /// output against the nested loop.
+        fn check(&self) {
+            let (side, table) = build_smaller_side(
+                &self.outer,
+                self.key_col,
+                &self.outer_keys,
+                &self.inner_rows,
+                &self.inner_keys,
+            );
+            let path = match table.index {
+                SlotIndex::Direct { .. } => Path::Direct,
+                SlotIndex::Map(_) => Path::Map,
+            };
+            assert_eq!(side, self.side, "{}", self.name);
+            assert_eq!(path, self.path, "{}", self.name);
+            let got = hash_join(
+                &self.outer,
+                self.key_col,
+                &self.outer_keys,
+                &self.inner_rows,
+                &self.inner_keys,
+            );
+            assert_eq!(got, self.nested_loop(), "{}", self.name);
+            assert_eq!(got[0].len(), self.out_rows, "{}", self.name);
+        }
     }
 
     #[test]
@@ -1060,13 +1224,25 @@ mod tests {
         let stride = |k: i64| k << 32;
         let cases = [
             JoinCase {
-                name: "duplicate keys on both sides",
+                name: "duplicate keys on both sides, inner side larger",
                 outer: vec![vec![4, 0, 2, 1, 3]],
                 key_col: 0,
                 outer_keys: vec![5, 7, 5, 9, 7],
                 inner_rows: vec![5, 3, 1, 0, 2, 4],
                 inner_keys: vec![7, 5, 7, 5, 1, 5],
                 out_rows: 10,
+                side: Side::Outer,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "equal sizes build the inner side",
+                outer: vec![vec![0, 1, 2]],
+                key_col: 0,
+                outer_keys: vec![1, 2, 2],
+                inner_rows: vec![2, 0, 1],
+                inner_keys: vec![2, 1, 2],
+                out_rows: 5,
+                side: Side::Inner,
                 path: Path::Direct,
             },
             JoinCase {
@@ -1077,76 +1253,117 @@ mod tests {
                 inner_rows: vec![2, 0, 1],
                 inner_keys: vec![3, 30, 40],
                 out_rows: 1,
+                side: Side::Inner,
                 path: Path::Map,
             },
             JoinCase {
-                name: "empty build side",
+                name: "empty inner side",
                 outer: vec![vec![0, 1, 2]],
                 key_col: 0,
                 outer_keys: vec![1, 2, 3],
                 inner_rows: vec![],
                 inner_keys: vec![1, 2, 3],
                 out_rows: 0,
+                side: Side::Inner,
                 path: Path::Direct,
             },
             JoinCase {
-                name: "empty probe side",
+                name: "empty outer side, non-empty inner",
                 outer: vec![vec![]],
                 key_col: 0,
                 outer_keys: vec![1, 2],
                 inner_rows: vec![0, 1],
                 inner_keys: vec![1, 2],
                 out_rows: 0,
+                side: Side::Outer,
                 path: Path::Direct,
             },
             JoinCase {
-                name: "two-column intermediate",
+                name: "two-column intermediate, equal sizes",
                 outer: vec![vec![3, 1, 0, 2], vec![2, 4, 0, 4]],
                 key_col: 1,
                 outer_keys: vec![8, -1, 6, 9, 8],
                 inner_rows: vec![1, 3, 0, 2],
                 inner_keys: vec![8, 6, 8, 7],
                 out_rows: 7,
+                side: Side::Inner,
                 path: Path::Direct,
             },
             JoinCase {
-                name: "extreme keys",
+                name: "two-column intermediate repeating outer row ids, inner side larger",
+                outer: vec![vec![1, 1, 0, 2], vec![3, 0, 3, 3]],
+                key_col: 1,
+                outer_keys: vec![5, 9, 9, 7],
+                inner_rows: vec![4, 0, 2, 1, 5, 3],
+                inner_keys: vec![7, 5, 8, 7, 5, 7],
+                out_rows: 11,
+                side: Side::Outer,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "extreme keys, inner side larger",
                 outer: vec![vec![0, 1, 2, 3, 4]],
                 key_col: 0,
                 outer_keys: vec![i64::MIN, -1, 0, i64::MAX, i64::MIN],
                 inner_rows: vec![0, 1, 2, 3, 4, 5],
                 inner_keys: vec![i64::MAX, 0, -1, i64::MIN, 1, i64::MAX],
                 out_rows: 6,
+                side: Side::Outer,
                 path: Path::Map,
             },
             JoinCase {
-                name: "stride keys sharing their low 32 bits",
+                name: "stride keys sharing their low 32 bits, inner side larger",
                 outer: vec![(0..64).rev().collect()],
                 key_col: 0,
                 outer_keys: (0..64).map(stride).collect(),
                 inner_rows: (0..96).collect(),
                 inner_keys: (0..96).map(|k| stride(k % 48)).collect(),
                 out_rows: 96,
+                side: Side::Outer,
                 path: Path::Map,
             },
             JoinCase {
-                name: "span of exactly 4 codes per build row",
+                name: "inner build spanning exactly 4 codes per input row",
                 outer: vec![vec![0, 1, 2, 3]],
                 key_col: 0,
-                outer_keys: vec![21, 10, 15, 16],
+                outer_keys: vec![37, 10, 15, 16],
                 inner_rows: vec![0, 1, 2],
-                inner_keys: vec![10, 21, 15],
+                inner_keys: vec![10, 37, 15],
                 out_rows: 3,
+                side: Side::Inner,
                 path: Path::Direct,
             },
             JoinCase {
-                name: "span one code wider than 4 per build row",
+                name: "inner build spanning one code more than 4 per input row",
                 outer: vec![vec![0, 1, 2, 3]],
                 key_col: 0,
-                outer_keys: vec![22, 10, 15, 16],
+                outer_keys: vec![38, 10, 15, 16],
                 inner_rows: vec![0, 1, 2],
-                inner_keys: vec![10, 22, 15],
+                inner_keys: vec![10, 38, 15],
                 out_rows: 3,
+                side: Side::Inner,
+                path: Path::Map,
+            },
+            JoinCase {
+                name: "outer build spanning exactly 4 codes per input row",
+                outer: vec![vec![0, 1, 2]],
+                key_col: 0,
+                outer_keys: vec![10, 37, 15],
+                inner_rows: vec![0, 1, 2, 3],
+                inner_keys: vec![37, 10, 15, 16],
+                out_rows: 3,
+                side: Side::Outer,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "outer build spanning one code more than 4 per input row",
+                outer: vec![vec![0, 1, 2]],
+                key_col: 0,
+                outer_keys: vec![10, 38, 15],
+                inner_rows: vec![0, 1, 2, 3],
+                inner_keys: vec![38, 10, 15, 16],
+                out_rows: 3,
+                side: Side::Outer,
                 path: Path::Map,
             },
             JoinCase {
@@ -1157,16 +1374,29 @@ mod tests {
                 inner_rows: vec![3, 1, 0, 2],
                 inner_keys: vec![-7, -3, -5, -3],
                 out_rows: 3,
+                side: Side::Inner,
                 path: Path::Direct,
             },
             JoinCase {
-                name: "probe keys below, above and on empty slots inside the span",
+                name: "outer probe keys below, above and on empty slots inside the span",
                 outer: vec![(0..8).collect()],
                 key_col: 0,
                 outer_keys: vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
                 inner_rows: vec![0, 1, 2, 3],
                 inner_keys: vec![100, 103, 100, 105],
                 out_rows: 3,
+                side: Side::Inner,
+                path: Path::Direct,
+            },
+            JoinCase {
+                name: "inner probe keys below, above and on empty slots inside the span",
+                outer: vec![vec![0, 1, 2, 3]],
+                key_col: 0,
+                outer_keys: vec![100, 103, 100, 105],
+                inner_rows: (0..8).collect(),
+                inner_keys: vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
+                out_rows: 3,
+                side: Side::Outer,
                 path: Path::Direct,
             },
             JoinCase {
@@ -1177,6 +1407,7 @@ mod tests {
                 inner_rows: vec![4, 2, 0, 1, 3],
                 inner_keys: vec![42; 5],
                 out_rows: 10,
+                side: Side::Outer,
                 path: Path::Direct,
             },
             JoinCase {
@@ -1187,6 +1418,7 @@ mod tests {
                 inner_rows: vec![0, 1],
                 inner_keys: vec![i64::MAX, i64::MAX - 2],
                 out_rows: 1,
+                side: Side::Inner,
                 path: Path::Direct,
             },
             JoinCase {
@@ -1197,25 +1429,98 @@ mod tests {
                 inner_rows: vec![1, 0],
                 inner_keys: vec![i64::MIN, i64::MIN + 1],
                 out_rows: 1,
+                side: Side::Inner,
                 path: Path::Direct,
             },
         ];
         for case in &cases {
-            let path = match JoinTable::build(&case.inner_rows, &case.inner_keys).index {
-                SlotIndex::Direct { .. } => Path::Direct,
-                SlotIndex::Map(_) => Path::Map,
-            };
-            assert_eq!(path, case.path, "{}", case.name);
-            let got = hash_join(
-                &case.outer,
-                case.key_col,
-                &case.outer_keys,
-                &case.inner_rows,
-                &case.inner_keys,
-            );
-            assert_eq!(got, case.nested_loop(), "{}", case.name);
-            assert_eq!(got[0].len(), case.out_rows, "{}", case.name);
+            case.check();
         }
+    }
+
+    /// Seeded draws below a bound, from the workspace's SplitMix64 seed
+    /// derivation over a counter.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 += 1;
+            dba_common::seed_for(21, "hash-join-sweep", self.0) % n
+        }
+    }
+
+    #[test]
+    fn hash_join_equals_a_nested_loop_over_a_seeded_sweep() {
+        let mut draw = Draws(0);
+        // Joins per (built side, slot path): [inner, outer][direct, map].
+        let mut seen = [[0; 2]; 2];
+        for _ in 0..300 {
+            // A key domain: dense codes, codes 1,000 apart, or codes 2^40
+            // apart from far below zero.
+            let (base, gap) = match draw.below(3) {
+                0 => (draw.below(100) as i64 - 50, 1),
+                1 => (0, 1_000),
+                _ => (i64::MIN / 2, 1 << 40),
+            };
+            let domain = 1 + draw.below(400);
+            let key = |d: &mut Draws| base + gap * d.below(domain) as i64;
+
+            let outer_base = 1 + draw.below(300);
+            let outer_keys: Vec<i64> = (0..outer_base).map(|_| key(&mut draw)).collect();
+            let (columns, tuples) = (1 + draw.below(3), draw.below(301));
+            let outer: Vec<Vec<u32>> = (0..columns)
+                .map(|_| (0..tuples).map(|_| draw.below(outer_base) as u32).collect())
+                .collect();
+            let key_col = draw.below(columns) as usize;
+            let inner_base = draw.below(301) as u32;
+            let inner_keys: Vec<i64> = (0..inner_base).map(|_| key(&mut draw)).collect();
+            // All inner rows, or about 3/4 or 1/2 of them in row order, as a
+            // filtered scan emits them.
+            let dropped = draw.below(3);
+            let inner_rows: Vec<u32> = (0..inner_base)
+                .filter(|_| draw.below(4) >= dropped)
+                .collect();
+
+            // The smaller input is built, the inner one on a tie, and keys
+            // spanning at most 4 codes per input row are direct addressed.
+            let side = if inner_rows.len() <= outer[key_col].len() {
+                Side::Inner
+            } else {
+                Side::Outer
+            };
+            let (build_rows, build_keys) = match side {
+                Side::Inner => (&inner_rows, &inner_keys),
+                Side::Outer => (&outer[key_col], &outer_keys),
+            };
+            let built: Vec<i128> = build_rows
+                .iter()
+                .map(|&r| i128::from(build_keys[r as usize]))
+                .collect();
+            let input_rows = (outer[key_col].len() + inner_rows.len()) as i128;
+            let path = match (built.iter().min(), built.iter().max()) {
+                (Some(min), Some(max)) if max - min + 1 > 4 * input_rows => Path::Map,
+                _ => Path::Direct,
+            };
+            seen[usize::from(side == Side::Outer)][usize::from(path == Path::Map)] += 1;
+
+            let mut case = JoinCase {
+                name: "seeded sweep",
+                outer,
+                key_col,
+                outer_keys,
+                inner_rows,
+                inner_keys,
+                out_rows: 0,
+                side,
+                path,
+            };
+            case.out_rows = case.nested_loop()[0].len();
+            case.check();
+        }
+        assert!(
+            seen.iter().flatten().all(|&joins| joins >= 20),
+            "every side and path is swept: {seen:?}"
+        );
     }
 
     #[test]
@@ -1319,6 +1624,47 @@ mod tests {
             after.total.secs(),
             before.total.secs()
         );
+    }
+
+    #[test]
+    fn covering_scan_equals_filter_then_sort() {
+        // (case, fact rows, f_val range, matching rows if known; `None` =
+        // some but not all). f_val is uniform in 0..=999.
+        let cases = [
+            ("no match", 5000, 1000, 2000, Some(0)),
+            ("every row", 5000, 0, 999, Some(5000)),
+            ("5,000 rows, not a multiple of 64", 5000, 10, 300, None),
+            ("64 rows, one whole bitmap word", 64, 0, 499, None),
+            ("a 1-row table", 1, 0, 999, Some(1)),
+            ("a 0-row table", 0, 0, 999, Some(0)),
+        ];
+        for (name, rows, lo, hi, matching) in cases {
+            let mut cat = catalog_with_fact_rows(rows);
+            let meta = cat
+                .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
+                .unwrap();
+            let preds = vec![Predicate::range(col(1, 2), lo, hi)];
+            let q = single_table_query(preds.clone(), vec![col(1, 0)]);
+            let t = cat.table(TableId(1));
+            let mut want: Vec<u32> = cat
+                .index(meta.id)
+                .unwrap()
+                .ordered_rows(t)
+                .iter()
+                .copied()
+                .filter(|&r| row_matches(t, r, &preds))
+                .collect();
+            want.sort_unstable();
+            let method = AccessMethod::CoveringScan { index: meta.id };
+            let mut exec = Executor::new(CostModel::unit_scale());
+            let (got, stats) = exec.run_access(&cat, t, &method, &preds, &q);
+            assert_eq!(got, want, "{name}");
+            assert_eq!(stats.rows_out, want.len() as u64, "{name}");
+            match matching {
+                Some(n) => assert_eq!(want.len(), n, "{name}"),
+                None => assert!((1..rows).contains(&want.len()), "{name}"),
+            }
+        }
     }
 
     #[test]
