@@ -167,10 +167,11 @@ fn bench_measured_seek(c: &mut Criterion) {
     });
 }
 
-/// Measured covering scan over 200k rows, ~50% selective: the executor
-/// walks the leaf level of an index keyed on `w`, so the matching rows come
-/// out of the walk in key order and must be put back in heap order. The
-/// plan is built by hand, so the scan is the only operator.
+/// Measured covering scan over 200k rows, ~50% selective, through an index
+/// keyed on `w` that includes `v` and `k`. The executor filters those
+/// columns in row order, the same pass as `batch_scan_half_200k`; only the
+/// price and the sample differ. The plan is built by hand, so the scan is
+/// the only operator.
 fn bench_covering_scan(c: &mut Criterion) {
     let mut catalog = bench_catalog();
     let cover = catalog

@@ -6,9 +6,9 @@
 //! * the two-part context (Part 2 derived features).
 //!
 //! Each variant runs the same shifting TPC-H workload through a
-//! [`TuningSession`]; differences in total and final-round execution time
-//! quantify each design choice's contribution. Not a paper artefact — an
-//! extension experiment.
+//! [`TuningSession`](dba_session::TuningSession); differences in total and
+//! final-round execution time quantify each design choice's contribution.
+//! Not a paper artefact — an extension experiment.
 
 use dba_bench::env_backend_kind;
 use dba_core::{AlphaSchedule, ArmGenConfig, C2UcbConfig, MabConfig, MabTuner};

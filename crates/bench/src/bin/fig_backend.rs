@@ -12,7 +12,7 @@
 //! counters with both the measured wall-clock and the simulated price for
 //! the *same* access — from which the binary reports measured-vs-simulated
 //! time divergence per operator class. A calibration pass
-//! ([`dba_engine::calibrate`]) then fits the `CostModel` per-operator
+//! ([`dba_engine::calibrate()`]) then fits the `CostModel` per-operator
 //! constants against a seeded microbench and must reduce the maximum
 //! per-operator divergence.
 //!

@@ -12,6 +12,7 @@
 //! `DBA_THREADS` knob caps the worker count (default: all cores; `1`
 //! forces the sequential path).
 
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -63,113 +64,52 @@ pub struct ExperimentEnv {
 /// alone picks its executors itself).
 pub fn env_backend_kind() -> BackendKind {
     static PARSED: std::sync::OnceLock<BackendKind> = std::sync::OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("DBA_BACKEND") {
-        Ok(raw) => match raw.parse::<BackendKind>() {
-            Ok(kind) => kind,
-            Err(e) => {
-                eprintln!("warning: ignoring DBA_BACKEND: {e}; using the simulated backend");
-                BackendKind::Simulated
-            }
-        },
-        Err(_) => BackendKind::Simulated,
+    *PARSED.get_or_init(|| {
+        env_knob("DBA_BACKEND", "simulated or measured", |_| true).unwrap_or_default()
     })
 }
 
-/// Parse an environment variable, warning (rather than silently
-/// defaulting) when a value is present but unparsable.
-fn env_parsed<T: std::str::FromStr>(name: &str, default: T) -> T {
-    match std::env::var(name) {
-        Ok(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: ignoring unparsable {name}={raw:?}; using the default");
-                default
-            }
-        },
-        Err(_) => default,
+/// The knob `name`, parsed with `FromStr` and kept if `accept` holds:
+/// `None` when it is unset, and a warning naming the raw value and what
+/// was `expected` (never a silent default) when it is set but rejected.
+fn env_knob<T: FromStr>(name: &str, expected: &str, accept: impl Fn(&T) -> bool) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    let value = raw.parse().ok().filter(|v| accept(v));
+    if value.is_none() {
+        eprintln!("warning: ignoring {name}={raw:?}; expected {expected}");
     }
+    value
 }
 
 impl ExperimentEnv {
-    /// Read `DBA_SF`, `DBA_SEED`, `DBA_QUICK` and `DBA_ROUNDS`.
+    /// Read `DBA_QUICK`, `DBA_SF`, `DBA_SEED`, `DBA_ROUNDS`,
+    /// `DBA_SAFETY_BOUND`, `DBA_LATENCY_BUDGET`, `DBA_ARRIVAL` and
+    /// `DBA_BACKEND`. A value that does not parse or is out of range is
+    /// warned about and ignored.
     pub fn from_env() -> Self {
-        let quick = match std::env::var("DBA_QUICK") {
-            Ok(v) if v == "1" => true,
-            Ok(v) if v == "0" || v.is_empty() => false,
-            Ok(v) => {
-                eprintln!("warning: ignoring DBA_QUICK={v:?}; use 1 to enable, 0 to disable");
-                false
-            }
-            Err(_) => false,
-        };
-        let sf = env_parsed("DBA_SF", if quick { 1.0 } else { 10.0 });
-        let seed = env_parsed("DBA_SEED", 42);
-        let rounds = match std::env::var("DBA_ROUNDS") {
-            Ok(raw) => match raw.parse::<usize>() {
-                Ok(0) => {
-                    eprintln!("warning: ignoring DBA_ROUNDS=0; a workload needs at least 1 round");
-                    None
-                }
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!("warning: ignoring unparsable DBA_ROUNDS={raw:?}");
-                    None
-                }
-            },
-            Err(_) => None,
-        };
-        let safety_bound = match std::env::var("DBA_SAFETY_BOUND") {
-            Ok(raw) => match raw.parse::<f64>() {
-                Ok(v) if v.is_finite() && v > 0.0 => Some(v),
-                Ok(v) => {
-                    eprintln!(
-                        "warning: ignoring DBA_SAFETY_BOUND={v}; the regret bound factor must \
-                         be a finite positive number"
-                    );
-                    None
-                }
-                Err(_) => {
-                    eprintln!("warning: ignoring unparsable DBA_SAFETY_BOUND={raw:?}");
-                    None
-                }
-            },
-            Err(_) => None,
-        };
-        let latency_budget = match std::env::var("DBA_LATENCY_BUDGET") {
-            Ok(raw) => match raw.parse::<f64>() {
-                Ok(v) if v > 0.0 => Some(v),
-                Ok(v) => {
-                    eprintln!(
-                        "warning: ignoring DBA_LATENCY_BUDGET={v}; the recommend budget must \
-                         be positive (simulated seconds; `inf` disables the ladder)"
-                    );
-                    None
-                }
-                Err(_) => {
-                    eprintln!("warning: ignoring unparsable DBA_LATENCY_BUDGET={raw:?}");
-                    None
-                }
-            },
-            Err(_) => None,
-        };
-        let arrival = match std::env::var("DBA_ARRIVAL") {
-            Ok(raw) => match raw.parse::<ArrivalProcess>() {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("warning: ignoring DBA_ARRIVAL: {e}");
-                    None
-                }
-            },
-            Err(_) => None,
-        };
+        let quick = env_knob(
+            "DBA_QUICK",
+            "1 to enable, 0 or empty to disable",
+            |v: &String| ["1", "0", ""].contains(&v.as_str()),
+        )
+        .is_some_and(|v| v == "1");
+        let default_sf = if quick { 1.0 } else { 10.0 };
         ExperimentEnv {
-            sf,
-            seed,
+            sf: env_knob("DBA_SF", "a scale factor", |_| true).unwrap_or(default_sf),
+            seed: env_knob("DBA_SEED", "an unsigned integer seed", |_| true).unwrap_or(42),
             quick,
-            rounds,
-            safety_bound,
-            latency_budget,
-            arrival,
+            rounds: env_knob("DBA_ROUNDS", "a round count >= 1", |&n| n >= 1),
+            safety_bound: env_knob(
+                "DBA_SAFETY_BOUND",
+                "a finite positive regret bound factor",
+                |v: &f64| v.is_finite() && *v > 0.0,
+            ),
+            latency_budget: env_knob(
+                "DBA_LATENCY_BUDGET",
+                "a positive recommend budget in simulated seconds (`inf` disables the ladder)",
+                |&v| v > 0.0,
+            ),
+            arrival: env_knob("DBA_ARRIVAL", "roundbatch, poisson or bursty", |_| true),
             backend: env_backend_kind(),
         }
     }
@@ -277,9 +217,10 @@ pub fn fig_session(
         .seed(seed)
 }
 
-/// Run one tuner over one workload through a [`TuningSession`]. `base`
-/// and `stats` supply the shared generated data and its statistics; each
-/// run forks an index-free catalog from `base`.
+/// Run one tuner over one workload through a
+/// [`TuningSession`](dba_session::TuningSession). `base` and `stats` supply
+/// the shared generated data and its statistics; each run forks an
+/// index-free catalog from `base`.
 pub fn run_one(
     benchmark: &Benchmark,
     base: &Catalog,
@@ -318,10 +259,9 @@ pub fn run_one_with_drift(
     builder.build()?.run()
 }
 
-/// Run one tuner over one workload through a
-/// [`StreamingSession`](dba_session::StreamingSession): arrival windows
-/// under the given stream configuration instead of fixed rounds. `guard`
-/// wraps the tuner in the safety guardrail; `mab` overrides the MAB
+/// Run one tuner over one workload through a [`StreamingSession`]: arrival
+/// windows under the given stream configuration instead of fixed rounds.
+/// `guard` wraps the tuner in the safety guardrail; `mab` overrides the MAB
 /// configuration (e.g. `streaming_fast_path`, the batched per-window
 /// update) and is ignored for other tuners; `timer` supplies advisory
 /// wall-clock telemetry ([`BudgetTimer::disabled`] keeps the run purely
@@ -367,22 +307,11 @@ pub fn run_stream_one(
 /// sequential path), otherwise every available core. The effective fan-out
 /// is additionally capped by the number of tuners in the suite.
 pub fn suite_threads() -> usize {
-    match std::env::var("DBA_THREADS") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring DBA_THREADS={raw:?}; expected a thread count >= 1");
-                default_threads()
-            }
-        },
-        Err(_) => default_threads(),
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    env_knob("DBA_THREADS", "a thread count >= 1", |&n| n >= 1).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Run a set of tuners over one benchmark/workload, sharing generated

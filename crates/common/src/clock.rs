@@ -134,40 +134,6 @@ impl fmt::Display for SimSeconds {
     }
 }
 
-/// An accumulating simulated clock.
-///
-/// Components advance the clock by the cost-model durations of the work they
-/// perform; the harness reads it to produce per-round and total times.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
-    elapsed: SimSeconds,
-}
-
-impl SimClock {
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// Advance the clock by `dt`. Panics in debug builds if `dt` is negative
-    /// or non-finite — time only moves forward.
-    #[inline]
-    pub fn advance(&mut self, dt: SimSeconds) {
-        debug_assert!(dt.0.is_finite() && dt.0 >= 0.0, "clock advanced by {dt:?}");
-        self.elapsed += dt;
-    }
-
-    #[inline]
-    pub fn now(&self) -> SimSeconds {
-        self.elapsed
-    }
-
-    /// Time elapsed since an earlier reading.
-    #[inline]
-    pub fn since(&self, earlier: SimSeconds) -> SimSeconds {
-        self.elapsed - earlier
-    }
-}
-
 /// The workspace's one clock type: an *advisory* timer with an injected
 /// time source.
 ///
@@ -290,27 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_and_reads_back() {
-        let mut clock = SimClock::new();
-        let t0 = clock.now();
-        clock.advance(SimSeconds::new(3.0));
-        clock.advance(SimSeconds::new(2.0));
-        assert_eq!(clock.now().secs(), 5.0);
-        assert_eq!(clock.since(t0).secs(), 5.0);
-    }
-
-    #[test]
     fn clamp_non_negative() {
         assert_eq!(SimSeconds::new(-2.0).clamp_non_negative().secs(), 0.0);
         assert_eq!(SimSeconds::new(2.0).clamp_non_negative().secs(), 2.0);
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn clock_rejects_negative_advance() {
-        let mut clock = SimClock::new();
-        clock.advance(SimSeconds::new(-1.0));
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod error;
 pub mod ids;
 pub mod rng;
 
-pub use clock::{BudgetTimer, SimClock, SimSeconds};
+pub use clock::{BudgetTimer, SimSeconds};
 pub use error::{DbError, DbResult};
 pub use ids::{ColumnId, ColumnRef, IndexId, QueryId, TableId, TemplateId};
 pub use rng::seed_for;

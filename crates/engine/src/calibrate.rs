@@ -26,17 +26,9 @@ use crate::exec::Executor;
 use crate::plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
 use crate::query::{JoinPred, Predicate, Query};
 
-/// Constants being fitted, in feature order.
-const FITTED: [&str; 6] = [
-    "seq_page_s",
-    "cpu_row_s",
-    "btree_descent_s",
-    "hash_build_row_s",
-    "hash_probe_row_s",
-    "agg_row_s",
-];
-
-/// Map a sample to its feature row: work counters aligned with [`FITTED`].
+/// Map a sample to its feature row: work counters aligned with the fitted
+/// constants `seq_page_s`, `cpu_row_s`, `btree_descent_s`,
+/// `hash_build_row_s`, `hash_probe_row_s` and `agg_row_s`, in that order.
 ///
 /// Only operators whose cost is fully expressible in the fitted constants
 /// contribute useful rows — the microbench emits covering seeks and
@@ -118,11 +110,6 @@ impl CalibrationReport {
             .iter()
             .map(OpReport::divergence_after)
             .fold(0.0, f64::max)
-    }
-
-    /// Names of the constants [`fit`] adjusts, in feature order.
-    pub fn fitted_constants() -> &'static [&'static str] {
-        &FITTED
     }
 }
 
@@ -464,6 +451,16 @@ pub fn calibrate(base: &CostModel, timer: BudgetTimer, seed: u64) -> Calibration
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Constants being fitted, in feature order.
+    const FITTED: [&str; 6] = [
+        "seq_page_s",
+        "cpu_row_s",
+        "btree_descent_s",
+        "hash_build_row_s",
+        "hash_probe_row_s",
+        "agg_row_s",
+    ];
 
     /// Synthetic timings drawn *from* unit-scale constants: the fit must
     /// recover them (near-)exactly and drive divergence to ~0.

@@ -182,13 +182,6 @@ impl CostModel {
             + write_pages as f64 * self.write_page_s)
     }
 
-    /// Cost model's own estimate of a full table scan given page/row counts
-    /// (identical formula to [`Self::scan`]; exposed for reference-time
-    /// computations).
-    pub fn full_scan_reference(&self, heap_pages: u64, rows: u64) -> SimSeconds {
-        self.scan(heap_pages, rows)
-    }
-
     /// Cost of maintaining one secondary index through a round of data
     /// change, applied refresh-stream style: the round's deltas are sorted
     /// and bulk-merged into the leaf level (how TPC-H RF1/RF2 batches are

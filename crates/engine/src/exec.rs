@@ -1,14 +1,15 @@
 //! The executor: runs a physical [`Plan`] against real column data.
 //!
-//! Execution is *actual*: predicates are evaluated over the stored codes in
-//! vectorized batches, seeks probe the sorted index and gather the needed
-//! columns from the heap, covering scans walk the index leaves, joins
-//! materialise real matching row ids and aggregates sum the payload. Every
-//! operator is priced from the shared [`CostModel`] using the **observed**
-//! cardinalities. The per-access statistics it emits ([`AccessStats`]) are
-//! exactly the observations the paper's reward shaping consumes: which
-//! index served which table, how long the access took, and what a full
-//! table scan cost when one was performed.
+//! Execution is *actual*: every predicate is evaluated over the stored codes
+//! by one selection-vector filter, seeks probe the sorted index, refine the
+//! leaf range and gather the needed columns from the heap, covering scans
+//! filter the columns their index holds, joins materialise real matching
+//! row ids and aggregates sum the payload. Every operator is priced from
+//! the shared [`CostModel`] using the **observed** cardinalities. The
+//! per-access statistics it emits ([`AccessStats`]) are exactly the
+//! observations the paper's reward shaping consumes: which index served
+//! which table, how long the access took, and what a full table scan cost
+//! when one was performed.
 //!
 //! An executor built with an enabled [`BudgetTimer`] also times each
 //! operator with one `mark`/`elapsed_secs` pair and records an [`OpSample`]
@@ -275,32 +276,32 @@ impl Executor {
                         step.access.method,
                         AccessMethod::IndexSeek { covering: true, .. }
                     );
-                    let leaf_cap = leaf_capacity(inner_table, index);
                     // Sorts the leaf order on first read, outside the timing.
                     let order = index.ordered_rows(inner_table);
 
                     self.timer.mark();
+                    let leaf_cap = leaf_capacity(inner_table, index);
                     let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
                     let mut new_cols: Vec<Vec<u32>> =
                         (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
                     let mut total_matched = 0u64;
-                    let mut total_out = 0u64;
                     let mut leaves = 0u64;
+                    // Each probe's matches, refined in one reused buffer.
+                    let mut matches = Vec::new();
                     for k in 0..inter.len {
                         let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
                         let (s, e) = index.probe(inner_table, &[ov], None);
                         total_matched += (e - s) as u64;
                         leaves += leaves_spanned(index, leaf_cap, s, e);
-                        for &ir in &order[s..e] {
-                            if row_matches(inner_table, ir, &inner_preds) {
-                                for (ci, col) in inter.columns.iter().enumerate() {
-                                    new_cols[ci].push(col[k]);
-                                }
-                                new_cols[inter.columns.len()].push(ir);
-                                total_out += 1;
-                            }
+                        matches.clear();
+                        matches.extend_from_slice(&order[s..e]);
+                        refine(inner_table, &inner_preds, &mut matches);
+                        for (col, filled) in inter.columns.iter().zip(&mut new_cols) {
+                            filled.extend(std::iter::repeat_n(col[k], matches.len()));
                         }
+                        new_cols[inter.columns.len()].extend_from_slice(&matches);
                     }
+                    let total_out = new_cols[0].len() as u64;
                     let heap_fetches = if covering { 0 } else { total_matched };
                     let price = self.cost.inl_probes(
                         inter.len as u64,
@@ -326,10 +327,9 @@ impl Executor {
                         rows_out: total_out,
                         is_full_scan: false,
                     });
-                    let len = new_cols[0].len();
                     inter.tables.push(step.access.table);
                     inter.columns = new_cols;
-                    inter.len = len;
+                    inter.len = total_out as usize;
                 }
             }
         }
@@ -371,8 +371,10 @@ impl Executor {
         }
     }
 
-    /// Run a single-table access, returning matching row ids (ascending,
-    /// whatever the method) and stats.
+    /// Run a single-table access, returning its matching row ids and stats.
+    /// Scans, covering scans among them, return the rows ascending. A seek
+    /// returns them in leaf order, by (key tuple, row id), so a range seek's
+    /// row ids need not ascend.
     fn run_access(
         &mut self,
         catalog: &Catalog,
@@ -410,12 +412,8 @@ impl Executor {
                 self.timer.mark();
                 let (s, e) = ix.probe(table, &shape.eq_values, shape.range);
                 let matched = (e - s) as u64;
-                let mut rows = Vec::with_capacity(e - s);
-                for &r in &order[s..e] {
-                    if shape.residual.is_empty() || row_matches(table, r, &shape.residual) {
-                        rows.push(r);
-                    }
-                }
+                let mut rows = order[s..e].to_vec();
+                refine(table, &shape.residual, &mut rows);
                 // A non-covering seek fetches the columns the query needs
                 // from the heap: the work the random heap reads stand for.
                 if !covering {
@@ -449,30 +447,11 @@ impl Executor {
                     "covering scan over a non-covering index"
                 );
 
-                // Sorts the leaf order on first read, outside the timing.
-                let order = ix.ordered_rows(table);
-
-                // Walk the leaf level in key order, marking each matching
-                // row in a bitmap, then read the marks out in heap order so
-                // every access method emits ascending row ids. The leaf
-                // order holds each row once, so the read-out is exactly the
-                // sorted matches.
+                // The leaves hold every column the query reads and each row
+                // once, so filtering those columns in row order yields the
+                // scan's matches, ascending.
                 self.timer.mark();
-                let mut marks = vec![0u64; table.rows().div_ceil(64)];
-                let mut matched = 0;
-                for &r in order {
-                    let hit = row_matches(table, r, preds);
-                    marks[r as usize / 64] |= u64::from(hit) << (r % 64);
-                    matched += usize::from(hit);
-                }
-                let mut rows = Vec::with_capacity(matched);
-                for (w, &word) in marks.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        rows.push(w as u32 * 64 + bits.trailing_zeros());
-                        bits &= bits - 1;
-                    }
-                }
+                let rows = batch_filter(table, preds);
                 // Maintained leaves grow with the table (drift): the
                 // catalog's live accounting scales each index by the growth
                 // it actually absorbed since creation.
@@ -838,8 +817,8 @@ fn leaves_spanned(index: &Index, leaf_cap: usize, start: usize, end: usize) -> u
 }
 
 /// Row ids of `table` matching all `preds`, ascending: seed a selection
-/// vector per [`BATCH_ROWS`] window from the first predicate, then refine
-/// it in place with the rest.
+/// vector per [`BATCH_ROWS`] window from the first predicate, then
+/// [`refine`] it with the rest.
 fn batch_filter(table: &Table, preds: &[Predicate]) -> Vec<u32> {
     let n = table.rows();
     let Some((first, rest)) = preds.split_first() else {
@@ -852,22 +831,20 @@ fn batch_filter(table: &Table, preds: &[Predicate]) -> Vec<u32> {
         let end = (start + BATCH_ROWS).min(n);
         batch.clear();
         seed.fill_matching_in(first.lo, first.hi, start, end, &mut batch);
-        for p in rest {
-            table
-                .column(p.column.ordinal)
-                .retain_matching(p.lo, p.hi, &mut batch);
-        }
+        refine(table, rest, &mut batch);
         out.extend_from_slice(&batch);
     }
     out
 }
 
-/// Whether row `r` of `table` satisfies all `preds`.
-#[inline]
-fn row_matches(table: &Table, r: u32, preds: &[Predicate]) -> bool {
-    preds
-        .iter()
-        .all(|p| p.matches(table.column(p.column.ordinal).value(r as usize)))
+/// Keep the rows of the selection vector `sel` that satisfy all `preds`,
+/// in order: one branch-free pass per predicate.
+fn refine(table: &Table, preds: &[Predicate], sel: &mut Vec<u32>) {
+    for p in preds {
+        table
+            .column(p.column.ordinal)
+            .retain_matching(p.lo, p.hi, sel);
+    }
 }
 
 #[cfg(test)]
@@ -878,8 +855,17 @@ mod tests {
     use dba_common::{ColumnId, TemplateId};
     use dba_storage::{ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema};
 
-    /// Two-table catalog: `dim` (200 rows) and `fact` (5000 rows) with
-    /// fact.f_dim a uniform FK into dim.
+    /// Whether row `r` of `table` satisfies all `preds`: the row-at-a-time
+    /// reference the executor's selection-vector filter is checked against.
+    fn row_matches(table: &Table, r: u32, preds: &[Predicate]) -> bool {
+        preds
+            .iter()
+            .all(|p| p.matches(table.column(p.column.ordinal).value(r as usize)))
+    }
+
+    /// Three-table catalog: `dim` (200 rows), `fact` (5000 rows) with
+    /// fact.f_dim a uniform FK into dim, and `sub` (300 rows) with sub.s_dim
+    /// one too.
     fn catalog() -> Catalog {
         catalog_with_fact_rows(5000)
     }
@@ -912,9 +898,18 @@ mod tests {
                 ),
             ],
         );
+        let sub = TableSchema::new(
+            "sub",
+            vec![ColumnSpec::new(
+                "s_dim",
+                ColumnType::Int,
+                Distribution::FkUniform { parent_rows: 200 },
+            )],
+        );
         Catalog::new(vec![
             TableBuilder::new(dim, 200).build(TableId(0), 5),
             TableBuilder::new(fact, fact_rows).build(TableId(1), 5),
+            TableBuilder::new(sub, 300).build(TableId(2), 5),
         ])
     }
 
@@ -965,33 +960,91 @@ mod tests {
 
     #[test]
     fn index_seek_equals_scan_row_output() {
-        let mut cat = catalog();
-        let meta = cat
-            .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
-            .unwrap();
-        let q = single_table_query(vec![Predicate::range(col(1, 2), 10, 30)], vec![col(1, 0)]);
-        let mut exec = Executor::new(CostModel::unit_scale());
-        let seek_plan = Plan {
-            driver: TableAccess {
-                table: TableId(1),
-                method: AccessMethod::IndexSeek {
-                    index: meta.id,
-                    covering: false,
-                },
-                est_rows: 0.0,
-            },
-            joins: vec![],
-            aggregated: false,
-            est_cost: SimSeconds::ZERO,
-        };
-        let via_seek = exec.execute(&cat, &q, &seek_plan);
-        let via_scan = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
-        assert_eq!(via_seek.result_rows, via_scan.result_rows);
-        assert_eq!(via_seek.indexes_used(), vec![meta.id]);
-        // Note: on this tiny (15-page) table the non-covering seek is
-        // *slower* than the scan — random heap fetches cannot amortise.
-        // That asymmetry is intentional and exercised in
-        // `selective_seek_beats_scan_on_large_table`.
+        let f_key = |lo, hi| Predicate::range(col(1, 0), lo, hi);
+        let f_dim = |lo, hi| Predicate::range(col(1, 1), lo, hi);
+        let f_val = |lo, hi| Predicate::range(col(1, 2), lo, hi);
+        // (case, index key columns, predicates, residual predicates, whether
+        // any row matches). f_key is 0..5000 in row order, f_dim uniform in
+        // 0..200 and f_val uniform in 0..=999.
+        type Case = (&'static str, Vec<u16>, Vec<Predicate>, usize, bool);
+        let cases: [Case; 8] = [
+            ("equality only", vec![1], vec![f_dim(7, 7)], 0, true),
+            (
+                "equality plus range",
+                vec![1, 2],
+                vec![f_val(100, 600), f_dim(7, 7)],
+                0,
+                true,
+            ),
+            ("range only", vec![2], vec![f_val(10, 30)], 0, true),
+            (
+                "equality, a residual on a non-key column",
+                vec![1],
+                vec![f_dim(7, 7), f_val(0, 499)],
+                1,
+                true,
+            ),
+            (
+                "range, residuals on a key and a non-key column",
+                vec![1, 2],
+                vec![f_dim(10, 50), f_val(0, 499), f_key(1000, 3999)],
+                2,
+                true,
+            ),
+            (
+                "a residual matching nothing",
+                vec![2],
+                vec![f_val(10, 300), f_key(10_000, 20_000)],
+                1,
+                false,
+            ),
+            (
+                "an empty range, lo > hi",
+                vec![2],
+                vec![f_val(30, 10)],
+                0,
+                false,
+            ),
+            (
+                "an empty range with a residual",
+                vec![2],
+                vec![f_val(30, 10), f_dim(0, 99)],
+                1,
+                false,
+            ),
+        ];
+        for (name, keys, preds, residual, any) in cases {
+            let mut cat = catalog();
+            let meta = cat
+                .create_index(IndexDef::new(TableId(1), keys, vec![]))
+                .unwrap();
+            let (t, ix) = (cat.table(TableId(1)), cat.index(meta.id).unwrap());
+            let shape = seek_shape(ix.def(), &preds);
+            assert_eq!(shape.residual.len(), residual, "{name}");
+            let (s, e) = ix.probe(t, &shape.eq_values, shape.range);
+            let want: Vec<u32> = ix.ordered_rows(t)[s..e]
+                .iter()
+                .copied()
+                .filter(|&r| row_matches(t, r, &preds))
+                .collect();
+            assert_eq!(!want.is_empty(), any, "{name}");
+
+            let q = single_table_query(preds.clone(), vec![col(1, 0)]);
+            let mut exec = Executor::new(CostModel::unit_scale());
+            let seek = AccessMethod::IndexSeek {
+                index: meta.id,
+                covering: false,
+            };
+            let (got, stats) = exec.run_access(&cat, t, &seek, &preds, &q);
+            assert_eq!(got, want, "{name}: leaf order");
+            assert_eq!(stats.index, Some(meta.id), "{name}");
+            assert_eq!(stats.rows_out, want.len() as u64, "{name}");
+            // The scan returns the same rows, ascending.
+            let (scanned, _) = exec.run_access(&cat, t, &AccessMethod::FullScan, &preds, &q);
+            let mut sorted = got;
+            sorted.sort_unstable();
+            assert_eq!(sorted, scanned, "{name}: the scan's rows");
+        }
     }
 
     #[test]
@@ -1097,19 +1150,40 @@ mod tests {
         }
     }
 
-    /// Ground-truth join cardinality computed naively.
-    fn true_join_rows(cat: &Catalog) -> u64 {
-        let dim = cat.table(TableId(0));
-        let fact = cat.table(TableId(1));
+    /// One `dim ⋈ fact` step on `q`'s join, driven by a full scan of `dim`.
+    fn join_plan(q: &Query, algo: JoinAlgo, method: AccessMethod) -> Plan {
+        Plan {
+            driver: TableAccess {
+                table: TableId(0),
+                method: AccessMethod::FullScan,
+                est_rows: 0.0,
+            },
+            joins: vec![JoinStep {
+                access: TableAccess {
+                    table: TableId(1),
+                    method,
+                    est_rows: 0.0,
+                },
+                algo,
+                join: q.joins[0],
+                est_rows_out: 0.0,
+            }],
+            aggregated: true,
+            est_cost: SimSeconds::ZERO,
+        }
+    }
+
+    /// Ground-truth cardinality of `q`, a `dim ⋈ fact` query on
+    /// `d_key = f_dim`, computed by a nested loop.
+    fn true_join_rows(cat: &Catalog, q: &Query) -> u64 {
+        let (dim, fact) = (cat.table(TableId(0)), cat.table(TableId(1)));
+        let dim_preds = q.predicates_on(TableId(0));
+        let fact_preds = q.predicates_on(TableId(1));
         let mut n = 0u64;
-        for dr in 0..dim.rows() {
-            if dim.column(1).value(dr) != 3 {
-                continue;
-            }
-            let key = dim.column(0).value(dr);
-            for fr in 0..fact.rows() {
-                if fact.column(1).value(fr) == key && (0..=499).contains(&fact.column(2).value(fr))
-                {
+        for dr in (0..dim.rows() as u32).filter(|&r| row_matches(dim, r, &dim_preds)) {
+            let key = dim.column(0).value(dr as usize);
+            for fr in 0..fact.rows() as u32 {
+                if fact.column(1).value(fr as usize) == key && row_matches(fact, fr, &fact_preds) {
                     n += 1;
                 }
             }
@@ -1121,28 +1195,10 @@ mod tests {
     fn hash_join_matches_ground_truth() {
         let cat = catalog();
         let q = join_query();
-        let plan = Plan {
-            driver: TableAccess {
-                table: TableId(0),
-                method: AccessMethod::FullScan,
-                est_rows: 0.0,
-            },
-            joins: vec![JoinStep {
-                access: TableAccess {
-                    table: TableId(1),
-                    method: AccessMethod::FullScan,
-                    est_rows: 0.0,
-                },
-                algo: JoinAlgo::Hash,
-                join: q.joins[0],
-                est_rows_out: 0.0,
-            }],
-            aggregated: true,
-            est_cost: SimSeconds::ZERO,
-        };
+        let plan = join_plan(&q, JoinAlgo::Hash, AccessMethod::FullScan);
         let mut exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &plan);
-        assert_eq!(result.result_rows, true_join_rows(&cat));
+        assert_eq!(result.result_rows, true_join_rows(&cat, &q));
         assert!(result.join_time.secs() > 0.0);
         assert!(result.agg_time.secs() > 0.0);
     }
@@ -1538,45 +1594,104 @@ mod tests {
 
     #[test]
     fn inl_join_matches_hash_join_output() {
+        let f_dim = |lo, hi| Predicate::range(col(1, 1), lo, hi);
+        let f_val = |lo, hi| Predicate::range(col(1, 2), lo, hi);
+        // (case, predicates on fact, whether any row joins). The index is on
+        // the join key f_dim, uniform in 0..200; f_val, uniform in 0..=999,
+        // is not in it.
+        let cases = [
+            ("no inner predicate", vec![], true),
+            ("one on the index key column", vec![f_dim(0, 99)], true),
+            ("one on a non-key column", vec![f_val(0, 499)], true),
+            ("two", vec![f_dim(0, 99), f_val(250, 749)], true),
+            ("one matching nothing", vec![f_val(1000, 2000)], false),
+        ];
         let mut cat = catalog();
         let fk_ix = cat
             .create_index(IndexDef::new(TableId(1), vec![1], vec![]))
             .unwrap();
-        let q = join_query();
-        let inl_plan = Plan {
-            driver: TableAccess {
-                table: TableId(0),
-                method: AccessMethod::FullScan,
-                est_rows: 0.0,
-            },
-            joins: vec![JoinStep {
+        let (dim, fact, sub) = (
+            cat.table(TableId(0)),
+            cat.table(TableId(1)),
+            cat.table(TableId(2)),
+        );
+        let ix = cat.index(fk_ix.id).unwrap();
+        let driver = vec![Predicate::eq(col(0, 1), 3)];
+        let seek = AccessMethod::IndexSeek {
+            index: fk_ix.id,
+            covering: false,
+        };
+        let inl_plan = join_plan(&join_query(), JoinAlgo::IndexNestedLoop, seek);
+        let hash_plan = join_plan(&join_query(), JoinAlgo::Hash, AccessMethod::FullScan);
+        for (name, inner_preds, any) in cases {
+            let mut q = join_query();
+            q.predicates = [driver.as_slice(), &inner_preds].concat();
+            let want = true_join_rows(&cat, &q);
+            assert_eq!(want > 0, any, "{name}");
+
+            let mut timed = Executor::timed(
+                CostModel::unit_scale(),
+                BackendKind::Simulated,
+                BudgetTimer::scripted(1e-6),
+            );
+            let inl = timed.execute(&cat, &q, &inl_plan);
+            let hash = Executor::new(CostModel::unit_scale()).execute(&cat, &q, &hash_plan);
+            assert_eq!(inl.result_rows, want, "{name}");
+            assert_eq!(hash.result_rows, want, "{name}");
+            // The INL inner access is attributed to the index.
+            let inner = inl.accesses.iter().find(|a| a.table == TableId(1)).unwrap();
+            assert_eq!(inner.index, Some(fk_ix.id), "{name}");
+            assert!(!inner.is_full_scan, "{name}");
+            assert_eq!(inner.rows_out, want, "{name}");
+
+            // The reference probe loop: each driver row descends once, its
+            // leaf range counts as matched, and the range's rows that pass
+            // the inner predicates are emitted. A hash join of `sub` on the
+            // driver's key after the probes reads the outer column they fill.
+            let (mut descents, mut rows, mut out_rows, mut with_sub) = (0, 0, 0, 0);
+            for dr in (0..dim.rows() as u32).filter(|&r| row_matches(dim, r, &driver)) {
+                let key = dim.column(0).value(dr as usize);
+                let (s, e) = ix.probe(fact, &[key], None);
+                let emitted = ix.ordered_rows(fact)[s..e]
+                    .iter()
+                    .filter(|&&r| row_matches(fact, r, &inner_preds))
+                    .count() as u64;
+                descents += 1;
+                rows += (e - s) as u64;
+                out_rows += emitted;
+                with_sub +=
+                    emitted * sub.column(0).data().iter().filter(|&&v| v == key).count() as u64;
+            }
+            let mut q3 = q.clone();
+            q3.tables.push(TableId(2));
+            q3.joins.push(JoinPred::new(col(2, 0), col(0, 0)));
+            let mut then_sub = inl_plan.clone();
+            then_sub.joins.push(JoinStep {
                 access: TableAccess {
-                    table: TableId(1),
-                    method: AccessMethod::IndexSeek {
-                        index: fk_ix.id,
-                        covering: false,
-                    },
+                    table: TableId(2),
+                    method: AccessMethod::FullScan,
                     est_rows: 0.0,
                 },
-                algo: JoinAlgo::IndexNestedLoop,
-                join: q.joins[0],
+                algo: JoinAlgo::Hash,
+                join: q3.joins[1],
                 est_rows_out: 0.0,
-            }],
-            aggregated: true,
-            est_cost: SimSeconds::ZERO,
-        };
-        let mut exec = Executor::new(CostModel::unit_scale());
-        let result = exec.execute(&cat, &q, &inl_plan);
-        assert_eq!(result.result_rows, true_join_rows(&cat));
-        // The INL inner access is attributed to the index.
-        let inner = result
-            .accesses
-            .iter()
-            .find(|a| a.table == TableId(1))
-            .unwrap();
-        assert_eq!(inner.index, Some(fk_ix.id));
-        assert!(!inner.is_full_scan);
-        assert!(result.max_index_time(TableId(1)).is_some());
+            });
+            let three = Executor::new(CostModel::unit_scale()).execute(&cat, &q3, &then_sub);
+            assert_eq!(
+                three.result_rows, with_sub,
+                "{name}: sub joined after the probes"
+            );
+
+            let samples = timed.take_op_samples();
+            let probe = samples.iter().find(|s| s.op() == OpKind::InlProbe);
+            let probe = probe.expect("an InlProbe sample");
+            assert_eq!(
+                (probe.rows, probe.out_rows, probe.descents),
+                (rows, out_rows, descents),
+                "{name}"
+            );
+            assert_eq!(out_rows, want, "{name}");
+        }
     }
 
     #[test]
@@ -1633,8 +1748,8 @@ mod tests {
         let cases = [
             ("no match", 5000, 1000, 2000, Some(0)),
             ("every row", 5000, 0, 999, Some(5000)),
-            ("5,000 rows, not a multiple of 64", 5000, 10, 300, None),
-            ("64 rows, one whole bitmap word", 64, 0, 499, None),
+            ("5,000 rows, two filter batches", 5000, 10, 300, None),
+            ("64 rows", 64, 0, 499, None),
             ("a 1-row table", 1, 0, 999, Some(1)),
             ("a 0-row table", 0, 0, 999, Some(0)),
         ];
@@ -1700,26 +1815,12 @@ mod tests {
             est_cost: SimSeconds::ZERO,
         };
         let jq = join_query();
-        let join_pred = jq.joins[0];
-        let join = |algo, method| Plan {
-            driver: TableAccess {
-                table: TableId(0),
-                method: AccessMethod::FullScan,
-                est_rows: 0.0,
-            },
-            joins: vec![JoinStep {
-                access: TableAccess {
-                    table: TableId(1),
-                    method,
-                    est_rows: 0.0,
-                },
-                algo,
-                join: join_pred,
-                est_rows_out: 0.0,
-            }],
-            aggregated: true,
-            est_cost: SimSeconds::ZERO,
+        let hash = join_plan(&jq, JoinAlgo::Hash, AccessMethod::FullScan);
+        let inl = AccessMethod::IndexSeek {
+            index: fk_ix.id,
+            covering: false,
         };
+        let inl = join_plan(&jq, JoinAlgo::IndexNestedLoop, inl);
         vec![
             (q.clone(), single(AccessMethod::FullScan)),
             (
@@ -1737,17 +1838,8 @@ mod tests {
                 }),
             ),
             (q, single(AccessMethod::CoveringScan { index: cover_ix.id })),
-            (jq.clone(), join(JoinAlgo::Hash, AccessMethod::FullScan)),
-            (
-                jq,
-                join(
-                    JoinAlgo::IndexNestedLoop,
-                    AccessMethod::IndexSeek {
-                        index: fk_ix.id,
-                        covering: false,
-                    },
-                ),
-            ),
+            (jq.clone(), hash),
+            (jq, inl),
         ]
     }
 

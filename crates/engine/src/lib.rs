@@ -23,4 +23,4 @@ pub use calibrate::{calibrate, fit, microbench_samples, CalibrationReport, OpRep
 pub use cost::{CostModel, PAPER_TIME_SCALE};
 pub use exec::{AccessStats, Executor, QueryExecution};
 pub use plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
-pub use query::{JoinPred, Predicate, Query, WorkloadSlice};
+pub use query::{JoinPred, Predicate, Query};

@@ -150,39 +150,6 @@ impl Query {
         }
         cols
     }
-
-    #[inline]
-    pub fn is_join_query(&self) -> bool {
-        !self.joins.is_empty()
-    }
-}
-
-/// A mini-workload: the set of queries executed in one round.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadSlice {
-    pub queries: Vec<Query>,
-}
-
-impl WorkloadSlice {
-    pub fn new(queries: Vec<Query>) -> Self {
-        WorkloadSlice { queries }
-    }
-
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// Distinct template ids present in this slice.
-    pub fn template_ids(&self) -> Vec<TemplateId> {
-        let mut ids: Vec<TemplateId> = self.queries.iter().map(|q| q.template).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -244,18 +211,6 @@ mod tests {
         assert_eq!(j.side_on(TableId(0)), Some(col(0, 0)));
         assert_eq!(j.other_side(TableId(0)), Some(col(1, 1)));
         assert_eq!(j.side_on(TableId(2)), None);
-    }
-
-    #[test]
-    fn workload_slice_template_ids() {
-        let q1 = sample_query();
-        let mut q2 = sample_query();
-        q2.template = TemplateId(1);
-        let mut q3 = sample_query();
-        q3.template = TemplateId(3);
-        let w = WorkloadSlice::new(vec![q1, q2, q3]);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.template_ids(), vec![TemplateId(1), TemplateId(3)]);
     }
 
     #[test]

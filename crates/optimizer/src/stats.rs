@@ -85,10 +85,6 @@ impl Histogram {
         (lo, hi)
     }
 
-    pub fn total_rows(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     pub fn total_distinct(&self) -> u64 {
         self.distinct.iter().sum()
     }

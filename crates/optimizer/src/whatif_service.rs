@@ -5,7 +5,7 @@
 //! [`cost_workload`](WhatIfService::cost_workload) prices a weighted
 //! workload under one configuration.
 //!
-//! This is the AutoAdmin-style API ([19] in the paper) that commercial
+//! This is the AutoAdmin-style API (\[19\] in the paper) that commercial
 //! advisors are built on, and through which every optimiser misestimate
 //! flows into the advisor's decisions. Replanning every (query,
 //! configuration) pair from scratch would be quadratic pain for anything

@@ -19,7 +19,6 @@
 
 use dba_common::{BudgetTimer, DbResult, SimSeconds};
 use dba_core::{Advisor, DegradeLevel, WindowMode};
-use dba_safety::SafetyReport;
 use dba_workloads::{ArrivalProcess, ArrivalWindow};
 
 use crate::record::{RoundRecord, RunResult};
@@ -394,11 +393,6 @@ impl<A: Advisor> StreamingSession<A> {
             windows: self.windows,
             budget_s: self.config.budget_s,
         }
-    }
-
-    /// Guardrail report of the underlying session, if safeguarded.
-    pub fn safety_report(&self) -> Option<SafetyReport> {
-        self.session.safety_ledger().map(|l| l.report())
     }
 }
 

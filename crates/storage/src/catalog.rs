@@ -93,11 +93,6 @@ impl BaseData {
     pub fn table(&self, id: TableId) -> &Table {
         &self.tables[id.raw() as usize]
     }
-
-    /// Total bytes of generated (pre-drift) heap data.
-    pub fn generated_bytes(&self) -> u64 {
-        self.tables.iter().map(|t| t.heap_bytes()).sum()
-    }
 }
 
 /// Shared base data + per-session overlay (secondary indexes, drift).

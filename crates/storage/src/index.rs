@@ -3,8 +3,9 @@
 //! An index is an ordering of the table's row ids by a tuple of key columns
 //! (a sorted permutation — the moral equivalent of a B+-tree's leaf level).
 //! Building one records only its definition and size; the permutation is
-//! sorted the first time a probe or scan reads it, so an index no plan
-//! reads (a vetoed or unused creation) is never sorted. When the key
+//! sorted the first time a probe (a seek or an index-nested-loop join)
+//! reads it, so an index no plan probes (a vetoed or unused creation, or
+//! one only covering scans read) is never sorted. When the key
 //! columns' code ranges and the row id fit in one `u64`, the sort packs
 //! `(key₁−min₁, …, keyₙ−minₙ, row)` into one word per row and LSD-radix-sorts
 //! the words on their key bits; a wider key takes a comparator sort. Both
@@ -139,11 +140,6 @@ impl Index {
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Leaf pages for a full index (covering) scan.
-    pub fn leaf_pages(&self) -> u64 {
-        self.size_bytes.div_ceil(crate::table::PAGE_BYTES).max(1)
     }
 
     /// Row ids in (key tuple, row id) order, sorted on the first call: by

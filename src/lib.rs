@@ -86,7 +86,7 @@ pub use dba_workloads as workloads;
 /// The most common imports in one place.
 pub mod prelude {
     pub use dba_baselines::{NoIndexAdvisor, PdToolAdvisor};
-    pub use dba_common::{SimClock, SimSeconds};
+    pub use dba_common::SimSeconds;
     pub use dba_core::{Advisor, AdvisorCost, MabConfig, MabTuner, RoundContext};
     pub use dba_engine::{
         simulated, BackendKind, CostModel, ExecutionBackend, Executor, Query, QueryExecution,
