@@ -56,20 +56,9 @@ fn point_query(v: i64) -> Query {
     }
 }
 
-/// C2UCB: score 3,000 sparse arms at d = 430 (the TPC-DS regime) and run
-/// a 10-arm super-arm update.
-fn bench_c2ucb(c: &mut Criterion) {
-    let d = 430;
-    let mut bandit = C2Ucb::new(
-        d,
-        C2UcbConfig {
-            lambda: 1.0,
-            alpha: AlphaSchedule::Constant(1.0),
-            ..C2UcbConfig::default()
-        },
-    );
-    let mut rng = rng_for(1, "bench-c2ucb", 0);
-    let contexts: Vec<SparseVec> = (0..3000)
+/// `n` sparse contexts over `d` dimensions, with 2–6 non-zeros each.
+fn sparse_contexts(rng: &mut impl Rng, d: usize, n: usize) -> Vec<SparseVec> {
+    (0..n)
         .map(|_| {
             let nnz = rng.gen_range(2..7);
             let mut v: SparseVec = (0..nnz)
@@ -79,7 +68,23 @@ fn bench_c2ucb(c: &mut Criterion) {
             v.dedup_by_key(|&mut (i, _)| i);
             v
         })
-        .collect();
+        .collect()
+}
+
+/// C2UCB: score 3,000 sparse arms at d = 430 (the TPC-DS regime) and run
+/// a 10-arm super-arm update; then the streaming fast path's batched
+/// update at TPC-H's width (d = 40: 37 columns plus 3 derived features),
+/// which stages the 10 plays and re-inverts `V` once.
+fn bench_c2ucb(c: &mut Criterion) {
+    let config = C2UcbConfig {
+        lambda: 1.0,
+        alpha: AlphaSchedule::Constant(1.0),
+        ..C2UcbConfig::default()
+    };
+    let d = 430;
+    let mut bandit = C2Ucb::new(d, config);
+    let mut rng = rng_for(1, "bench-c2ucb", 0);
+    let contexts = sparse_contexts(&mut rng, d, 3000);
     // Warm the model.
     let plays: Vec<(SparseVec, f64)> = contexts[..10].iter().map(|x| (x.clone(), 1.0)).collect();
     bandit.update_sparse(&plays);
@@ -91,6 +96,25 @@ fn bench_c2ucb(c: &mut Criterion) {
         b.iter_batched(
             || bandit.clone(),
             |mut bd| bd.update_sparse(&plays),
+            BatchSize::SmallInput,
+        )
+    });
+
+    let d = 40;
+    let mut narrow = C2Ucb::new(d, config);
+    let windows: Vec<Vec<(SparseVec, f64)>> = sparse_contexts(&mut rng, d, 210)
+        .chunks(10)
+        .map(|window| window.iter().map(|x| (x.clone(), 1.0)).collect())
+        .collect();
+    // Warm the model with 20 windows, then time the 21st.
+    let (next, warm) = windows.split_last().expect("21 windows");
+    for window in warm {
+        narrow.update_sparse_batched(window);
+    }
+    c.bench_function("c2ucb_update_batched_10_arms_d40", |b| {
+        b.iter_batched(
+            || narrow.clone(),
+            |mut bd| bd.update_sparse_batched(next),
             BatchSize::SmallInput,
         )
     });

@@ -4,7 +4,9 @@
 //! the scatter matrix `V`, solving `θ = V⁻¹ b`, and quadratic forms
 //! `x' V⁻¹ x` for the confidence widths. We maintain `V⁻¹` directly via
 //! Sherman–Morrison (O(d²) per update) and keep a Cholesky-based solver for
-//! verification and for rebuilding the inverse after forgetting decays.
+//! verification and for rebuilding the inverse after forgetting decays and
+//! batched window updates. A rebuild is one factorisation plus d column
+//! solves against that one factor, O(d³) in all.
 //! Dimensions are modest (d = schema columns + derived features, a few
 //! hundred at most), so dense storage is appropriate — no external linear
 //! algebra crate is needed.
@@ -118,42 +120,56 @@ impl Matrix {
     /// Solve `self · y = b` via Cholesky (SPD matrices only).
     pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
         let l = self.cholesky()?;
-        let d = self.d;
-        // Forward: L z = b.
-        let mut z = vec![0.0; d];
-        for i in 0..d {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= l.get(i, k) * z[k];
-            }
-            z[i] = sum / l.get(i, i);
-        }
-        // Backward: Lᵀ y = z.
-        let mut y = vec![0.0; d];
-        for i in (0..d).rev() {
-            let mut sum = z[i];
-            for k in (i + 1)..d {
-                sum -= l.get(k, i) * y[k];
-            }
-            y[i] = sum / l.get(i, i);
-        }
+        let mut y = b[..self.d].to_vec();
+        l.cholesky_solve_in_place(&mut y);
         Some(y)
     }
 
-    /// Full inverse via Cholesky column solves (SPD matrices only).
+    /// Full inverse via Cholesky column solves (SPD matrices only): one
+    /// factorisation, then a forward and a backward substitution per unit
+    /// column `e_j`, O(d³) in all. Each column is exactly
+    /// [`solve_spd`](Self::solve_spd)`(e_j)`, bit for bit.
     pub fn inverse_spd(&self) -> Option<Matrix> {
+        let l = self.cholesky()?;
         let d = self.d;
         let mut inv = Matrix::zeros(d);
-        let mut e = vec![0.0; d];
+        let mut col = vec![0.0; d];
         for j in 0..d {
-            e[j] = 1.0;
-            let col = self.solve_spd(&e)?;
-            e[j] = 0.0;
+            col.fill(0.0);
+            col[j] = 1.0;
+            l.cholesky_solve_in_place(&mut col);
             for i in 0..d {
                 inv.set(i, j, col[i]);
             }
         }
         Some(inv)
+    }
+
+    /// With `self` the Cholesky factor `L` of some `A = L Lᵀ`, overwrite
+    /// `x` (holding `b`) with the solution of `A y = b`: forward `L z = b`,
+    /// then backward `Lᵀ y = z`. Entry `i` of `x` is read as `bᵢ` (then
+    /// `zᵢ`) just before it is overwritten, so solving in place performs
+    /// the same float operations, in the same order, as separate `z` and
+    /// `y` buffers would.
+    fn cholesky_solve_in_place(&self, x: &mut [f64]) {
+        let d = self.d;
+        debug_assert_eq!(x.len(), d);
+        // Forward: L z = b.
+        for i in 0..d {
+            let mut sum = x[i];
+            for k in 0..i {
+                sum -= self.get(i, k) * x[k];
+            }
+            x[i] = sum / self.get(i, i);
+        }
+        // Backward: Lᵀ y = z.
+        for i in (0..d).rev() {
+            let mut sum = x[i];
+            for k in (i + 1)..d {
+                sum -= self.get(k, i) * x[k];
+            }
+            x[i] = sum / self.get(i, i);
+        }
     }
 
     /// `self · M`.
@@ -396,6 +412,76 @@ mod tests {
         let prod = m.mat_mul(&inv);
         let id = Matrix::scaled_identity(d, 1.0);
         assert!(prod.max_abs_diff(&id) < 1e-8, "M·M⁻¹ ≉ I");
+    }
+
+    /// `λI` plus `updates` seeded sparse rank-one updates of 2–6 distinct
+    /// non-zeros each: the shape of the bandit's scatter matrix `V`.
+    fn sparse_scatter(d: usize, lambda: f64, updates: usize, seed: u64) -> ShermanMorrisonInverse {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sm = ShermanMorrisonInverse::new(d, lambda);
+        for _ in 0..updates {
+            let nnz = rng.gen_range(2..=6);
+            let mut x: SparseVec = (0..nnz)
+                .map(|_| (rng.gen_range(0..d), rng.gen_range(0.01..1.0)))
+                .collect();
+            x.sort_unstable_by_key(|&(i, _)| i);
+            x.dedup_by_key(|&mut (i, _)| i);
+            sm.stage_sparse_observation(&x);
+        }
+        sm
+    }
+
+    /// The inverse is one factorisation plus a column solve per unit
+    /// vector, and each column equals `solve_spd(e_j)` (a fresh
+    /// factorisation per column) bit for bit.
+    #[test]
+    fn inverse_equals_per_column_solves_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut pair = Matrix::scaled_identity(2, 3.0);
+        pair.set(0, 1, 1.25);
+        pair.set(1, 0, 1.25);
+        let mut scatter = sparse_scatter(40, 1.0, 200, 6);
+        let bandit_v = scatter.v().clone();
+        scatter.decay(0.5, 1.0);
+        let decayed_v = scatter.v().clone();
+        // AᵀA + I as a sum of the rows' outer products: dense, d = 64.
+        let mut dense = Matrix::scaled_identity(64, 1.0);
+        for _ in 0..64 {
+            let row = random_vec(&mut rng, 64);
+            dense.rank_one_update(&row, 1.0);
+        }
+        let cases = [
+            ("d = 1", Matrix::scaled_identity(1, 2.5)),
+            ("d = 2", pair),
+            ("bandit V, d = 40", bandit_v),
+            ("bandit V after decay(0.5, 1.0)", decayed_v),
+            ("dense AᵀA + I, d = 64", dense),
+        ];
+        for (name, m) in &cases {
+            let d = m.dim();
+            let inv = m.inverse_spd().expect("SPD by construction");
+            let mut e = vec![0.0; d];
+            for j in 0..d {
+                e[j] = 1.0;
+                let col = m.solve_spd(&e).unwrap();
+                e[j] = 0.0;
+                for i in 0..d {
+                    assert_eq!(
+                        inv.get(i, j).to_bits(),
+                        col[i].to_bits(),
+                        "{name}: entry ({i}, {j}) is {} against the column solve's {}",
+                        inv.get(i, j),
+                        col[i]
+                    );
+                }
+            }
+        }
+
+        let mut indefinite = Matrix::scaled_identity(2, 1.0);
+        indefinite.set(0, 1, 2.0);
+        indefinite.set(1, 0, 2.0);
+        assert!(indefinite.inverse_spd().is_none());
+        assert!(indefinite.solve_spd(&[1.0, 0.0]).is_none());
     }
 
     #[test]

@@ -3,7 +3,14 @@
 //! version-validated memo of hypothetical plans. It has two entry points:
 //! [`cost_query`](WhatIfService::cost_query) prices one query, and
 //! [`cost_workload`](WhatIfService::cost_workload) prices a weighted
-//! workload under one configuration.
+//! workload under one configuration. They share one pricing body:
+//! `cost_query` is `cost_workload` over a single query. Each call prepares
+//! its configuration once — interning, de-duplication, live sizing and one
+//! planner over every candidate — and computes only a memo key per query.
+//! A context over the whole configuration plans each query exactly as a
+//! context over the candidates on its own tables would, because the
+//! planner looks candidates up only by table and by id, and both contexts
+//! list them in the same id order.
 //!
 //! This is the AutoAdmin-style API (\[19\] in the paper) that commercial
 //! advisors are built on, and through which every optimiser misestimate
@@ -149,11 +156,15 @@ impl WhatIfService {
     }
 
     /// Cost one query under `hypothetical` definitions (at their live
-    /// sizes). Served from the memo when the template was already planned
-    /// under the same candidate set on the query's tables and nothing
-    /// those tables depend on has moved; the cached plan is still recosted
-    /// under this instance's bindings (the parameter-sensitivity guard),
-    /// so a hit prices the instance, not the sniffed original.
+    /// sizes): [`cost_workload`](Self::cost_workload) over just this query
+    /// at unit weight, so it shares that one pricing body. Served from the
+    /// memo when the template was already planned under the same candidate
+    /// set on the query's tables and nothing those tables depend on has
+    /// moved; the cached plan is still recosted under this instance's
+    /// bindings (the parameter-sensitivity guard), so a hit prices the
+    /// instance, not the sniffed original. `used_hypothetical` lists, in
+    /// ascending order, the positions of the definitions the plan used (the
+    /// first position of a repeated definition).
     pub fn cost_query(
         &mut self,
         catalog: &Catalog,
@@ -161,47 +172,18 @@ impl WhatIfService {
         query: &Query,
         hypothetical: &[IndexDef],
     ) -> WhatIfOutcome {
-        // Interned ids of the caller's candidate set (first occurrence
-        // wins for duplicated definitions).
-        let hypo_ids: Vec<u32> = hypothetical.iter().map(|d| self.intern(d)).collect();
-        let mut candidates: Vec<IndexCandidate> = Vec::new();
-        for (def, &id) in hypothetical.iter().zip(&hypo_ids) {
-            let id = Self::planner_id(id);
-            if query.tables.contains(&def.table) && candidates.iter().all(|c| c.id != id) {
-                candidates.push(IndexCandidate {
-                    id,
-                    def: def.clone(),
-                    size_bytes: catalog.estimated_live_bytes(def),
-                });
-            }
-        }
-        candidates.sort_unstable_by_key(|c| c.id);
-        let config = candidates
-            .iter()
-            .filter_map(|c| Self::interned_id(c.id))
-            .collect();
-        let ctx = PlannerContext {
+        let cost = self.cost_workload(
             catalog,
             stats,
-            cost: &self.cost,
-            indexes: candidates,
-        };
-        let planner = Planner::new(&ctx);
-        let (plan, est_cost) =
-            self.plans
-                .get_or_plan((query.template, config), catalog, stats, &planner, query);
-
-        // Map plan-used interned ids back to positions in the caller's
-        // hypothetical slice.
-        let used_hypothetical = plan
-            .indexes_used()
-            .into_iter()
-            .filter_map(Self::interned_id)
-            .filter_map(|id| hypo_ids.iter().position(|&h| h == id))
-            .collect();
+            std::slice::from_ref(query),
+            &[1.0],
+            hypothetical,
+        );
         WhatIfOutcome {
-            est_cost,
-            used_hypothetical,
+            est_cost: SimSeconds::new(cost.per_query[0]),
+            used_hypothetical: (0..hypothetical.len())
+                .filter(|&i| cost.usage[i] > 0)
+                .collect(),
         }
     }
 
@@ -214,6 +196,18 @@ impl WhatIfService {
     /// *unweighted* per-query costs (which callers memoize as per-template
     /// prices to amortise pricing across windows) and per-candidate usage
     /// counts.
+    ///
+    /// The configuration is prepared once per call: its definitions are
+    /// interned (nothing is interned when `queries` is empty, since
+    /// interning order fixes the planner ids), a repeated definition keeps
+    /// its first position, each distinct candidate is sized at its live
+    /// size, and one planner runs over all of them in id order. Per query
+    /// only the memo key is computed: the interned ids of the candidates on
+    /// the query's tables. The planner reads candidates only per table
+    /// (`candidates_on`) and per id (`candidate`), so the
+    /// whole-configuration context shows each query exactly the candidates,
+    /// in exactly the order, that a context restricted to its own tables
+    /// would, and plans and recosts it identically.
     ///
     /// Several configurations are priced one call each; the memo's keys
     /// share every plan a configuration change does not touch.
@@ -229,13 +223,57 @@ impl WhatIfService {
         let mut total = SimSeconds::ZERO;
         let mut per_query = Vec::with_capacity(queries.len());
         let mut usage = vec![0u32; hypothetical.len()];
-        for (q, &w) in queries.iter().zip(weights) {
-            let outcome = self.cost_query(catalog, stats, q, hypothetical);
-            per_query.push(outcome.est_cost.secs());
-            total += outcome.est_cost * w;
-            for i in outcome.used_hypothetical {
-                usage[i] += 1;
+        if queries.is_empty() {
+            return ConfigCost {
+                total,
+                per_query,
+                usage,
+            };
+        }
+        let hypo_ids: Vec<u32> = hypothetical.iter().map(|d| self.intern(d)).collect();
+        let mut candidates: Vec<IndexCandidate> = Vec::with_capacity(hypothetical.len());
+        for (def, &id) in hypothetical.iter().zip(&hypo_ids) {
+            let id = Self::planner_id(id);
+            if candidates.iter().all(|c| c.id != id) {
+                candidates.push(IndexCandidate {
+                    id,
+                    def: def.clone(),
+                    size_bytes: catalog.estimated_live_bytes(def),
+                });
             }
+        }
+        candidates.sort_unstable_by_key(|c| c.id);
+        let ctx = PlannerContext {
+            catalog,
+            stats,
+            cost: &self.cost,
+            indexes: candidates,
+        };
+        let planner = Planner::new(&ctx);
+
+        for (q, &w) in queries.iter().zip(weights) {
+            let config = ctx
+                .indexes
+                .iter()
+                .filter(|c| q.tables.contains(&c.def.table))
+                .filter_map(|c| Self::interned_id(c.id))
+                .collect();
+            let (plan, est_cost) =
+                self.plans
+                    .get_or_plan((q.template, config), catalog, stats, &planner, q);
+            // Map plan-used interned ids back to positions in the
+            // caller's hypothetical slice.
+            for id in plan
+                .indexes_used()
+                .into_iter()
+                .filter_map(Self::interned_id)
+            {
+                if let Some(i) = hypo_ids.iter().position(|&h| h == id) {
+                    usage[i] += 1;
+                }
+            }
+            per_query.push(est_cost.secs());
+            total += est_cost * w;
         }
         ConfigCost {
             total,
@@ -569,6 +607,44 @@ mod tests {
             recompiled.used_hypothetical.is_empty(),
             "recompiled to a scan"
         );
+    }
+
+    /// A call with no queries interns nothing. Interning order fixes the
+    /// planner ids, and the planner breaks cost ties in id order, so had the
+    /// empty call interned its configuration, the next call would see its
+    /// two equal-cost twins the other way round.
+    #[test]
+    fn empty_workload_interns_nothing() {
+        let cat = catalog();
+        let stats = StatsCatalog::build(&cat);
+        // Same key, equal widths, and both cover a query that reads only
+        // `b`: the twins price identically, so the lower id wins.
+        let twin_a = IndexDef::new(TableId(0), vec![1], vec![0]);
+        let twin_c = IndexDef::new(TableId(0), vec![1], vec![2]);
+        let reads_b = Query {
+            payload: vec![ColumnId::new(TableId(0), 1)],
+            ..hot_query(1, 77)
+        };
+        let queries = vec![reads_b, cold_query(2)];
+        let config = [twin_a.clone(), twin_c.clone()];
+
+        let mut svc = service();
+        let empty = svc.cost_workload(&cat, &stats, &[], &[], &[twin_c, twin_a]);
+        assert_eq!(empty.total.secs().to_bits(), 0.0f64.to_bits());
+        assert!(empty.per_query.is_empty());
+        assert_eq!(empty.usage, vec![0, 0]);
+        assert!(svc.interned.is_empty(), "an empty call interns nothing");
+
+        let after = svc.cost_workload(&cat, &stats, &queries, &[1.0; 2], &config);
+        let mut fresh_svc = service();
+        let fresh = fresh_svc.cost_workload(&cat, &stats, &queries, &[1.0; 2], &config);
+        assert_eq!(svc.interned, fresh_svc.interned);
+        assert_eq!(after.usage, vec![1, 0], "the first-interned twin wins");
+        assert_eq!(after.usage, fresh.usage);
+        assert_eq!(after.total.secs().to_bits(), fresh.total.secs().to_bits());
+        for (a, f) in after.per_query.iter().zip(&fresh.per_query) {
+            assert_eq!(a.to_bits(), f.to_bits());
+        }
     }
 
     /// Duplicate definitions across configurations intern to one id: the

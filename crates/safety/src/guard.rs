@@ -303,8 +303,11 @@ impl<A: Advisor> Advisor for SafeguardedAdvisor<A> {
         //    baseline prices the round it observes — not the post-drift
         //    world one round later. Rollback verdicts wait for the next
         //    round boundary.
-        // The round-close event is emitted after the ledger guard drops:
-        // telemetry must never extend a critical section.
+        // The `safety.close_round` span encloses the ledger block but is
+        // entered before the lock and exited after the guard drops, and
+        // the round-close event is emitted after that: telemetry must
+        // never extend a critical section.
+        self.obs.span_enter("safety.close_round");
         let (pending, last) = {
             let mut state = self.ledger.lock();
             state.note_execution(queries, executions);
@@ -315,6 +318,7 @@ impl<A: Advisor> Advisor for SafeguardedAdvisor<A> {
             state.set_pending_rollbacks(victims);
             (pending, last)
         };
+        self.obs.span_exit("safety.close_round");
         if let Some(last) = last {
             self.obs.event(
                 "safety.round_close",

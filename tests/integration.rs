@@ -108,20 +108,16 @@ fn whatif_matches_materialised_costing() {
     assert!((hypo.secs() - real.secs()).abs() < 1e-9);
 }
 
-/// Recosting is planning's own arithmetic on every benchmark template:
-/// `cost_plan(q, &plan(q))` equals `plan(q).est_cost` bit for bit, and a
-/// what-if hit prices an instance exactly as the miss before it did. Every
-/// predicate and join column is indexed key-only and covering, half of the
-/// indexes before three drift rounds and half after, so seeks, covering
-/// scans, hash and index-nested-loop joins all appear, and the indexes
-/// carry different growth since creation.
-#[test]
-fn recost_reproduces_planning_on_benchmark_templates() {
-    use dba_bandits::engine::plan::{AccessMethod, JoinAlgo};
+/// Every TPC-H and SSB template instance (three rounds each) over its
+/// drifted catalog, with every predicate and join column indexed key-only
+/// and covering, half of the indexes before three drift rounds and half
+/// after, so seeks, covering scans, hash and index-nested-loop joins all
+/// appear, and the indexes carry different growth since creation. Returns
+/// the catalog, its statistics, the instances and the index definitions.
+fn indexed_benchmarks() -> Vec<(Catalog, StatsCatalog, Vec<Query>, Vec<IndexDef>)> {
     use dba_bandits::workloads::{ssb::ssb, tpch::tpch};
 
-    let cost = CostModel::paper_scale();
-    let (mut hash, mut inl, mut covering, mut seeks) = (0, 0, 0, 0);
+    let mut fixtures = Vec::new();
     for (bench, drift) in [
         (tpch(0.02), DataDrift::tpch_refresh()),
         (
@@ -172,6 +168,21 @@ fn recost_reproduces_planning_on_benchmark_templates() {
             catalog.create_index(def.clone()).unwrap();
         }
         let stats = StatsCatalog::build(&catalog);
+        fixtures.push((catalog, stats, queries, defs));
+    }
+    fixtures
+}
+
+/// Recosting is planning's own arithmetic on every benchmark template:
+/// `cost_plan(q, &plan(q))` equals `plan(q).est_cost` bit for bit, and a
+/// what-if hit prices an instance exactly as the miss before it did.
+#[test]
+fn recost_reproduces_planning_on_benchmark_templates() {
+    use dba_bandits::engine::plan::{AccessMethod, JoinAlgo};
+
+    let cost = CostModel::paper_scale();
+    let (mut hash, mut inl, mut covering, mut seeks) = (0, 0, 0, 0);
+    for (catalog, stats, queries, defs) in indexed_benchmarks() {
         let ctx = PlannerContext::from_catalog(&catalog, &stats, &cost);
         let planner = Planner::new(&ctx);
 
@@ -222,6 +233,75 @@ fn recost_reproduces_planning_on_benchmark_templates() {
         ("seek driver", seeks),
     ] {
         assert!(count > 0, "no {shape} in any plan");
+    }
+}
+
+/// One `cost_workload` call over every template instance prices each
+/// query exactly as pricing it alone would, under only the definitions on
+/// its tables in their relative order: the whole-configuration planner
+/// context shows each query the same candidates in the same id order. The
+/// reference prices the queries one `cost_query` at a time, in workload
+/// order, in one fresh service, so its memo shares each template's plan
+/// across the template's instances as the workload call's memo does. The
+/// configuration is the index set above plus one repeated definition, and
+/// the same list reversed. A second call on the same service finds every
+/// query's memo entry (a hit, or a recompilation by the parameter guard)
+/// and prices it as a second pass of the reference does. That is not
+/// always the first call's price: a template whose later instance was
+/// recompiled keeps that instance's plan, and a hit recosts it.
+#[test]
+fn whole_configuration_prices_each_query_as_alone() {
+    let cost = CostModel::paper_scale();
+    for (catalog, stats, queries, mut defs) in indexed_benchmarks() {
+        defs.push(defs[defs.len() / 2].clone());
+        let reversed: Vec<IndexDef> = defs.iter().rev().cloned().collect();
+        let weights = vec![1.0; queries.len()];
+        for config in [defs, reversed] {
+            let price_alone = |svc: &mut WhatIfService| {
+                let mut usage = vec![0u32; config.len()];
+                let mut prices = Vec::new();
+                for q in &queries {
+                    let (positions, local): (Vec<usize>, Vec<IndexDef>) = config
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, def)| q.tables.contains(&def.table))
+                        .map(|(i, def)| (i, def.clone()))
+                        .unzip();
+                    let alone = svc.cost_query(&catalog, &stats, q, &local);
+                    prices.push(alone.est_cost.secs());
+                    for i in alone.used_hypothetical {
+                        usage[positions[i]] += 1;
+                    }
+                }
+                (prices, usage)
+            };
+
+            let mut whatif = WhatIfService::new(cost.clone());
+            let mut alone_svc = WhatIfService::new(cost.clone());
+            for pass in ["first", "second"] {
+                let before = whatif.stats();
+                let priced = whatif.cost_workload(&catalog, &stats, &queries, &weights, &config);
+                if pass == "second" {
+                    // Every lookup finds its entry: it hits, or the
+                    // parameter guard recompiles it; nothing plans cold.
+                    let after = whatif.stats();
+                    let recompiled = after.recompilations - before.recompilations;
+                    assert_eq!(after.misses - before.misses, recompiled);
+                    assert_eq!(after.hits - before.hits + recompiled, queries.len() as u64);
+                }
+                let (prices, usage) = price_alone(&mut alone_svc);
+                for ((q, got), want) in queries.iter().zip(&priced.per_query).zip(&prices) {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{pass} pass, template {:?}: whole configuration {got} vs alone {want}",
+                        q.template
+                    );
+                }
+                assert_eq!(priced.usage, usage, "{pass} pass");
+                assert_eq!(whatif.stats(), alone_svc.stats(), "{pass} pass");
+            }
+        }
     }
 }
 
