@@ -328,10 +328,11 @@ impl Catalog {
     ///
     /// The caller is responsible for charging creation time through the cost
     /// model; the catalog only records the definition and size. The leaf
-    /// order is sorted the first time a plan reads it
+    /// order is set the first time a plan reads it
     /// ([`Index::ordered_rows`]), once for every snapshot sharing the
     /// index, so an index dropped unread (a vetoed creation) is never
-    /// sorted.
+    /// sorted. That read shares the base's retained order of the key
+    /// columns if a re-creation left one, and sorts otherwise.
     // bumps: catalog_version
     pub fn create_index(&mut self, def: IndexDef) -> DbResult<IndexMeta> {
         if def.key_cols.is_empty() {

@@ -3,20 +3,33 @@
 //! An index is an ordering of the table's row ids by a tuple of key columns
 //! (a sorted permutation — the moral equivalent of a B+-tree's leaf level).
 //! Building one records only its definition and size; the permutation is
-//! sorted the first time a probe (a seek or an index-nested-loop join)
-//! reads it, so an index no plan probes (a vetoed or unused creation, or
-//! one only covering scans read) is never sorted. When the key
-//! columns' code ranges and the row id fit in one `u64`, the sort packs
-//! `(key₁−min₁, …, keyₙ−minₙ, row)` into one word per row and LSD-radix-sorts
-//! the words on their key bits; a wider key takes a comparator sort. Both
-//! produce the same (key tuple, row id) order.
+//! read the first time a probe (a seek or an index-nested-loop join)
+//! needs it, so an index no plan probes (a vetoed or unused creation, or
+//! one only covering scans read) never holds one.
+//!
+//! The order depends only on the table's immutable data and the key
+//! columns, not on the included columns, and tuners drop and re-create the
+//! same definitions. So each [`Table`] retains the orders of the key-column
+//! lists sorted more than once over it. A first read shares the retained
+//! order of its key columns if there is one, and sorts otherwise. The
+//! first sort of a key-column list stays with its index and is freed with
+//! it; a later sort of the same list over the same table (the definition
+//! dropped and re-created, or created in another catalog fork or on
+//! another thread) is retained for the table's lifetime. From the third
+//! creation on, no index with those key columns sorts again.
+//!
+//! When the key columns' code ranges and the row id fit in one `u64`, the
+//! sort packs `(key₁−min₁, …, keyₙ−minₙ, row)` into one word per row and
+//! LSD-radix-sorts the words on their key bits; a wider key takes a
+//! comparator sort. Both produce the same (key tuple, row id) order.
 //! Probes bisect on an equality prefix plus an optional range on the next
 //! key column, exactly the access pattern the planner's `IndexSeek` uses.
 //! `include_cols` model covering indexes: columns carried in the leaves so
 //! qualifying queries never touch the heap.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dba_common::{IndexId, TableId};
 use serde::{Deserialize, Serialize};
@@ -98,10 +111,11 @@ fn index_bytes(table: &Table, def: &IndexDef) -> u64 {
 pub struct Index {
     id: IndexId,
     def: IndexDef,
-    /// Row ids of the table ordered by (key tuple, row id), sorted on first
-    /// read (see [`sort_rows`]). Snapshots sharing the `Arc<Index>` share
-    /// the one sort.
-    order: OnceLock<Vec<u32>>,
+    /// Row ids of the table ordered by (key tuple, row id), set on first
+    /// read: the table's retained order of the key columns, or a fresh
+    /// [`sort_rows`]. Snapshots sharing the `Arc<Index>` share the one
+    /// order.
+    order: OnceLock<Arc<[u32]>>,
     size_bytes: u64,
     rows: usize,
 }
@@ -142,27 +156,36 @@ impl Index {
         self.rows
     }
 
-    /// Row ids in (key tuple, row id) order, sorted on the first call: by
-    /// the packed-word radix kernel when the key's code ranges and the row
-    /// id fit in one `u64`, else by the comparator. Debug builds then check
-    /// that the rows strictly increase in (key tuple, row id).
+    /// Row ids in (key tuple, row id) order, set on the first call and
+    /// kept for the index's lifetime. The first call shares the order
+    /// `table` retains for the index's key columns, if there is one.
+    /// Otherwise it sorts: by the packed-word radix kernel when the key's
+    /// code ranges and the row id fit in one `u64`, else by the
+    /// comparator; debug builds then check that the rows strictly increase
+    /// in (key tuple, row id). The first sort of these key columns over
+    /// `table` stays with this index alone and is freed with it; any later
+    /// one is also retained by `table`, for every index with these key
+    /// columns that reads it after.
     /// `table` must be the indexed table: any other would cache a wrong
     /// order, so a mismatched id panics.
     pub fn ordered_rows(&self, table: &Table) -> &[u32] {
         assert_eq!(self.def.table, table.id(), "index/table mismatch");
         self.order.get_or_init(|| {
-            let order = sort_rows(&self.def, table);
-            debug_assert!(
-                order.len() == table.rows() && {
-                    let keys = key_codes(&self.def, table);
-                    order
-                        .windows(2)
-                        .all(|w| cmp_rows(&keys, w[0], w[1]) == Ordering::Less)
-                },
-                "leaf order of {:?} is not strictly increasing",
-                self.def
-            );
-            order
+            let (orders, key) = (table.leaf_orders(), &self.def.key_cols);
+            orders.retained(key).unwrap_or_else(|| {
+                let order = sort_rows(&self.def, table);
+                debug_assert!(
+                    order.len() == table.rows() && {
+                        let keys = key_codes(&self.def, table);
+                        order
+                            .windows(2)
+                            .all(|w| cmp_rows(&keys, w[0], w[1]) == Ordering::Less)
+                    },
+                    "leaf order of {:?} is not strictly increasing",
+                    self.def
+                );
+                orders.record(key, order.into())
+            })
         })
     }
 
@@ -226,6 +249,43 @@ impl Index {
         let end =
             order.partition_point(|&r| cmp_row(r, hi_bound, true) != std::cmp::Ordering::Greater);
         (start, end.max(start))
+    }
+}
+
+/// The leaf orders one table retains, by key-column list. A key maps to
+/// `None` once it has been sorted (that order stays with its index) and to
+/// the order of a later sort, which every index with those key columns
+/// then shares. The lock is held only to look up or record, never during a
+/// sort: two threads that sort one key at once both sort, into equal
+/// orders.
+#[derive(Debug, Default)]
+pub(crate) struct LeafOrders(Mutex<ByKey>);
+
+type ByKey = BTreeMap<Vec<u16>, Option<Arc<[u32]>>>;
+
+impl LeafOrders {
+    /// The retained order of `key`, if a sort of it was retained.
+    fn retained(&self, key: &[u16]) -> Option<Arc<[u32]>> {
+        self.lock().get(key).cloned().flatten()
+    }
+
+    /// Record a fresh sort of `key` and return the order its index keeps:
+    /// the sort itself, retained unless it is the key's first, or the
+    /// order another thread retained in the meantime.
+    fn record(&self, key: &[u16], sorted: Arc<[u32]>) -> Arc<[u32]> {
+        let mut orders = self.lock();
+        match orders.get_mut(key) {
+            Some(seen) => Arc::clone(seen.get_or_insert(sorted)),
+            None => {
+                orders.insert(key.to_vec(), None);
+                sorted
+            }
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ByKey> {
+        // Every update is one insert, so a poisoned map is still whole.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -369,6 +429,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::catalog::Catalog;
     use crate::column::ColumnType;
     use crate::gen::{ColumnSpec, Distribution};
     use crate::table::{TableBuilder, TableSchema};
@@ -618,5 +679,101 @@ mod tests {
             let reference = sort_rows_cmp(&key_codes(&def, &t), rows);
             assert_eq!(sort_rows(&def, &t), reference, "{case}: order");
         }
+    }
+
+    /// How one creation's first read must get its leaf order.
+    enum Read {
+        /// Sorts; `retained` says whether the table keeps that sort too.
+        Sorts { retained: bool },
+        /// Shares the order read at this earlier step.
+        Shares(usize),
+    }
+
+    /// (case, base, key, include, read): one creation and its first read.
+    type Step<'t> = (
+        &'static str,
+        &'t Table,
+        &'static [u16],
+        &'static [u16],
+        Read,
+    );
+
+    #[test]
+    fn recurring_key_columns_sort_twice_then_share_the_retained_order() {
+        let (first, second) = (table(), table());
+        let sorts = |retained| Read::Sorts { retained };
+        // Every index lives to the end, so a fresh sort never lands on a
+        // freed order's address.
+        let steps: [Step; 6] = [
+            ("first sort", &first, &[0, 1], &[], sorts(false)),
+            ("re-created", &first, &[0, 1], &[], sorts(true)),
+            ("third creation", &first, &[0, 1], &[], Read::Shares(1)),
+            ("other includes", &first, &[0, 1], &[2], Read::Shares(1)),
+            ("permuted key", &first, &[1, 0], &[], sorts(false)),
+            ("same-seed base", &second, &[0, 1], &[], sorts(false)),
+        ];
+        let (mut live, mut read) = (Vec::new(), Vec::new());
+        for (step, (case, t, key, include, expected)) in steps.into_iter().enumerate() {
+            let def = IndexDef::new(TableId(0), key.to_vec(), include.to_vec());
+            let ix = Index::build(IndexId(step as u64), def, t);
+            let reference = sort_rows_cmp(&key_codes(ix.def(), t), t.rows());
+            assert_eq!(ix.ordered_rows(t), reference.as_slice(), "{case}: order");
+            let order = ix.order.get().expect("the first read sets the order");
+            let holders = Arc::strong_count(order);
+            match expected {
+                Read::Sorts { retained } => {
+                    assert!(!read.contains(&order.as_ptr()), "{case}: shared");
+                    let kept = t.leaf_orders().retained(key).map(|o| o.as_ptr());
+                    assert_eq!(kept, retained.then_some(order.as_ptr()), "{case}");
+                    assert_eq!(holders, 1 + usize::from(retained), "{case}: holders");
+                }
+                Read::Shares(at) => assert_eq!(order.as_ptr(), read[at], "{case}: sorted"),
+            }
+            read.push(order.as_ptr());
+            live.push(ix);
+        }
+    }
+
+    #[test]
+    fn racing_sorts_of_one_key_share_the_first_retained_one() {
+        let orders = LeafOrders::default();
+        // Four reads of one key found nothing retained, and each sorted.
+        let sorts: Vec<Arc<[u32]>> = (0..4).map(|_| Arc::from([2, 0, 1])).collect();
+        let kept: Vec<Arc<[u32]>> = sorts
+            .iter()
+            .map(|s| orders.record(&[0], Arc::clone(s)))
+            .collect();
+        // The first keeps its own sort, the second's is retained, and the
+        // later ones share it.
+        for (read, at) in [0, 1, 1, 1].into_iter().enumerate() {
+            assert!(Arc::ptr_eq(&kept[read], &sorts[at]), "read {read}");
+        }
+        assert!(Arc::ptr_eq(&orders.retained(&[0]).unwrap(), &sorts[1]));
+    }
+
+    #[test]
+    fn forks_on_threads_re_creating_one_definition_read_equal_orders() {
+        let base = Catalog::new(vec![table()]);
+        let t = base.table(TableId(0));
+        let def = IndexDef::new(TableId(0), vec![1, 0], vec![2]);
+        let reference = sort_rows_cmp(&key_codes(&def, t), t.rows());
+        // The threads start together, so their first reads race.
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let mut fork = base.fork_empty();
+                    start.wait();
+                    for _ in 0..4 {
+                        let meta = fork.create_index(def.clone()).unwrap();
+                        let ix = fork.index(meta.id).unwrap();
+                        assert_eq!(ix.ordered_rows(fork.table(TableId(0))), &reference[..]);
+                        fork.drop_index(meta.id).unwrap();
+                    }
+                });
+            }
+        });
+        let retained = t.leaf_orders().retained(&def.key_cols);
+        assert_eq!(retained.as_deref(), Some(&reference[..]));
     }
 }

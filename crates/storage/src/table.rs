@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::column::Column;
 use crate::gen::ColumnSpec;
+use crate::index::LeafOrders;
 
 /// Size of a storage page used for I/O accounting, in bytes.
 pub const PAGE_BYTES: u64 = 8192;
@@ -57,13 +58,16 @@ impl TableSchema {
 }
 
 /// A fully materialised table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Table {
     id: TableId,
     name: String,
     columns: Vec<Column>,
     rows: usize,
     pad_bytes: u32,
+    /// Leaf orders of the key-column lists indexes over this table sorted
+    /// more than once (see [`Index::ordered_rows`](crate::Index::ordered_rows)).
+    leaf_orders: LeafOrders,
 }
 
 impl Table {
@@ -126,6 +130,11 @@ impl Table {
             .map(|&o| self.columns[o as usize].ctype().logical_width() as u64)
             .sum()
     }
+
+    #[inline]
+    pub(crate) fn leaf_orders(&self) -> &LeafOrders {
+        &self.leaf_orders
+    }
 }
 
 /// Builds a [`Table`] from a schema by running each column's generator with
@@ -161,6 +170,7 @@ impl TableBuilder {
             columns,
             rows: self.rows,
             pad_bytes: self.schema.pad_bytes,
+            leaf_orders: LeafOrders::default(),
         }
     }
 }
