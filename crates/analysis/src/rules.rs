@@ -1203,7 +1203,6 @@ const OBS_RECORD_METHODS: &[&str] = &[
     "span_enter",
     "span_exit",
     "counter",
-    "histogram",
     "event",
     "set_sim_now",
     "flush",

@@ -8,7 +8,7 @@
 fn consume<T>(_: T) {}
 
 fn bad_binding(obs: &dba_obs::Obs) {
-    let v = obs.histogram("latency", 0.5);
+    let v = obs.event("latency", vec![]);
     consume(v);
 }
 

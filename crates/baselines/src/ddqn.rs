@@ -374,11 +374,9 @@ impl Advisor for DdqnAdvisor {
             // Bill creation off the live (drift-grown) sizes, as MAB and
             // PDTool do — building over a doubled heap costs double, and
             // the leaves written are the live-estimate's.
-            let build = self.cost.index_build(
-                catalog.live_heap_pages(def.table),
-                catalog.live_rows(def.table),
-                catalog.estimated_live_bytes(&def),
-            );
+            let build =
+                self.cost
+                    .index_build(catalog, def.table, catalog.estimated_live_bytes(&def));
             if let Ok(meta) = catalog.create_index(def) {
                 creation += build;
                 self.current.insert(meta.id, arm_idx);

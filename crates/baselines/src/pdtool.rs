@@ -368,11 +368,9 @@ impl Advisor for PdToolAdvisor {
             if catalog.find_index(&def).is_some() {
                 continue;
             }
-            let build = self.cost.index_build(
-                catalog.live_heap_pages(def.table),
-                catalog.live_rows(def.table),
-                catalog.estimated_live_bytes(&def),
-            );
+            let build =
+                self.cost
+                    .index_build(catalog, def.table, catalog.estimated_live_bytes(&def));
             if let Ok(meta) = catalog.create_index(def) {
                 creation += build;
                 self.owned.push(meta.id);

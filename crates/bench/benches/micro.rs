@@ -10,7 +10,7 @@ use dba_common::{rng::rng_for, ColumnId, QueryId, TableId, TemplateId};
 use dba_core::{
     linalg::SparseVec,
     oracle::{greedy_select, OracleInput},
-    AlphaSchedule, C2Ucb, C2UcbConfig,
+    C2Ucb, C2UcbConfig,
 };
 use dba_engine::{simulated, CostModel, Predicate, Query};
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIfService};
@@ -78,8 +78,7 @@ fn sparse_contexts(rng: &mut impl Rng, d: usize, n: usize) -> Vec<SparseVec> {
 fn bench_c2ucb(c: &mut Criterion) {
     let config = C2UcbConfig {
         lambda: 1.0,
-        alpha: AlphaSchedule::Constant(1.0),
-        ..C2UcbConfig::default()
+        alpha: 1.0,
     };
     let d = 430;
     let mut bandit = C2Ucb::new(d, config);

@@ -11,7 +11,7 @@
 //! Not a paper artefact — an extension experiment.
 
 use dba_bench::env_backend_kind;
-use dba_core::{AlphaSchedule, ArmGenConfig, C2UcbConfig, MabConfig, MabTuner};
+use dba_core::{ArmGenConfig, C2UcbConfig, MabConfig, MabTuner};
 use dba_session::SessionBuilder;
 use dba_workloads::{tpch::tpch, WorkloadKind};
 
@@ -61,7 +61,7 @@ fn main() {
 
     run_variant("no exploration (α=0)", move |b| MabConfig {
         bandit: C2UcbConfig {
-            alpha: AlphaSchedule::Constant(0.0),
+            alpha: 0.0,
             ..C2UcbConfig::default()
         },
         ..base(b)

@@ -138,9 +138,6 @@ fn main() -> ExitCode {
                     counters.insert(name.to_string(), total as u64);
                 }
             }
-            "histogram" => {
-                *other_events.entry(format!("histogram:{name}")).or_insert(0) += 1;
-            }
             "event" => {
                 let fields = rec.get("fields").cloned().unwrap_or(Json::Null);
                 match name {

@@ -8,8 +8,8 @@
 //! the last 2 of every 10 windows). MAB runs the streaming fast path
 //! (one batched scatter update per window); the degrade
 //! ladder itself runs on *simulated* recommend cost, so every run is
-//! deterministic and thread-count independent. Wall-clock per-window
-//! latency is measured alongside as advisory telemetry.
+//! deterministic and thread-count independent, and so is the whole results
+//! document. This program's wall-clock cost is measured by `perfbench`.
 //!
 //! Self-checks (the scenario's contract):
 //! * sustained simulated throughput ≥ 1M queries/min for every tuner under
@@ -25,7 +25,8 @@
 //! Writes `results/fig_stream.csv` (per-window trail of the MAB bursty
 //! run) and `results/fig_stream.json` (all runs; the `totals` objects are
 //! diffed by `check_baselines` against `BENCH_fig_stream.json`, the
-//! `stream` objects — including wall-clock p99 — are informational).
+//! `stream` summaries and window trails are not gated there, but CI checks
+//! that the whole document is byte-identical across `DBA_THREADS`).
 //!
 //! Knobs: `DBA_LATENCY_BUDGET` (simulated seconds; `inf` disables the
 //! ladder), `DBA_ARRIVAL` (`roundbatch` | `poisson` | `bursty` — runs the
@@ -38,7 +39,6 @@ use dba_bench::{
     run_stream_one, stream_results_json, suite_threads, write_csv, write_text, DegradeLevel,
     ExperimentEnv, TunerKind,
 };
-use dba_common::BudgetTimer;
 use dba_core::MabConfig;
 use dba_optimizer::StatsCatalog;
 use dba_session::{ArrivalProcess, StreamConfig, StreamResult};
@@ -147,16 +147,7 @@ fn main() {
                 c.streaming_fast_path = true;
                 c
             });
-        let guard = job.guard.then(|| {
-            let mut config = env.safety_config();
-            if let Some(bound) = env.safety_bound {
-                config.regret_bound_factor = bound;
-            }
-            config
-        });
-        // Wall-clock is advisory only: the timer never influences the
-        // run, only the telemetry.
-        let timer = BudgetTimer::wall();
+        let guard = job.guard.then(|| env.safety_config());
         let result = run_stream_one(
             &bench,
             &base,
@@ -167,7 +158,6 @@ fn main() {
             guard,
             mab,
             StreamConfig::new(job.arrival, budget_s),
-            timer,
             env.seed,
         )
         .unwrap_or_else(|e| panic!("{}: {e}", job.label()));
@@ -175,19 +165,12 @@ fn main() {
     });
 
     println!(
-        "\n{:<18} {:>12} {:>12} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "run",
-        "arrivals",
-        "queries/min",
-        "degraded",
-        "reuse",
-        "amortized",
-        "p99 rec (s)",
-        "wall p99 (s)"
+        "\n{:<18} {:>12} {:>12} {:>10} {:>10} {:>10} {:>12}",
+        "run", "arrivals", "queries/min", "degraded", "reuse", "amortized", "p99 rec (s)",
     );
     for (label, s) in &runs {
         println!(
-            "{:<18} {:>12} {:>12.0} {:>10} {:>10} {:>10} {:>12.4} {:>12}",
+            "{:<18} {:>12} {:>12.0} {:>10} {:>10} {:>10} {:>12.4}",
             label,
             s.total_arrivals(),
             s.queries_per_min(),
@@ -195,9 +178,6 @@ fn main() {
             s.reuse_windows(),
             s.amortized_windows(),
             s.recommend_p99_s(),
-            s.wall_recommend_p99_s()
-                .map(|v| format!("{v:.4}"))
-                .unwrap_or_else(|| "-".into()),
         );
     }
 
@@ -211,7 +191,7 @@ fn main() {
             .iter()
             .map(|w| {
                 format!(
-                    "{},{},{:?},{},{},{},{:.6},{}",
+                    "{},{},{:?},{},{},{},{:.6}",
                     w.window,
                     w.round,
                     w.level,
@@ -219,15 +199,12 @@ fn main() {
                     w.arrivals,
                     w.budget_blown,
                     w.record.recommendation.secs(),
-                    w.wall_recommend_s
-                        .map(|v| format!("{v:.6}"))
-                        .unwrap_or_default()
                 )
             })
             .collect();
         write_csv(
             "results/fig_stream.csv",
-            "window,round,level,burst,arrivals,blown,recommendation_s,wall_recommend_s",
+            "window,round,level,burst,arrivals,blown,recommendation_s",
             &rows,
         )
         .expect("write csv");

@@ -16,7 +16,7 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use dba_common::{BudgetTimer, DbResult};
+use dba_common::DbResult;
 use dba_core::MabConfig;
 use dba_engine::BackendKind;
 use dba_optimizer::StatsCatalog;
@@ -72,7 +72,7 @@ pub fn env_backend_kind() -> BackendKind {
 /// The knob `name`, parsed with `FromStr` and kept if `accept` holds:
 /// `None` when it is unset, and a warning naming the raw value and what
 /// was `expected` (never a silent default) when it is set but rejected.
-fn env_knob<T: FromStr>(name: &str, expected: &str, accept: impl Fn(&T) -> bool) -> Option<T> {
+pub fn env_knob<T: FromStr>(name: &str, expected: &str, accept: impl Fn(&T) -> bool) -> Option<T> {
     let raw = std::env::var(name).ok()?;
     let value = raw.parse().ok().filter(|v| accept(v));
     if value.is_none() {
@@ -263,9 +263,7 @@ pub fn run_one_with_drift(
 /// windows under the given stream configuration instead of fixed rounds.
 /// `guard` wraps the tuner in the safety guardrail; `mab` overrides the MAB
 /// configuration (e.g. `streaming_fast_path`, the batched per-window
-/// update) and is ignored for other tuners; `timer` supplies advisory
-/// wall-clock telemetry ([`BudgetTimer::disabled`] keeps the run purely
-/// simulated).
+/// update) and is ignored for other tuners.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stream_one(
     benchmark: &Benchmark,
@@ -277,7 +275,6 @@ pub fn run_stream_one(
     guard: Option<SafetyConfig>,
     mab: Option<MabConfig>,
     config: StreamConfig,
-    timer: BudgetTimer,
     seed: u64,
 ) -> DbResult<StreamResult> {
     let mut builder = fig_session(
@@ -298,9 +295,7 @@ pub fn run_stream_one(
     if let Some(mab) = mab {
         builder = builder.mab_config(mab);
     }
-    let mut streaming = StreamingSession::new(builder.build()?, config);
-    streaming.set_timer(timer);
-    streaming.run()
+    StreamingSession::new(builder.build()?, config).run()
 }
 
 /// Suite worker count: `DBA_THREADS` if set (≥1; `1` forces the
@@ -552,7 +547,6 @@ mod tests {
                     *guard,
                     None,
                     StreamConfig::new(ArrivalProcess::paper_bursty(), 0.05),
-                    dba_common::BudgetTimer::disabled(),
                     7,
                 )
                 .unwrap()

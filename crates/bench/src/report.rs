@@ -246,10 +246,10 @@ pub fn results_json(meta: &[(&str, String)], results: &[RunResult]) -> String {
 /// superset of [`results_json`]'s: each run carries the standard `totals`
 /// object (so `check_baselines` diffs the simulated metrics through the
 /// same `extract_totals` path) plus a `stream` object with the
-/// throughput/degrade/latency summary and a per-window trail. Wall-clock
-/// figures are advisory and land only inside `stream` — outside the
-/// checked schema by construction. `label` disambiguates the same tuner
-/// under different arrival presets (e.g. `MAB/bursty`).
+/// throughput/degrade/latency summary and a per-window trail. Every field
+/// is simulated or counted, so the document is deterministic byte for
+/// byte. `label` disambiguates the same tuner under different arrival
+/// presets (e.g. `MAB/bursty`).
 pub fn stream_results_json(
     meta: &[(&str, String)],
     runs: &[(String, dba_session::StreamResult)],
@@ -260,9 +260,12 @@ pub fn stream_results_json(
         DegradeLevel::ReuseConfig => "reuse",
         DegradeLevel::Amortized => "amortized",
     };
-    let opt_f64 = |v: Option<f64>| match v {
-        Some(v) if v.is_finite() => format!("{v:.6}"),
-        _ => "null".to_string(),
+    let finite_or_null = |v: f64| {
+        if v.is_finite() {
+            format!("{v:.6}")
+        } else {
+            "null".to_string()
+        }
     };
     let mut out = String::from("{\n");
     for (k, v) in meta {
@@ -279,14 +282,13 @@ pub fn stream_results_json(
         ));
         out.push_str(&format!(
             "      \"stream\": {{\"arrivals\": {}, \"queries_per_min\": {:.1}, \
-             \"recommend_p99_s\": {:.6}, \"wall_recommend_p99_s\": {}, \"budget_s\": {}, \
+             \"recommend_p99_s\": {:.6}, \"budget_s\": {}, \
              \"windows\": {}, \"degraded_windows\": {}, \"reuse_windows\": {}, \
              \"amortized_windows\": {}, \"blown_windows\": {}}},\n",
             s.total_arrivals(),
             s.queries_per_min(),
             s.recommend_p99_s(),
-            opt_f64(s.wall_recommend_p99_s()),
-            opt_f64(Some(s.budget_s)),
+            finite_or_null(s.budget_s),
             s.windows.len(),
             s.degraded_windows(),
             s.reuse_windows(),
@@ -298,7 +300,7 @@ pub fn stream_results_json(
             out.push_str(&format!(
                 "        {{\"window\": {}, \"round\": {}, \"level\": \"{}\", \"burst\": {}, \
                  \"boundary\": {}, \"arrivals\": {}, \"recommendation_s\": {:.6}, \
-                 \"blown\": {}, \"wall_recommend_s\": {}}}{}\n",
+                 \"blown\": {}}}{}\n",
                 w.window,
                 w.round,
                 level_label(w.level),
@@ -307,7 +309,6 @@ pub fn stream_results_json(
                 w.arrivals,
                 w.record.recommendation.secs(),
                 w.budget_blown,
-                opt_f64(w.wall_recommend_s),
                 if i + 1 < s.windows.len() { "," } else { "" }
             ));
         }

@@ -213,12 +213,6 @@ fn jsonl_schema_round_trips_through_the_baseline_parser() {
                 assert_eq!(doc.get("delta").and_then(Json::as_f64), Some(*delta as f64));
                 assert_eq!(doc.get("total").and_then(Json::as_f64), Some(*total as f64));
             }
-            TraceKind::Histogram { name, value, .. } => {
-                assert_eq!(ty, "histogram");
-                assert_eq!(doc.get("name").and_then(Json::as_str), Some(*name));
-                let parsed = doc.get("value").and_then(Json::as_f64).expect("value");
-                assert_eq!(parsed.to_bits(), value.to_bits());
-            }
             TraceKind::Event { name, fields } => {
                 assert_eq!(ty, "event");
                 assert_eq!(doc.get("name").and_then(Json::as_str), Some(*name));

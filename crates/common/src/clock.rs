@@ -140,9 +140,9 @@ impl fmt::Display for SimSeconds {
 /// Simulated cost units are the primary latency currency everywhere in the
 /// workspace; wall-clock readings are telemetry (or, on a `Measured`
 /// executor, the measurement itself) and must never steer a simulated
-/// result. This type keeps that rule lintable: crates on result-affecting
-/// paths (session, core, safety, the engine's executor) hold a
-/// `BudgetTimer` and call [`mark`](Self::mark)/[`elapsed_secs`](Self::elapsed_secs)
+/// result. This type keeps that rule lintable: code on result-affecting
+/// paths (the engine's executor, the trace recorder) holds a `BudgetTimer`
+/// and calls [`mark`](Self::mark)/[`elapsed_secs`](Self::elapsed_secs)
 /// without ever naming a wall-clock API. The real clock enters only
 /// through [`wall`](Self::wall); tests inject [`scripted`](Self::scripted)
 /// or any closure via [`with_source`](Self::with_source). Everyone else

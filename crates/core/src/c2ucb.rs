@@ -11,47 +11,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::linalg::{dot, ShermanMorrisonInverse};
 
-/// Exploration-boost schedule `α_t` (Algorithm 1 takes `α_1..α_T` as
-/// input).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub enum AlphaSchedule {
-    /// Fixed boost: the paper's practical choice ("α which controls
-    /// exploration").
-    Constant(f64),
-    /// `α_t = α₀ · √(ln(1 + t))` — grows slowly like the theoretical rate.
-    SqrtLog(f64),
-    /// `α_t = α₀ / √t` — aggressive decay for quickly-stabilising
-    /// workloads.
-    DecaySqrt(f64),
-}
-
-impl AlphaSchedule {
-    pub fn alpha(&self, round: usize) -> f64 {
-        let t = round.max(1) as f64;
-        match *self {
-            AlphaSchedule::Constant(a) => a,
-            AlphaSchedule::SqrtLog(a0) => a0 * (1.0 + t).ln().sqrt(),
-            AlphaSchedule::DecaySqrt(a0) => a0 / t.sqrt(),
-        }
-    }
-}
-
 /// C2UCB hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct C2UcbConfig {
     /// Ridge regularisation λ (V₀ = λI). Becomes irrelevant as rounds
     /// accumulate (§V-C).
     pub lambda: f64,
-    pub alpha: AlphaSchedule,
-    /// Exactly re-invert `V⁻¹` after this many incremental
-    /// Sherman–Morrison updates (numerical-drift bound). The default 512
-    /// matches the previous hard-coded period.
-    #[serde(default = "default_refresh_every")]
-    pub refresh_every: usize,
-}
-
-fn default_refresh_every() -> usize {
-    512
+    /// Exploration boost α: Algorithm 1 takes `α_1..α_T` as input, and
+    /// the paper's practical choice is one fixed α "which controls
+    /// exploration".
+    pub alpha: f64,
 }
 
 impl Default for C2UcbConfig {
@@ -65,8 +34,7 @@ impl Default for C2UcbConfig {
             // exploration pressure can stay constant (the width term itself
             // decays as observations accumulate, which is what "reduces
             // exploration with time", §V-B1).
-            alpha: AlphaSchedule::Constant(2.5),
-            refresh_every: default_refresh_every(),
+            alpha: 2.5,
         }
     }
 }
@@ -86,11 +54,7 @@ impl C2Ucb {
         C2Ucb {
             config,
             dim,
-            scatter: ShermanMorrisonInverse::with_refresh_every(
-                dim,
-                config.lambda,
-                config.refresh_every,
-            ),
+            scatter: ShermanMorrisonInverse::new(dim, config.lambda),
             b: vec![0.0; dim],
             round: 0,
         }
@@ -133,7 +97,7 @@ impl C2Ucb {
     /// instead of O(d²).
     pub fn ucb_scores_sparse(&self, contexts: &[crate::linalg::SparseVec]) -> Vec<f64> {
         let theta = self.theta();
-        let alpha = self.config.alpha.alpha(self.round + 1);
+        let alpha = self.config.alpha;
         contexts
             .iter()
             .map(|x| {
@@ -213,11 +177,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn config(alpha: f64) -> C2UcbConfig {
-        C2UcbConfig {
-            lambda: 1.0,
-            alpha: AlphaSchedule::Constant(alpha),
-            ..C2UcbConfig::default()
-        }
+        C2UcbConfig { lambda: 1.0, alpha }
     }
 
     #[test]
@@ -313,15 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn alpha_schedules() {
-        assert_eq!(AlphaSchedule::Constant(2.0).alpha(10), 2.0);
-        let s1 = AlphaSchedule::SqrtLog(1.0);
-        assert!(s1.alpha(100) > s1.alpha(1));
-        let s2 = AlphaSchedule::DecaySqrt(1.0);
-        assert!(s2.alpha(100) < s2.alpha(1));
-    }
-
-    #[test]
     fn round_counter_advances_per_update_batch() {
         let mut bandit = C2Ucb::new(2, config(1.0));
         assert_eq!(bandit.round(), 0);
@@ -352,21 +303,6 @@ mod tests {
         }
         let (refreshes, _) = batched.maintenance_counters();
         assert_eq!(refreshes, 5, "one exact re-inversion per batched window");
-    }
-
-    #[test]
-    fn refresh_every_is_configurable_and_counted() {
-        let mut cfg = config(1.0);
-        cfg.refresh_every = 2;
-        let mut bandit = C2Ucb::new(2, cfg);
-        for _ in 0..4 {
-            bandit.update(&[(vec![1.0, 0.2], 1.0)]);
-        }
-        let (refreshes, decays) = bandit.maintenance_counters();
-        assert_eq!((refreshes, decays), (2, 0));
-        bandit.forget(0.5);
-        let (refreshes, decays) = bandit.maintenance_counters();
-        assert_eq!((refreshes, decays), (3, 1), "forgetting re-inverts");
     }
 
     #[test]

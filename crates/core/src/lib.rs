@@ -36,7 +36,7 @@ pub use advisor::{
     TableChange, WindowMode,
 };
 pub use arms::{Arm, ArmGenConfig, ArmRegistry};
-pub use c2ucb::{AlphaSchedule, C2Ucb, C2UcbConfig};
+pub use c2ucb::{C2Ucb, C2UcbConfig};
 pub use context::{ContextBuilder, ContextLayout};
 pub use oracle::{greedy_select, OracleInput};
 pub use query_store::{QueryStore, TemplateStats};

@@ -201,6 +201,11 @@ impl Matrix {
     }
 }
 
+/// Exact re-inversion period of [`ShermanMorrisonInverse::new`]: `V⁻¹` is
+/// rebuilt from `V` after this many incremental updates, which bounds the
+/// numerical drift of the Sherman–Morrison updates.
+const REFRESH_EVERY: usize = 512;
+
 /// Maintains `V` and `V⁻¹` simultaneously under rank-one updates
 /// (Sherman–Morrison) and uniform decay (forgetting), with periodic exact
 /// re-inversion to bound numerical drift.
@@ -222,13 +227,12 @@ pub struct ShermanMorrisonInverse {
 
 impl ShermanMorrisonInverse {
     pub fn new(d: usize, lambda: f64) -> Self {
-        Self::with_refresh_every(d, lambda, 512)
+        Self::with_refresh_every(d, lambda, REFRESH_EVERY)
     }
 
-    /// Like [`new`](Self::new) with an explicit re-inversion period.
-    /// Smaller periods trade update throughput for tighter numerical
-    /// drift bounds; `usize::MAX` disables periodic refreshes entirely.
-    pub fn with_refresh_every(d: usize, lambda: f64, refresh_every: usize) -> Self {
+    /// Like [`new`](Self::new) with an explicit re-inversion period, for
+    /// tests that need one short enough to observe.
+    fn with_refresh_every(d: usize, lambda: f64, refresh_every: usize) -> Self {
         assert!(lambda > 0.0, "ridge parameter must be positive");
         assert!(refresh_every > 0, "refresh period must be positive");
         ShermanMorrisonInverse {
@@ -621,8 +625,7 @@ mod tests {
     fn periodic_refresh_bounds_drift() {
         let mut rng = StdRng::seed_from_u64(4);
         let d = 4;
-        let mut sm = ShermanMorrisonInverse::new(d, 1.0);
-        sm.refresh_every = 16;
+        let mut sm = ShermanMorrisonInverse::with_refresh_every(d, 1.0, 16);
         for _ in 0..100 {
             let x = random_vec(&mut rng, d);
             sm.add_observation(&x);

@@ -287,14 +287,10 @@ impl MabTuner {
                 // Amortised creation cost of materialising this candidate
                 // (arm sizes are live — refreshed against drift-grown
                 // tables at generation time).
-                let def = &self.registry.arm(arm).def;
+                let candidate = self.registry.arm(arm);
                 let build = self
                     .cost
-                    .index_build(
-                        catalog.live_heap_pages(def.table),
-                        catalog.live_rows(def.table),
-                        self.registry.arm(arm).size_bytes,
-                    )
+                    .index_build(catalog, candidate.def.table, candidate.size_bytes)
                     .secs();
                 scores[pos] -= build / scale / self.config.creation_amortization_rounds.max(1.0);
             }
@@ -397,11 +393,9 @@ impl MabTuner {
                 continue;
             }
             let def = self.registry.arm(arm_idx).def.clone();
-            let build_cost = self.cost.index_build(
-                catalog.live_heap_pages(def.table),
-                catalog.live_rows(def.table),
-                catalog.estimated_live_bytes(&def),
-            );
+            let build_cost =
+                self.cost
+                    .index_build(catalog, def.table, catalog.estimated_live_bytes(&def));
             let meta = catalog
                 .create_index(def)
                 .expect("arm definitions are valid by construction");

@@ -13,8 +13,8 @@
 //! DESIGN.md), all produced durations are multiplied by [`PAPER_TIME_SCALE`]
 //! so reported magnitudes land in the paper's range.
 
-use dba_common::SimSeconds;
-use dba_storage::PAGE_BYTES;
+use dba_common::{SimSeconds, TableId};
+use dba_storage::{Catalog, PAGE_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Row-count compensation factor: the workloads generate 1/100th of the
@@ -170,9 +170,19 @@ impl CostModel {
         self.t(rows as f64 * self.agg_row_s)
     }
 
-    /// Cost of building an index: scan the heap, sort the keys, write the
-    /// leaf pages.
-    pub fn index_build(&self, heap_pages: u64, rows: u64, index_bytes: u64) -> SimSeconds {
+    /// Cost of building an index of `index_bytes` on `table` at its live
+    /// (drift-grown) size: scan the heap, sort the keys, write the leaf
+    /// pages. Every tuner bills a creation at this price, and the
+    /// guardrail refunds a vetoed creation at it.
+    pub fn index_build(&self, catalog: &Catalog, table: TableId, index_bytes: u64) -> SimSeconds {
+        self.build_price(
+            catalog.live_heap_pages(table),
+            catalog.live_rows(table),
+            index_bytes,
+        )
+    }
+
+    fn build_price(&self, heap_pages: u64, rows: u64, index_bytes: u64) -> SimSeconds {
         let n = rows.max(2) as f64;
         let sort = n * n.log2() * self.sort_cmp_s;
         let write_pages = index_bytes.div_ceil(PAGE_BYTES);
@@ -269,8 +279,8 @@ mod tests {
     #[test]
     fn index_build_grows_with_rows() {
         let m = CostModel::unit_scale();
-        let small = m.index_build(100, 10_000, 200_000);
-        let large = m.index_build(1000, 100_000, 2_000_000);
+        let small = m.build_price(100, 10_000, 200_000);
+        let large = m.build_price(1000, 100_000, 2_000_000);
         assert!(large.secs() > small.secs() * 5.0);
     }
 

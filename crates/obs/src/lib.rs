@@ -1,6 +1,6 @@
 //! `dba-obs` — the deterministic observability substrate for the tuning
-//! stack: structured spans, monotonic counters, and fixed-bucket
-//! histograms, recorded against **simulated** time.
+//! stack: structured spans, monotonic counters and structured events,
+//! recorded against **simulated** time.
 //!
 //! Design constraints, in order:
 //!
@@ -96,10 +96,9 @@ impl From<SimSeconds> for Value {
     }
 }
 
-/// What one trace record says. Span names and counter/histogram/event
-/// names are `&'static str` by design: the catalog is closed at compile
-/// time (see README "Observability"), and records never allocate for
-/// names.
+/// What one trace record says. Span, counter and event names are
+/// `&'static str` by design: the catalog is closed at compile time (see
+/// README "Observability"), and records never allocate for names.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     SpanEnter {
@@ -114,13 +113,6 @@ pub enum TraceKind {
         /// Monotonic running total after applying `delta`.
         total: u64,
     },
-    Histogram {
-        name: &'static str,
-        value: f64,
-        /// Index into [`HIST_BOUNDS`] (== `HIST_BOUNDS.len()` for the
-        /// overflow bucket).
-        bucket: usize,
-    },
     Event {
         name: &'static str,
         fields: Vec<(&'static str, Value)>,
@@ -128,13 +120,12 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// The span/counter/histogram/event name this record carries.
+    /// The span/counter/event name this record carries.
     pub fn name(&self) -> &'static str {
         match self {
             TraceKind::SpanEnter { name }
             | TraceKind::SpanExit { name }
             | TraceKind::Counter { name, .. }
-            | TraceKind::Histogram { name, .. }
             | TraceKind::Event { name, .. } => name,
         }
     }
@@ -222,15 +213,6 @@ impl TraceRecord {
                     ",\"type\":\"counter\",\"name\":\"{name}\",\"delta\":{delta},\"total\":{total}"
                 );
             }
-            TraceKind::Histogram {
-                name,
-                value,
-                bucket,
-            } => {
-                let _ = write!(s, ",\"type\":\"histogram\",\"name\":\"{name}\",\"value\":");
-                fmt_f64(*value, &mut s);
-                let _ = write!(s, ",\"bucket\":{bucket}");
-            }
             TraceKind::Event { name, fields } => {
                 let _ = write!(s, ",\"type\":\"event\",\"name\":\"{name}\",\"fields\":{{");
                 for (i, (k, v)) in fields.iter().enumerate() {
@@ -245,53 +227,6 @@ impl TraceRecord {
         }
         s.push('}');
         s
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Histogram buckets
-// ---------------------------------------------------------------------------
-
-/// Fixed log-spaced bucket upper bounds (seconds-flavoured: 1µs → 1000s).
-/// A value lands in the first bucket whose bound is ≥ it; anything larger
-/// goes to the overflow bucket at index `HIST_BOUNDS.len()`.
-pub const HIST_BOUNDS: [f64; 10] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0];
-
-/// Bucket index for `value` under [`HIST_BOUNDS`]. NaN and negatives
-/// clamp into bucket 0 — the histogram is telemetry, never arithmetic.
-pub fn hist_bucket(value: f64) -> usize {
-    if value.is_nan() || value <= 0.0 {
-        return 0;
-    }
-    HIST_BOUNDS
-        .iter()
-        .position(|&b| value <= b)
-        .unwrap_or(HIST_BOUNDS.len())
-}
-
-/// Aggregated histogram state for one name (count/sum plus per-bucket
-/// occupancy), snapshotted via [`Obs::histograms`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistSummary {
-    pub count: u64,
-    pub sum: f64,
-    /// `HIST_BOUNDS.len() + 1` buckets; the last is overflow.
-    pub buckets: Vec<u64>,
-}
-
-impl HistSummary {
-    fn new() -> Self {
-        HistSummary {
-            count: 0,
-            sum: 0.0,
-            buckets: vec![0; HIST_BOUNDS.len() + 1],
-        }
-    }
-
-    fn observe(&mut self, value: f64, bucket: usize) {
-        self.count += 1;
-        self.sum += value;
-        self.buckets[bucket] += 1;
     }
 }
 
@@ -395,7 +330,6 @@ struct ObsState {
     /// Running counter totals; `BTreeMap` so snapshots iterate in a
     /// deterministic order.
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, HistSummary>,
 }
 
 impl ObsState {
@@ -444,7 +378,6 @@ impl Obs {
                 sim_now: 0.0,
                 timer: BudgetTimer::disabled(),
                 counters: BTreeMap::new(),
-                hists: BTreeMap::new(),
             }))),
         }
     }
@@ -515,22 +448,6 @@ impl Obs {
         });
     }
 
-    /// Observe one value into the fixed log-spaced-bucket histogram.
-    pub fn histogram(&self, name: &'static str, value: f64) {
-        self.with_state(|st| {
-            let bucket = hist_bucket(value);
-            st.hists
-                .entry(name)
-                .or_insert_with(HistSummary::new)
-                .observe(value, bucket);
-            st.push(TraceKind::Histogram {
-                name,
-                value,
-                bucket,
-            });
-        });
-    }
-
     /// Record a structured event. Build `fields` only under an
     /// `if obs.enabled()` gate when construction is expensive.
     pub fn event(&self, name: &'static str, fields: Vec<(&'static str, Value)>) {
@@ -559,17 +476,6 @@ impl Obs {
         self.with_state(|st| st.counters.iter().map(|(k, v)| (*k, *v)).collect())
             .unwrap_or_default()
     }
-
-    /// Deterministically-ordered snapshot of all histogram aggregates.
-    pub fn histograms(&self) -> Vec<(&'static str, HistSummary)> {
-        self.with_state(|st| {
-            st.hists
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -582,7 +488,6 @@ mod tests {
         assert!(!obs.enabled());
         obs.span_enter("s");
         obs.counter("c", 3);
-        obs.histogram("h", 0.5);
         obs.event("e", vec![("k", 1u64.into())]);
         obs.span_exit("s");
         obs.flush();
@@ -639,22 +544,6 @@ mod tests {
         let recs = obs.records().unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].seq, 1);
-    }
-
-    #[test]
-    fn hist_buckets_are_log_spaced_and_total() {
-        assert_eq!(hist_bucket(0.0), 0);
-        assert_eq!(hist_bucket(-1.0), 0);
-        assert_eq!(hist_bucket(f64::NAN), 0);
-        assert_eq!(hist_bucket(1e-6), 0);
-        assert_eq!(hist_bucket(0.5), 6);
-        assert_eq!(hist_bucket(5e4), HIST_BOUNDS.len());
-        let obs = Obs::ring(4);
-        obs.histogram("h", 0.05);
-        let h = &obs.histograms()[0];
-        assert_eq!(h.0, "h");
-        assert_eq!(h.1.count, 1);
-        assert_eq!(h.1.buckets[5], 1);
     }
 
     #[test]
@@ -717,7 +606,7 @@ mod tests {
         let obs = Obs::jsonl(&path).expect("create trace file");
         obs.set_sim_now(SimSeconds::new(2.0));
         obs.span_enter("w");
-        obs.histogram("lat", 0.02);
+        obs.counter("hits", 2);
         obs.span_exit("w");
         obs.flush();
         let text = std::fs::read_to_string(&path).expect("trace readable");
@@ -725,7 +614,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"type\":\"span_enter\""));
-        assert!(lines[1].contains("\"bucket\":5"));
+        assert!(lines[1].contains("\"total\":2"));
         assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 
@@ -735,10 +624,9 @@ mod tests {
             seq: 0,
             sim_s: f64::INFINITY,
             wall_s: None,
-            kind: TraceKind::Histogram {
-                name: "h",
-                value: f64::NAN,
-                bucket: 0,
+            kind: TraceKind::Event {
+                name: "e",
+                fields: vec![("value", f64::NAN.into())],
             },
         };
         let line = rec.to_jsonl();

@@ -160,13 +160,10 @@ impl<A: Advisor> SafeguardedAdvisor<A> {
                 continue;
             }
             // The refund is exactly what the inner advisor billed: the
-            // same cost model over the same live sizes (nothing changed
-            // the catalog between its build and this veto).
-            let build = cost.index_build(
-                catalog.live_heap_pages(def.table),
-                catalog.live_rows(def.table),
-                catalog.index_creation_bytes(id),
-            );
+            // one `CostModel::index_build` price over the same live sizes
+            // (nothing changed the catalog between its build and this
+            // veto).
+            let build = cost.index_build(catalog, def.table, catalog.index_creation_bytes(id));
             catalog.drop_index(id).expect("fresh index exists");
             refund_s += build.secs();
             self.obs.event(

@@ -512,11 +512,6 @@ impl SafetyLedger {
         self.lock().snapshot()
     }
 
-    /// Whether the guardrail currently has the configuration frozen.
-    pub fn is_throttled(&self) -> bool {
-        self.lock().is_throttled()
-    }
-
     /// Record the pending window's per-query arrival counts (parallel to
     /// the workload handed to the guard's observation step) so the window
     /// closes against weighted shadow prices. Call immediately before the

@@ -155,8 +155,8 @@ mod tests {
             if round == 0 {
                 for def in self.create_in_round_0.drain(..) {
                     let build = cost_model.index_build(
-                        catalog.live_heap_pages(def.table),
-                        catalog.live_rows(def.table),
+                        catalog,
+                        def.table,
                         catalog.estimated_live_bytes(&def),
                     );
                     if catalog.create_index(def).is_ok() {
@@ -261,11 +261,7 @@ mod tests {
         // The refund equals the vetoed build: what remains billed is
         // exactly the small index's build cost.
         let expected = CostModel::unit_scale()
-            .index_build(
-                cat.live_heap_pages(TableId(0)),
-                cat.live_rows(TableId(0)),
-                small_bytes,
-            )
+            .index_build(&cat, TableId(0), small_bytes)
             .secs();
         assert!((cost.creation.secs() - expected).abs() < 1e-9);
     }
@@ -305,8 +301,8 @@ mod tests {
                 if round == 1 {
                     if let Some(def) = self.def.take() {
                         let build = CostModel::unit_scale().index_build(
-                            catalog.live_heap_pages(def.table),
-                            catalog.live_rows(def.table),
+                            catalog,
+                            def.table,
                             catalog.estimated_live_bytes(&def),
                         );
                         catalog.create_index(def).unwrap();

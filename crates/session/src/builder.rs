@@ -262,8 +262,7 @@ impl SessionBuilder {
     }
 
     /// Override the MAB tuner's configuration (e.g. enable the batched
-    /// per-window update with `streaming_fast_path`, or tune
-    /// `refresh_every`, for a streaming run).
+    /// per-window update with `streaming_fast_path` for a streaming run).
     /// Only consulted when the tuner is [`TunerKind::Mab`]; a
     /// `memory_budget_bytes` of 0 in the config inherits the session's
     /// budget, matching [`safeguard`](SessionBuilder::safeguard).

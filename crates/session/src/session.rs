@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use dba_common::{BudgetTimer, DbResult, SimSeconds, TemplateId};
+use dba_common::{DbResult, SimSeconds, TemplateId};
 use dba_engine::{ExecutionBackend, Query, QueryExecution};
 use dba_obs::Obs;
 use dba_optimizer::{PlanCache, Planner, PlannerContext, StatsCatalog, WhatIfService};
@@ -261,7 +261,7 @@ impl<A: Advisor> TuningSession<A> {
     /// the round completes. A round is the [`ArrivalProcess::RoundBatch`]
     /// window of `next_round` — the round's queries in order, one arrival
     /// each — run through [`step_window`](Self::step_window) at
-    /// [`DegradeLevel::Full`](dba_core::DegradeLevel::Full) with no timer.
+    /// [`DegradeLevel::Full`](dba_core::DegradeLevel::Full).
     pub fn step_with(
         &mut self,
         observer: &mut dyn FnMut(&RoundEvent),
@@ -271,12 +271,7 @@ impl<A: Advisor> TuningSession<A> {
         }
         let process = ArrivalProcess::RoundBatch;
         let window = self.arrival_window(process, self.next_round);
-        let (record, _) = self.step_window(
-            process,
-            &window,
-            &WindowMode::default(),
-            &mut BudgetTimer::disabled(),
-        )?;
+        let record = self.step_window(process, &window, &WindowMode::default())?;
         let event = RoundEvent {
             round: record.round,
             rounds_total: self.rounds_total(),
@@ -306,33 +301,27 @@ impl<A: Advisor> TuningSession<A> {
     /// a boundary); [`StreamingSession`](crate::StreamingSession) runs
     /// Poisson and bursty windows under its degrade ladder. Returns the
     /// window's record (its `round` field holds the 1-based *window*
-    /// index) plus the advisory wall-clock span of the recommend step when
-    /// `timer` is enabled.
+    /// index).
     pub fn step_window(
         &mut self,
         process: ArrivalProcess,
         window: &ArrivalWindow,
         mode: &WindowMode,
-        timer: &mut BudgetTimer,
-    ) -> DbResult<(RoundRecord, Option<f64>)> {
+    ) -> DbResult<RoundRecord> {
         let round = window.round;
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_enter("session.step");
 
         // 1. Recommendation: the advisor adjusts the physical design under
         //    the window's degrade mode, costing hypotheticals through the
-        //    session's shared service. The timer is advisory wall-clock
-        //    telemetry: reported, never branched on — the degrade ladder
-        //    itself runs on simulated cost.
+        //    session's shared service.
         self.obs.span_enter("round.advise");
         let whatif_before = self.whatif.stats();
         let bandit_before = self.advisor.bandit_counters();
-        timer.mark();
         self.advisor.begin_window(mode);
         let advisor_cost =
             self.advisor
                 .before_round(round, &mut self.catalog, &self.stats, &mut self.whatif);
-        let wall_recommend_s = timer.elapsed_secs();
         self.sim_now += advisor_cost.recommendation + advisor_cost.creation;
         self.obs.set_sim_now(self.sim_now);
         self.obs.span_exit("round.advise");
@@ -437,7 +426,7 @@ impl<A: Advisor> TuningSession<A> {
         if boundary {
             self.next_round = round + 1;
         }
-        Ok((record, wall_recommend_s))
+        Ok(record)
     }
 
     /// Shift intensity of one executed batch (the fraction of its distinct
@@ -526,11 +515,6 @@ impl<A: Advisor> TuningSession<A> {
         while self.step_with(observer)?.is_some() {}
         let rounds = std::mem::take(&mut self.records);
         Ok(self.make_result(rounds))
-    }
-
-    /// The guardrail ledger, when this session runs safeguarded.
-    pub fn safety_ledger(&self) -> Option<&SafetyLedger> {
-        self.safety.as_ref()
     }
 
     /// Finish a step-driven session: consume it and hand the accumulated

@@ -6,8 +6,7 @@
 //! window it asks its [`DegradeController`] how much of the recommend step
 //! the window can afford — the answer is a [`DegradeLevel`] derived purely
 //! from *simulated* recommend cost against the configured budget, so runs
-//! are deterministic and thread-count independent; wall-clock is advisory
-//! telemetry carried beside the simulated figures, never branched on.
+//! are deterministic and thread-count independent.
 //!
 //! The ladder's contract (enforced by the controller's debt model, tested
 //! below): a blown budget first degrades to [`DegradeLevel::ReuseConfig`]
@@ -17,15 +16,19 @@
 //! across windows through the what-if memo). A window under budget pays the debt
 //! down and the next window runs [`DegradeLevel::Full`] again.
 
-use dba_common::{BudgetTimer, DbResult, SimSeconds};
+use dba_common::{DbResult, SimSeconds};
 use dba_core::{Advisor, DegradeLevel, WindowMode};
 use dba_workloads::{ArrivalProcess, ArrivalWindow};
 
 use crate::record::{RoundRecord, RunResult};
 use crate::session::TuningSession;
 
-/// Streaming-run parameters: the arrival process, the per-window recommend
-/// budget, and the share-change threshold scoping `Amortized` windows.
+/// Minimum absolute arrival-share change for a template to be re-scored in
+/// an `Amortized` window (templates appearing or vanishing always count).
+const SHARE_EPSILON: f64 = 0.01;
+
+/// Streaming-run parameters: the arrival process and the per-window
+/// recommend budget.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
     pub arrival: ArrivalProcess,
@@ -34,19 +37,11 @@ pub struct StreamConfig {
     /// [`DegradeLevel::Full`] and the trajectory reduces exactly to the
     /// fixed-round model when `arrival` is [`ArrivalProcess::RoundBatch`].
     pub budget_s: f64,
-    /// Minimum absolute arrival-share change for a template to be
-    /// re-scored in an `Amortized` window (templates appearing or
-    /// vanishing always count).
-    pub share_epsilon: f64,
 }
 
 impl StreamConfig {
     pub fn new(arrival: ArrivalProcess, budget_s: f64) -> Self {
-        StreamConfig {
-            arrival,
-            budget_s,
-            share_epsilon: 0.01,
-        }
+        StreamConfig { arrival, budget_s }
     }
 
     /// No budget: every window runs the full recommend step.
@@ -130,9 +125,6 @@ pub struct WindowRecord {
     pub duration: SimSeconds,
     /// Whether this window's simulated recommend cost exceeded the budget.
     pub budget_blown: bool,
-    /// Advisory wall-clock seconds of the recommend step (`None` unless a
-    /// timer was injected via [`StreamingSession::set_timer`]).
-    pub wall_recommend_s: Option<f64>,
     /// The window's time/counter accounting (`record.round` is the
     /// 1-based *window* number in streaming runs).
     pub record: RoundRecord,
@@ -196,37 +188,19 @@ impl StreamResult {
         self.total_arrivals() as f64 / minutes
     }
 
-    /// p99 of per-window simulated recommend cost.
+    /// p99 of per-window simulated recommend cost (0 without windows).
     pub fn recommend_p99_s(&self) -> f64 {
-        percentile(
-            self.windows
-                .iter()
-                .map(|w| w.record.recommendation.secs())
-                .collect(),
-            0.99,
-        )
-        .unwrap_or(0.0)
-    }
-
-    /// p99 of per-window wall-clock recommend time (`None` when no timer
-    /// was injected). Advisory only.
-    pub fn wall_recommend_p99_s(&self) -> Option<f64> {
-        let samples: Vec<f64> = self
+        let mut samples: Vec<f64> = self
             .windows
             .iter()
-            .filter_map(|w| w.wall_recommend_s)
+            .map(|w| w.record.recommendation.secs())
             .collect();
-        percentile(samples, 0.99)
+        if samples.is_empty() {
+            return 0.0;
+        }
+        samples.sort_by(f64::total_cmp);
+        samples[(((samples.len() - 1) as f64) * 0.99).ceil() as usize]
     }
-}
-
-fn percentile(mut samples: Vec<f64>, p: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let idx = (((samples.len() - 1) as f64) * p).ceil() as usize;
-    Some(samples[idx])
 }
 
 /// Deadline-aware streaming driver around a [`TuningSession`].
@@ -234,7 +208,6 @@ pub struct StreamingSession<A: Advisor> {
     session: TuningSession<A>,
     config: StreamConfig,
     controller: DegradeController,
-    timer: BudgetTimer,
     /// Previous window's per-template arrival shares, sorted by template
     /// index — the baseline `Amortized` windows diff against.
     prev_shares: Vec<(usize, f64)>,
@@ -256,18 +229,10 @@ impl<A: Advisor> StreamingSession<A> {
             session,
             config,
             controller,
-            timer: BudgetTimer::disabled(),
             prev_shares: Vec::new(),
             windows: Vec::new(),
             next_window,
         }
-    }
-
-    /// Inject a wall-clock source for advisory per-window latency
-    /// telemetry. Only the harness crate holds a real source; everything
-    /// else leaves the default disabled timer.
-    pub fn set_timer(&mut self, timer: BudgetTimer) {
-        self.timer = timer;
     }
 
     pub fn config(&self) -> &StreamConfig {
@@ -312,7 +277,7 @@ impl<A: Advisor> StreamingSession<A> {
             self.controller.level()
         };
         let changed_templates = if level == DegradeLevel::Amortized {
-            changed_shares(&self.prev_shares, &cur_shares, self.config.share_epsilon)
+            changed_shares(&self.prev_shares, &cur_shares, SHARE_EPSILON)
                 .into_iter()
                 .map(|ti| self.session.benchmark().templates()[ti].id)
                 .collect()
@@ -324,9 +289,9 @@ impl<A: Advisor> StreamingSession<A> {
             changed_templates,
         };
 
-        let (record, wall_recommend_s) =
-            self.session
-                .step_window(self.config.arrival, &window, &mode, &mut self.timer)?;
+        let record = self
+            .session
+            .step_window(self.config.arrival, &window, &mode)?;
         let recommend_s = record.recommendation.secs();
         let prev_level = self.controller.level();
         let next_level = self.controller.observe(recommend_s);
@@ -348,19 +313,18 @@ impl<A: Advisor> StreamingSession<A> {
                     ],
                 );
             }
-            let mut fields = vec![
-                ("window", w.into()),
-                ("round", window.round.into()),
-                ("level", format!("{level:?}").into()),
-                ("debt_s", self.controller.debt_s().into()),
-                ("arrivals", window.total_arrivals().into()),
-                ("blown", blown.into()),
-                ("recommend_s", recommend_s.into()),
-            ];
-            if let Some(wall) = wall_recommend_s {
-                fields.push(("wall_recommend_s", wall.into()));
-            }
-            self.session.obs().event("stream.window", fields);
+            self.session.obs().event(
+                "stream.window",
+                vec![
+                    ("window", w.into()),
+                    ("round", window.round.into()),
+                    ("level", format!("{level:?}").into()),
+                    ("debt_s", self.controller.debt_s().into()),
+                    ("arrivals", window.total_arrivals().into()),
+                    ("blown", blown.into()),
+                    ("recommend_s", recommend_s.into()),
+                ],
+            );
         }
 
         let wrec = WindowRecord {
@@ -372,7 +336,6 @@ impl<A: Advisor> StreamingSession<A> {
             arrivals: window.total_arrivals(),
             duration: window.duration,
             budget_blown: recommend_s > self.config.budget_s,
-            wall_recommend_s,
             record,
         };
         self.windows.push(wrec.clone());
@@ -532,7 +495,6 @@ mod tests {
                     for w in &streamed.windows {
                         assert!(w.round_boundary, "{label}");
                         assert_eq!(w.level, DegradeLevel::Full, "{label}");
-                        assert_eq!(w.wall_recommend_s, None, "{label}: no timer injected");
                     }
                 }
             }
@@ -640,8 +602,7 @@ mod tests {
             .workload(WorkloadKind::Static { rounds: 2 })
             .build()
             .unwrap();
-        let mut config = StreamConfig::new(ArrivalProcess::paper_poisson(), 1.0e-9);
-        config.share_epsilon = 0.01;
+        let config = StreamConfig::new(ArrivalProcess::paper_poisson(), 1.0e-9);
         let result = StreamingSession::new(s, config).run().unwrap();
         assert_eq!(result.windows.len(), 16);
         assert!(result.blown_windows() >= 1, "budget must actually blow");
