@@ -149,7 +149,9 @@ fn bench_oracle(c: &mut Criterion) {
     });
 }
 
-/// Executor: full scan vs selective index seek on 200k rows.
+/// Executor: full scan vs selective index seek on 200k rows, each on a
+/// fresh executor so that every sample runs the operators, and the replay
+/// of a repeated (query, plan) pair that an untimed executor has run.
 fn bench_executor(c: &mut Criterion) {
     let mut catalog = bench_catalog();
     let meta = catalog
@@ -157,7 +159,6 @@ fn bench_executor(c: &mut Criterion) {
         .unwrap();
     let stats = StatsCatalog::build(&catalog);
     let cost = CostModel::unit_scale();
-    let mut executor = simulated(cost.clone());
     let q = point_query(555);
 
     let scan_plan = {
@@ -171,11 +172,26 @@ fn bench_executor(c: &mut Criterion) {
     };
     assert!(seek_plan.indexes_used().contains(&meta.id));
 
-    c.bench_function("executor_full_scan_200k", |b| {
-        b.iter(|| executor.execute(&catalog, &q, &scan_plan))
-    });
-    c.bench_function("executor_index_seek_200k", |b| {
-        b.iter(|| executor.execute(&catalog, &q, &seek_plan))
+    for (name, plan) in [
+        ("executor_full_scan_200k", &scan_plan),
+        ("executor_index_seek_200k", &seek_plan),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || simulated(cost.clone()),
+                |mut executor| executor.execute(&catalog, &q, plan),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    let mut executor = simulated(cost.clone());
+    let first = executor.execute(&catalog, &q, &scan_plan);
+    c.bench_function("executor_replay_200k", |b| {
+        b.iter(|| {
+            let replay = executor.execute(&catalog, &q, &scan_plan);
+            assert_eq!(replay.result_rows, first.result_rows);
+            replay
+        })
     });
 }
 

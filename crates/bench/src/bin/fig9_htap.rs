@@ -174,7 +174,6 @@ fn main() {
             "rounds_with_uncharged_indexes",
             format!("{}", uncharged.len()),
         ),
-        ("threads", format!("{threads}")),
         (
             "plan_cache_hits_total",
             format!(

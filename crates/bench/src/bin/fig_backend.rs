@@ -185,7 +185,6 @@ fn main() {
         ("calibration_divergence_before", format!("{before:.4}")),
         ("calibration_divergence_after", format!("{after:.4}")),
         ("calibration_ops", cal_ops),
-        ("threads", format!("{threads}")),
     ];
     let results: Vec<RunResult> = outcomes.into_iter().map(|o| o.simulated).collect();
     write_text("results/fig_backend.json", &results_json(&meta, &results)).expect("write json");

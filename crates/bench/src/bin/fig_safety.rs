@@ -199,7 +199,6 @@ fn main() {
                 results.iter().map(|r| r.total_whatif_hits()).sum::<u64>()
             ),
         ),
-        ("threads", format!("{threads}")),
     ];
     write_text("results/fig_safety.json", &results_json(&meta, &results)).expect("write json");
     eprintln!(

@@ -222,7 +222,6 @@ fn main() {
         ("seed", format!("{}", env.seed)),
         ("rounds", format!("{}", kind.rounds())),
         ("budget_s", format!("{budget_s}")),
-        ("threads", format!("{threads}")),
     ];
     write_text(
         "results/fig_stream.json",

@@ -2,12 +2,15 @@
 //! [`Plan`] is run.
 //!
 //! The engine's [`Executor`] is the one operator implementation: it runs
-//! every plan over the real column data, prices each operator through the
-//! [`CostModel`], and, when built with an enabled [`BudgetTimer`], also
-//! times each operator and records an [`OpSample`]. [`BackendKind`] only
-//! chooses which of the two times feeds [`QueryExecution`]: `Simulated`
-//! (the price; [`simulated`]) or `Measured` (the clock; [`timed`]). A
-//! `Simulated` executor with a timer runs the untimed trajectory bit for
+//! every plan over the real column data and prices each operator through
+//! the [`CostModel`] on the observed counts. Untimed ([`simulated`]), it
+//! does only the work the price reads and replays the counts of a (query
+//! instance, plan shape) pair it has already run over the same base data.
+//! Built with an enabled [`BudgetTimer`] ([`timed`]), it runs every
+//! operator in full on every call, times each and records an
+//! [`OpSample`]. [`BackendKind`] only chooses which of the two times feeds
+//! [`QueryExecution`]: `Simulated` (the price) or `Measured` (the clock).
+//! A `Simulated` executor with a timer runs the untimed trajectory bit for
 //! bit and leaves samples behind for calibration. The trait stays open so
 //! callers can wrap an executor (e.g. to time it from outside).
 
@@ -148,7 +151,10 @@ impl OpSample {
 /// A strategy for executing physical plans.
 ///
 /// `execute` takes `&mut self` because a timed executor accumulates
-/// calibration samples between calls.
+/// calibration samples between calls and an untimed one memoises the
+/// counts it has taken. Wrapping an untimed executor to time it from
+/// outside times replays too: a repeated (query instance, plan shape) pair
+/// costs a lookup and a pricing, not its operators.
 pub trait ExecutionBackend: Send {
     /// Which backend family this is (drives reporting and env selection).
     fn kind(&self) -> BackendKind;
@@ -180,13 +186,16 @@ pub trait ExecutionBackend: Send {
     }
 }
 
-/// The `Simulated` backend: the untimed [`Executor`], boxed. The canonical
-/// construction path for callers outside this crate.
+/// The `Simulated` backend: the untimed [`Executor`], boxed, which runs
+/// only the work its price reads and replays repeated (query instance,
+/// plan shape) pairs. The canonical construction path for callers outside
+/// this crate.
 pub fn simulated(cost: CostModel) -> Box<dyn ExecutionBackend> {
     Box::new(Executor::new(cost))
 }
 
-/// The [`Executor`] timing every operator on `timer`, boxed: `Measured`
+/// The [`Executor`] timing every operator on `timer`, boxed: with an
+/// enabled timer it runs every operator in full on every call. `Measured`
 /// on [`BudgetTimer::wall`] runs real timed execution, `Simulated` on any
 /// timer reproduces [`simulated`] bit for bit while recording samples.
 /// Panics if `kind` is `Measured` and `timer` is disabled.

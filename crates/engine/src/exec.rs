@@ -1,33 +1,56 @@
 //! The executor: runs a physical [`Plan`] against real column data.
 //!
 //! Execution is *actual*: every predicate is evaluated over the stored codes
-//! by one selection-vector filter, seeks probe the sorted index, refine the
-//! leaf range and gather the needed columns from the heap, covering scans
-//! filter the columns their index holds, joins materialise real matching
-//! row ids and aggregates sum the payload. Every operator is priced from
-//! the shared [`CostModel`] using the **observed** cardinalities. The
-//! per-access statistics it emits ([`AccessStats`]) are exactly the
-//! observations the paper's reward shaping consumes: which index served
-//! which table, how long the access took, and what a full table scan cost
-//! when one was performed.
+//! by one selection-vector filter, seeks probe the sorted index and refine
+//! the leaf range, covering scans filter the columns their index holds, and
+//! joins match real row ids. Each execution takes two passes. A counting
+//! pass returns the counts the shared [`CostModel`] reads, per operator in
+//! plan order: rows out, matched leaf entries, probes, and hash-join build,
+//! probe and output rows. One pricing function then turns those
+//! **observed** counts into a [`QueryExecution`], at the catalog's live
+//! sizes and under the index ids the plan names. The per-access statistics
+//! it emits ([`AccessStats`]) are exactly the observations the paper's
+//! reward shaping consumes: which index served which table, how long the
+//! access took, and what a full table scan cost when one was performed.
 //!
-//! An executor built with an enabled [`BudgetTimer`] also times each
-//! operator with one `mark`/`elapsed_secs` pair and records an [`OpSample`]
-//! pairing the operator's work counters with both its price and the
-//! measured seconds. [`BackendKind`] only picks which of the two times the
-//! execution reports: `Simulated` reports the price, so a timed simulated
-//! run is bit-identical to an untimed one; `Measured` reports the clock.
+//! An untimed executor ([`Executor::new`]) does only the work those counts
+//! need. A join step emits the row ids of only the tables a later step keys
+//! on, so the last step counts its output without writing it. A
+//! non-covering seek does not gather its columns from the heap, and the
+//! aggregate does not sum the payload: only a clock could see that work.
+//! The counts depend only on the immutable base data, the query instance
+//! and the plan's shape; drift moves only the live sizes the price reads.
+//! So the untimed executor also memoises them. The key is exact: the
+//! query's predicates, joins, payload and aggregation, each access's
+//! table, method, covering flag and index *definition*, and each step's
+//! algorithm and join predicate. A repeated pair is priced again at today's
+//! live sizes without running an operator. Keying on the definition, not
+//! the index id, lets an index dropped and re-created under a new id
+//! replay. The memo lives and dies with its executor. It holds the
+//! catalog's `Arc<BaseData>` and empties itself when it meets another base,
+//! and each miss adds one entry (and at most one interned shape).
+//!
+//! An executor built with an enabled [`BudgetTimer`] ([`Executor::timed`])
+//! memoises nothing and runs every operator in full on every call: each
+//! join step emits every table's row ids, seeks gather from the heap and
+//! the aggregate sums the payload. It times each operator with one
+//! `mark`/`elapsed_secs` pair and records an [`OpSample`] pairing the
+//! operator's work counters with both its price and the measured seconds.
+//! [`BackendKind`] only picks which of the two times the execution reports:
+//! `Simulated` reports the price, so a timed simulated run is bit-identical
+//! to an untimed one; `Measured` reports the clock.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
-use dba_common::{BudgetTimer, IndexId, QueryId, SimSeconds, TableId};
-use dba_storage::{Catalog, Index, Table, PAGE_BYTES};
+use dba_common::{BudgetTimer, ColumnId, IndexId, QueryId, SimSeconds, TableId};
+use dba_storage::{BaseData, Catalog, Index, Table, PAGE_BYTES};
 
 use crate::backend::{BackendKind, OpKind, OpSample};
 use crate::cost::CostModel;
-use crate::plan::{seek_shape, AccessMethod, JoinAlgo, Plan};
-use crate::query::{Predicate, Query};
+use crate::plan::{seek_shape, AccessMethod, JoinAlgo, Plan, TableAccess};
+use crate::query::{JoinPred, Predicate, Query};
 
 /// Rows per batch in the vectorized filter: one selection-vector refill
 /// per window keeps the working set cache-resident.
@@ -103,10 +126,13 @@ pub struct Executor {
     /// Samples recorded since the last drain; stays unallocated when the
     /// timer is disabled.
     samples: Vec<OpSample>,
+    /// Counts of earlier executions, replayed when the timer is disabled;
+    /// stays empty when it is enabled.
+    memo: Memo,
 }
 
 /// Intermediate relation during left-deep join execution: parallel vectors
-/// of row ids, one per already-joined table.
+/// of row ids, one per already-joined table that is still read.
 struct Intermediate {
     tables: Vec<TableId>,
     /// `columns[i][k]` = row id in `tables[i]` for output tuple `k`.
@@ -127,16 +153,170 @@ impl Intermediate {
     fn table_pos(&self, table: TableId) -> Option<usize> {
         self.tables.iter().position(|&t| t == table)
     }
+
+    /// The intermediate a join step with `next` leaves: `columns` holds
+    /// the row ids of the tables `keep` flags, this one's then `next`, and
+    /// `len` tuples.
+    fn joined(self, next: TableId, keep: &[bool], columns: Vec<Vec<u32>>, len: usize) -> Self {
+        let tables = self
+            .tables
+            .into_iter()
+            .chain([next])
+            .zip(keep)
+            .filter_map(|(t, &k)| k.then_some(t))
+            .collect();
+        Intermediate {
+            tables,
+            columns,
+            len,
+        }
+    }
+}
+
+/// What one table access did: the leaf entries its seek matched (none for
+/// a scan) and the rows it emitted.
+#[derive(Debug, Clone, Copy)]
+struct AccessCounts {
+    matched: u64,
+    rows_out: u64,
+}
+
+/// What one join step did. The tuples it probed with are the rows the
+/// step before it emitted.
+#[derive(Debug, Clone, Copy)]
+enum StepCounts {
+    /// A hash join: the inner access it built on, and its output tuples.
+    Hash { inner: AccessCounts, out_rows: u64 },
+    /// Index-nested-loop probes: the leaf entries they matched and the
+    /// tuples they emitted.
+    Inl { matched: u64, out_rows: u64 },
+}
+
+/// The counts one execution's price reads, in plan order.
+#[derive(Debug)]
+struct Counts {
+    driver: AccessCounts,
+    steps: Box<[StepCounts]>,
+}
+
+/// The counts of untimed executions over one base, by (query instance,
+/// plan shape).
+#[derive(Debug, Default)]
+struct Memo {
+    /// The base every count here was taken over.
+    base: Option<Arc<BaseData>>,
+    /// The id of every shape seen: all of a key but the predicates' bounds
+    /// ([`encode_shape`]).
+    shapes: HashMap<Box<[u32]>, u32>,
+    /// Counts by shape id followed by each predicate's `lo` and `hi`.
+    counts: HashMap<Box<[i64]>, Counts>,
+    /// The last lookup's shape and key, reused across calls. A key whose
+    /// shape is not interned yet starts with -1.
+    shape: Vec<u32>,
+    key: Vec<i64>,
+}
+
+impl Memo {
+    /// The counts memoised for `plan` of `query` over `catalog`'s base, if
+    /// any, emptying the memo first if it holds another base's. Builds the
+    /// key that [`Memo::insert`] files the next counts under.
+    fn get(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Option<&Counts> {
+        if !self
+            .base
+            .as_ref()
+            .is_some_and(|base| Arc::ptr_eq(base, catalog.base()))
+        {
+            self.shapes.clear();
+            self.counts.clear();
+            self.base = Some(Arc::clone(catalog.base()));
+        }
+        self.shape.clear();
+        encode_shape(catalog, query, plan, &mut self.shape);
+        let shape = self.shapes.get(self.shape.as_slice());
+        self.key.clear();
+        self.key.push(shape.map_or(-1, |&id| i64::from(id)));
+        self.key
+            .extend(query.predicates.iter().flat_map(|p| [p.lo, p.hi]));
+        shape.and(self.counts.get(self.key.as_slice()))
+    }
+
+    /// Memoise `counts` under the key the last [`Memo::get`] built,
+    /// interning its shape if it is new.
+    fn insert(&mut self, counts: Counts) {
+        if self.key[0] < 0 {
+            let id = self.shapes.len() as u32;
+            self.shapes.insert(self.shape.as_slice().into(), id);
+            self.key[0] = i64::from(id);
+        }
+        self.counts.insert(self.key.as_slice().into(), counts);
+    }
+}
+
+/// Append to `out` the memo key of `query` and `plan` bar the predicates'
+/// bounds: the predicates' columns, the joins, the payload and
+/// aggregation, and each access's table, method, covering flag and index
+/// definition, and each step's algorithm and join predicate. Every list
+/// is preceded by its length, so two distinct shapes never encode alike.
+/// An index enters by its definition, not its id: its entries depend only
+/// on the definition and the base, so an index dropped and re-created
+/// under a new id keeps its counts.
+fn encode_shape(catalog: &Catalog, query: &Query, plan: &Plan, out: &mut Vec<u32>) {
+    fn column(c: ColumnId) -> [u32; 2] {
+        [c.table.raw(), u32::from(c.ordinal)]
+    }
+    fn join(j: JoinPred) -> [u32; 4] {
+        let ([a, b], [c, d]) = (column(j.left), column(j.right));
+        [a, b, c, d]
+    }
+    fn access(catalog: &Catalog, a: &TableAccess, out: &mut Vec<u32>) {
+        let (method, index) = match a.method {
+            AccessMethod::FullScan => (0, None),
+            AccessMethod::IndexSeek { index, covering } => (1 + u32::from(covering), Some(index)),
+            AccessMethod::CoveringScan { index } => (3, Some(index)),
+        };
+        out.extend([a.table.raw(), method]);
+        if let Some(id) = index {
+            let def = catalog
+                .index(id)
+                .expect("plan references unmaterialised index")
+                .def();
+            for cols in [&def.key_cols, &def.include_cols] {
+                out.push(cols.len() as u32);
+                out.extend(cols.iter().map(|&c| u32::from(c)));
+            }
+        }
+    }
+    out.push(query.predicates.len() as u32);
+    out.extend(query.predicates.iter().flat_map(|p| column(p.column)));
+    out.push(query.joins.len() as u32);
+    out.extend(query.joins.iter().flat_map(|&j| join(j)));
+    out.push(query.payload.len() as u32);
+    out.extend(query.payload.iter().flat_map(|&c| column(c)));
+    out.push(u32::from(query.aggregated));
+    access(catalog, &plan.driver, out);
+    out.push(plan.joins.len() as u32);
+    for step in &plan.joins {
+        out.push(match step.algo {
+            JoinAlgo::Hash => 0,
+            JoinAlgo::IndexNestedLoop => 1,
+        });
+        out.extend(join(step.join));
+        access(catalog, &step.access, out);
+    }
 }
 
 impl Executor {
-    /// The simulated executor: prices every operator and times none.
+    /// The simulated executor: prices every operator and times none. It
+    /// runs only the work the price reads, and replays the counts of a
+    /// (query instance, plan shape) pair it has run over the same base.
     pub fn new(cost: CostModel) -> Self {
         Executor::timed(cost, BackendKind::Simulated, BudgetTimer::disabled())
     }
 
     /// An executor that also times every operator on `timer`, reporting
-    /// the price (`Simulated`) or the measured seconds (`Measured`).
+    /// the price (`Simulated`) or the measured seconds (`Measured`). With
+    /// an enabled timer it runs every operator in full on every call,
+    /// including the work only the clock sees, and replays nothing.
     ///
     /// Panics if `kind` is `Measured` and `timer` is disabled: such an
     /// executor would have no time to report.
@@ -150,6 +330,7 @@ impl Executor {
             kind,
             timer,
             samples: Vec::new(),
+            memo: Memo::default(),
         }
     }
 
@@ -168,20 +349,14 @@ impl Executor {
     }
 
     /// Close the operator whose work began at the last `timer.mark()`:
-    /// when timed, record its sample; return the time the execution is
-    /// charged for it.
-    fn charge(&mut self, price: SimSeconds, sample: OpSample) -> SimSeconds {
-        let Some(measured_s) = self.timer.elapsed_secs() else {
-            return price;
-        };
-        self.samples.push(OpSample {
-            sim_s: price.secs(),
-            measured_s,
-            ..sample
-        });
-        match self.kind {
-            BackendKind::Simulated => price,
-            BackendKind::Measured => SimSeconds::new(measured_s),
+    /// when timed, record its sample, which the execution's pricing fills
+    /// in.
+    fn close(&mut self, sample: OpSample) {
+        if let Some(measured_s) = self.timer.elapsed_secs() {
+            self.samples.push(OpSample {
+                measured_s,
+                ..sample
+            });
         }
     }
 
@@ -190,19 +365,44 @@ impl Executor {
     /// Panics if the plan references indexes that are not materialised —
     /// plans must be produced against the same catalog state.
     pub fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
-        let mut accesses = Vec::with_capacity(1 + plan.joins.len());
-        let mut join_time = SimSeconds::ZERO;
+        if !self.timer.is_enabled() {
+            if let Some(counts) = self.memo.get(catalog, query, plan) {
+                return price(&self.cost, catalog, query, plan, counts, |price| price);
+            }
+            let counts = self.count(catalog, query, plan);
+            let execution = price(&self.cost, catalog, query, plan, &counts, |price| price);
+            self.memo.insert(counts);
+            return execution;
+        }
+        let first = self.samples.len();
+        let counts = self.count(catalog, query, plan);
+        let kind = self.kind;
+        let mut samples = self.samples[first..].iter_mut();
+        price(&self.cost, catalog, query, plan, &counts, |price| {
+            let sample = samples.next().expect("one sample per priced operator");
+            sample.sim_s = price.secs();
+            match kind {
+                BackendKind::Simulated => price,
+                BackendKind::Measured => SimSeconds::new(sample.measured_s),
+            }
+        })
+    }
 
-        // Driver access.
+    /// The counting pass: run `plan` for `query` over the base data and
+    /// return the counts its price reads. Untimed, a join step emits the
+    /// row ids of only the tables a later step keys on, so the last step
+    /// only counts its output. Timed, every step emits every table's row
+    /// ids, and each operator leaves one sample, in plan order.
+    fn count(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Counts {
+        let full = self.timer.is_enabled();
         let driver_table = catalog.table(plan.driver.table);
         let preds = query.predicates_on(plan.driver.table);
-        let (rows, stats) =
+        let (rows, driver) =
             self.run_access(catalog, driver_table, &plan.driver.method, &preds, query);
-        accesses.push(stats);
         let mut inter = Intermediate::single(plan.driver.table, rows);
+        let mut steps = Vec::with_capacity(plan.joins.len());
 
-        // Join steps.
-        for step in &plan.joins {
+        for (i, step) in plan.joins.iter().enumerate() {
             let inner_table = catalog.table(step.access.table);
             let inner_preds = query.predicates_on(step.access.table);
             // The outer side of this join lives on an already-joined table.
@@ -213,21 +413,29 @@ impl Executor {
             let outer_pos = inter
                 .table_pos(outer_col.table)
                 .expect("left-deep plan: outer table must already be joined");
+            let outer_keys = catalog.table(outer_col.table).column(outer_col.ordinal);
             let inner_col = step
                 .join
                 .side_on(step.access.table)
                 .expect("join step must reference the new table");
+            // Which tables' row ids the step emits: the intermediate's,
+            // then the new table's.
+            let keep: Vec<bool> = inter
+                .tables
+                .iter()
+                .chain([&step.access.table])
+                .map(|&t| full || keyed_later(plan, i, t))
+                .collect();
 
-            match step.algo {
+            let (columns, counts) = match step.algo {
                 JoinAlgo::Hash => {
-                    let (inner_rows, stats) = self.run_access(
+                    let (inner_rows, inner) = self.run_access(
                         catalog,
                         inner_table,
                         &step.access.method,
                         &inner_preds,
                         query,
                     );
-                    accesses.push(stats);
 
                     // Build on the smaller input, probe with the other. The
                     // price and the sample keep the cost model's roles,
@@ -236,107 +444,81 @@ impl Executor {
                     // dropped inside `hash_join`, so their teardown is timed
                     // with the join.
                     self.timer.mark();
-                    let new_cols = hash_join(
+                    let (columns, len) = hash_join(
                         &inter.columns,
                         outer_pos,
-                        catalog
-                            .table(outer_col.table)
-                            .column(outer_col.ordinal)
-                            .data(),
+                        outer_keys.data(),
                         &inner_rows,
                         inner_table.column(inner_col.ordinal).data(),
+                        &keep,
                     );
-                    let build_rows = inner_rows.len() as u64;
-                    let probe_rows = inter.len as u64;
-                    let len = new_cols[0].len();
-                    let price = self.cost.hash_join(build_rows, probe_rows, len as u64);
-                    join_time += self.charge(
-                        price,
-                        OpSample {
-                            build_rows,
-                            probe_rows,
-                            out_rows: len as u64,
-                            ..OpSample::with_op(OpKind::HashJoin)
-                        },
-                    );
-                    inter.tables.push(step.access.table);
-                    inter.columns = new_cols;
-                    inter.len = len;
+                    let out_rows = len as u64;
+                    self.close(OpSample {
+                        build_rows: inner.rows_out,
+                        probe_rows: inter.len as u64,
+                        out_rows,
+                        ..OpSample::with_op(OpKind::HashJoin)
+                    });
+                    (columns, StepCounts::Hash { inner, out_rows })
                 }
                 JoinAlgo::IndexNestedLoop => {
-                    let index_id = step
-                        .access
-                        .method
-                        .index_id()
-                        .expect("INL join requires an inner index");
                     let index = catalog
-                        .index(index_id)
+                        .index(
+                            step.access
+                                .method
+                                .index_id()
+                                .expect("INL join requires an inner index"),
+                        )
                         .expect("plan references unmaterialised index");
-                    let covering = matches!(
-                        step.access.method,
-                        AccessMethod::IndexSeek { covering: true, .. }
-                    );
                     // Sorts the leaf order on first read, outside the timing.
                     let order = index.ordered_rows(inner_table);
 
                     self.timer.mark();
                     let leaf_cap = leaf_capacity(inner_table, index);
-                    let outer_vals = catalog.table(outer_col.table).column(outer_col.ordinal);
-                    let mut new_cols: Vec<Vec<u32>> =
-                        (0..inter.columns.len() + 1).map(|_| Vec::new()).collect();
-                    let mut total_matched = 0u64;
-                    let mut leaves = 0u64;
+                    let outer: Vec<_> = kept(&inter.columns, &keep).collect();
+                    let keep_inner = keep[inter.columns.len()];
+                    let mut columns = vec![Vec::new(); outer.len() + usize::from(keep_inner)];
+                    let (mut matched, mut out_rows, mut leaves) = (0u64, 0u64, 0u64);
                     // Each probe's matches, refined in one reused buffer.
                     let mut matches = Vec::new();
-                    for k in 0..inter.len {
-                        let ov = outer_vals.value(inter.columns[outer_pos][k] as usize);
-                        let (s, e) = index.probe(inner_table, &[ov], None);
-                        total_matched += (e - s) as u64;
+                    for (k, &r) in inter.columns[outer_pos].iter().enumerate() {
+                        let key = outer_keys.value(r as usize);
+                        let (s, e) = index.probe(inner_table, &[key], None);
+                        matched += (e - s) as u64;
                         leaves += leaves_spanned(index, leaf_cap, s, e);
                         matches.clear();
                         matches.extend_from_slice(&order[s..e]);
                         refine(inner_table, &inner_preds, &mut matches);
-                        for (col, filled) in inter.columns.iter().zip(&mut new_cols) {
+                        out_rows += matches.len() as u64;
+                        for (col, filled) in outer.iter().zip(&mut columns) {
                             filled.extend(std::iter::repeat_n(col[k], matches.len()));
                         }
-                        new_cols[inter.columns.len()].extend_from_slice(&matches);
+                        if keep_inner {
+                            columns[outer.len()].extend_from_slice(&matches);
+                        }
                     }
-                    let total_out = new_cols[0].len() as u64;
-                    let heap_fetches = if covering { 0 } else { total_matched };
-                    let price = self.cost.inl_probes(
-                        inter.len as u64,
-                        total_matched,
-                        index.def().leaf_row_bytes(inner_table),
-                        heap_fetches,
-                        catalog.live_heap_pages(step.access.table),
-                    );
-                    let time = self.charge(
-                        price,
-                        OpSample {
-                            pages: leaves,
-                            rows: total_matched,
-                            descents: inter.len as u64,
-                            out_rows: total_out,
-                            ..OpSample::with_op(OpKind::InlProbe)
-                        },
-                    );
-                    accesses.push(AccessStats {
-                        table: step.access.table,
-                        index: Some(index_id),
-                        time,
-                        rows_out: total_out,
-                        is_full_scan: false,
+                    self.close(OpSample {
+                        pages: leaves,
+                        rows: matched,
+                        descents: inter.len as u64,
+                        out_rows,
+                        ..OpSample::with_op(OpKind::InlProbe)
                     });
-                    inter.tables.push(step.access.table);
-                    inter.columns = new_cols;
-                    inter.len = total_out as usize;
+                    (columns, StepCounts::Inl { matched, out_rows })
                 }
-            }
+            };
+            inter = inter.joined(
+                step.access.table,
+                &keep,
+                columns,
+                counts.out_rows() as usize,
+            );
+            steps.push(counts);
         }
 
-        let agg_time = if query.aggregated {
+        if full && query.aggregated {
             // Sum every payload column over the joined row ids: the work
-            // `agg_row_s` prices.
+            // `agg_row_s` prices, which only the clock sees.
             self.timer.mark();
             for pc in &query.payload {
                 if let Some(pos) = inter.table_pos(pc.table) {
@@ -347,34 +529,22 @@ impl Executor {
                     std::hint::black_box(sum);
                 }
             }
-            let price = self.cost.aggregate(inter.len as u64);
-            self.charge(
-                price,
-                OpSample {
-                    rows: inter.len as u64,
-                    out_rows: 1,
-                    ..OpSample::with_op(OpKind::Aggregate)
-                },
-            )
-        } else {
-            SimSeconds::ZERO
-        };
-
-        let total = accesses.iter().map(|a| a.time).sum::<SimSeconds>() + join_time + agg_time;
-        QueryExecution {
-            query: query.id,
-            total,
-            accesses,
-            join_time,
-            agg_time,
-            result_rows: inter.len as u64,
+            self.close(OpSample {
+                rows: inter.len as u64,
+                out_rows: 1,
+                ..OpSample::with_op(OpKind::Aggregate)
+            });
+        }
+        Counts {
+            driver,
+            steps: steps.into(),
         }
     }
 
-    /// Run a single-table access, returning its matching row ids and stats.
-    /// Scans, covering scans among them, return the rows ascending. A seek
-    /// returns them in leaf order, by (key tuple, row id), so a range seek's
-    /// row ids need not ascend.
+    /// Run a single-table access, returning its matching row ids and
+    /// counts. Scans, covering scans among them, return the rows ascending.
+    /// A seek returns them in leaf order, by (key tuple, row id), so a range
+    /// seek's row ids need not ascend.
     fn run_access(
         &mut self,
         catalog: &Catalog,
@@ -382,23 +552,17 @@ impl Executor {
         method: &AccessMethod,
         preds: &[Predicate],
         query: &Query,
-    ) -> (Vec<u32>, AccessStats) {
-        let (rows, index, price, sample) = match method {
+    ) -> (Vec<u32>, AccessCounts) {
+        let (rows, matched, sample) = match method {
             AccessMethod::FullScan => {
                 self.timer.mark();
                 let rows = batch_filter(table, preds);
-                // Priced over the *live* heap: drift-grown tables scan
-                // slower even though only generated rows materialise.
-                let price = self.cost.scan(
-                    catalog.live_heap_pages(table.id()),
-                    catalog.live_rows(table.id()),
-                );
                 let sample = OpSample {
                     pages: table.heap_pages(),
                     rows: table.rows() as u64,
                     ..OpSample::with_op(OpKind::SeqScan)
                 };
-                (rows, None, price, sample)
+                (rows, 0, sample)
             }
             AccessMethod::IndexSeek { index, covering } => {
                 let ix = catalog
@@ -415,28 +579,22 @@ impl Executor {
                 let mut rows = order[s..e].to_vec();
                 refine(table, &shape.residual, &mut rows);
                 // A non-covering seek fetches the columns the query needs
-                // from the heap: the work the random heap reads stand for.
-                if !covering {
+                // from the heap: the work the random heap reads stand for,
+                // which only the clock sees.
+                if !covering && self.timer.is_enabled() {
                     let mut fetched = Vec::new();
                     for ord in query.columns_needed_on(table.id()) {
                         table.column(ord).gather_into(&rows, &mut fetched);
                         std::hint::black_box(fetched.as_slice());
                     }
                 }
-                let heap_fetches = if *covering { 0 } else { matched };
-                let price = self.cost.index_seek(
-                    matched,
-                    ix.def().leaf_row_bytes(table),
-                    heap_fetches,
-                    catalog.live_heap_pages(table.id()),
-                );
                 let sample = OpSample {
                     pages: leaves_spanned(ix, leaf_cap, s, e),
                     rows: matched,
                     descents: 1,
                     ..OpSample::with_op(OpKind::IndexSeek)
                 };
-                (rows, Some(*index), price, sample)
+                (rows, matched, sample)
             }
             AccessMethod::CoveringScan { index } => {
                 let ix = catalog
@@ -452,39 +610,174 @@ impl Executor {
                 // scan's matches, ascending.
                 self.timer.mark();
                 let rows = batch_filter(table, preds);
-                // Maintained leaves grow with the table (drift): the
-                // catalog's live accounting scales each index by the growth
-                // it actually absorbed since creation.
-                let price = self.cost.covering_scan(
-                    catalog.index_live_leaf_pages(ix.id()),
-                    catalog.live_rows(table.id()),
-                );
                 let leaves = ix.rows().div_ceil(leaf_capacity(table, ix));
                 let sample = OpSample {
                     pages: leaves as u64,
                     rows: table.rows() as u64,
                     ..OpSample::with_op(OpKind::CoveringScan)
                 };
-                (rows, Some(*index), price, sample)
+                (rows, 0, sample)
             }
         };
         let rows_out = rows.len() as u64;
-        let time = self.charge(
-            price,
-            OpSample {
-                out_rows: rows_out,
-                ..sample
-            },
-        );
-        let stats = AccessStats {
-            table: table.id(),
-            index,
-            time,
-            rows_out,
-            is_full_scan: index.is_none(),
-        };
-        (rows, stats)
+        self.close(OpSample {
+            out_rows: rows_out,
+            ..sample
+        });
+        (rows, AccessCounts { matched, rows_out })
     }
+}
+
+impl StepCounts {
+    fn out_rows(&self) -> u64 {
+        match *self {
+            StepCounts::Hash { out_rows, .. } | StepCounts::Inl { out_rows, .. } => out_rows,
+        }
+    }
+}
+
+/// Whether a join step of `plan` after step `i` keys on `table`'s rows.
+fn keyed_later(plan: &Plan, i: usize, table: TableId) -> bool {
+    plan.joins[i + 1..].iter().any(|s| {
+        s.join
+            .other_side(s.access.table)
+            .is_some_and(|c| c.table == table)
+    })
+}
+
+/// Price `counts`, the counts of `plan` for `query`, at `catalog`'s live
+/// sizes and under the index ids `plan` names: the one path from counts to
+/// an execution, whether they were just taken or are replayed. `charge`
+/// turns each operator's price, in plan order, into the time the
+/// execution is charged for it.
+fn price(
+    cost: &CostModel,
+    catalog: &Catalog,
+    query: &Query,
+    plan: &Plan,
+    counts: &Counts,
+    mut charge: impl FnMut(SimSeconds) -> SimSeconds,
+) -> QueryExecution {
+    let mut accesses = Vec::with_capacity(1 + plan.joins.len());
+    accesses.push(price_access(
+        cost,
+        catalog,
+        &plan.driver,
+        counts.driver,
+        &mut charge,
+    ));
+    let mut rows = counts.driver.rows_out;
+    let mut join_time = SimSeconds::ZERO;
+    for (step, &step_counts) in plan.joins.iter().zip(&*counts.steps) {
+        match step_counts {
+            StepCounts::Hash { inner, out_rows } => {
+                accesses.push(price_access(
+                    cost,
+                    catalog,
+                    &step.access,
+                    inner,
+                    &mut charge,
+                ));
+                join_time += charge(cost.hash_join(inner.rows_out, rows, out_rows));
+            }
+            StepCounts::Inl { matched, out_rows } => {
+                let index = step
+                    .access
+                    .method
+                    .index_id()
+                    .expect("INL join requires an inner index");
+                let covering = matches!(
+                    step.access.method,
+                    AccessMethod::IndexSeek { covering: true, .. }
+                );
+                let heap_fetches = if covering { 0 } else { matched };
+                let price = cost.inl_probes(
+                    rows,
+                    matched,
+                    leaf_row_bytes(catalog, index, step.access.table),
+                    heap_fetches,
+                    catalog.live_heap_pages(step.access.table),
+                );
+                accesses.push(AccessStats {
+                    table: step.access.table,
+                    index: Some(index),
+                    time: charge(price),
+                    rows_out: out_rows,
+                    is_full_scan: false,
+                });
+            }
+        }
+        rows = step_counts.out_rows();
+    }
+    let agg_time = if query.aggregated {
+        charge(cost.aggregate(rows))
+    } else {
+        SimSeconds::ZERO
+    };
+
+    let total = accesses.iter().map(|a| a.time).sum::<SimSeconds>() + join_time + agg_time;
+    QueryExecution {
+        query: query.id,
+        total,
+        accesses,
+        join_time,
+        agg_time,
+        result_rows: rows,
+    }
+}
+
+/// Price one table access from its counts, as [`price`] does.
+fn price_access(
+    cost: &CostModel,
+    catalog: &Catalog,
+    access: &TableAccess,
+    counts: AccessCounts,
+    charge: &mut impl FnMut(SimSeconds) -> SimSeconds,
+) -> AccessStats {
+    let table = access.table;
+    let (index, price) = match access.method {
+        // Priced over the *live* heap: drift-grown tables scan slower even
+        // though only generated rows materialise.
+        AccessMethod::FullScan => (
+            None,
+            cost.scan(catalog.live_heap_pages(table), catalog.live_rows(table)),
+        ),
+        AccessMethod::IndexSeek { index, covering } => {
+            let heap_fetches = if covering { 0 } else { counts.matched };
+            let price = cost.index_seek(
+                counts.matched,
+                leaf_row_bytes(catalog, index, table),
+                heap_fetches,
+                catalog.live_heap_pages(table),
+            );
+            (Some(index), price)
+        }
+        // Maintained leaves grow with the table (drift): the catalog's live
+        // accounting scales each index by the growth it actually absorbed
+        // since creation.
+        AccessMethod::CoveringScan { index } => (
+            Some(index),
+            cost.covering_scan(
+                catalog.index_live_leaf_pages(index),
+                catalog.live_rows(table),
+            ),
+        ),
+    };
+    AccessStats {
+        table,
+        index,
+        time: charge(price),
+        rows_out: counts.rows_out,
+        is_full_scan: index.is_none(),
+    }
+}
+
+/// The leaf-entry width of index `id` on `table`.
+fn leaf_row_bytes(catalog: &Catalog, id: IndexId, table: TableId) -> u64 {
+    let index = catalog
+        .index(id)
+        .expect("plan references unmaterialised index");
+    index.def().leaf_row_bytes(catalog.table(table))
 }
 
 /// Multiplicative hasher for the hash join's `i64` keys.
@@ -610,30 +903,45 @@ impl JoinTable {
     fn probe(&self, probes: impl ExactSizeIterator<Item = (u32, i64)>) -> (Vec<(u32, u32)>, usize) {
         let mut hits = vec![(0u32, 0u32); probes.len()];
         let (mut n, mut len) = (0, 0);
-        let mut record = |id, slot: u32| {
+        self.visit(probes, |id, slot| {
             let (start, end) = (self.bounds[slot as usize], self.bounds[slot as usize + 1]);
             hits[n] = (id, slot);
             n += usize::from(start < end);
             len += (end - start) as usize;
-        };
+        });
+        hits.truncate(n);
+        (hits, len)
+    }
+
+    /// The output rows a probe with each of `keys` makes, with no hit
+    /// recorded.
+    fn count(&self, keys: impl Iterator<Item = i64>) -> usize {
+        let mut len = 0;
+        self.visit(keys.map(|key| (0, key)), |_, slot| {
+            len += (self.bounds[slot as usize + 1] - self.bounds[slot as usize]) as usize;
+        });
+        len
+    }
+
+    /// Call `visit(id, slot)` for each `(id, key)` in order, with the
+    /// key's slot, or the empty slot for a key no build entry holds.
+    fn visit(&self, probes: impl Iterator<Item = (u32, i64)>, mut visit: impl FnMut(u32, u32)) {
         match &self.index {
             // A key below `min` wraps to `2^64 - (min - key)`, which is at
             // least `span` because the span ends by `i64::MAX`: one unsigned
             // `min` sends keys off either end to the empty slot `span`.
             SlotIndex::Direct { min, span } => {
                 for (id, key) in probes {
-                    record(id, (key.wrapping_sub(*min) as u64).min(*span) as u32);
+                    visit(id, (key.wrapping_sub(*min) as u64).min(*span) as u32);
                 }
             }
             SlotIndex::Map(slots) => {
                 let empty = (self.bounds.len() - 2) as u32;
                 for (id, key) in probes {
-                    record(id, slots.get(&key).copied().unwrap_or(empty));
+                    visit(id, slots.get(&key).copied().unwrap_or(empty));
                 }
             }
         }
-        hits.truncate(n);
-        (hits, len)
     }
 
     fn slot_rows(&self, slot: u32) -> &[u32] {
@@ -696,47 +1004,70 @@ fn build_smaller_side(
     }
 }
 
+/// The columns one join emits and its output length.
+type Joined = (Vec<Vec<u32>>, usize);
+
 /// Hash-join the intermediate `outer` (row-id columns) with the rows
 /// `inner_rows`: outer tuple `k` matches inner row `r` when
-/// `outer_keys[outer[key_col][k]] == inner_keys[r]`. Returns the outer
-/// columns followed by the inner row-id column, probe-major and, within
-/// one outer tuple, in `inner_rows` order: a nested loop's output exactly,
-/// whichever side is built.
+/// `outer_keys[outer[key_col][k]] == inner_keys[r]`. Returns the output
+/// length and the columns `keep` flags: the outer columns, then the inner
+/// row-id column (the last flag). They come out probe-major and, within one
+/// outer tuple, in `inner_rows` order: a nested loop's output exactly,
+/// whichever side is built. With no flag set, the join only counts.
 fn hash_join(
     outer: &[Vec<u32>],
     key_col: usize,
     outer_keys: &[i64],
     inner_rows: &[u32],
     inner_keys: &[i64],
-) -> Vec<Vec<u32>> {
+    keep: &[bool],
+) -> Joined {
     assert!(
         u32::try_from(outer[key_col].len()).is_ok(),
         "intermediate tuples are indexed by u32"
     );
+    debug_assert_eq!(keep.len(), outer.len() + 1, "one flag per output column");
     match build_smaller_side(outer, key_col, outer_keys, inner_rows, inner_keys) {
-        (Side::Inner, table) => probe_with_outer(table, outer, key_col, outer_keys),
-        (Side::Outer, table) => probe_with_inner(table, outer, inner_rows, inner_keys),
+        (Side::Inner, table) => probe_with_outer(table, outer, key_col, outer_keys, keep),
+        (Side::Outer, table) => {
+            probe_with_inner(table, outer, key_col, inner_rows, inner_keys, keep)
+        }
     }
 }
 
+/// The columns of `outer` that `keep` flags.
+fn kept<'a>(outer: &'a [Vec<u32>], keep: &'a [bool]) -> impl Iterator<Item = &'a Vec<u32>> {
+    outer
+        .iter()
+        .zip(keep)
+        .filter_map(|(col, &k)| k.then_some(col))
+}
+
 /// Probe an inner-row `table` with each outer tuple in order: the hits
-/// come out probe-major, so each output column fills in one pass into
+/// come out probe-major, so each kept output column fills in one pass into
 /// capacity reserved for the output length.
 fn probe_with_outer(
     table: JoinTable,
     outer: &[Vec<u32>],
     key_col: usize,
     outer_keys: &[i64],
-) -> Vec<Vec<u32>> {
+    keep: &[bool],
+) -> Joined {
     let probe = &outer[key_col];
+    let mut out = Vec::new();
+    if !keep.contains(&true) {
+        return (
+            out,
+            table.count(probe.iter().map(|&r| outer_keys[r as usize])),
+        );
+    }
     let (hits, len) = table.probe(
         probe
             .iter()
             .enumerate()
             .map(|(k, &r)| (k as u32, outer_keys[r as usize])),
     );
-    let mut out = Vec::with_capacity(outer.len() + 1);
-    for col in outer {
+    for col in kept(outer, keep) {
         let mut filled = Vec::with_capacity(len);
         for &(k, slot) in &hits {
             let n = table.slot_rows(slot).len();
@@ -744,58 +1075,70 @@ fn probe_with_outer(
         }
         out.push(filled);
     }
-    let mut filled = Vec::with_capacity(len);
-    for &(_, slot) in &hits {
-        filled.extend_from_slice(table.slot_rows(slot));
-    }
-    out.push(filled);
-    out
-}
-
-/// Probe an outer-tuple `table` with each inner row in order, then lay the
-/// output out probe-major: tuple `k` emits one row for each inner hit on
-/// its slot, in inner order. A count, a prefix sum and a scatter give each
-/// hit its place among the rows of every tuple it matches.
-fn probe_with_inner(
-    table: JoinTable,
-    outer: &[Vec<u32>],
-    inner_rows: &[u32],
-    inner_keys: &[i64],
-) -> Vec<Vec<u32>> {
-    let (hits, len) = table.probe(inner_rows.iter().map(|&r| (r, inner_keys[r as usize])));
-    // Each tuple's output rows, turned into its first output position.
-    let mut at = vec![0usize; outer[0].len()];
-    for &(_, slot) in &hits {
-        for &k in table.slot_rows(slot) {
-            at[k as usize] += 1;
-        }
-    }
-    let mut next = 0;
-    for a in &mut at {
-        (*a, next) = (next, next + *a);
-    }
-    // Each hit takes the next position of every tuple it matches, which
-    // leaves `at[k]` at tuple `k`'s end.
-    let mut inner_col = vec![0u32; len];
-    for &(r, slot) in &hits {
-        for &k in table.slot_rows(slot) {
-            let a = &mut at[k as usize];
-            inner_col[*a] = r;
-            *a += 1;
-        }
-    }
-    let mut out = Vec::with_capacity(outer.len() + 1);
-    for col in outer {
+    if keep[outer.len()] {
         let mut filled = Vec::with_capacity(len);
-        let mut start = 0;
-        for (&v, &end) in col.iter().zip(&at) {
-            filled.extend(std::iter::repeat_n(v, end - start));
-            start = end;
+        for &(_, slot) in &hits {
+            filled.extend_from_slice(table.slot_rows(slot));
         }
         out.push(filled);
     }
-    out.push(inner_col);
-    out
+    (out, len)
+}
+
+/// Probe an outer-tuple `table` with each inner row in order, then lay the
+/// kept output out probe-major: tuple `k` emits one row for each inner hit
+/// on its slot, in inner order. A count gives each tuple its output rows;
+/// for the inner column, a prefix sum and a scatter give each hit its
+/// place among the rows of every tuple it matches.
+fn probe_with_inner(
+    table: JoinTable,
+    outer: &[Vec<u32>],
+    key_col: usize,
+    inner_rows: &[u32],
+    inner_keys: &[i64],
+    keep: &[bool],
+) -> Joined {
+    let mut out = Vec::new();
+    if !keep.contains(&true) {
+        return (
+            out,
+            table.count(inner_rows.iter().map(|&r| inner_keys[r as usize])),
+        );
+    }
+    let (hits, len) = table.probe(inner_rows.iter().map(|&r| (r, inner_keys[r as usize])));
+    // Each tuple's output rows.
+    let mut rows_of = vec![0usize; outer[key_col].len()];
+    for &(_, slot) in &hits {
+        for &k in table.slot_rows(slot) {
+            rows_of[k as usize] += 1;
+        }
+    }
+    for col in kept(outer, keep) {
+        let mut filled = Vec::with_capacity(len);
+        for (&v, &n) in col.iter().zip(&rows_of) {
+            filled.extend(std::iter::repeat_n(v, n));
+        }
+        out.push(filled);
+    }
+    if keep[outer.len()] {
+        // Each tuple's first output position. Each hit takes the next
+        // position of every tuple it matches.
+        let mut at = rows_of;
+        let mut next = 0;
+        for a in &mut at {
+            (*a, next) = (next, next + *a);
+        }
+        let mut inner_col = vec![0u32; len];
+        for &(r, slot) in &hits {
+            for &k in table.slot_rows(slot) {
+                let a = &mut at[k as usize];
+                inner_col[*a] = r;
+                *a += 1;
+            }
+        }
+        out.push(inner_col);
+    }
+    (out, len)
 }
 
 /// Entries per physical leaf page of `index` (at least 8).
@@ -863,6 +1206,32 @@ mod tests {
             .all(|p| p.matches(table.column(p.column.ordinal).value(r as usize)))
     }
 
+    /// Assert that `a` and `b` report the same execution, bit for bit.
+    fn assert_same_execution(a: &QueryExecution, b: &QueryExecution, label: &str) {
+        let bits =
+            |e: &QueryExecution| [e.total, e.join_time, e.agg_time].map(|s| s.secs().to_bits());
+        assert_eq!(bits(a), bits(b), "{label}: times");
+        assert_eq!(a.result_rows, b.result_rows, "{label}: result rows");
+        assert_eq!(a.accesses.len(), b.accesses.len(), "{label}: accesses");
+        for (x, y) in a.accesses.iter().zip(&b.accesses) {
+            assert_eq!(
+                x.time.secs().to_bits(),
+                y.time.secs().to_bits(),
+                "{label}: access time"
+            );
+            assert_eq!(
+                (x.table, x.index, x.rows_out, x.is_full_scan),
+                (y.table, y.index, y.rows_out, y.is_full_scan),
+                "{label}: access"
+            );
+        }
+    }
+
+    /// The (query instance, plan shape) pairs `exec` has memoised.
+    fn memo_entries(exec: &Executor) -> usize {
+        exec.memo.counts.len()
+    }
+
     /// Three-table catalog: `dim` (200 rows), `fact` (5000 rows) with
     /// fact.f_dim a uniform FK into dim, and `sub` (300 rows) with sub.s_dim
     /// one too.
@@ -871,6 +1240,12 @@ mod tests {
     }
 
     fn catalog_with_fact_rows(fact_rows: usize) -> Catalog {
+        generated_catalog(fact_rows, 5)
+    }
+
+    /// The three-table catalog with `fact_rows` fact rows, its data
+    /// generated from `seed`.
+    fn generated_catalog(fact_rows: usize, seed: u64) -> Catalog {
         let dim = TableSchema::new(
             "dim",
             vec![
@@ -907,9 +1282,9 @@ mod tests {
             )],
         );
         Catalog::new(vec![
-            TableBuilder::new(dim, 200).build(TableId(0), 5),
-            TableBuilder::new(fact, fact_rows).build(TableId(1), 5),
-            TableBuilder::new(sub, 300).build(TableId(2), 5),
+            TableBuilder::new(dim, 200).build(TableId(0), seed),
+            TableBuilder::new(fact, fact_rows).build(TableId(1), seed),
+            TableBuilder::new(sub, 300).build(TableId(2), seed),
         ])
     }
 
@@ -1035,10 +1410,10 @@ mod tests {
                 index: meta.id,
                 covering: false,
             };
-            let (got, stats) = exec.run_access(&cat, t, &seek, &preds, &q);
+            let (got, counts) = exec.run_access(&cat, t, &seek, &preds, &q);
             assert_eq!(got, want, "{name}: leaf order");
-            assert_eq!(stats.index, Some(meta.id), "{name}");
-            assert_eq!(stats.rows_out, want.len() as u64, "{name}");
+            assert_eq!(counts.matched, (e - s) as u64, "{name}");
+            assert_eq!(counts.rows_out, want.len() as u64, "{name}");
             // The scan returns the same rows, ascending.
             let (scanned, _) = exec.run_access(&cat, t, &AccessMethod::FullScan, &preds, &q);
             let mut sorted = got;
@@ -1248,7 +1623,8 @@ mod tests {
         }
 
         /// Check the side and path of the table the join builds, and its
-        /// output against the nested loop.
+        /// output against the nested loop: every column, only a count, and
+        /// every other column.
         fn check(&self) {
             let (side, table) = build_smaller_side(
                 &self.outer,
@@ -1263,15 +1639,31 @@ mod tests {
             };
             assert_eq!(side, self.side, "{}", self.name);
             assert_eq!(path, self.path, "{}", self.name);
-            let got = hash_join(
-                &self.outer,
-                self.key_col,
-                &self.outer_keys,
-                &self.inner_rows,
-                &self.inner_keys,
-            );
-            assert_eq!(got, self.nested_loop(), "{}", self.name);
-            assert_eq!(got[0].len(), self.out_rows, "{}", self.name);
+            let want = self.nested_loop();
+            let columns = want.len();
+            let masks = [
+                vec![true; columns],
+                vec![false; columns],
+                (0..columns).map(|c| c % 2 == 0).collect(),
+                (0..columns).map(|c| c % 2 == 1).collect(),
+            ];
+            for keep in masks {
+                let (got, len) = hash_join(
+                    &self.outer,
+                    self.key_col,
+                    &self.outer_keys,
+                    &self.inner_rows,
+                    &self.inner_keys,
+                    &keep,
+                );
+                let kept: Vec<_> = want
+                    .iter()
+                    .zip(&keep)
+                    .filter_map(|(col, &k)| k.then_some(col.clone()))
+                    .collect();
+                assert_eq!(got, kept, "{}: {keep:?}", self.name);
+                assert_eq!(len, self.out_rows, "{}: {keep:?}", self.name);
+            }
         }
     }
 
@@ -1676,13 +2068,17 @@ mod tests {
                 join: q3.joins[1],
                 est_rows_out: 0.0,
             });
+            // Untimed, the probes emit only `dim`'s row ids, the ones the
+            // `sub` join keys on; timed, they materialise `fact`'s too.
             let three = Executor::new(CostModel::unit_scale()).execute(&cat, &q3, &then_sub);
             assert_eq!(
                 three.result_rows, with_sub,
                 "{name}: sub joined after the probes"
             );
-
             let samples = timed.take_op_samples();
+            let materialised = timed.execute(&cat, &q3, &then_sub);
+            assert_same_execution(&three, &materialised, name);
+
             let probe = samples.iter().find(|s| s.op() == OpKind::InlProbe);
             let probe = probe.expect("an InlProbe sample");
             assert_eq!(
@@ -1701,7 +2097,12 @@ mod tests {
         let mut exec = Executor::new(CostModel::unit_scale());
         let before = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
         cat.apply_drift(TableId(1), 50_000, 0, 0);
+        // A replay, priced at the live sizes as a fresh execution is.
         let after = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
+        assert_eq!(memo_entries(&exec), 1, "the repeat replays");
+        let fresh =
+            Executor::new(CostModel::unit_scale()).execute(&cat, &q, &scan_plan(TableId(1), 0.0));
+        assert_same_execution(&after, &fresh, "after drift");
         // Results come from the generated rows; cost comes from the live heap.
         assert_eq!(after.result_rows, before.result_rows);
         assert!(
@@ -1772,9 +2173,9 @@ mod tests {
             want.sort_unstable();
             let method = AccessMethod::CoveringScan { index: meta.id };
             let mut exec = Executor::new(CostModel::unit_scale());
-            let (got, stats) = exec.run_access(&cat, t, &method, &preds, &q);
+            let (got, counts) = exec.run_access(&cat, t, &method, &preds, &q);
             assert_eq!(got, want, "{name}");
-            assert_eq!(stats.rows_out, want.len() as u64, "{name}");
+            assert_eq!(counts.rows_out, want.len() as u64, "{name}");
             match matching {
                 Some(n) => assert_eq!(want.len(), n, "{name}"),
                 None => assert!((1..rows).contains(&want.len()), "{name}"),
@@ -1857,35 +2258,159 @@ mod tests {
     #[test]
     fn timed_simulated_is_bit_identical_and_samples_every_operator() {
         let mut cat = catalog();
+        let sweep = operator_sweep(&mut cat);
         let mut plain = Executor::new(CostModel::unit_scale());
         let mut timed = Executor::timed(
             CostModel::unit_scale(),
             BackendKind::Simulated,
             BudgetTimer::scripted(1e-6),
         );
-        let mut ops = Vec::new();
-        for (q, plan) in operator_sweep(&mut cat) {
-            let a = plain.execute(&cat, &q, &plan);
-            let b = timed.execute(&cat, &q, &plan);
-            assert_eq!(a.total.secs().to_bits(), b.total.secs().to_bits());
-            assert_eq!(a.result_rows, b.result_rows);
-            for (x, y) in a.accesses.iter().zip(&b.accesses) {
-                assert_eq!(x.time.secs().to_bits(), y.time.secs().to_bits());
-                assert_eq!((x.rows_out, x.index), (y.rows_out, y.index));
+        // The untimed executor runs the first pass and replays the other
+        // two, the last after drift; the timed one runs every operator on
+        // every pass.
+        for pass in 0..3 {
+            if pass == 2 {
+                cat.apply_drift(TableId(0), 300, 20, 10);
+                cat.apply_drift(TableId(1), 20_000, 500, 700);
             }
-            // Each access's sample carries exactly the price it was charged.
-            let samples = timed.take_op_samples();
-            for access in &b.accesses {
-                assert!(samples
-                    .iter()
-                    .any(|s| s.sim_s.to_bits() == access.time.secs().to_bits()));
+            let mut ops = Vec::new();
+            for (q, plan) in &sweep {
+                let a = plain.execute(&cat, q, plan);
+                let b = timed.execute(&cat, q, plan);
+                assert_same_execution(&a, &b, &format!("pass {pass}"));
+                // Each access's sample carries exactly the price it was
+                // charged.
+                let samples = timed.take_op_samples();
+                for access in &b.accesses {
+                    assert!(samples
+                        .iter()
+                        .any(|s| s.sim_s.to_bits() == access.time.secs().to_bits()));
+                }
+                assert!(samples.iter().all(|s| s.measured_s > 0.0));
+                ops.extend(samples.iter().map(OpSample::op));
             }
-            assert!(samples.iter().all(|s| s.measured_s > 0.0));
-            ops.extend(samples.iter().map(OpSample::op));
+            for op in OpKind::ALL {
+                assert!(ops.contains(&op), "pass {pass}: no {op:?} sample");
+            }
+            assert_eq!(memo_entries(&plain), sweep.len(), "pass {pass}");
+            assert_eq!(memo_entries(&timed), 0, "a timed executor memoises nothing");
         }
-        for op in OpKind::ALL {
-            assert!(ops.contains(&op), "no {op:?} sample");
+    }
+
+    #[test]
+    fn recreated_index_replays_under_its_new_id() {
+        let mut cat = catalog();
+        let def = IndexDef::new(TableId(1), vec![1], vec![]);
+        let first = cat.create_index(def.clone()).unwrap().id;
+        let q = single_table_query(vec![Predicate::range(col(1, 1), 20, 40)], vec![col(1, 0)]);
+        let seek = |index| Plan {
+            driver: TableAccess {
+                table: TableId(1),
+                method: AccessMethod::IndexSeek {
+                    index,
+                    covering: false,
+                },
+                est_rows: 0.0,
+            },
+            joins: vec![],
+            aggregated: false,
+            est_cost: SimSeconds::ZERO,
+        };
+        let inl = |index| {
+            let method = AccessMethod::IndexSeek {
+                index,
+                covering: false,
+            };
+            join_plan(&join_query(), JoinAlgo::IndexNestedLoop, method)
+        };
+        let mut exec = Executor::new(CostModel::unit_scale());
+        exec.execute(&cat, &q, &seek(first));
+        exec.execute(&cat, &join_query(), &inl(first));
+        cat.drop_index(first).unwrap();
+        let again = cat.create_index(def).unwrap().id;
+        assert_ne!(again, first);
+
+        let replays = [
+            (exec.execute(&cat, &q, &seek(again)), seek(again), q.clone()),
+            (
+                exec.execute(&cat, &join_query(), &inl(again)),
+                inl(again),
+                join_query(),
+            ),
+        ];
+        assert_eq!(memo_entries(&exec), 2, "both re-created pairs replay");
+        for (replay, plan, query) in &replays {
+            assert_eq!(replay.indexes_used(), vec![again]);
+            let fresh = Executor::new(CostModel::unit_scale()).execute(&cat, query, plan);
+            assert_same_execution(replay, &fresh, "re-created index");
         }
+    }
+
+    #[test]
+    fn covering_and_non_covering_seeks_never_share_an_entry() {
+        let mut cat = catalog();
+        let id = cat
+            .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
+            .unwrap()
+            .id;
+        let q = single_table_query(vec![Predicate::range(col(1, 2), 10, 300)], vec![col(1, 0)]);
+        let seek = |covering| Plan {
+            driver: TableAccess {
+                table: TableId(1),
+                method: AccessMethod::IndexSeek {
+                    index: id,
+                    covering,
+                },
+                est_rows: 0.0,
+            },
+            joins: vec![],
+            aggregated: false,
+            est_cost: SimSeconds::ZERO,
+        };
+        let mut exec = Executor::new(CostModel::unit_scale());
+        for pass in 0..2 {
+            let non_covering = exec.execute(&cat, &q, &seek(false));
+            let covering = exec.execute(&cat, &q, &seek(true));
+            assert_eq!(memo_entries(&exec), 2, "pass {pass}");
+            assert!(covering.total < non_covering.total, "pass {pass}");
+            for (got, covers) in [(non_covering, false), (covering, true)] {
+                let fresh = Executor::new(CostModel::unit_scale()).execute(&cat, &q, &seek(covers));
+                assert_same_execution(&got, &fresh, &format!("pass {pass}, covering {covers}"));
+            }
+        }
+    }
+
+    #[test]
+    fn instances_differing_in_one_bound_never_share_an_entry() {
+        let cat = catalog();
+        let plan = scan_plan(TableId(1), 0.0);
+        let mut exec = Executor::new(CostModel::unit_scale());
+        for (lo, hi) in [(10, 300), (10, 600), (0, 600)] {
+            let q = single_table_query(vec![Predicate::range(col(1, 2), lo, hi)], vec![col(1, 0)]);
+            let got = exec.execute(&cat, &q, &plan);
+            let fresh = Executor::new(CostModel::unit_scale()).execute(&cat, &q, &plan);
+            assert_same_execution(&got, &fresh, &format!("{lo}..={hi}"));
+        }
+        assert_eq!(memo_entries(&exec), 3);
+    }
+
+    #[test]
+    fn one_executor_over_two_bases_matches_a_fresh_one_on_each() {
+        let mut bases = [generated_catalog(5000, 5), generated_catalog(5000, 6)];
+        let sweeps: Vec<_> = bases.iter_mut().map(operator_sweep).collect();
+        let mut exec = Executor::new(CostModel::unit_scale());
+        let mut rows = [Vec::new(), Vec::new()];
+        for pass in 0..2 {
+            for (b, (cat, sweep)) in bases.iter().zip(&sweeps).enumerate() {
+                for (q, plan) in sweep {
+                    let got = exec.execute(cat, q, plan);
+                    let fresh = Executor::new(CostModel::unit_scale()).execute(cat, q, plan);
+                    assert_same_execution(&got, &fresh, &format!("pass {pass}, base {b}"));
+                    rows[b].push(got.result_rows);
+                }
+            }
+        }
+        assert_ne!(rows[0], rows[1], "the two bases count differently");
     }
 
     #[test]
