@@ -1,16 +1,17 @@
 //! Criterion benchmarks for the executor's timed hot paths: vectorized
 //! batch heap scans, index seeks with heap gather, a covering scan and the
-//! hash join, run on a `Measured` executor. These are the operators the executor times on
-//! the wall-clock, so their own overheads bound how small a workload the
-//! calibration fit can resolve. Each bench first asserts the shape of its
-//! operator's sample, so it measures the work it names.
+//! hash join, run on an executor timed on the wall-clock. A timed executor
+//! runs every operator in full on every call and replays nothing, so each
+//! iteration pays the operator's whole work plus its clock reads. Each
+//! bench first asserts the shape of its operator's sample, so it measures
+//! the work it names.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dba_common::{BudgetTimer, ColumnId, QueryId, SimSeconds, TableId, TemplateId};
 use dba_engine::{
-    AccessMethod, BackendKind, CostModel, ExecutionBackend, JoinAlgo, JoinPred, JoinStep, OpKind,
-    OpSample, Plan, Predicate, Query, TableAccess,
+    AccessMethod, CostModel, ExecutionBackend, JoinAlgo, JoinPred, JoinStep, OpKind, OpSample,
+    Plan, Predicate, Query, TableAccess,
 };
 use dba_optimizer::{Planner, PlannerContext, StatsCatalog};
 use dba_storage::{
@@ -51,13 +52,9 @@ fn range_query(lo: i64, hi: i64) -> Query {
     }
 }
 
-/// The `Measured` executor on the wall-clock.
-fn measured() -> Box<dyn ExecutionBackend> {
-    dba_engine::timed(
-        CostModel::unit_scale(),
-        BackendKind::Measured,
-        BudgetTimer::wall(),
-    )
+/// The executor timing every operator on the wall-clock.
+fn wall_timed() -> Box<dyn ExecutionBackend> {
+    dba_engine::timed(CostModel::unit_scale(), BudgetTimer::wall())
 }
 
 /// Run `plan` once on `backend` and return the sample of its one `op`,
@@ -72,7 +69,7 @@ fn sample_of(
     backend.take_op_samples();
     backend.execute(catalog, q, plan);
     let mut samples = backend.take_op_samples();
-    samples.retain(|s| s.op() == op);
+    samples.retain(|s| s.op == op);
     assert_eq!(samples.len(), 1, "the plan must run one {op:?}");
     samples.remove(0)
 }
@@ -82,7 +79,7 @@ fn matching_rows(catalog: &Catalog, lo: i64, hi: i64) -> u64 {
     catalog.table(TableId(0)).column(1).count_in_range(lo, hi) as u64
 }
 
-/// Vectorized batch heap scan through the measured executor over 200k
+/// Vectorized batch heap scan through the timed executor over 200k
 /// rows, ~1% and ~50% selective. `cold` round-robins over independently
 /// generated (but identical) table allocations so each iteration touches
 /// memory the CPU caches have not just seen; `warm` and `half` rescan one
@@ -100,7 +97,7 @@ fn bench_batch_scan(c: &mut Criterion) {
         assert!(plan.indexes_used().is_empty(), "must be a heap scan");
         (q, plan)
     };
-    let mut backend = measured();
+    let mut backend = wall_timed();
     let shape = |backend: &mut dyn ExecutionBackend, q: &Query, plan: &Plan| {
         let s = sample_of(backend, &catalogs[0], q, plan, OpKind::SeqScan);
         (s.rows, s.out_rows)
@@ -134,8 +131,8 @@ fn bench_batch_scan(c: &mut Criterion) {
     });
 }
 
-/// Measured index seek end to end: probe, residual filter and heap gather.
-fn bench_measured_seek(c: &mut Criterion) {
+/// Timed index seek end to end: probe, residual filter and heap gather.
+fn bench_seek(c: &mut Criterion) {
     let mut catalog = bench_catalog();
     catalog
         .create_index(IndexDef::new(TableId(0), vec![1], vec![0]))
@@ -149,7 +146,7 @@ fn bench_measured_seek(c: &mut Criterion) {
     };
     assert!(!seek_plan.indexes_used().is_empty(), "must use the index");
 
-    let mut backend = measured();
+    let mut backend = wall_timed();
     let seek = sample_of(
         backend.as_mut(),
         &catalog,
@@ -167,7 +164,7 @@ fn bench_measured_seek(c: &mut Criterion) {
     });
 }
 
-/// Measured covering scan over 200k rows, ~50% selective, through an index
+/// Timed covering scan over 200k rows, ~50% selective, through an index
 /// keyed on `w` that includes `v` and `k`. The executor filters those
 /// columns in row order, the same pass as `batch_scan_half_200k`; only the
 /// price and the sample differ. The plan is built by hand, so the scan is
@@ -188,7 +185,7 @@ fn bench_covering_scan(c: &mut Criterion) {
         aggregated: false,
         est_cost: SimSeconds::ZERO,
     };
-    let mut backend = measured();
+    let mut backend = wall_timed();
     let scan = sample_of(backend.as_mut(), &catalog, &q, &plan, OpKind::CoveringScan);
     assert_eq!(
         (scan.rows, scan.out_rows),
@@ -199,7 +196,7 @@ fn bench_covering_scan(c: &mut Criterion) {
     });
 }
 
-/// Measured hash join of a 20k-row dimension with a 200k-row fact table on
+/// Timed hash join of a 20k-row dimension with a 200k-row fact table on
 /// its foreign key, so every fact key repeats about ten times. The plan is
 /// built by hand: both sides are full scans and the only join is the hash
 /// join. The executor builds its table on the smaller input, the 20k
@@ -286,7 +283,7 @@ fn bench_hash_join(c: &mut Criterion) {
         };
         // Every fact row finds its one dimension row: the output is the
         // whole fact table.
-        let mut backend = measured();
+        let mut backend = wall_timed();
         let hash = sample_of(backend.as_mut(), &catalog, &q, &plan, OpKind::HashJoin);
         let rows = |table| catalog.table(table).rows() as u64;
         assert_eq!(
@@ -300,6 +297,6 @@ fn bench_hash_join(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_batch_scan, bench_measured_seek, bench_covering_scan, bench_hash_join
+    targets = bench_batch_scan, bench_seek, bench_covering_scan, bench_hash_join
 );
 criterion_main!(benches);

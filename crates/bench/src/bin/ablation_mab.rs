@@ -10,7 +10,6 @@
 //! final-round execution time quantify each design choice's contribution.
 //! Not a paper artefact — an extension experiment.
 
-use dba_bench::env_backend_kind;
 use dba_core::{ArmGenConfig, C2UcbConfig, MabConfig, MabTuner};
 use dba_session::SessionBuilder;
 use dba_workloads::{tpch::tpch, WorkloadKind};
@@ -25,7 +24,6 @@ fn run_variant(label: &str, config_for: impl Fn(u64) -> MabConfig) {
             rounds_per_group: 6,
         })
         .seed(42)
-        .backend(env_backend_kind())
         .build_with(|catalog, cost, budget| {
             MabTuner::new(catalog, cost.clone(), config_for(budget))
         })

@@ -14,8 +14,8 @@
 
 use dba_bench::report::{series_rows, totals_rows};
 use dba_bench::{
-    env_backend_kind, fig_session, harness::parallel_map_ordered, print_series, print_totals_table,
-    results_json, suite_threads, write_csv, write_text, ExperimentEnv, RunResult, TunerKind,
+    fig_session, harness::parallel_map_ordered, print_series, print_totals_table, results_json,
+    suite_threads, write_csv, write_text, ExperimentEnv, RunResult, TunerKind,
 };
 use dba_optimizer::StatsCatalog;
 use dba_storage::Catalog;
@@ -48,7 +48,7 @@ fn run_one_checked(
     tuner: TunerKind,
     seed: u64,
 ) -> (RunResult, Vec<usize>) {
-    let mut session = fig_session(bench, base, stats, kind, tuner, seed, env_backend_kind())
+    let mut session = fig_session(bench, base, stats, kind, tuner, seed)
         .data_drift(drift.clone())
         .build()
         .unwrap_or_else(|e| panic!("{}: {e}", tuner.label()));

@@ -10,19 +10,18 @@
 //!
 //! The timed runs leave behind per-operator [`OpSample`]s — physical work
 //! counters with both the measured wall-clock and the simulated price for
-//! the *same* access — from which the binary reports measured-vs-simulated
-//! time divergence per operator class. A calibration pass
-//! ([`dba_engine::calibrate()`]) then fits the `CostModel` per-operator
-//! constants against a seeded microbench and must reduce the maximum
-//! per-operator divergence.
+//! the *same* access — from which the binary reports measured and
+//! simulated time per operator class. The timer only observes: no
+//! wall-clock reading reaches the results.
 //!
-//! Writes `results/fig_backend.json`. Self-checking; `DBA_QUICK=1` shrinks
-//! the scale factor and round counts.
+//! Writes `results/fig_backend.json`: the simulated trajectories and the
+//! sample count, so the document does not depend on the thread count.
+//! Self-checking; `DBA_QUICK=1` shrinks the scale factor and round counts.
 
 use dba_bench::harness::parallel_map_ordered;
 use dba_bench::{results_json, suite_threads, write_text, ExperimentEnv, RunResult, TunerKind};
 use dba_common::BudgetTimer;
-use dba_engine::{calibrate, timed, BackendKind, CostModel, OpKind, OpSample};
+use dba_engine::{timed, CostModel, OpKind, OpSample};
 use dba_optimizer::StatsCatalog;
 use dba_session::SessionBuilder;
 use dba_storage::Catalog;
@@ -79,7 +78,7 @@ fn main() {
         run_scenario(&bench, &base, &stats, scenario, env.seed)
     });
 
-    // --- Self-check 1: timing every operator leaves the simulated
+    // --- Self-check: timing every operator leaves the simulated
     // trajectory bit-identical and records samples.
     for o in &outcomes {
         assert_trajectories_bit_identical(o.name, &o.simulated, &o.timed);
@@ -96,7 +95,7 @@ fn main() {
         );
     }
 
-    // --- Per-operator time divergence observed in the scenario runs.
+    // --- Per-operator measured and simulated time in the scenario runs.
     let all_samples: Vec<OpSample> = outcomes.iter().flat_map(|o| o.samples.clone()).collect();
     println!("\n# Measured vs simulated time per operator (scenario runs, paper-scale model)");
     println!(
@@ -118,61 +117,7 @@ fn main() {
         );
     }
 
-    // --- Self-check 2: calibration tightens the fit. The microbench runs
-    // on the real wall-clock, so the *ratios* vary run to run — the
-    // invariant is that fitting reduces the worst per-operator divergence.
-    let report = calibrate(&CostModel::paper_scale(), BudgetTimer::wall(), env.seed);
-    let before = report.max_divergence_before();
-    let after = report.max_divergence_after();
-    println!("\n# Calibration (seeded microbench, wall-clock)");
-    println!(
-        "{:<14} {:>8} {:>14} {:>14} {:>12} {:>12}",
-        "operator", "samples", "measured (s)", "fitted (s)", "div before", "div after"
-    );
-    for op in &report.ops {
-        println!(
-            "{:<14} {:>8} {:>14.6} {:>14.6} {:>12.4} {:>12.4}",
-            op.op.label(),
-            op.samples,
-            op.measured_s,
-            op.sim_after_s,
-            op.divergence_before(),
-            op.divergence_after()
-        );
-    }
-    println!("max per-operator divergence: {before:.4} before fit, {after:.4} after");
-    let m = &report.model;
-    for (name, value) in [
-        ("seq_page_s", m.seq_page_s),
-        ("cpu_row_s", m.cpu_row_s),
-        ("btree_descent_s", m.btree_descent_s),
-        ("hash_build_row_s", m.hash_build_row_s),
-        ("hash_probe_row_s", m.hash_probe_row_s),
-        ("agg_row_s", m.agg_row_s),
-    ] {
-        println!("  fitted {name} = {value:.3e}");
-    }
-    assert!(
-        after < before,
-        "calibration must reduce the maximum per-operator divergence: {after:.4} vs {before:.4}"
-    );
-
-    // --- Results JSON: the simulated trajectories plus timing/calibration
-    // metadata.
-    let mut cal_ops = String::from("[");
-    for (i, op) in report.ops.iter().enumerate() {
-        cal_ops.push_str(&format!(
-            "{}{{\"op\": \"{}\", \"samples\": {}, \"measured_s\": {:.6}, \
-             \"divergence_before\": {:.4}, \"divergence_after\": {:.4}}}",
-            if i == 0 { "" } else { ", " },
-            op.op.label(),
-            op.samples,
-            op.measured_s,
-            op.divergence_before(),
-            op.divergence_after()
-        ));
-    }
-    cal_ops.push(']');
+    // --- Results JSON: the simulated trajectories plus the sample count.
     let meta = [
         ("figure", "\"fig_backend\"".to_string()),
         ("benchmark", "\"SSB\"".to_string()),
@@ -182,17 +127,13 @@ fn main() {
         ("rounds", format!("{rounds}")),
         ("timed_trajectory", "\"bit-exact\"".to_string()),
         ("operator_samples", format!("{}", all_samples.len())),
-        ("calibration_divergence_before", format!("{before:.4}")),
-        ("calibration_divergence_after", format!("{after:.4}")),
-        ("calibration_ops", cal_ops),
     ];
     let results: Vec<RunResult> = outcomes.into_iter().map(|o| o.simulated).collect();
     write_text("results/fig_backend.json", &results_json(&meta, &results)).expect("write json");
     eprintln!("wrote results/fig_backend.json");
 
     println!(
-        "\nself-checks passed: timed trajectories bit-exact on all {} scenarios, \
-         calibration reduced divergence {before:.4} -> {after:.4}",
+        "\nself-check passed: timed trajectories bit-exact on all {} scenarios",
         results.len()
     );
 }
@@ -230,11 +171,7 @@ fn run_scenario(
         .run()
         .unwrap_or_else(|e| panic!("{} simulated: {e}", scenario.name));
 
-    let mut timed_session = build(Some(timed(
-        CostModel::paper_scale(),
-        BackendKind::Simulated,
-        BudgetTimer::wall(),
-    )));
+    let mut timed_session = build(Some(timed(CostModel::paper_scale(), BudgetTimer::wall())));
     let timed_result = timed_session
         .run()
         .unwrap_or_else(|e| panic!("{} timed: {e}", scenario.name));
@@ -284,7 +221,7 @@ fn assert_trajectories_bit_identical(scenario: &str, sim: &RunResult, timed: &Ru
 fn op_totals(samples: &[OpSample], op: OpKind) -> (usize, f64, f64) {
     samples
         .iter()
-        .filter(|s| s.op() == op)
+        .filter(|s| s.op == op)
         .fold((0, 0.0, 0.0), |(n, meas, sim), s| {
             (n + 1, meas + s.measured_s, sim + s.sim_s)
         })

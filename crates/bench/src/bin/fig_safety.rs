@@ -25,9 +25,8 @@
 
 use dba_bench::report::{series_rows, totals_rows};
 use dba_bench::{
-    env_backend_kind, fig_session, harness::parallel_map_ordered, print_series, print_totals_table,
-    results_json, suite_threads, write_csv, write_text, ExperimentEnv, RunResult, SafetyConfig,
-    TunerKind,
+    fig_session, harness::parallel_map_ordered, print_series, print_totals_table, results_json,
+    suite_threads, write_csv, write_text, ExperimentEnv, RunResult, SafetyConfig, TunerKind,
 };
 use dba_common::BudgetTimer;
 use dba_obs::Obs;
@@ -274,8 +273,7 @@ fn run_one(
     seed: u64,
     obs: Option<&Obs>,
 ) -> RunResult {
-    let mut builder = fig_session(bench, base, stats, kind, tuner, seed, env_backend_kind())
-        .data_drift(drift.clone());
+    let mut builder = fig_session(bench, base, stats, kind, tuner, seed).data_drift(drift.clone());
     if guarded {
         builder = builder.safeguard(safety);
     }

@@ -18,7 +18,6 @@ use std::sync::mpsc;
 
 use dba_common::DbResult;
 use dba_core::MabConfig;
-use dba_engine::BackendKind;
 use dba_optimizer::StatsCatalog;
 use dba_session::{SessionBuilder, StreamConfig, StreamResult, StreamingSession};
 use dba_storage::Catalog;
@@ -51,29 +50,23 @@ pub struct ExperimentEnv {
     /// `DBA_ARRIVAL` override: arrival-process preset for streaming
     /// scenarios (`roundbatch` | `poisson` | `bursty`).
     pub arrival: Option<ArrivalProcess>,
-    /// `DBA_BACKEND` override: which execution backend sessions run on
-    /// (`simulated` | `measured`). Defaults to `Simulated` — the
-    /// cost-priced path every published figure is generated with.
-    pub backend: BackendKind,
-}
-
-/// The `DBA_BACKEND` knob, parsed once per process (warn, never silently
-/// default, matching the `ExperimentEnv` contract). Fig sessions start
-/// from [`fig_session`] with this kind — including ones built deep inside
-/// `run_one` fan-out — so they run on the selected backend (`fig_backend`
-/// alone picks its executors itself).
-pub fn env_backend_kind() -> BackendKind {
-    static PARSED: std::sync::OnceLock<BackendKind> = std::sync::OnceLock::new();
-    *PARSED.get_or_init(|| {
-        env_knob("DBA_BACKEND", "simulated or measured", |_| true).unwrap_or_default()
-    })
 }
 
 /// The knob `name`, parsed with `FromStr` and kept if `accept` holds:
 /// `None` when it is unset, and a warning naming the raw value and what
 /// was `expected` (never a silent default) when it is set but rejected.
 pub fn env_knob<T: FromStr>(name: &str, expected: &str, accept: impl Fn(&T) -> bool) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
+    knob(&|name| std::env::var(name).ok(), name, expected, accept)
+}
+
+/// [`env_knob`] over `vars`, a lookup that stands in for the environment.
+fn knob<T: FromStr>(
+    vars: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+    expected: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = vars(name)?;
     let value = raw.parse().ok().filter(|v| accept(v));
     if value.is_none() {
         eprintln!("warning: ignoring {name}={raw:?}; expected {expected}");
@@ -83,11 +76,18 @@ pub fn env_knob<T: FromStr>(name: &str, expected: &str, accept: impl Fn(&T) -> b
 
 impl ExperimentEnv {
     /// Read `DBA_QUICK`, `DBA_SF`, `DBA_SEED`, `DBA_ROUNDS`,
-    /// `DBA_SAFETY_BOUND`, `DBA_LATENCY_BUDGET`, `DBA_ARRIVAL` and
-    /// `DBA_BACKEND`. A value that does not parse or is out of range is
-    /// warned about and ignored.
+    /// `DBA_SAFETY_BOUND`, `DBA_LATENCY_BUDGET` and `DBA_ARRIVAL`. A value
+    /// that does not parse or is out of range is warned about and ignored.
     pub fn from_env() -> Self {
-        let quick = env_knob(
+        Self::from_vars(&|name| std::env::var(name).ok())
+    }
+
+    /// [`from_env`](Self::from_env) over `vars`, a lookup that stands in
+    /// for the environment.
+    fn from_vars(vars: &dyn Fn(&str) -> Option<String>) -> Self {
+        let finite_positive = |v: &f64| v.is_finite() && *v > 0.0;
+        let quick = knob(
+            vars,
             "DBA_QUICK",
             "1 to enable, 0 or empty to disable",
             |v: &String| ["1", "0", ""].contains(&v.as_str()),
@@ -95,22 +95,34 @@ impl ExperimentEnv {
         .is_some_and(|v| v == "1");
         let default_sf = if quick { 1.0 } else { 10.0 };
         ExperimentEnv {
-            sf: env_knob("DBA_SF", "a scale factor", |_| true).unwrap_or(default_sf),
-            seed: env_knob("DBA_SEED", "an unsigned integer seed", |_| true).unwrap_or(42),
+            sf: knob(
+                vars,
+                "DBA_SF",
+                "a finite positive scale factor",
+                finite_positive,
+            )
+            .unwrap_or(default_sf),
+            seed: knob(vars, "DBA_SEED", "an unsigned integer seed", |_| true).unwrap_or(42),
             quick,
-            rounds: env_knob("DBA_ROUNDS", "a round count >= 1", |&n| n >= 1),
-            safety_bound: env_knob(
+            rounds: knob(vars, "DBA_ROUNDS", "a round count >= 1", |&n| n >= 1),
+            safety_bound: knob(
+                vars,
                 "DBA_SAFETY_BOUND",
                 "a finite positive regret bound factor",
-                |v: &f64| v.is_finite() && *v > 0.0,
+                finite_positive,
             ),
-            latency_budget: env_knob(
+            latency_budget: knob(
+                vars,
                 "DBA_LATENCY_BUDGET",
                 "a positive recommend budget in simulated seconds (`inf` disables the ladder)",
                 |&v| v > 0.0,
             ),
-            arrival: env_knob("DBA_ARRIVAL", "roundbatch, poisson or bursty", |_| true),
-            backend: env_backend_kind(),
+            arrival: knob(
+                vars,
+                "DBA_ARRIVAL",
+                "roundbatch, poisson or bursty",
+                |_: &ArrivalProcess| true,
+            ),
         }
     }
 
@@ -195,9 +207,8 @@ impl ExperimentEnv {
 }
 
 /// Start a fig session: `tuner` over `workload` on an index-free fork of
-/// the shared generated data `base` and its statistics `stats`, executed
-/// on `backend` (callers pass [`env_backend_kind`]). Callers add drift, a
-/// guard, tracing or a MAB configuration before building.
+/// the shared generated data `base` and its statistics `stats`. Callers
+/// add drift, a guard, tracing or a MAB configuration before building.
 pub fn fig_session(
     benchmark: &Benchmark,
     base: &Catalog,
@@ -205,7 +216,6 @@ pub fn fig_session(
     workload: WorkloadKind,
     tuner: TunerKind,
     seed: u64,
-    backend: BackendKind,
 ) -> SessionBuilder {
     SessionBuilder::new()
         .benchmark(benchmark.clone())
@@ -213,7 +223,6 @@ pub fn fig_session(
         .shared_stats(stats)
         .workload(workload)
         .tuner(tuner)
-        .backend(backend)
         .seed(seed)
 }
 
@@ -244,15 +253,7 @@ pub fn run_one_with_drift(
     tuner: TunerKind,
     seed: u64,
 ) -> DbResult<RunResult> {
-    let mut builder = fig_session(
-        benchmark,
-        base,
-        stats,
-        workload,
-        tuner,
-        seed,
-        env_backend_kind(),
-    );
+    let mut builder = fig_session(benchmark, base, stats, workload, tuner, seed);
     if let Some(drift) = drift {
         builder = builder.data_drift(drift.clone());
     }
@@ -277,15 +278,7 @@ pub fn run_stream_one(
     config: StreamConfig,
     seed: u64,
 ) -> DbResult<StreamResult> {
-    let mut builder = fig_session(
-        benchmark,
-        base,
-        stats,
-        workload,
-        tuner,
-        seed,
-        env_backend_kind(),
-    );
+    let mut builder = fig_session(benchmark, base, stats, workload, tuner, seed);
     if let Some(drift) = drift {
         builder = builder.data_drift(drift.clone());
     }
@@ -583,22 +576,6 @@ mod tests {
         assert_eq!(pd.rounds[0].recommendation.secs(), 0.0);
     }
 
-    /// The backend kind handed to `fig_session` is the one the built
-    /// session runs on.
-    #[test]
-    fn fig_session_runs_on_the_given_backend() {
-        let bench = ssb(0.02);
-        let base = bench.build_catalog(7).unwrap();
-        let stats = StatsCatalog::build(&base);
-        let kind = WorkloadKind::Static { rounds: 1 };
-        for backend in [BackendKind::Simulated, BackendKind::Measured] {
-            let session = fig_session(&bench, &base, &stats, kind, TunerKind::NoIndex, 7, backend)
-                .build()
-                .unwrap();
-            assert_eq!(session.backend().kind(), backend);
-        }
-    }
-
     #[test]
     fn dba_rounds_overrides_every_workload_kind() {
         let env = ExperimentEnv {
@@ -609,7 +586,6 @@ mod tests {
             safety_bound: None,
             latency_budget: None,
             arrival: None,
-            backend: BackendKind::Simulated,
         };
         assert_eq!(env.static_kind().rounds(), 3);
         assert_eq!(env.shifting_kind().rounds(), 12); // 4 groups × 3
@@ -620,5 +596,20 @@ mod tests {
             ..env
         };
         assert_eq!(default_env.static_kind().rounds(), 25);
+    }
+
+    /// `DBA_SF` keeps only a finite positive scale factor: zero, negative,
+    /// NaN and infinite values are warned about and ignored, leaving the
+    /// default. The lookup stands in for the environment, so no other test
+    /// sees these values.
+    #[test]
+    fn dba_sf_accepts_only_finite_positive_values() {
+        let sf = |raw: &'static str| {
+            ExperimentEnv::from_vars(&|name| (name == "DBA_SF").then(|| raw.to_string())).sf
+        };
+        for raw in ["0", "-3", "NaN", "inf"] {
+            assert_eq!(sf(raw), 10.0, "DBA_SF={raw} must be ignored");
+        }
+        assert_eq!(sf("0.5"), 0.5);
     }
 }

@@ -10,7 +10,8 @@
 //! `BENCH_*.json`. Runs are deterministic given `DBA_SEED`.
 //!
 //! Environment knobs (read by the binaries):
-//! * `DBA_SF` — scale factor (default 10, the paper's main setting);
+//! * `DBA_SF` — scale factor, finite and positive (default 10, the paper's
+//!   main setting);
 //! * `DBA_SEED` — experiment seed (default 42);
 //! * `DBA_QUICK` — set to `1` for a reduced-size smoke configuration
 //!   (SF 1, fewer rounds) that preserves the qualitative shapes;
@@ -19,12 +20,7 @@
 //! * `DBA_THREADS` — suite fan-out worker count (default: all cores;
 //!   `1` forces the sequential path). Parallel suites are bit-identical
 //!   to sequential ones — sessions fork shared data by `Arc` and every
-//!   run is deterministic in its seed;
-//! * `DBA_BACKEND` — execution backend (`simulated`, the default every
-//!   published figure uses, or `measured`: the same executor charging
-//!   each operator's wall-clock time; see `dba_engine::exec`). Every
-//!   binary that runs sessions honours it except `fig_backend`, which
-//!   picks its executors itself.
+//!   run is deterministic in its seed.
 //!
 //! All driving goes through [`dba_session::TuningSession`]; this crate
 //! only configures sessions and formats their results.
@@ -34,9 +30,9 @@ pub mod harness;
 pub mod report;
 
 pub use harness::{
-    env_backend_kind, fig_session, make_advisor, run_benchmark_suite, run_one, run_one_with_drift,
-    run_stream_one, run_suite_threaded, suite_threads, DegradeLevel, ExperimentEnv, RoundRecord,
-    RoundSafety, RunResult, SafetyConfig, SafetyReport, TunerKind, WindowRecord,
+    fig_session, make_advisor, run_benchmark_suite, run_one, run_one_with_drift, run_stream_one,
+    run_suite_threaded, suite_threads, DegradeLevel, ExperimentEnv, RoundRecord, RoundSafety,
+    RunResult, SafetyConfig, SafetyReport, TunerKind, WindowRecord,
 };
 pub use report::{
     fmt_minutes, print_series, print_totals_table, results_json, stream_results_json, write_csv,

@@ -137,9 +137,9 @@ impl fmt::Display for SimSeconds {
 /// The workspace's one clock type: an *advisory* timer with an injected
 /// time source.
 ///
-/// Simulated cost units are the primary latency currency everywhere in the
-/// workspace; wall-clock readings are telemetry (or, on a `Measured`
-/// executor, the measurement itself) and must never steer a simulated
+/// Simulated cost units are the latency currency everywhere in the
+/// workspace; wall-clock readings are telemetry (a timed executor's
+/// per-operator samples among them) and must never steer a simulated
 /// result. This type keeps that rule lintable: code on result-affecting
 /// paths (the engine's executor, the trace recorder) holds a `BudgetTimer`
 /// and calls [`mark`](Self::mark)/[`elapsed_secs`](Self::elapsed_secs)

@@ -3,19 +3,15 @@
 //!
 //! The engine's [`Executor`] is the one operator implementation: it runs
 //! every plan over the real column data and prices each operator through
-//! the [`CostModel`] on the observed counts. Untimed ([`simulated`]), it
-//! does only the work the price reads and replays the counts of a (query
-//! instance, plan shape) pair it has already run over the same base data.
-//! Built with an enabled [`BudgetTimer`] ([`timed`]), it runs every
-//! operator in full on every call, times each and records an
-//! [`OpSample`]. [`BackendKind`] only chooses which of the two times feeds
-//! [`QueryExecution`]: `Simulated` (the price) or `Measured` (the clock).
-//! A `Simulated` executor with a timer runs the untimed trajectory bit for
-//! bit and leaves samples behind for calibration. The trait stays open so
-//! callers can wrap an executor (e.g. to time it from outside).
-
-use std::fmt;
-use std::str::FromStr;
+//! the [`CostModel`] on the observed counts, and the price is the time
+//! every execution reports. Untimed ([`simulated`]), it does only the work
+//! its price reads and replays the counts of a (query instance, plan
+//! shape) pair it has already run over the same base data. Built with an
+//! enabled [`BudgetTimer`] ([`timed`]), it runs every operator in full on
+//! every call, times each and records an [`OpSample`]; the timer only
+//! observes, so a timed executor runs the untimed trajectory bit for bit.
+//! The trait stays open so callers can wrap an executor (e.g. to time it
+//! from outside).
 
 use dba_common::BudgetTimer;
 use dba_storage::Catalog;
@@ -25,48 +21,25 @@ use crate::exec::{Executor, QueryExecution};
 use crate::plan::Plan;
 use crate::query::Query;
 
-/// Which execution backend a session runs on. Parsed from the
-/// `DBA_BACKEND` env knob (`"simulated"` / `"measured"`) by the bench
-/// harness and selectable via `SessionBuilder::backend`.
+/// The backend family [`ExecutionBackend::kind`] names. Every execution
+/// reports the cost-model price, so `Simulated` is the only family; the
+/// type stays only for wrappers that still forward `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Executions report the cost-model price of each operator.
     #[default]
     Simulated,
-    /// Executions report each operator's time on the executor's clock.
-    Measured,
 }
 
 impl BackendKind {
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Simulated => "simulated",
-            BackendKind::Measured => "measured",
         }
     }
 }
 
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "simulated" | "sim" => Ok(BackendKind::Simulated),
-            "measured" | "real" => Ok(BackendKind::Measured),
-            other => Err(format!(
-                "unknown backend {other:?} (expected \"simulated\" or \"measured\")"
-            )),
-        }
-    }
-}
-
-/// Physical operator classes a backend can sample for calibration.
+/// Physical operator classes a timed executor samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     SeqScan,
@@ -99,8 +72,8 @@ impl OpKind {
     }
 }
 
-/// One operator execution paired with the work it performed: the raw
-/// material for fitting [`CostModel`] constants against measured time.
+/// One operator execution paired with the work it performed, its price
+/// and the time its timer observed.
 ///
 /// `sim_s` is what the cost model charges for the access and `measured_s`
 /// what the executor's clock observed, so divergence is computable per
@@ -108,9 +81,9 @@ impl OpKind {
 /// physically did; under drift they differ from the priced work by design:
 /// the cost model prices the live (accounting-grown) heap, the operator
 /// can only touch materialised rows.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpSample {
-    pub op_index: usize,
+    pub op: OpKind,
     /// Heap or leaf pages physically touched.
     pub pages: u64,
     /// Rows pushed through the operator's CPU loop.
@@ -132,18 +105,18 @@ pub struct OpSample {
 }
 
 impl OpSample {
-    pub fn op(&self) -> OpKind {
-        OpKind::ALL[self.op_index]
-    }
-
+    /// A sample of `op` with every counter and time at zero.
     pub fn with_op(op: OpKind) -> Self {
-        let op_index = OpKind::ALL
-            .iter()
-            .position(|&k| k == op)
-            .expect("OpKind::ALL covers every variant");
         OpSample {
-            op_index,
-            ..OpSample::default()
+            op,
+            pages: 0,
+            rows: 0,
+            descents: 0,
+            build_rows: 0,
+            probe_rows: 0,
+            out_rows: 0,
+            sim_s: 0.0,
+            measured_s: 0.0,
         }
     }
 }
@@ -151,13 +124,16 @@ impl OpSample {
 /// A strategy for executing physical plans.
 ///
 /// `execute` takes `&mut self` because a timed executor accumulates
-/// calibration samples between calls and an untimed one memoises the
-/// counts it has taken. Wrapping an untimed executor to time it from
-/// outside times replays too: a repeated (query instance, plan shape) pair
-/// costs a lookup and a pricing, not its operators.
+/// samples between calls and an untimed one memoises the counts it has
+/// taken. Wrapping an untimed executor to time it from outside times
+/// replays too: a repeated (query instance, plan shape) pair costs a
+/// lookup and a pricing, not its operators.
 pub trait ExecutionBackend: Send {
-    /// Which backend family this is (drives reporting and env selection).
-    fn kind(&self) -> BackendKind;
+    /// The backend family, always `Simulated`. Kept only for wrappers
+    /// that still forward it.
+    fn kind(&self) -> BackendKind {
+        BackendKind::Simulated
+    }
 
     /// Human-readable name for reports and span attributes.
     fn name(&self) -> &'static str {
@@ -165,49 +141,44 @@ pub trait ExecutionBackend: Send {
     }
 
     /// Execute `plan` for `query` against `catalog`, returning observed
-    /// statistics. Logical fields must reflect the real data; `time`
-    /// fields are backend-defined (priced vs measured).
+    /// statistics: logical fields reflect the real data, and times are
+    /// the cost model's prices.
     fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution;
 
     /// The cost model this backend was configured with (used for index
-    /// build/maintenance pricing regardless of how queries are timed).
+    /// build/maintenance pricing as well as for queries).
     fn cost_model(&self) -> &CostModel;
 
-    /// Capability hook: whether `QueryExecution::total` carries measured
-    /// wall-clock (true) or simulated pricing (false).
+    /// Whether `QueryExecution::total` carries wall-clock time: never, as
+    /// every execution reports the price. Kept only for wrappers that
+    /// still forward it.
     fn measures_wall_clock(&self) -> bool {
-        matches!(self.kind(), BackendKind::Measured)
+        false
     }
 
-    /// Calibration hook: drain per-operator work/time samples accumulated
-    /// since the last call. Backends without instrumentation return none.
+    /// Drain the per-operator samples accumulated since the last call.
+    /// Backends without instrumentation return none.
     fn take_op_samples(&mut self) -> Vec<OpSample> {
         Vec::new()
     }
 }
 
-/// The `Simulated` backend: the untimed [`Executor`], boxed, which runs
-/// only the work its price reads and replays repeated (query instance,
-/// plan shape) pairs. The canonical construction path for callers outside
-/// this crate.
+/// The untimed [`Executor`], boxed, which runs only the work its price
+/// reads and replays repeated (query instance, plan shape) pairs. The
+/// canonical construction path for callers outside this crate.
 pub fn simulated(cost: CostModel) -> Box<dyn ExecutionBackend> {
     Box::new(Executor::new(cost))
 }
 
 /// The [`Executor`] timing every operator on `timer`, boxed: with an
-/// enabled timer it runs every operator in full on every call. `Measured`
-/// on [`BudgetTimer::wall`] runs real timed execution, `Simulated` on any
-/// timer reproduces [`simulated`] bit for bit while recording samples.
-/// Panics if `kind` is `Measured` and `timer` is disabled.
-pub fn timed(cost: CostModel, kind: BackendKind, timer: BudgetTimer) -> Box<dyn ExecutionBackend> {
-    Box::new(Executor::timed(cost, kind, timer))
+/// enabled timer it runs every operator in full on every call and records
+/// an [`OpSample`] per operator, while reporting the same prices as
+/// [`simulated`] bit for bit.
+pub fn timed(cost: CostModel, timer: BudgetTimer) -> Box<dyn ExecutionBackend> {
+    Box::new(Executor::timed(cost, timer))
 }
 
 impl ExecutionBackend for Executor {
-    fn kind(&self) -> BackendKind {
-        Executor::kind(self)
-    }
-
     fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
         Executor::execute(self, catalog, query, plan)
     }
@@ -226,27 +197,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_kind_parses_and_round_trips() {
-        assert_eq!(
-            "simulated".parse::<BackendKind>(),
-            Ok(BackendKind::Simulated)
-        );
-        assert_eq!("SIM".parse::<BackendKind>(), Ok(BackendKind::Simulated));
-        assert_eq!(
-            " Measured ".parse::<BackendKind>(),
-            Ok(BackendKind::Measured)
-        );
-        assert_eq!("real".parse::<BackendKind>(), Ok(BackendKind::Measured));
-        assert!("postgres".parse::<BackendKind>().is_err());
-        for kind in [BackendKind::Simulated, BackendKind::Measured] {
-            assert_eq!(kind.label().parse::<BackendKind>(), Ok(kind));
-        }
-    }
-
-    #[test]
     fn op_sample_round_trips_op_kind() {
         for op in OpKind::ALL {
-            assert_eq!(OpSample::with_op(op).op(), op);
+            let s = OpSample::with_op(op);
+            assert_eq!(s.op, op);
+            assert_eq!([s.pages, s.rows, s.descents], [0; 3]);
+            assert_eq!([s.build_rows, s.probe_rows, s.out_rows], [0; 3]);
+            assert_eq!([s.sim_s, s.measured_s], [0.0; 2]);
         }
     }
 
@@ -263,21 +220,10 @@ mod tests {
 
     #[test]
     fn timed_factory_reports_its_kind() {
-        let measured = timed(
-            CostModel::unit_scale(),
-            BackendKind::Measured,
-            BudgetTimer::scripted(1e-6),
-        );
-        assert_eq!(measured.kind(), BackendKind::Measured);
-        assert_eq!(measured.name(), "measured");
-        assert!(measured.measures_wall_clock());
-        let shadow = timed(
-            CostModel::unit_scale(),
-            BackendKind::Simulated,
-            BudgetTimer::scripted(1e-6),
-        );
-        assert_eq!(shadow.kind(), BackendKind::Simulated);
-        assert!(!shadow.measures_wall_clock());
+        let timed = timed(CostModel::unit_scale(), BudgetTimer::scripted(1e-6));
+        assert_eq!(timed.kind(), BackendKind::Simulated);
+        assert_eq!(timed.name(), "simulated");
+        assert!(!timed.measures_wall_clock());
     }
 
     #[test]

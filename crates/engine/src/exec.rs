@@ -36,9 +36,8 @@
 //! the aggregate sums the payload. It times each operator with one
 //! `mark`/`elapsed_secs` pair and records an [`OpSample`] pairing the
 //! operator's work counters with both its price and the measured seconds.
-//! [`BackendKind`] only picks which of the two times the execution reports:
-//! `Simulated` reports the price, so a timed simulated run is bit-identical
-//! to an untimed one; `Measured` reports the clock.
+//! The timer only observes: the execution reports the price, so a timed
+//! run is bit-identical to an untimed one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -47,7 +46,7 @@ use std::sync::Arc;
 use dba_common::{BudgetTimer, ColumnId, IndexId, QueryId, SimSeconds, TableId};
 use dba_storage::{BaseData, Catalog, Index, Table, PAGE_BYTES};
 
-use crate::backend::{BackendKind, OpKind, OpSample};
+use crate::backend::{OpKind, OpSample};
 use crate::cost::CostModel;
 use crate::plan::{seek_shape, AccessMethod, JoinAlgo, Plan, TableAccess};
 use crate::query::{JoinPred, Predicate, Query};
@@ -120,8 +119,6 @@ impl QueryExecution {
 #[derive(Debug)]
 pub struct Executor {
     cost: CostModel,
-    /// Which time the execution reports: the price or the clock.
-    kind: BackendKind,
     timer: BudgetTimer,
     /// Samples recorded since the last drain; stays unallocated when the
     /// timer is disabled.
@@ -310,24 +307,16 @@ impl Executor {
     /// runs only the work the price reads, and replays the counts of a
     /// (query instance, plan shape) pair it has run over the same base.
     pub fn new(cost: CostModel) -> Self {
-        Executor::timed(cost, BackendKind::Simulated, BudgetTimer::disabled())
+        Executor::timed(cost, BudgetTimer::disabled())
     }
 
-    /// An executor that also times every operator on `timer`, reporting
-    /// the price (`Simulated`) or the measured seconds (`Measured`). With
-    /// an enabled timer it runs every operator in full on every call,
-    /// including the work only the clock sees, and replays nothing.
-    ///
-    /// Panics if `kind` is `Measured` and `timer` is disabled: such an
-    /// executor would have no time to report.
-    pub fn timed(cost: CostModel, kind: BackendKind, timer: BudgetTimer) -> Self {
-        assert!(
-            kind == BackendKind::Simulated || timer.is_enabled(),
-            "a measured executor needs an enabled timer"
-        );
+    /// An executor that also times every operator on `timer` into an
+    /// [`OpSample`] and still reports the price. With an enabled timer it
+    /// runs every operator in full on every call, including the work only
+    /// the clock sees, and replays nothing.
+    pub fn timed(cost: CostModel, timer: BudgetTimer) -> Self {
         Executor {
             cost,
-            kind,
             timer,
             samples: Vec::new(),
             memo: Memo::default(),
@@ -336,10 +325,6 @@ impl Executor {
 
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    pub fn kind(&self) -> BackendKind {
-        self.kind
     }
 
     /// Drain the operator samples recorded since the last call (none
@@ -376,15 +361,11 @@ impl Executor {
         }
         let first = self.samples.len();
         let counts = self.count(catalog, query, plan);
-        let kind = self.kind;
         let mut samples = self.samples[first..].iter_mut();
         price(&self.cost, catalog, query, plan, &counts, |price| {
             let sample = samples.next().expect("one sample per priced operator");
             sample.sim_s = price.secs();
-            match kind {
-                BackendKind::Simulated => price,
-                BackendKind::Measured => SimSeconds::new(sample.measured_s),
-            }
+            price
         })
     }
 
@@ -648,8 +629,8 @@ fn keyed_later(plan: &Plan, i: usize, table: TableId) -> bool {
 /// Price `counts`, the counts of `plan` for `query`, at `catalog`'s live
 /// sizes and under the index ids `plan` names: the one path from counts to
 /// an execution, whether they were just taken or are replayed. `charge`
-/// turns each operator's price, in plan order, into the time the
-/// execution is charged for it.
+/// sees each operator's price, in plan order, and returns it: a timed
+/// executor copies it into the operator's sample on the way.
 fn price(
     cost: &CostModel,
     catalog: &Catalog,
@@ -2021,11 +2002,7 @@ mod tests {
             let want = true_join_rows(&cat, &q);
             assert_eq!(want > 0, any, "{name}");
 
-            let mut timed = Executor::timed(
-                CostModel::unit_scale(),
-                BackendKind::Simulated,
-                BudgetTimer::scripted(1e-6),
-            );
+            let mut timed = Executor::timed(CostModel::unit_scale(), BudgetTimer::scripted(1e-6));
             let inl = timed.execute(&cat, &q, &inl_plan);
             let hash = Executor::new(CostModel::unit_scale()).execute(&cat, &q, &hash_plan);
             assert_eq!(inl.result_rows, want, "{name}");
@@ -2079,7 +2056,7 @@ mod tests {
             let materialised = timed.execute(&cat, &q3, &then_sub);
             assert_same_execution(&three, &materialised, name);
 
-            let probe = samples.iter().find(|s| s.op() == OpKind::InlProbe);
+            let probe = samples.iter().find(|s| s.op == OpKind::InlProbe);
             let probe = probe.expect("an InlProbe sample");
             assert_eq!(
                 (probe.rows, probe.out_rows, probe.descents),
@@ -2193,7 +2170,9 @@ mod tests {
     }
 
     /// One plan per operator class over the two-table catalog: every
-    /// access method, both join algorithms, and an aggregate.
+    /// access method, both join algorithms, and an aggregate. The two hash
+    /// joins build opposite sides: `dim` driving, its ~20 matching rows
+    /// are the smaller input, and `fact` driving, the inner `dim` rows are.
     fn operator_sweep(cat: &mut Catalog) -> Vec<(Query, Plan)> {
         let seek_ix = cat
             .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
@@ -2217,6 +2196,9 @@ mod tests {
         };
         let jq = join_query();
         let hash = join_plan(&jq, JoinAlgo::Hash, AccessMethod::FullScan);
+        let mut fact_driven = hash.clone();
+        fact_driven.driver.table = TableId(1);
+        fact_driven.joins[0].access.table = TableId(0);
         let inl = AccessMethod::IndexSeek {
             index: fk_ix.id,
             covering: false,
@@ -2240,8 +2222,123 @@ mod tests {
             ),
             (q, single(AccessMethod::CoveringScan { index: cover_ix.id })),
             (jq.clone(), hash),
+            (jq.clone(), fact_driven),
             (jq, inl),
         ]
+    }
+
+    /// One sample's operator and work counters: pages, rows, descents,
+    /// build rows, probe rows and out rows.
+    type Work = (OpKind, [u64; 6]);
+
+    /// The leaf pages holding index entries `[start, end)`, `cap` to a
+    /// leaf: the one a miss lands on when the range is empty.
+    fn leaves_holding(start: usize, end: usize, cap: usize) -> u64 {
+        let mut leaves: Vec<usize> = (start..end).map(|e| e / cap).collect();
+        leaves.dedup();
+        leaves.len().max(1) as u64
+    }
+
+    /// The entries of `index`, keyed on one column of `table`, whose key
+    /// lies in `[lo, hi]`, as positions in key order: the rows whose key
+    /// sorts below `lo` come first, then the matches.
+    fn key_range(table: &Table, index: &Index, lo: i64, hi: i64) -> (usize, usize) {
+        let [key] = index.def().key_cols[..] else {
+            panic!("the sweep's indexes have one key column")
+        };
+        let keys = table.column(key).data();
+        let start = keys.iter().filter(|&&v| v < lo).count();
+        let matched = keys.iter().filter(|&&v| (lo..=hi).contains(&v)).count();
+        (start, start + matched)
+    }
+
+    /// Run one access of the sweep by brute force: its matching rows and
+    /// the work its sample must count.
+    fn reference_access(cat: &Catalog, q: &Query, access: &TableAccess) -> (Vec<u32>, Work) {
+        let table = cat.table(access.table);
+        let preds = q.predicates_on(access.table);
+        let rows: Vec<u32> = (0..table.rows() as u32)
+            .filter(|&r| row_matches(table, r, &preds))
+            .collect();
+        let out = rows.len() as u64;
+        let all = table.rows() as u64;
+        let work = match access.method {
+            AccessMethod::FullScan => (OpKind::SeqScan, [table.heap_pages(), all, 0, 0, 0, out]),
+            AccessMethod::IndexSeek { index, .. } => {
+                let ix = cat.index(index).unwrap();
+                let key = ix.def().key_cols[0];
+                let (lo, hi) = preds
+                    .iter()
+                    .find(|p| p.column.ordinal == key)
+                    .map_or((i64::MIN, i64::MAX), |p| (p.lo, p.hi));
+                let (start, end) = key_range(table, ix, lo, hi);
+                let pages = leaves_holding(start, end, leaf_capacity(table, ix));
+                let matched = (end - start) as u64;
+                (OpKind::IndexSeek, [pages, matched, 1, 0, 0, out])
+            }
+            AccessMethod::CoveringScan { index } => {
+                let ix = cat.index(index).unwrap();
+                let pages = leaves_holding(0, ix.rows(), leaf_capacity(table, ix));
+                (OpKind::CoveringScan, [pages, all, 0, 0, 0, out])
+            }
+        };
+        (rows, work)
+    }
+
+    /// The samples a timed run of `plan` for `q` must leave, in plan
+    /// order, counted independently of the executor: accesses row by row,
+    /// joins as nested loops over (table, row id) tuples, and index entries
+    /// located by counting the keys that sort before them. A hash join
+    /// counts the inner rows as its build and the outer tuples as its
+    /// probe, whichever side the executor builds.
+    fn reference_samples(cat: &Catalog, q: &Query, plan: &Plan) -> Vec<Work> {
+        let (driver_rows, driver) = reference_access(cat, q, &plan.driver);
+        let mut work = vec![driver];
+        let mut tables = vec![plan.driver.table];
+        let mut tuples: Vec<Vec<u32>> = driver_rows.into_iter().map(|r| vec![r]).collect();
+        for step in &plan.joins {
+            let inner = cat.table(step.access.table);
+            let outer_col = step.join.other_side(step.access.table).unwrap();
+            let inner_key = inner.column(step.join.side_on(step.access.table).unwrap().ordinal);
+            let at = tables.iter().position(|&t| t == outer_col.table).unwrap();
+            let outer_key = cat.table(outer_col.table).column(outer_col.ordinal);
+            let key_of = |tuple: &Vec<u32>| outer_key.value(tuple[at] as usize);
+            let (inner_rows, inner_work) = reference_access(cat, q, &step.access);
+            let mut joined = Vec::new();
+            for tuple in &tuples {
+                for &r in inner_rows
+                    .iter()
+                    .filter(|&&r| inner_key.value(r as usize) == key_of(tuple))
+                {
+                    joined.push([tuple.as_slice(), &[r]].concat());
+                }
+            }
+            let (probes, out) = (tuples.len() as u64, joined.len() as u64);
+            match step.algo {
+                JoinAlgo::Hash => {
+                    let build = inner_rows.len() as u64;
+                    work.push(inner_work);
+                    work.push((OpKind::HashJoin, [0, 0, 0, build, probes, out]));
+                }
+                JoinAlgo::IndexNestedLoop => {
+                    let ix = cat.index(step.access.method.index_id().unwrap()).unwrap();
+                    let cap = leaf_capacity(inner, ix);
+                    let (mut pages, mut matched) = (0, 0);
+                    for tuple in &tuples {
+                        let (start, end) = key_range(inner, ix, key_of(tuple), key_of(tuple));
+                        pages += leaves_holding(start, end, cap);
+                        matched += (end - start) as u64;
+                    }
+                    work.push((OpKind::InlProbe, [pages, matched, probes, 0, 0, out]));
+                }
+            }
+            tables.push(step.access.table);
+            tuples = joined;
+        }
+        if q.aggregated {
+            work.push((OpKind::Aggregate, [0, tuples.len() as u64, 0, 0, 0, 1]));
+        }
+        work
     }
 
     #[test]
@@ -2255,16 +2352,16 @@ mod tests {
         assert!(exec.take_op_samples().is_empty());
     }
 
+    /// A timed executor reports the untimed prices and leaves one sample
+    /// per operator, in plan order, whose work counters match the
+    /// independent count and whose time is one scripted step: exactly one
+    /// `mark`/`elapsed_secs` pair per operator.
     #[test]
     fn timed_simulated_is_bit_identical_and_samples_every_operator() {
         let mut cat = catalog();
         let sweep = operator_sweep(&mut cat);
         let mut plain = Executor::new(CostModel::unit_scale());
-        let mut timed = Executor::timed(
-            CostModel::unit_scale(),
-            BackendKind::Simulated,
-            BudgetTimer::scripted(1e-6),
-        );
+        let mut timed = Executor::timed(CostModel::unit_scale(), BudgetTimer::scripted(0.5));
         // The untimed executor runs the first pass and replays the other
         // two, the last after drift; the timed one runs every operator on
         // every pass.
@@ -2274,24 +2371,50 @@ mod tests {
                 cat.apply_drift(TableId(1), 20_000, 500, 700);
             }
             let mut ops = Vec::new();
-            for (q, plan) in &sweep {
+            let mut built = (false, false);
+            for (i, (q, plan)) in sweep.iter().enumerate() {
+                let label = format!("pass {pass}, plan {i}");
                 let a = plain.execute(&cat, q, plan);
                 let b = timed.execute(&cat, q, plan);
-                assert_same_execution(&a, &b, &format!("pass {pass}"));
+                assert_same_execution(&a, &b, &label);
+                let samples = timed.take_op_samples();
+                assert!(timed.take_op_samples().is_empty(), "{label}: samples drain");
+                let work: Vec<Work> = samples
+                    .iter()
+                    .map(|s| {
+                        let counts = [s.pages, s.rows, s.descents];
+                        let join = [s.build_rows, s.probe_rows, s.out_rows];
+                        (s.op, [counts, join].concat().try_into().unwrap())
+                    })
+                    .collect();
+                assert_eq!(work, reference_samples(&cat, q, plan), "{label}");
+                for s in &samples {
+                    assert_eq!(s.measured_s, 0.5, "{label}: {:?} time", s.op);
+                    if s.op == OpKind::HashJoin {
+                        // The executor builds the smaller input: the inner
+                        // rows in the first case, the outer tuples in the
+                        // second.
+                        built.0 |= s.build_rows < s.probe_rows;
+                        built.1 |= s.build_rows > s.probe_rows;
+                    }
+                }
                 // Each access's sample carries exactly the price it was
                 // charged.
-                let samples = timed.take_op_samples();
                 for access in &b.accesses {
                     assert!(samples
                         .iter()
                         .any(|s| s.sim_s.to_bits() == access.time.secs().to_bits()));
                 }
-                assert!(samples.iter().all(|s| s.measured_s > 0.0));
-                ops.extend(samples.iter().map(OpSample::op));
+                ops.extend(samples.iter().map(|s| s.op));
             }
             for op in OpKind::ALL {
                 assert!(ops.contains(&op), "pass {pass}: no {op:?} sample");
             }
+            assert_eq!(
+                built,
+                (true, true),
+                "pass {pass}: hash joins build both sides"
+            );
             assert_eq!(memo_entries(&plain), sweep.len(), "pass {pass}");
             assert_eq!(memo_entries(&timed), 0, "a timed executor memoises nothing");
         }
@@ -2413,39 +2536,28 @@ mod tests {
         assert_ne!(rows[0], rows[1], "the two bases count differently");
     }
 
+    /// A measuring (timed) executor charges its clock one step per
+    /// operator and its sample, not the execution: the execution reports
+    /// the untimed price.
     #[test]
     fn measured_executor_charges_the_clock() {
         let cat = catalog();
         let q = single_table_query(vec![Predicate::range(col(1, 2), 0, 99)], vec![col(1, 0)]);
         let plan = scan_plan(TableId(1), 0.0);
-        let mut measured = Executor::timed(
-            CostModel::unit_scale(),
-            BackendKind::Measured,
-            BudgetTimer::scripted(0.5),
-        );
+        let mut measured = Executor::timed(CostModel::unit_scale(), BudgetTimer::scripted(0.5));
         let m = measured.execute(&cat, &q, &plan);
         let s = Executor::new(CostModel::unit_scale()).execute(&cat, &q, &plan);
         assert_eq!(m.result_rows, s.result_rows);
         assert_eq!(m.accesses[0].rows_out, s.accesses[0].rows_out);
-        // One mark/elapsed pair per operator: the scripted clock advances
-        // exactly one step between them.
-        assert_eq!(m.total.secs(), 0.5);
+        assert_eq!(m.total.secs().to_bits(), s.total.secs().to_bits());
         let samples = measured.take_op_samples();
         assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].op(), OpKind::SeqScan);
+        assert_eq!(samples[0].op, OpKind::SeqScan);
         assert_eq!(samples[0].sim_s, s.total.secs());
+        // One mark/elapsed pair per operator: the scripted clock advances
+        // exactly one step between them.
         assert_eq!(samples[0].measured_s, 0.5);
         assert!(measured.take_op_samples().is_empty(), "samples drain");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs an enabled timer")]
-    fn measured_executor_without_a_timer_is_rejected() {
-        Executor::timed(
-            CostModel::unit_scale(),
-            BackendKind::Measured,
-            BudgetTimer::disabled(),
-        );
     }
 
     #[test]

@@ -8,18 +8,15 @@
 //! observations is therefore caused purely by cardinality misestimation —
 //! the phenomenon the paper's bandit exploits and the commercial advisor
 //! falls victim to. Built with an enabled timer, the same executor also
-//! times each operator, which is what [`calibrate()`] fits the cost model
-//! against.
+//! times each operator into an [`OpSample`], next to the price it reports.
 
 pub mod backend;
-pub mod calibrate;
 pub mod cost;
 pub mod exec;
 pub mod plan;
 pub mod query;
 
 pub use backend::{simulated, timed, BackendKind, ExecutionBackend, OpKind, OpSample};
-pub use calibrate::{calibrate, fit, microbench_samples, CalibrationReport, OpReport};
 pub use cost::{CostModel, PAPER_TIME_SCALE};
 pub use exec::{AccessStats, Executor, QueryExecution};
 pub use plan::{AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};

@@ -6,34 +6,15 @@ use std::sync::Arc;
 use dba_baselines::{
     DdqnAdvisor, DdqnConfig, InvokeSchedule, NoIndexAdvisor, PdToolAdvisor, PdToolConfig,
 };
-use dba_common::{BudgetTimer, DbError, DbResult, SimSeconds};
+use dba_common::{DbError, DbResult, SimSeconds};
 use dba_core::{Advisor, MabConfig, MabTuner};
-use dba_engine::{BackendKind, CostModel, ExecutionBackend};
+use dba_engine::{CostModel, ExecutionBackend};
 use dba_optimizer::StatsCatalog;
 use dba_safety::{SafeguardedAdvisor, SafetyConfig, SafetyLedger};
 use dba_storage::{BaseData, Catalog};
 use dba_workloads::{Benchmark, DataDrift, WorkloadKind};
 
 use crate::session::TuningSession;
-
-/// How the session obtains its execution backend: a named kind resolved
-/// at build time, or a caller-supplied implementation.
-enum BackendChoice {
-    Kind(BackendKind),
-    Custom(Box<dyn ExecutionBackend>),
-}
-
-impl BackendChoice {
-    fn into_backend(self, cost: &CostModel) -> Box<dyn ExecutionBackend> {
-        match self {
-            BackendChoice::Kind(BackendKind::Simulated) => dba_engine::simulated(cost.clone()),
-            BackendChoice::Kind(BackendKind::Measured) => {
-                dba_engine::timed(cost.clone(), BackendKind::Measured, BudgetTimer::wall())
-            }
-            BackendChoice::Custom(backend) => backend,
-        }
-    }
-}
 
 /// The built-in tuners (the paper's comparison set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +100,9 @@ pub struct SessionBuilder {
     safeguard: Option<SafetyConfig>,
     mab_config: Option<MabConfig>,
     obs: dba_obs::Obs,
-    backend: BackendChoice,
+    /// A caller-supplied backend; `None` builds the untimed executor over
+    /// the session's cost model.
+    backend: Option<Box<dyn ExecutionBackend>>,
 }
 
 impl Default for SessionBuilder {
@@ -143,26 +126,16 @@ impl SessionBuilder {
             safeguard: None,
             mab_config: None,
             obs: dba_obs::Obs::noop(),
-            backend: BackendChoice::Kind(BackendKind::Simulated),
+            backend: None,
         }
     }
 
-    /// Select the execution backend by kind: `Simulated` (default — the
-    /// engine executor charging cost-model prices, bit-exact with every
-    /// prior trajectory) or `Measured` (the same executor charging each
-    /// operator's wall-clock time). The bench harness maps the
-    /// `DBA_BACKEND` env knob here.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = BackendChoice::Kind(kind);
-        self
-    }
-
-    /// Install a caller-constructed backend (e.g. `dba_engine::timed` with
-    /// a scripted clock for deterministic measured tests, or a `Simulated`
-    /// executor with a timer to collect calibration samples). Overrides
-    /// [`backend`](SessionBuilder::backend).
+    /// Install a caller-constructed backend in place of the default
+    /// untimed executor: e.g. `dba_engine::timed`, which reports the same
+    /// prices and leaves per-operator samples behind, or a wrapper that
+    /// times the executor from outside.
     pub fn backend_boxed(mut self, backend: Box<dyn ExecutionBackend>) -> Self {
-        self.backend = BackendChoice::Custom(backend);
+        self.backend = Some(backend);
         self
     }
 
@@ -434,7 +407,7 @@ struct PreparedSession {
     safeguard: Option<SafetyConfig>,
     mab_config: Option<MabConfig>,
     obs: dba_obs::Obs,
-    backend: BackendChoice,
+    backend: Option<Box<dyn ExecutionBackend>>,
 }
 
 impl PreparedSession {
@@ -454,7 +427,8 @@ impl PreparedSession {
             self.workload,
             self.seed,
             self.budget,
-            self.backend.into_backend(&self.cost),
+            self.backend
+                .unwrap_or_else(|| dba_engine::simulated(self.cost.clone())),
             self.cost,
             advisor,
             self.drift,

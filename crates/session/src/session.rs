@@ -65,10 +65,7 @@ pub struct TuningSession<A: Advisor> {
     seed: u64,
     memory_budget_bytes: u64,
     /// The execution seam: how physical plans are run. The engine's
-    /// executor reporting cost-model prices (`Simulated`) by default; the
-    /// same executor reporting its clock (`Measured`) or any custom
-    /// implementation via
-    /// [`SessionBuilder::backend`](crate::SessionBuilder::backend) /
+    /// untimed executor by default, or any custom implementation via
     /// [`SessionBuilder::backend_boxed`](crate::SessionBuilder::backend_boxed).
     backend: Box<dyn ExecutionBackend>,
     cost: dba_engine::CostModel,
@@ -195,13 +192,8 @@ impl<A: Advisor> TuningSession<A> {
         &mut self.advisor
     }
 
-    /// The execution backend running this session's plans.
-    pub fn backend(&self) -> &dyn ExecutionBackend {
-        &*self.backend
-    }
-
     /// Mutable backend access — e.g. to drain a timed executor's
-    /// per-operator calibration samples via `take_op_samples`.
+    /// per-operator samples via `take_op_samples`.
     pub fn backend_mut(&mut self) -> &mut dyn ExecutionBackend {
         &mut *self.backend
     }

@@ -2,19 +2,23 @@
 //!
 //! The engine's `Executor` is the one operator implementation; an enabled
 //! `BudgetTimer` only adds a clock read around each operator and an
-//! `OpSample` per operator. So a `Simulated` session with a timer must run
-//! the plain `Simulated` trajectory bit for bit, across every scenario axis
-//! the harness drives, while leaving samples behind. A `Measured` session
-//! on a scripted clock is a pure function of its inputs: reruns and
-//! concurrent sessions see the same bits, and the goldens below pin them
-//! (and the calibration microbench samples) to the values the former
-//! dedicated measured backend produced.
+//! `OpSample` per operator, and the execution still reports the price. So
+//! a session with a timer must run the untimed trajectory bit for bit,
+//! across every scenario axis the harness drives, while leaving samples
+//! behind. A golden below pins the samples of a fixed operator microbench
+//! on a scripted clock to the values the former dedicated measured backend
+//! recorded.
 
-use dba_common::BudgetTimer;
-use dba_engine::{microbench_samples, timed, BackendKind, CostModel, OpKind, OpSample};
+use dba_common::{BudgetTimer, ColumnId, QueryId, SimSeconds, TableId, TemplateId};
+use dba_engine::{
+    timed, AccessMethod, CostModel, JoinAlgo, JoinPred, JoinStep, OpKind, OpSample, Plan,
+    Predicate, Query, TableAccess,
+};
 use dba_optimizer::StatsCatalog;
 use dba_session::{DataDrift, DriftRates, RunResult, SessionBuilder, TunerKind};
-use dba_storage::Catalog;
+use dba_storage::{
+    Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
+};
 use dba_workloads::{ssb::ssb, Benchmark, WorkloadKind};
 
 fn scenarios() -> Vec<(&'static str, WorkloadKind, Option<DataDrift>)> {
@@ -135,11 +139,7 @@ fn timed_simulated_is_bit_exact_with_simulated_across_scenarios_and_budgets() {
                 *workload,
                 drift.as_ref(),
                 *budget,
-                Some(timed(
-                    CostModel::paper_scale(),
-                    BackendKind::Simulated,
-                    BudgetTimer::scripted(1e-6),
-                )),
+                Some(timed(CostModel::paper_scale(), BudgetTimer::scripted(1e-6))),
                 &label,
             );
             assert_bit_identical(&label, &sim, &timed_run);
@@ -148,64 +148,139 @@ fn timed_simulated_is_bit_exact_with_simulated_across_scenarios_and_budgets() {
     }
 }
 
-/// `RunResult::total` of the scripted-clock measured session below, as
-/// the former dedicated measured backend computed it.
-const MEASURED_SESSION_TOTAL_BITS: u64 = 0x4020_6fc4_3b2d_d378;
+/// A seeded operator microbench: a wide, a narrow and a dimension table,
+/// two covering indexes on the narrow one, and a spread of selectivities
+/// over every operator. Returns the catalog and each query with its plan,
+/// in run order.
+fn microbench(seed: u64) -> (Catalog, Vec<(Query, Plan)>) {
+    let int = |name: &str, dist| ColumnSpec::new(name, ColumnType::Int, dist);
+    let wide = TableSchema::new(
+        "cal_wide",
+        vec![
+            int("w_key", Distribution::Sequential),
+            int("w_attr", Distribution::Uniform { lo: 0, hi: 99 }),
+        ],
+    )
+    .with_pad(240);
+    let narrow = TableSchema::new(
+        "cal_narrow",
+        vec![
+            int("n_key", Distribution::Sequential),
+            int("n_val", Distribution::Uniform { lo: 0, hi: 9999 }),
+            int("n_dim", Distribution::FkUniform { parent_rows: 2000 }),
+        ],
+    );
+    let dim = TableSchema::new(
+        "cal_dim",
+        vec![
+            int("d_key", Distribution::Sequential),
+            int("d_attr", Distribution::Uniform { lo: 0, hi: 19 }),
+        ],
+    )
+    .with_pad(60);
+    let mut cat = Catalog::new(vec![
+        TableBuilder::new(wide, 8_000).build(TableId(0), seed),
+        TableBuilder::new(narrow, 40_000).build(TableId(1), seed),
+        TableBuilder::new(dim, 2_000).build(TableId(2), seed),
+    ]);
+    // Covering throughout: every column a query touches is in the leaves.
+    let ix_val = cat
+        .create_index(IndexDef::new(TableId(1), vec![1], vec![0, 2]))
+        .unwrap()
+        .id;
+    let ix_fk = cat
+        .create_index(IndexDef::new(TableId(1), vec![2], vec![0]))
+        .unwrap()
+        .id;
 
-/// With an injected (scripted) clock, the measured executor is a pure
-/// function of its inputs: repeated runs are bit-identical, and running
-/// several sessions concurrently — the suite fan-out the `DBA_THREADS`
-/// knob controls — cannot perturb any of them.
-#[test]
-fn measured_backend_is_deterministic_under_scripted_clock() {
-    let bench = ssb(0.02);
-    let base = bench.build_catalog(7).unwrap();
-    let stats = StatsCatalog::build(&base);
-    let workload = WorkloadKind::Static { rounds: 3 };
-    let run_measured = || {
-        run(
-            &bench,
-            &base,
-            &stats,
-            workload,
-            None,
-            None,
-            Some(timed(
-                CostModel::paper_scale(),
-                BackendKind::Measured,
-                BudgetTimer::scripted(1e-6),
-            )),
-            "measured",
-        )
-        .0
+    let col = |t: u32, ordinal: u16| ColumnId::new(TableId(t), ordinal);
+    let access = |t: u32, method| TableAccess {
+        table: TableId(t),
+        method,
+        est_rows: 0.0,
+    };
+    let plan = |driver, joins, aggregated| Plan {
+        driver,
+        joins,
+        aggregated,
+        est_cost: SimSeconds::ZERO,
+    };
+    let mut runs = Vec::new();
+    let mut run = |tables: Vec<u32>, pred, joins, payload, plan: Plan| {
+        let query = Query {
+            id: QueryId(runs.len() as u64),
+            template: TemplateId(0),
+            tables: tables.into_iter().map(TableId).collect(),
+            predicates: vec![pred],
+            joins,
+            payload: vec![payload],
+            aggregated: plan.aggregated,
+        };
+        runs.push((query, plan));
     };
 
-    let first = run_measured();
-    assert_eq!(
-        first.total().secs().to_bits(),
-        MEASURED_SESSION_TOTAL_BITS,
-        "measured session total moved: {}",
-        first.total().secs()
-    );
-    let second = run_measured();
-    assert_bit_identical("rerun", &first, &second);
-
-    // Concurrent sessions (the fan-out path) see the same bits.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3).map(|_| scope.spawn(run_measured)).collect();
-        for handle in handles {
-            let parallel = handle.join().expect("measured session run panicked");
-            assert_bit_identical("parallel", &first, &parallel);
+    // SeqScan: every table, several selectivities (rows vs pages variation).
+    for (t, his) in [
+        (0u32, [9i64, 49, 99]),
+        (1, [999, 4999, 9999]),
+        (2, [3, 9, 19]),
+    ] {
+        for hi in his {
+            let scan = access(t, AccessMethod::FullScan);
+            let pred = Predicate::range(col(t, 1), 0, hi);
+            run(vec![t], pred, vec![], col(t, 0), plan(scan, vec![], false));
         }
-    });
+    }
+
+    // CoveringScan + covering IndexSeek at a spread of selectivities.
+    for (lo, hi) in [(0, 99), (0, 999), (2000, 6000), (0, 9999), (5000, 5001)] {
+        let pred = Predicate::range(col(1, 1), lo, hi);
+        let scan = access(1, AccessMethod::CoveringScan { index: ix_val });
+        run(vec![1], pred, vec![], col(1, 0), plan(scan, vec![], false));
+        let seek = access(
+            1,
+            AccessMethod::IndexSeek {
+                index: ix_val,
+                covering: true,
+            },
+        );
+        run(vec![1], pred, vec![], col(1, 0), plan(seek, vec![], false));
+    }
+
+    // dim ⋈ narrow at several dim selectivities: HashJoin + Aggregate,
+    // then InlProbe with a covering inner.
+    let join = JoinPred::new(col(2, 0), col(1, 2));
+    let fk_seek = AccessMethod::IndexSeek {
+        index: ix_fk,
+        covering: true,
+    };
+    for (algo, inner, aggregated, his) in [
+        (JoinAlgo::Hash, AccessMethod::FullScan, true, [2i64, 7, 19]),
+        (JoinAlgo::IndexNestedLoop, fk_seek, false, [0, 4, 19]),
+    ] {
+        for hi in his {
+            let step = JoinStep {
+                access: access(1, inner.clone()),
+                algo,
+                join,
+                est_rows_out: 0.0,
+            };
+            let driver = access(2, AccessMethod::FullScan);
+            let pred = Predicate::range(col(2, 1), 0, hi);
+            let joined = plan(driver, vec![step], aggregated);
+            run(vec![2, 1], pred, vec![join], col(1, 0), joined);
+        }
+    }
+    (cat, runs)
 }
 
 /// One sample's operator, pages, rows, descents, build rows, probe rows
 /// and out rows, then the bits of its `measured_s` and `sim_s`.
 type GoldenSample = (OpKind, u64, u64, u64, u64, u64, u64, u64, u64);
 
-/// `microbench_samples(paper_scale, scripted(1e-7), 17)` as the former
-/// dedicated measured backend and its B+Tree recorded them.
+/// The samples of `microbench(17)` on a paper-scale executor timed on
+/// `scripted(1e-7)`, as the former dedicated measured backend and its
+/// B+Tree recorded them.
 #[rustfmt::skip]
 const MICROBENCH_GOLDEN: [GoldenSample; 37] = [
     (OpKind::SeqScan, 250, 8000, 0, 0, 0, 786, 0x3e7ad7f29abcaf48, 0x400547ae147ae148),
@@ -247,17 +322,22 @@ const MICROBENCH_GOLDEN: [GoldenSample; 37] = [
     (OpKind::InlProbe, 2113, 40000, 2000, 0, 0, 40000, 0x3e7ad7f29abcaf40, 0x401c1eb851eb851f),
 ];
 
-/// The calibration microbench keeps every work counter and every
-/// scripted-clock reading without the B+Tree: leaf counts are arithmetic
-/// on `Index::probe`'s bounds.
+/// A timed executor keeps every work counter, price and scripted-clock
+/// reading of the microbench without the B+Tree: leaf counts are
+/// arithmetic on `Index::probe`'s bounds.
 #[test]
 fn microbench_samples_match_the_golden() {
-    let samples = microbench_samples(&CostModel::paper_scale(), BudgetTimer::scripted(1e-7), 17);
-    let got: Vec<GoldenSample> = samples
+    let (cat, runs) = microbench(17);
+    let mut backend = timed(CostModel::paper_scale(), BudgetTimer::scripted(1e-7));
+    for (query, plan) in &runs {
+        backend.execute(&cat, query, plan);
+    }
+    let got: Vec<GoldenSample> = backend
+        .take_op_samples()
         .iter()
-        .map(|s| {
+        .map(|s: &OpSample| {
             (
-                s.op(),
+                s.op,
                 s.pages,
                 s.rows,
                 s.descents,

@@ -63,19 +63,17 @@ pub use dba_core as bandit;
 pub use dba_engine as engine;
 
 /// Execution backends: the [`ExecutionBackend`](engine::ExecutionBackend)
-/// seam over the engine's one executor. [`simulated`](engine::simulated)
-/// builds the untimed executor; [`timed`](engine::timed) adds a
+/// seam over the engine's one executor, whose executions always report
+/// the cost-model price. [`simulated`](engine::simulated) builds the
+/// untimed executor; [`timed`](engine::timed) adds a
 /// [`BudgetTimer`](common::BudgetTimer) (`wall()` or a deterministic
 /// `scripted(step)`) that times every operator into an
-/// [`OpSample`](engine::OpSample), with [`BackendKind`](engine::BackendKind)
-/// choosing whether executions report prices or measured time. Sessions
-/// select one via [`SessionBuilder::backend`](session::SessionBuilder::backend)
-/// (or the `DBA_BACKEND` env knob in the bench harness); `calibrate` fits
-/// the cost model to the samples.
+/// [`OpSample`](engine::OpSample) without changing a price. Sessions take
+/// either via
+/// [`SessionBuilder::backend_boxed`](session::SessionBuilder::backend_boxed).
 pub mod backend {
     pub use dba_common::BudgetTimer;
-    pub use dba_engine::{calibrate, microbench_samples, CalibrationReport};
-    pub use dba_engine::{simulated, timed, BackendKind, ExecutionBackend, OpKind, OpSample};
+    pub use dba_engine::{simulated, timed, ExecutionBackend, OpKind, OpSample};
 }
 pub use dba_optimizer as optimizer;
 pub use dba_safety as safety;
@@ -88,9 +86,7 @@ pub mod prelude {
     pub use dba_baselines::{NoIndexAdvisor, PdToolAdvisor};
     pub use dba_common::SimSeconds;
     pub use dba_core::{Advisor, AdvisorCost, MabConfig, MabTuner, RoundContext};
-    pub use dba_engine::{
-        simulated, BackendKind, CostModel, ExecutionBackend, Executor, Query, QueryExecution,
-    };
+    pub use dba_engine::{simulated, CostModel, ExecutionBackend, Executor, Query, QueryExecution};
     pub use dba_optimizer::{Planner, PlannerContext, StatsCatalog, WhatIfService};
     pub use dba_safety::{SafeguardedAdvisor, SafetyConfig, SafetyReport};
     pub use dba_session::{
