@@ -1,12 +1,15 @@
-//! Criterion benchmarks for the executor's timed hot paths: vectorized
-//! batch heap scans, index seeks with heap gather, a covering scan and the
-//! hash join, run on an executor timed on the wall-clock. A timed executor
-//! runs every operator in full on every call and replays nothing, so each
-//! iteration pays the operator's whole work plus its clock reads. Each
-//! bench first asserts the shape of its operator's sample, so it measures
-//! the work it names.
+//! Criterion benchmarks for the executor's hot paths. Most run on an
+//! executor timed on the wall-clock: vectorized batch heap scans, index
+//! seeks with heap gather, a covering scan and the hash join. A timed
+//! executor runs every operator in full on every call and replays nothing,
+//! so each iteration pays the operator's whole work plus its clock reads,
+//! and each of these benches first asserts the shape of its operator's
+//! sample, so it measures the work it names. The whole-inner hash joins
+//! run on the untimed executor, which probes a join table kept over the
+//! whole inner table instead of scanning and building; it leaves no
+//! sample, so they assert the join's output against a nested loop.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use dba_common::{BudgetTimer, ColumnId, QueryId, SimSeconds, TableId, TemplateId};
 use dba_engine::{
@@ -210,77 +213,15 @@ fn bench_covering_scan(c: &mut Criterion) {
 /// the sample counts the inner rows as the build and the outer tuples as
 /// the probe, as the cost model prices them.
 fn bench_hash_join(c: &mut Criterion) {
-    const DIM_ROWS: usize = 20_000;
-    let (dim_id, fact_id) = (TableId(0), TableId(1));
     let benches = [
-        ("hash_join_fk_200k", 1, fact_id),
-        ("hash_join_sparse_200k", 1_000, fact_id),
-        ("hash_join_small_build_200k", 1, dim_id),
+        ("hash_join_fk_200k", 1, FACT),
+        ("hash_join_sparse_200k", 1_000, FACT),
+        ("hash_join_small_build_200k", 1, DIM),
     ];
     for (name, spread, inner) in benches {
-        // Both tables join on a copy of their key times `spread`.
-        let spread_key = ColumnSpec::new(
-            "spread_key",
-            ColumnType::Int,
-            Distribution::Correlated {
-                source: 0,
-                a: spread,
-                b: 0,
-                m: i64::MAX,
-                noise: 0,
-            },
-        );
-        let dim = TableSchema::new(
-            "dim",
-            vec![
-                ColumnSpec::new("d_key", ColumnType::Int, Distribution::Sequential),
-                spread_key.clone(),
-            ],
-        );
-        let fact = TableSchema::new(
-            "fact",
-            vec![
-                ColumnSpec::new(
-                    "f_dim",
-                    ColumnType::Int,
-                    Distribution::FkUniform {
-                        parent_rows: DIM_ROWS as u64,
-                    },
-                ),
-                spread_key,
-            ],
-        );
-        let catalog = Catalog::new(vec![
-            TableBuilder::new(dim, DIM_ROWS).build(dim_id, 5),
-            TableBuilder::new(fact, ROWS).build(fact_id, 5),
-        ]);
-        let join = JoinPred::new(ColumnId::new(dim_id, 1), ColumnId::new(fact_id, 1));
-        let q = Query {
-            id: QueryId(0),
-            template: TemplateId(0),
-            tables: vec![dim_id, fact_id],
-            predicates: vec![],
-            joins: vec![join],
-            payload: vec![],
-            aggregated: false,
-        };
-        let scan = |table| TableAccess {
-            table,
-            method: AccessMethod::FullScan,
-            est_rows: 0.0,
-        };
-        let driver = if inner == fact_id { dim_id } else { fact_id };
-        let plan = Plan {
-            driver: scan(driver),
-            joins: vec![JoinStep {
-                access: scan(inner),
-                algo: JoinAlgo::Hash,
-                join,
-                est_rows_out: 0.0,
-            }],
-            aggregated: false,
-            est_cost: SimSeconds::ZERO,
-        };
+        let catalog = join_catalog(spread);
+        let driver = if inner == FACT { DIM } else { FACT };
+        let (q, plan) = scan_join(driver, inner, vec![]);
         // Every fact row finds its one dimension row: the output is the
         // whole fact table.
         let mut backend = wall_timed();
@@ -294,9 +235,152 @@ fn bench_hash_join(c: &mut Criterion) {
     }
 }
 
+/// The join benches' dimension and fact tables.
+const DIM: TableId = TableId(0);
+const FACT: TableId = TableId(1);
+const DIM_ROWS: usize = 20_000;
+
+/// A 20k-row dimension, its `d_key` sequential, and a 200k-row fact table
+/// whose `f_dim` is a uniform foreign key into it. Both join on a copy of
+/// their key times `spread`, their second column.
+fn join_catalog(spread: i64) -> Catalog {
+    let spread_key = ColumnSpec::new(
+        "spread_key",
+        ColumnType::Int,
+        Distribution::Correlated {
+            source: 0,
+            a: spread,
+            b: 0,
+            m: i64::MAX,
+            noise: 0,
+        },
+    );
+    let dim = TableSchema::new(
+        "dim",
+        vec![
+            ColumnSpec::new("d_key", ColumnType::Int, Distribution::Sequential),
+            spread_key.clone(),
+        ],
+    );
+    let fact = TableSchema::new(
+        "fact",
+        vec![
+            ColumnSpec::new(
+                "f_dim",
+                ColumnType::Int,
+                Distribution::FkUniform {
+                    parent_rows: DIM_ROWS as u64,
+                },
+            ),
+            spread_key,
+        ],
+    );
+    Catalog::new(vec![
+        TableBuilder::new(dim, DIM_ROWS).build(DIM, 5),
+        TableBuilder::new(fact, ROWS).build(FACT, 5),
+    ])
+}
+
+/// A query joining the two tables on their spread keys under
+/// `predicates`, and the plan that scans `driver` and hash joins `inner`,
+/// scanned too.
+fn scan_join(driver: TableId, inner: TableId, predicates: Vec<Predicate>) -> (Query, Plan) {
+    let join = JoinPred::new(ColumnId::new(DIM, 1), ColumnId::new(FACT, 1));
+    let q = Query {
+        id: QueryId(0),
+        template: TemplateId(0),
+        tables: vec![DIM, FACT],
+        predicates,
+        joins: vec![join],
+        payload: vec![],
+        aggregated: false,
+    };
+    let scan = |table| TableAccess {
+        table,
+        method: AccessMethod::FullScan,
+        est_rows: 0.0,
+    };
+    let plan = Plan {
+        driver: scan(driver),
+        joins: vec![JoinStep {
+            access: scan(inner),
+            algo: JoinAlgo::Hash,
+            join,
+            est_rows_out: 0.0,
+        }],
+        aggregated: false,
+        est_cost: SimSeconds::ZERO,
+    };
+    (q, plan)
+}
+
+/// Untimed hash join of the 200k-row fact table, with no predicate on it,
+/// driven by the dense-key dimension filtered to about 1% by a range on
+/// `d_key`; the join only counts its output. The untimed executor probes a
+/// join table it keeps over every fact row instead of scanning and
+/// building. `executor_hash_join_whole_inner_200k` gives each sample a
+/// fresh executor, which builds that table once. The warm bench keeps one
+/// executor and moves the dimension's range on every iteration, so the memo
+/// misses but the join table is kept.
+fn bench_hash_join_whole_inner(c: &mut Criterion) {
+    let catalog = join_catalog(1);
+    let cost = CostModel::unit_scale();
+    let query = |lo: i64, hi: i64| {
+        let d_key = Predicate::range(ColumnId::new(DIM, 0), lo, hi);
+        scan_join(DIM, FACT, vec![d_key])
+    };
+    // The nested loop over the dimension rows in range and every fact row.
+    let fact_keys = catalog.table(FACT).column(1).data();
+    let nested_loop = |lo: i64, hi: i64| {
+        let dim_keys = catalog.table(DIM).column(1).data();
+        (lo..=hi)
+            .map(|k| {
+                let key = dim_keys[k as usize];
+                fact_keys.iter().filter(|&&f| f == key).count() as u64
+            })
+            .sum::<u64>()
+    };
+    let width = DIM_ROWS as i64 / 100;
+    let (q, plan) = query(5_000, 5_000 + width - 1);
+    let first = dba_engine::simulated(cost.clone()).execute(&catalog, &q, &plan);
+    assert_eq!(first.result_rows, nested_loop(5_000, 5_000 + width - 1));
+    c.bench_function("executor_hash_join_whole_inner_200k", |b| {
+        b.iter_batched(
+            || dba_engine::simulated(cost.clone()),
+            |mut executor| executor.execute(&catalog, &q, &plan),
+            BatchSize::SmallInput,
+        )
+    });
+
+    // Iteration `i` reads the range starting at `i` modulo the dimension's
+    // last full range, one key wider at each wrap, so no range repeats.
+    let range = |i: i64| {
+        let starts = DIM_ROWS as i64 - width;
+        let lo = i % starts;
+        (lo, lo + width - 1 + i / starts)
+    };
+    let mut warm = dba_engine::simulated(cost.clone());
+    for i in [0, 1, 12_345] {
+        let (lo, hi) = range(i);
+        let (q, plan) = query(lo, hi);
+        let got = warm.execute(&catalog, &q, &plan);
+        assert_eq!(got.result_rows, nested_loop(lo, hi), "range {lo}..={hi}");
+    }
+    let mut i = 12_345;
+    c.bench_function("executor_hash_join_whole_inner_warm_200k", |b| {
+        b.iter(|| {
+            i += 1;
+            let (lo, hi) = range(i);
+            let (q, plan) = query(lo, hi);
+            warm.execute(&catalog, &q, &plan)
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_batch_scan, bench_seek, bench_covering_scan, bench_hash_join
+    targets = bench_batch_scan, bench_seek, bench_covering_scan, bench_hash_join,
+        bench_hash_join_whole_inner
 );
 criterion_main!(benches);

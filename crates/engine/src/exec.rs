@@ -18,6 +18,11 @@
 //! on, so the last step counts its output without writing it. A
 //! non-covering seek does not gather its columns from the heap, and the
 //! aggregate does not sum the payload: only a clock could see that work.
+//! A hash join whose inner access reads every row of its table (a full or
+//! covering scan with no predicate on the table) neither scans nor builds:
+//! its outer tuples probe a join table over all the table's rows in row
+//! order, built on first use and kept per (table, key column). Its output
+//! is the one a scan and an inner build would give.
 //! The counts depend only on the immutable base data, the query instance
 //! and the plan's shape; drift moves only the live sizes the price reads.
 //! So the untimed executor also memoises them. The key is exact: the
@@ -26,16 +31,19 @@
 //! algorithm and join predicate. A repeated pair is priced again at today's
 //! live sizes without running an operator. Keying on the definition, not
 //! the index id, lets an index dropped and re-created under a new id
-//! replay. The memo lives and dies with its executor. It holds the
-//! catalog's `Arc<BaseData>` and empties itself when it meets another base,
-//! and each miss adds one entry (and at most one interned shape).
+//! replay. The memo, kept join tables included, lives and dies with its
+//! executor. It holds the catalog's `Arc<BaseData>` and empties itself
+//! when it meets another base, and each miss adds one entry (and at most
+//! one interned shape).
 //!
 //! An executor built with an enabled [`BudgetTimer`] ([`Executor::timed`])
-//! memoises nothing and runs every operator in full on every call: each
-//! join step emits every table's row ids, seeks gather from the heap and
-//! the aggregate sums the payload. It times each operator with one
-//! `mark`/`elapsed_secs` pair and records an [`OpSample`] pairing the
-//! operator's work counters with both its price and the measured seconds.
+//! memoises nothing, keeps no join table and runs every operator in full
+//! on every call: each hash join scans its inner side and builds on the
+//! smaller input, each join step emits every table's row ids, seeks gather
+//! from the heap and the aggregate sums the payload. It times each
+//! operator with one `mark`/`elapsed_secs` pair and records an
+//! [`OpSample`] pairing the operator's work counters with both its price
+//! and the measured seconds.
 //! The timer only observes: the execution reports the price, so a timed
 //! run is bit-identical to an untimed one.
 
@@ -48,7 +56,7 @@ use dba_storage::{BaseData, Catalog, Index, Table, PAGE_BYTES};
 
 use crate::backend::{OpKind, OpSample};
 use crate::cost::CostModel;
-use crate::plan::{seek_shape, AccessMethod, JoinAlgo, Plan, TableAccess};
+use crate::plan::{seek_shape, AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
 use crate::query::{JoinPred, Predicate, Query};
 
 /// Rows per batch in the vectorized filter: one selection-vector refill
@@ -197,7 +205,7 @@ struct Counts {
 }
 
 /// The counts of untimed executions over one base, by (query instance,
-/// plan shape).
+/// plan shape), and the join tables kept over its tables.
 #[derive(Debug, Default)]
 struct Memo {
     /// The base every count here was taken over.
@@ -207,6 +215,8 @@ struct Memo {
     shapes: HashMap<Box<[u32]>, u32>,
     /// Counts by shape id followed by each predicate's `lo` and `hi`.
     counts: HashMap<Box<[i64]>, Counts>,
+    /// Join tables over every row of a base table, by join key column.
+    tables: HashMap<ColumnId, JoinTable>,
     /// The last lookup's shape and key, reused across calls. A key whose
     /// shape is not interned yet starts with -1.
     shape: Vec<u32>,
@@ -225,6 +235,7 @@ impl Memo {
         {
             self.shapes.clear();
             self.counts.clear();
+            self.tables.clear();
             self.base = Some(Arc::clone(catalog.base()));
         }
         self.shape.clear();
@@ -246,6 +257,14 @@ impl Memo {
             self.key[0] = i64::from(id);
         }
         self.counts.insert(self.key.as_slice().into(), counts);
+    }
+
+    /// The join table over every row of `column`'s table in this base,
+    /// whose codes are `keys`, built on first use.
+    fn join_table(&mut self, column: ColumnId, keys: &[i64]) -> &JoinTable {
+        self.tables
+            .entry(column)
+            .or_insert_with(|| JoinTable::over_rows(keys))
     }
 }
 
@@ -304,7 +323,8 @@ fn encode_shape(catalog: &Catalog, query: &Query, plan: &Plan, out: &mut Vec<u32
 
 impl Executor {
     /// The simulated executor: prices every operator and times none. It
-    /// runs only the work the price reads, and replays the counts of a
+    /// runs only the work the price reads, probes a kept join table for a
+    /// hash join over a whole base table, and replays the counts of a
     /// (query instance, plan shape) pair it has run over the same base.
     pub fn new(cost: CostModel) -> Self {
         Executor::timed(cost, BudgetTimer::disabled())
@@ -313,7 +333,7 @@ impl Executor {
     /// An executor that also times every operator on `timer` into an
     /// [`OpSample`] and still reports the price. With an enabled timer it
     /// runs every operator in full on every call, including the work only
-    /// the clock sees, and replays nothing.
+    /// the clock sees, and replays and keeps nothing.
     pub fn timed(cost: CostModel, timer: BudgetTimer) -> Self {
         Executor {
             cost,
@@ -372,8 +392,9 @@ impl Executor {
     /// The counting pass: run `plan` for `query` over the base data and
     /// return the counts its price reads. Untimed, a join step emits the
     /// row ids of only the tables a later step keys on, so the last step
-    /// only counts its output. Timed, every step emits every table's row
-    /// ids, and each operator leaves one sample, in plan order.
+    /// only counts its output, and a hash join whose inner scan reads every
+    /// row probes the kept table over them. Timed, every step emits every
+    /// table's row ids, and each operator leaves one sample, in plan order.
     fn count(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Counts {
         let full = self.timer.is_enabled();
         let driver_table = catalog.table(plan.driver.table);
@@ -410,36 +431,60 @@ impl Executor {
 
             let (columns, counts) = match step.algo {
                 JoinAlgo::Hash => {
-                    let (inner_rows, inner) = self.run_access(
-                        catalog,
-                        inner_table,
-                        &step.access.method,
-                        &inner_preds,
-                        query,
+                    // A join table and its hits number the outer tuples.
+                    assert!(
+                        u32::try_from(inter.len).is_ok(),
+                        "intermediate tuples are indexed by u32"
                     );
+                    let outer_keys = outer_keys.data();
+                    let inner_keys = inner_table.column(inner_col.ordinal).data();
+                    let (columns, inner, len) = if !full
+                        && reads_every_row(catalog, query, step, &inner_preds)
+                    {
+                        // The scan would emit every row, ascending: probe
+                        // the kept table over them, as an inner build over
+                        // them would be probed.
+                        let table = self.memo.join_table(inner_col, inner_keys);
+                        let (columns, len) =
+                            probe_with_outer(table, &inter.columns, outer_pos, outer_keys, &keep);
+                        let inner = AccessCounts {
+                            matched: 0,
+                            rows_out: inner_table.rows() as u64,
+                        };
+                        (columns, inner, len)
+                    } else {
+                        let (inner_rows, inner) = self.run_access(
+                            catalog,
+                            inner_table,
+                            &step.access.method,
+                            &inner_preds,
+                            query,
+                        );
 
-                    // Build on the smaller input, probe with the other. The
-                    // price and the sample keep the cost model's roles,
-                    // build = inner rows and probe = outer tuples, whichever
-                    // side is built. The build table and the hit list are
-                    // dropped inside `hash_join`, so their teardown is timed
-                    // with the join.
-                    self.timer.mark();
-                    let (columns, len) = hash_join(
-                        &inter.columns,
-                        outer_pos,
-                        outer_keys.data(),
-                        &inner_rows,
-                        inner_table.column(inner_col.ordinal).data(),
-                        &keep,
-                    );
+                        // Build on the smaller input, probe with the other.
+                        // The price and the sample keep the cost model's
+                        // roles, build = inner rows and probe = outer
+                        // tuples, whichever side is built. The build table
+                        // and the hit list are dropped inside `hash_join`,
+                        // so their teardown is timed with the join.
+                        self.timer.mark();
+                        let (columns, len) = hash_join(
+                            &inter.columns,
+                            outer_pos,
+                            outer_keys,
+                            &inner_rows,
+                            inner_keys,
+                            &keep,
+                        );
+                        self.close(OpSample {
+                            build_rows: inner.rows_out,
+                            probe_rows: inter.len as u64,
+                            out_rows: len as u64,
+                            ..OpSample::with_op(OpKind::HashJoin)
+                        });
+                        (columns, inner, len)
+                    };
                     let out_rows = len as u64;
-                    self.close(OpSample {
-                        build_rows: inner.rows_out,
-                        probe_rows: inter.len as u64,
-                        out_rows,
-                        ..OpSample::with_op(OpKind::HashJoin)
-                    });
                     (columns, StepCounts::Hash { inner, out_rows })
                 }
                 JoinAlgo::IndexNestedLoop => {
@@ -578,13 +623,7 @@ impl Executor {
                 (rows, matched, sample)
             }
             AccessMethod::CoveringScan { index } => {
-                let ix = catalog
-                    .index(*index)
-                    .expect("plan references unmaterialised index");
-                debug_assert!(
-                    ix.def().covers(&query.columns_needed_on(table.id())),
-                    "covering scan over a non-covering index"
-                );
+                let ix = covering_index(catalog, *index, table.id(), query);
 
                 // The leaves hold every column the query reads and each row
                 // once, so filtering those columns in row order yields the
@@ -615,6 +654,40 @@ impl StepCounts {
             StepCounts::Hash { out_rows, .. } | StepCounts::Inl { out_rows, .. } => out_rows,
         }
     }
+}
+
+/// The index a covering scan of `table` for `query` reads. Panics if it is
+/// not materialised; debug builds also check that it covers every column
+/// the query reads on the table.
+fn covering_index<'a>(
+    catalog: &'a Catalog,
+    id: IndexId,
+    table: TableId,
+    query: &Query,
+) -> &'a Index {
+    let ix = catalog
+        .index(id)
+        .expect("plan references unmaterialised index");
+    debug_assert!(
+        ix.def().covers(&query.columns_needed_on(table)),
+        "covering scan over a non-covering index"
+    );
+    ix
+}
+
+/// Whether the inner access of `step` reads every row of its table: a
+/// scan, covering or not, and `preds`, the query's predicates on the
+/// table, empty. A covering scan's index is checked as a scan checks it.
+fn reads_every_row(catalog: &Catalog, query: &Query, step: &JoinStep, preds: &[Predicate]) -> bool {
+    preds.is_empty()
+        && match step.access.method {
+            AccessMethod::FullScan => true,
+            AccessMethod::CoveringScan { index } => {
+                covering_index(catalog, index, step.access.table, query);
+                true
+            }
+            AccessMethod::IndexSeek { .. } => false,
+        }
 }
 
 /// Whether a join step of `plan` after step `i` keys on `table`'s rows.
@@ -800,6 +873,7 @@ impl Hasher for KeyHasher {
 const DIRECT_CODES_PER_ROW: u64 = 4;
 
 /// How a join key finds its slot in a [`JoinTable`].
+#[derive(Debug)]
 enum SlotIndex {
     /// Dense build keys: key `k`'s slot is `k - min`, one slot for each of
     /// the `span` codes from `min`, whether any build entry holds it or not.
@@ -814,6 +888,7 @@ enum SlotIndex {
 /// in build-input order. One more slot after the keys' slots is always
 /// empty: a probe key no build entry holds gets it, so a probe reads a slot
 /// and a hit flag without branching on whether the key was found.
+#[derive(Debug)]
 struct JoinTable {
     index: SlotIndex,
     bounds: Vec<u32>,
@@ -873,6 +948,21 @@ impl JoinTable {
             bounds,
             rows: grouped,
         }
+    }
+
+    /// A table over every row of a base table whose join key codes are
+    /// `keys`, row `r` under `keys[r]`, in row order: the entries an inner
+    /// build over a scan of all the rows holds.
+    fn over_rows(keys: &[i64]) -> Self {
+        let n = keys.len();
+        let mut table = JoinTable::build(n, n, |r| (r as u32, keys[r]));
+        // A map-addressed build reserves room for a key per row, and the
+        // table is kept: shrink it to the distinct keys it holds.
+        if let SlotIndex::Map(slots) = &mut table.index {
+            slots.shrink_to_fit();
+            table.bounds.shrink_to_fit();
+        }
+        table
     }
 
     /// Probe with each `(id, key)` in order. Returns the `(id, slot)` hits
@@ -1003,13 +1093,9 @@ fn hash_join(
     inner_keys: &[i64],
     keep: &[bool],
 ) -> Joined {
-    assert!(
-        u32::try_from(outer[key_col].len()).is_ok(),
-        "intermediate tuples are indexed by u32"
-    );
     debug_assert_eq!(keep.len(), outer.len() + 1, "one flag per output column");
     match build_smaller_side(outer, key_col, outer_keys, inner_rows, inner_keys) {
-        (Side::Inner, table) => probe_with_outer(table, outer, key_col, outer_keys, keep),
+        (Side::Inner, table) => probe_with_outer(&table, outer, key_col, outer_keys, keep),
         (Side::Outer, table) => {
             probe_with_inner(table, outer, key_col, inner_rows, inner_keys, keep)
         }
@@ -1024,11 +1110,12 @@ fn kept<'a>(outer: &'a [Vec<u32>], keep: &'a [bool]) -> impl Iterator<Item = &'a
         .filter_map(|(col, &k)| k.then_some(col))
 }
 
-/// Probe an inner-row `table` with each outer tuple in order: the hits
-/// come out probe-major, so each kept output column fills in one pass into
-/// capacity reserved for the output length.
+/// Probe an inner-row `table`, built for this join or kept over a whole
+/// table, with each outer tuple in order: the hits come out probe-major, so
+/// each kept output column fills in one pass into capacity reserved for the
+/// output length.
 fn probe_with_outer(
-    table: JoinTable,
+    table: &JoinTable,
     outer: &[Vec<u32>],
     key_col: usize,
     outer_keys: &[i64],
@@ -1211,6 +1298,11 @@ mod tests {
     /// The (query instance, plan shape) pairs `exec` has memoised.
     fn memo_entries(exec: &Executor) -> usize {
         exec.memo.counts.len()
+    }
+
+    /// The join tables over a whole table that `exec` keeps.
+    fn join_tables(exec: &Executor) -> usize {
+        exec.memo.tables.len()
     }
 
     /// Three-table catalog: `dim` (200 rows), `fact` (5000 rows) with
@@ -1603,9 +1695,42 @@ mod tests {
             out
         }
 
+        /// Whether the inner rows are every inner row, in row order, as a
+        /// scan with no predicate emits them.
+        fn every_inner_row(&self) -> bool {
+            self.inner_rows
+                .iter()
+                .copied()
+                .eq(0..self.inner_keys.len() as u32)
+        }
+
+        /// Check `join`'s output against the nested loop, keeping every
+        /// column, only a count, and every other column.
+        fn check_output(&self, join: impl Fn(&[bool]) -> Joined) {
+            let want = self.nested_loop();
+            let columns = want.len();
+            let masks = [
+                vec![true; columns],
+                vec![false; columns],
+                (0..columns).map(|c| c % 2 == 0).collect(),
+                (0..columns).map(|c| c % 2 == 1).collect(),
+            ];
+            for keep in masks {
+                let (got, len) = join(&keep);
+                let kept: Vec<_> = want
+                    .iter()
+                    .zip(&keep)
+                    .filter_map(|(col, &k)| k.then_some(col.clone()))
+                    .collect();
+                assert_eq!(got, kept, "{}: {keep:?}", self.name);
+                assert_eq!(len, self.out_rows, "{}: {keep:?}", self.name);
+            }
+        }
+
         /// Check the side and path of the table the join builds, and its
-        /// output against the nested loop: every column, only a count, and
-        /// every other column.
+        /// output against the nested loop. When the inner rows are every
+        /// inner row, also check a table kept over them, probed with the
+        /// outer tuples as a hash join over a whole table probes it.
         fn check(&self) {
             let (side, table) = build_smaller_side(
                 &self.outer,
@@ -1620,30 +1745,21 @@ mod tests {
             };
             assert_eq!(side, self.side, "{}", self.name);
             assert_eq!(path, self.path, "{}", self.name);
-            let want = self.nested_loop();
-            let columns = want.len();
-            let masks = [
-                vec![true; columns],
-                vec![false; columns],
-                (0..columns).map(|c| c % 2 == 0).collect(),
-                (0..columns).map(|c| c % 2 == 1).collect(),
-            ];
-            for keep in masks {
-                let (got, len) = hash_join(
+            self.check_output(|keep| {
+                hash_join(
                     &self.outer,
                     self.key_col,
                     &self.outer_keys,
                     &self.inner_rows,
                     &self.inner_keys,
-                    &keep,
-                );
-                let kept: Vec<_> = want
-                    .iter()
-                    .zip(&keep)
-                    .filter_map(|(col, &k)| k.then_some(col.clone()))
-                    .collect();
-                assert_eq!(got, kept, "{}: {keep:?}", self.name);
-                assert_eq!(len, self.out_rows, "{}: {keep:?}", self.name);
+                    keep,
+                )
+            });
+            if self.every_inner_row() {
+                let table = JoinTable::over_rows(&self.inner_keys);
+                self.check_output(|keep| {
+                    probe_with_outer(&table, &self.outer, self.key_col, &self.outer_keys, keep)
+                });
             }
         }
     }
@@ -1881,8 +1997,10 @@ mod tests {
     #[test]
     fn hash_join_equals_a_nested_loop_over_a_seeded_sweep() {
         let mut draw = Draws(0);
-        // Joins per (built side, slot path): [inner, outer][direct, map].
+        // Joins per (built side, slot path): [inner, outer][direct, map],
+        // and joins over every inner row, checked on a kept table too.
         let mut seen = [[0; 2]; 2];
+        let mut whole = 0;
         for _ in 0..300 {
             // A key domain: dense codes, codes 1,000 apart, or codes 2^40
             // apart from far below zero.
@@ -1945,11 +2063,13 @@ mod tests {
             };
             case.out_rows = case.nested_loop()[0].len();
             case.check();
+            whole += usize::from(case.every_inner_row());
         }
         assert!(
             seen.iter().flatten().all(|&joins| joins >= 20),
             "every side and path is swept: {seen:?}"
         );
+        assert!(whole >= 20, "{whole} joins over every inner row");
     }
 
     #[test]
@@ -2169,10 +2289,16 @@ mod tests {
         assert_eq!(result.result_rows, 5000);
     }
 
-    /// One plan per operator class over the two-table catalog: every
+    /// One plan per operator class over the three-table catalog: every
     /// access method, both join algorithms, and an aggregate. The two hash
-    /// joins build opposite sides: `dim` driving, its ~20 matching rows
-    /// are the smaller input, and `fact` driving, the inner `dim` rows are.
+    /// joins of `join_query` build opposite sides: `dim` driving, its ~20
+    /// matching rows are the smaller input, and `fact` driving, the inner
+    /// `dim` rows are. Four more plans, driven by a filtered `dim`, hash
+    /// join a table with no predicate on it, which an untimed executor
+    /// probes through a kept table: `fact` scanned whole and keyed on by a
+    /// later step, `fact` covering-scanned and only counted, `sub` scanned
+    /// whole while only `dim`'s row ids go on, and `fact` on another key
+    /// column.
     fn operator_sweep(cat: &mut Catalog) -> Vec<(Query, Plan)> {
         let seek_ix = cat
             .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
@@ -2204,7 +2330,83 @@ mod tests {
             covering: false,
         };
         let inl = join_plan(&jq, JoinAlgo::IndexNestedLoop, inl);
-        vec![
+
+        let fk_cover = cat
+            .create_index(IndexDef::new(TableId(1), vec![1], vec![0]))
+            .unwrap();
+        let (d_key, f_key, f_dim, f_val, s_dim) =
+            (col(0, 0), col(1, 0), col(1, 1), col(1, 2), col(2, 0));
+        let dim_query = |tables: &[u32], predicates, joins, payload| Query {
+            id: QueryId(0),
+            template: TemplateId(0),
+            tables: tables.iter().map(|&t| TableId(t)).collect(),
+            predicates: [vec![Predicate::eq(col(0, 1), 3)], predicates].concat(),
+            joins,
+            payload,
+            aggregated: true,
+        };
+        // Step `i` hash joins `q.tables[i + 1]` on `q.joins[i]`, read by
+        // `methods[i]`.
+        let hash_steps = |q: &Query, methods: Vec<AccessMethod>| Plan {
+            driver: TableAccess {
+                table: TableId(0),
+                method: AccessMethod::FullScan,
+                est_rows: 0.0,
+            },
+            joins: (q.joins.iter().zip(&q.tables[1..]).zip(methods))
+                .map(|((&join, &table), method)| JoinStep {
+                    access: TableAccess {
+                        table,
+                        method,
+                        est_rows: 0.0,
+                    },
+                    algo: JoinAlgo::Hash,
+                    join,
+                    est_rows_out: 0.0,
+                })
+                .collect(),
+            aggregated: true,
+            est_cost: SimSeconds::ZERO,
+        };
+        let scan = AccessMethod::FullScan;
+        let whole = [
+            (
+                dim_query(
+                    &[0, 1, 2],
+                    vec![Predicate::range(s_dim, 0, 99)],
+                    vec![JoinPred::new(d_key, f_dim), JoinPred::new(s_dim, f_dim)],
+                    vec![f_val],
+                ),
+                vec![scan.clone(), scan.clone()],
+            ),
+            (
+                dim_query(
+                    &[0, 1],
+                    vec![],
+                    vec![JoinPred::new(d_key, f_dim)],
+                    vec![f_key],
+                ),
+                vec![AccessMethod::CoveringScan { index: fk_cover.id }],
+            ),
+            (
+                dim_query(
+                    &[0, 2, 1],
+                    vec![Predicate::range(f_val, 0, 499)],
+                    vec![JoinPred::new(s_dim, d_key), JoinPred::new(d_key, f_dim)],
+                    vec![f_key],
+                ),
+                vec![scan.clone(), scan.clone()],
+            ),
+            (
+                dim_query(&[0, 1], vec![], vec![JoinPred::new(d_key, f_key)], vec![]),
+                vec![scan],
+            ),
+        ]
+        .map(|(q, methods)| {
+            let plan = hash_steps(&q, methods);
+            (q, plan)
+        });
+        let mut sweep = vec![
             (q.clone(), single(AccessMethod::FullScan)),
             (
                 q.clone(),
@@ -2224,7 +2426,9 @@ mod tests {
             (jq.clone(), hash),
             (jq.clone(), fact_driven),
             (jq, inl),
-        ]
+        ];
+        sweep.extend(whole);
+        sweep
     }
 
     /// One sample's operator and work counters: pages, rows, descents,
@@ -2416,7 +2620,17 @@ mod tests {
                 "pass {pass}: hash joins build both sides"
             );
             assert_eq!(memo_entries(&plain), sweep.len(), "pass {pass}");
+            assert_eq!(
+                join_tables(&plain),
+                3,
+                "pass {pass}: fact.f_dim, sub.s_dim and fact.f_key"
+            );
             assert_eq!(memo_entries(&timed), 0, "a timed executor memoises nothing");
+            assert_eq!(
+                join_tables(&timed),
+                0,
+                "a timed executor keeps no join table"
+            );
         }
     }
 

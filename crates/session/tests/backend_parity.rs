@@ -5,7 +5,10 @@
 //! `OpSample` per operator, and the execution still reports the price. So
 //! a session with a timer must run the untimed trajectory bit for bit,
 //! across every scenario axis the harness drives, while leaving samples
-//! behind. A golden below pins the samples of a fixed operator microbench
+//! behind. The untimed executor also skips work only a clock sees, and
+//! probes a kept join table for a hash join over a whole table where a
+//! timed one scans and builds, so the sweep is the end-to-end guard
+//! between those two join paths too. A golden below pins the samples of a fixed operator microbench
 //! on a scripted clock to the values the former dedicated measured backend
 //! recorded.
 
@@ -19,7 +22,7 @@ use dba_session::{DataDrift, DriftRates, RunResult, SessionBuilder, TunerKind};
 use dba_storage::{
     Catalog, ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema,
 };
-use dba_workloads::{ssb::ssb, Benchmark, WorkloadKind};
+use dba_workloads::{ssb::ssb, tpch::tpch, Benchmark, WorkloadKind};
 
 fn scenarios() -> Vec<(&'static str, WorkloadKind, Option<DataDrift>)> {
     vec![
@@ -109,20 +112,33 @@ fn assert_bit_identical(label: &str, a: &RunResult, b: &RunResult) {
 }
 
 /// The timing sweep: every scenario axis × {tight, unbounded} memory
-/// budgets. A tight budget forces drops and rebuilds, so index churn is
-/// exercised too. Timing every operator must not move a single simulated
-/// number, and an untimed session must record nothing.
+/// budgets, on SSB and on TPC-H, the benchmark perfbench drives, which
+/// also runs its refresh-stream drift. A tight budget forces drops and
+/// rebuilds, so index churn is exercised too. Timing every operator must
+/// not move a single simulated number, and an untimed session must record
+/// nothing.
 #[test]
 fn timed_simulated_is_bit_exact_with_simulated_across_scenarios_and_budgets() {
-    let bench = ssb(0.02);
-    let base = bench.build_catalog(7).unwrap();
-    let stats = StatsCatalog::build(&base);
+    let refresh = (
+        "tpch refresh",
+        WorkloadKind::Static { rounds: 4 },
+        Some(DataDrift::tpch_refresh()),
+    );
+    let benches = [
+        (ssb(0.02), scenarios()),
+        (tpch(0.02), [scenarios(), vec![refresh]].concat()),
+    ];
     let budgets: [(&str, Option<u64>); 2] = [("tight", Some(512 * 1024)), ("unbounded", None)];
-    for (scenario, workload, drift) in &scenarios() {
-        for (budget_label, budget) in &budgets {
-            let label = format!("{scenario}/{budget_label}");
+    for (bench, scenarios) in &benches {
+        let base = bench.build_catalog(7).unwrap();
+        let stats = StatsCatalog::build(&base);
+        for ((scenario, workload, drift), (budget_label, budget)) in scenarios
+            .iter()
+            .flat_map(|s| budgets.iter().map(move |b| (s, b)))
+        {
+            let label = format!("{}/{scenario}/{budget_label}", bench.name);
             let (sim, untimed_samples) = run(
-                &bench,
+                bench,
                 &base,
                 &stats,
                 *workload,
@@ -133,7 +149,7 @@ fn timed_simulated_is_bit_exact_with_simulated_across_scenarios_and_budgets() {
             );
             assert!(untimed_samples.is_empty(), "{label}: untimed samples");
             let (timed_run, samples) = run(
-                &bench,
+                bench,
                 &base,
                 &stats,
                 *workload,

@@ -197,7 +197,23 @@ impl Benchmark {
     }
 
     /// Generate all tables with the experiment seed.
+    ///
+    /// Fails with [`DbError::Invalid`] before any column is generated when
+    /// a table has more rows than a `u32` row id can number: the executor
+    /// names every row by one.
     pub fn build_catalog(&self, seed: u64) -> DbResult<Catalog> {
+        if let Some((schema, rows)) = self
+            .tables
+            .iter()
+            .find(|(_, rows)| u32::try_from(*rows).is_err())
+        {
+            return Err(DbError::Invalid(format!(
+                "table {} would have {rows} rows at scale factor {}, more than the {} a u32 row id numbers",
+                schema.name,
+                self.scale_factor,
+                u32::MAX
+            )));
+        }
         let tables = self
             .tables
             .iter()
@@ -262,6 +278,18 @@ mod tests {
         assert_eq!(cat.table(TableId(0)).rows(), 1000);
         assert_eq!(b.rows_of("t"), Some(1000));
         assert_eq!(b.rows_of("missing"), None);
+    }
+
+    #[test]
+    fn catalog_refuses_tables_past_u32_row_ids() {
+        let err = crate::tpch::tpch(1e30).build_catalog(1).unwrap_err();
+        let DbError::Invalid(msg) = &err else {
+            panic!("expected an invalid-input error, got {err:?}")
+        };
+        assert!(msg.contains("table customer"), "{msg}");
+        assert!(msg.contains(&format!("{} rows", usize::MAX)), "{msg}");
+        let cat = crate::tpch::tpch(1.0).build_catalog(1).unwrap();
+        assert_eq!(cat.table_by_name("lineitem").unwrap().rows(), 60_000);
     }
 
     #[test]
