@@ -76,10 +76,7 @@ fn sparse_contexts(rng: &mut impl Rng, d: usize, n: usize) -> Vec<SparseVec> {
 /// update at TPC-H's width (d = 40: 37 columns plus 3 derived features),
 /// which stages the 10 plays and re-inverts `V` once.
 fn bench_c2ucb(c: &mut Criterion) {
-    let config = C2UcbConfig {
-        lambda: 1.0,
-        alpha: 1.0,
-    };
+    let config = C2UcbConfig { alpha: 1.0 };
     let d = 430;
     let mut bandit = C2Ucb::new(d, config);
     let mut rng = rng_for(1, "bench-c2ucb", 0);
@@ -179,7 +176,10 @@ fn bench_executor(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter_batched(
                 || simulated(cost.clone()),
-                |mut executor| executor.execute(&catalog, &q, plan),
+                |mut executor| {
+                    executor.execute(&catalog, &q, plan);
+                    executor
+                },
                 BatchSize::SmallInput,
             )
         });

@@ -58,10 +58,7 @@ fn main() {
     });
 
     run_variant("no exploration (α=0)", move |b| MabConfig {
-        bandit: C2UcbConfig {
-            alpha: 0.0,
-            ..C2UcbConfig::default()
-        },
+        bandit: C2UcbConfig { alpha: 0.0 },
         ..base(b)
     });
 

@@ -4,9 +4,10 @@
 
 use dba_bench::report::series_rows;
 use dba_bench::{print_series, run_benchmark_suite, write_csv, ExperimentEnv, TunerKind};
+use dba_common::{DbError, DbResult};
 use dba_workloads::all_benchmarks;
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let kind = env.static_kind();
     let tuners = [TunerKind::NoIndex, TunerKind::PdTool, TunerKind::Mab];
@@ -17,7 +18,7 @@ fn main() {
     );
     for (panel, bench) in ["a", "b", "c", "d", "e"].iter().zip(all_benchmarks(env.sf)) {
         let results = run_benchmark_suite(&bench, kind, &tuners, env.seed)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+            .map_err(|e| DbError::Invalid(format!("{}: {e}", bench.name)))?;
         print_series(
             &format!(
                 "Fig 2({panel}): {} static — total time per round (s)",
@@ -33,4 +34,5 @@ fn main() {
         write_csv(&path, &header, &rows).expect("write csv");
         eprintln!("wrote {path}");
     }
+    Ok(())
 }

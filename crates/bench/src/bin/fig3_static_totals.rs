@@ -3,9 +3,10 @@
 
 use dba_bench::report::totals_rows;
 use dba_bench::{print_totals_table, run_benchmark_suite, write_csv, ExperimentEnv, TunerKind};
+use dba_common::{DbError, DbResult};
 use dba_workloads::all_benchmarks;
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let kind = env.static_kind();
     let tuners = [TunerKind::NoIndex, TunerKind::PdTool, TunerKind::Mab];
@@ -17,11 +18,12 @@ fn main() {
     let mut all = Vec::new();
     for bench in all_benchmarks(env.sf) {
         let results = run_benchmark_suite(&bench, kind, &tuners, env.seed)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+            .map_err(|e| DbError::Invalid(format!("{}: {e}", bench.name)))?;
         all.extend(results);
     }
     print_totals_table("Fig 3: total workload time by benchmark and tuner", &all);
     let (header, rows) = totals_rows(&all);
     write_csv("results/fig3_static_totals.csv", &header, &rows).expect("write csv");
     eprintln!("wrote results/fig3_static_totals.csv");
+    Ok(())
 }

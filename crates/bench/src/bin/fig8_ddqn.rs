@@ -5,6 +5,7 @@
 
 use dba_bench::report::fmt_minutes;
 use dba_bench::{run_one, write_csv, ExperimentEnv, RunResult, TunerKind};
+use dba_common::DbResult;
 use dba_optimizer::StatsCatalog;
 use dba_workloads::tpch::{tpch, tpch_skew};
 use dba_workloads::WorkloadKind;
@@ -17,7 +18,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let rounds = if env.quick { 20 } else { 100 };
     let reps = if env.quick { 3 } else { 10 };
@@ -29,38 +30,32 @@ fn main() {
     );
 
     for (panel, bench) in [("a/c", tpch(env.sf)), ("b/d", tpch_skew(env.sf))] {
-        let base = bench.build_catalog(env.seed).expect("catalog");
+        let base = bench.build_catalog(env.seed)?;
         let stats = StatsCatalog::build(&base);
 
-        let pd = run_one(&bench, &base, &stats, kind, TunerKind::PdTool, env.seed).unwrap();
-        let mab = run_one(&bench, &base, &stats, kind, TunerKind::Mab, env.seed).unwrap();
+        let pd = run_one(&bench, &base, &stats, kind, TunerKind::PdTool, env.seed)?;
+        let mab = run_one(&bench, &base, &stats, kind, TunerKind::Mab, env.seed)?;
 
         let mut ddqn_runs: Vec<RunResult> = Vec::new();
         let mut ddqn_sc_runs: Vec<RunResult> = Vec::new();
         for rep in 0..reps {
             let seed = env.seed + rep as u64;
-            ddqn_runs.push(
-                run_one(
-                    &bench,
-                    &base,
-                    &stats,
-                    kind,
-                    TunerKind::Ddqn { seed },
-                    env.seed,
-                )
-                .unwrap(),
-            );
-            ddqn_sc_runs.push(
-                run_one(
-                    &bench,
-                    &base,
-                    &stats,
-                    kind,
-                    TunerKind::DdqnSc { seed },
-                    env.seed,
-                )
-                .unwrap(),
-            );
+            ddqn_runs.push(run_one(
+                &bench,
+                &base,
+                &stats,
+                kind,
+                TunerKind::Ddqn { seed },
+                env.seed,
+            )?);
+            ddqn_sc_runs.push(run_one(
+                &bench,
+                &base,
+                &stats,
+                kind,
+                TunerKind::DdqnSc { seed },
+                env.seed,
+            )?);
         }
 
         // Totals breakdown (Fig 8 a/b): means over repetitions for DDQN.
@@ -152,4 +147,5 @@ fn main() {
         .expect("write csv");
         eprintln!("wrote {path}");
     }
+    Ok(())
 }

@@ -17,6 +17,7 @@ use dba_bench::{
     fig_session, harness::parallel_map_ordered, print_series, print_totals_table, results_json,
     suite_threads, write_csv, write_text, ExperimentEnv, RunResult, TunerKind,
 };
+use dba_common::DbResult;
 use dba_optimizer::StatsCatalog;
 use dba_storage::Catalog;
 use dba_workloads::{tpch::tpch, Benchmark, DataDrift, WorkloadKind};
@@ -70,7 +71,7 @@ fn run_one_checked(
     (session.into_result(), uncharged)
 }
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let kind = WorkloadKind::Static {
         rounds: env.rounds.unwrap_or(DEFAULT_ROUNDS),
@@ -86,7 +87,7 @@ fn main() {
     );
 
     let bench = tpch(env.sf);
-    let base = bench.build_catalog(env.seed).expect("catalog builds");
+    let base = bench.build_catalog(env.seed)?;
     let stats = StatsCatalog::build(&base);
     // Tables the drift spec actually churns — only indexes on these owe
     // maintenance (a customer/part index legitimately rides for free).
@@ -208,4 +209,5 @@ fn main() {
             r.tuner
         );
     }
+    Ok(())
 }

@@ -3,14 +3,18 @@
 //!
 //! For each scenario ({static, shifting, drift}) the same MAB session runs
 //! twice over identical shared data: once untimed (the path every
-//! published figure uses) and once with the executor timing every
-//! operator on the wall-clock. The timed run still reports the simulated
+//! published figure uses) and once with a timer observing, on the
+//! wall-clock, each operator the executor runs. The executor runs one
+//! program, timed or not, and the timed run still reports the simulated
 //! prices, so its trajectory must be bit-identical to the untimed one:
 //! timing perturbs no published number.
 //!
 //! The timed runs leave behind per-operator [`OpSample`]s — physical work
 //! counters with both the measured wall-clock and the simulated price for
-//! the *same* access — from which the binary reports measured and
+//! the *same* operator — one per operator the session ran. A replayed
+//! query runs none; a hash join over a whole table times its probe of the
+//! kept join table (and the table's first build) and no inner scan; the
+//! aggregate runs nothing. From them the binary reports measured and
 //! simulated time per operator class. The timer only observes: no
 //! wall-clock reading reaches the results.
 //!
@@ -20,7 +24,7 @@
 
 use dba_bench::harness::parallel_map_ordered;
 use dba_bench::{results_json, suite_threads, write_text, ExperimentEnv, RunResult, TunerKind};
-use dba_common::BudgetTimer;
+use dba_common::{BudgetTimer, DbResult};
 use dba_engine::{timed, CostModel, OpKind, OpSample};
 use dba_optimizer::StatsCatalog;
 use dba_session::SessionBuilder;
@@ -40,7 +44,7 @@ struct ScenarioOutcome {
     samples: Vec<OpSample>,
 }
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let rounds = env.rounds.unwrap_or(if env.quick { 3 } else { 6 });
     let scenarios = [
@@ -70,7 +74,7 @@ fn main() {
     );
 
     let bench = ssb(env.sf);
-    let base = bench.build_catalog(env.seed).expect("catalog builds");
+    let base = bench.build_catalog(env.seed)?;
     let stats = StatsCatalog::build(&base);
 
     let threads = suite_threads().min(scenarios.len()).max(1);
@@ -78,8 +82,8 @@ fn main() {
         run_scenario(&bench, &base, &stats, scenario, env.seed)
     });
 
-    // --- Self-check: timing every operator leaves the simulated
-    // trajectory bit-identical and records samples.
+    // --- Self-check: timing the operators the executor runs leaves the
+    // simulated trajectory bit-identical and records samples.
     for o in &outcomes {
         assert_trajectories_bit_identical(o.name, &o.simulated, &o.timed);
         assert!(
@@ -136,6 +140,7 @@ fn main() {
         "\nself-check passed: timed trajectories bit-exact on all {} scenarios",
         results.len()
     );
+    Ok(())
 }
 
 /// Run `scenario` twice over the shared substrate — untimed and timed on

@@ -28,7 +28,7 @@ use dba_bench::{
     fig_session, harness::parallel_map_ordered, print_series, print_totals_table, results_json,
     suite_threads, write_csv, write_text, ExperimentEnv, RunResult, SafetyConfig, TunerKind,
 };
-use dba_common::BudgetTimer;
+use dba_common::{BudgetTimer, DbResult};
 use dba_obs::Obs;
 use dba_optimizer::StatsCatalog;
 use dba_storage::Catalog;
@@ -50,7 +50,7 @@ const ROUNDS_PER_GROUP: usize = 12;
 /// one round of overshoot a throttle latch admits before it bites.
 const BOUND_MARGIN: f64 = 0.15;
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let kind = WorkloadKind::Shifting {
         groups: GROUPS,
@@ -79,7 +79,7 @@ fn main() {
     );
 
     let bench = ssb(env.sf);
-    let base = bench.build_catalog(env.seed).expect("catalog builds");
+    let base = bench.build_catalog(env.seed)?;
     let stats = StatsCatalog::build(&base);
 
     let runs: Vec<(TunerKind, bool)> = vec![
@@ -257,6 +257,7 @@ fn main() {
     println!(
         "\nself-checks passed: guarded tuners bounded, unguarded DDQN not, guardrail exercised"
     );
+    Ok(())
 }
 
 /// Build and run one (tuner, guarded?) session over the shared substrate.

@@ -39,6 +39,7 @@ use dba_bench::{
     run_stream_one, stream_results_json, suite_threads, write_csv, write_text, DegradeLevel,
     ExperimentEnv, TunerKind,
 };
+use dba_common::DbResult;
 use dba_core::MabConfig;
 use dba_optimizer::StatsCatalog;
 use dba_session::{ArrivalProcess, StreamConfig, StreamResult};
@@ -93,7 +94,7 @@ fn first_degraded(result: &StreamResult) -> Option<&dba_bench::WindowRecord> {
         .find(|w| w.level != DegradeLevel::Full)
 }
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let sf = if env.quick { env.sf.min(1.0) } else { env.sf };
     let budget_s = env.latency_budget.unwrap_or(DEFAULT_BUDGET_S);
@@ -118,7 +119,7 @@ fn main() {
     );
 
     let bench = tpch(sf);
-    let base = bench.build_catalog(env.seed).expect("catalog builds");
+    let base = bench.build_catalog(env.seed)?;
     let stats = StatsCatalog::build(&base);
     let drift = stream_drift();
 
@@ -239,7 +240,7 @@ fn main() {
         println!(
             "\nfig_stream self-checks skipped (DBA_ARRIVAL / DBA_LATENCY_BUDGET override active)"
         );
-        return;
+        return Ok(());
     }
     for (label, s) in &runs {
         let qpm = s.queries_per_min();
@@ -299,4 +300,5 @@ fn main() {
         );
     }
     println!("\nfig_stream self-checks passed");
+    Ok(())
 }

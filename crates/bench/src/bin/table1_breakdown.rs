@@ -4,9 +4,10 @@
 
 use dba_bench::report::fmt_minutes;
 use dba_bench::{run_benchmark_suite, write_csv, ExperimentEnv, RunResult, TunerKind};
+use dba_common::{DbError, DbResult};
 use dba_workloads::{all_benchmarks, WorkloadKind};
 
-fn main() {
+fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
     let tuners = [TunerKind::PdTool, TunerKind::Mab];
 
@@ -41,7 +42,7 @@ fn main() {
         for bench in all_benchmarks(env.sf) {
             let kind = kind_of(bench.templates().len());
             let results = run_benchmark_suite(&bench, kind, &tuners, env.seed)
-                .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+                .map_err(|e| DbError::Invalid(format!("{}: {e}", bench.name)))?;
             let (pd, mab): (&RunResult, &RunResult) = (&results[0], &results[1]);
             println!(
                 "{:<10} {:<12} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9}",
@@ -79,4 +80,5 @@ fn main() {
     )
     .expect("write csv");
     eprintln!("wrote results/table1_breakdown.csv");
+    Ok(())
 }

@@ -11,12 +11,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::linalg::{dot, ShermanMorrisonInverse};
 
+/// Ridge regularisation λ (V₀ = λI). Becomes irrelevant as rounds
+/// accumulate (§V-C).
+const LAMBDA: f64 = 1.0;
+
 /// C2UCB hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct C2UcbConfig {
-    /// Ridge regularisation λ (V₀ = λI). Becomes irrelevant as rounds
-    /// accumulate (§V-C).
-    pub lambda: f64,
     /// Exploration boost α: Algorithm 1 takes `α_1..α_T` as input, and
     /// the paper's practical choice is one fixed α "which controls
     /// exploration".
@@ -26,7 +27,6 @@ pub struct C2UcbConfig {
 impl Default for C2UcbConfig {
     fn default() -> Self {
         C2UcbConfig {
-            lambda: 1.0,
             // With rewards normalised to ~1 per useful query, a boost of a
             // few units lets structurally different configurations (which
             // compete for the same memory budget) get sampled; the tuner's
@@ -54,7 +54,7 @@ impl C2Ucb {
         C2Ucb {
             config,
             dim,
-            scatter: ShermanMorrisonInverse::new(dim, config.lambda),
+            scatter: ShermanMorrisonInverse::new(dim, LAMBDA),
             b: vec![0.0; dim],
             round: 0,
         }
@@ -163,7 +163,7 @@ impl C2Ucb {
         if gamma >= 1.0 {
             return;
         }
-        self.scatter.decay(gamma, self.config.lambda);
+        self.scatter.decay(gamma, LAMBDA);
         for bi in &mut self.b {
             *bi *= gamma;
         }
@@ -177,7 +177,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn config(alpha: f64) -> C2UcbConfig {
-        C2UcbConfig { lambda: 1.0, alpha }
+        C2UcbConfig { alpha }
     }
 
     #[test]

@@ -40,28 +40,8 @@ pub struct MabConfig {
     pub arm_gen: ArmGenConfig,
     /// Templates seen within this many rounds are queries of interest.
     pub qoi_window: usize,
-    /// Score bonus for currently-materialised arms (small hysteresis so
-    /// exact ties don't churn).
-    pub incumbent_bonus: f64,
-    /// Rounds over which a candidate's creation cost is amortised when
-    /// scoring it against incumbents (whose creation is sunk). Gives the
-    /// size-proportional reluctance to swap large indexes that the paper's
-    /// convergence plots show ("relatively smaller spikes in subsequent
-    /// rounds", §V-B1) while leaving cheap swaps free.
-    pub creation_amortization_rounds: f64,
-    /// Clip per-arm scaled rewards to `[-reward_clip, +reward_clip]`.
-    /// A single catastrophic regression (an index-nested-loop blow-up)
-    /// still registers as strongly negative — the arm is dropped — without
-    /// poisoning every arm that shares context dimensions with it.
-    pub reward_clip: f64,
-    /// Forget when a round's shift intensity reaches this threshold.
-    pub shift_threshold: f64,
     /// Enable shift-triggered forgetting.
     pub forget_on_shift: bool,
-    /// Simulated one-off setup time charged in the first round (seconds).
-    pub first_round_setup_s: f64,
-    /// Simulated per-arm scoring time (seconds/arm/round).
-    pub per_arm_scored_s: f64,
     /// Streaming hot-path switch: batch each window's observations into
     /// one scatter update, re-inverted once per window. Off by default —
     /// the batched update is equivalent only up to floating-point
@@ -78,13 +58,7 @@ impl Default for MabConfig {
             bandit: C2UcbConfig::default(),
             arm_gen: ArmGenConfig::default(),
             qoi_window: 2,
-            incumbent_bonus: 0.1,
-            creation_amortization_rounds: 2.0,
-            reward_clip: 10.0,
-            shift_threshold: 0.5,
             forget_on_shift: true,
-            first_round_setup_s: 8.0,
-            per_arm_scored_s: 0.001,
             streaming_fast_path: false,
         }
     }
@@ -216,8 +190,10 @@ impl MabTuner {
         }
         let amortized = self.window_mode.level == DegradeLevel::Amortized;
         let mut rec_time = SimSeconds::ZERO;
+        /// Simulated one-off setup time charged in the first round (seconds).
+        const FIRST_ROUND_SETUP_S: f64 = 8.0;
         if self.rounds == 1 {
-            rec_time += SimSeconds::new(self.config.first_round_setup_s);
+            rec_time += SimSeconds::new(FIRST_ROUND_SETUP_S);
         }
 
         let mut qoi: Vec<Query> = self
@@ -252,7 +228,9 @@ impl MabTuner {
             .registry
             .generate(&qoi_refs, catalog, &est, &self.config.arm_gen);
 
-        rec_time += SimSeconds::new(self.config.per_arm_scored_s * active.len() as f64);
+        /// Simulated per-arm scoring time (seconds/arm/round).
+        const PER_ARM_SCORED_S: f64 = 0.001;
+        rec_time += SimSeconds::new(PER_ARM_SCORED_S * active.len() as f64);
 
         // Workload predicate columns (including join predicates, §IV)
         // define Part-1 context support.
@@ -280,9 +258,18 @@ impl MabTuner {
             .collect();
         let mut scores = self.bandit.ucb_scores_sparse(&contexts);
         let scale = self.reward_scale.unwrap_or(1.0);
+        /// Score bonus for currently-materialised arms (small hysteresis so
+        /// exact ties don't churn).
+        const INCUMBENT_BONUS: f64 = 0.1;
+        /// Rounds over which a candidate's creation cost is amortised when
+        /// scoring it against incumbents (whose creation is sunk). Gives
+        /// the size-proportional reluctance to swap large indexes that the
+        /// paper's convergence plots show ("relatively smaller spikes in
+        /// subsequent rounds", §V-B1) while leaving cheap swaps free.
+        const CREATION_AMORTIZATION_ROUNDS: f64 = 2.0;
         for (pos, &arm) in active.iter().enumerate() {
             if self.arm_to_index.contains_key(&arm) {
-                scores[pos] += self.config.incumbent_bonus;
+                scores[pos] += INCUMBENT_BONUS;
             } else {
                 // Amortised creation cost of materialising this candidate
                 // (arm sizes are live — refreshed against drift-grown
@@ -292,7 +279,7 @@ impl MabTuner {
                     .cost
                     .index_build(catalog, candidate.def.table, candidate.size_bytes)
                     .secs();
-                scores[pos] -= build / scale / self.config.creation_amortization_rounds.max(1.0);
+                scores[pos] -= build / scale / CREATION_AMORTIZATION_ROUNDS;
             }
         }
 
@@ -495,11 +482,16 @@ impl MabTuner {
         let (refreshes_before, decays_before) = self.bandit.maintenance_counters();
         if !played.is_empty() {
             let reward_by_arm: HashMap<usize, f64> = rewards.into_iter().collect();
-            let clip = self.config.reward_clip;
+            /// Clip per-arm scaled rewards to `[-REWARD_CLIP, +REWARD_CLIP]`.
+            /// A single catastrophic regression (an index-nested-loop
+            /// blow-up) still registers as strongly negative — the arm is
+            /// dropped — without poisoning every arm that shares context
+            /// dimensions with it.
+            const REWARD_CLIP: f64 = 10.0;
             let plays: Vec<(SparseVec, f64)> = played
                 .into_iter()
                 .map(|(arm, ctx)| {
-                    let reward = (reward_by_arm[&arm] / scale).clamp(-clip, clip);
+                    let reward = (reward_by_arm[&arm] / scale).clamp(-REWARD_CLIP, REWARD_CLIP);
                     (ctx, reward)
                 })
                 .collect();
@@ -512,7 +504,9 @@ impl MabTuner {
             self.obs.span_exit("mab.scatter");
         }
 
-        if self.config.forget_on_shift && round > 1 && intensity >= self.config.shift_threshold {
+        /// Forget when a round's shift intensity reaches this threshold.
+        const SHIFT_THRESHOLD: f64 = 0.5;
+        if self.config.forget_on_shift && round > 1 && intensity >= SHIFT_THRESHOLD {
             // Forget proportionally to the shift: a full shift resets the
             // model, a partial shift decays it.
             self.bandit.forget(1.0 - intensity);

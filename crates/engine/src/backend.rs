@@ -4,14 +4,14 @@
 //! The engine's [`Executor`] is the one operator implementation: it runs
 //! every plan over the real column data and prices each operator through
 //! the [`CostModel`] on the observed counts, and the price is the time
-//! every execution reports. Untimed ([`simulated`]), it does only the work
-//! its price reads and replays the counts of a (query instance, plan
-//! shape) pair it has already run over the same base data. Built with an
-//! enabled [`BudgetTimer`] ([`timed`]), it runs every operator in full on
-//! every call, times each and records an [`OpSample`]; the timer only
-//! observes, so a timed executor runs the untimed trajectory bit for bit.
-//! The trait stays open so callers can wrap an executor (e.g. to time it
-//! from outside).
+//! every execution reports. It does only the work its price reads and
+//! replays the counts of a (query instance, plan shape) pair it has
+//! already run over the same base data. Built with an enabled
+//! [`BudgetTimer`] ([`timed`]), it runs that same program and also times
+//! each operator it runs into an [`OpSample`]; the timer only observes, so
+//! a timed executor runs the untimed trajectory bit for bit, and a replay
+//! leaves no sample. The trait stays open so callers can wrap an executor
+//! (e.g. to time it from outside).
 
 use dba_common::BudgetTimer;
 use dba_storage::Catalog;
@@ -47,17 +47,15 @@ pub enum OpKind {
     CoveringScan,
     InlProbe,
     HashJoin,
-    Aggregate,
 }
 
 impl OpKind {
-    pub const ALL: [OpKind; 6] = [
+    pub const ALL: [OpKind; 5] = [
         OpKind::SeqScan,
         OpKind::IndexSeek,
         OpKind::CoveringScan,
         OpKind::InlProbe,
         OpKind::HashJoin,
-        OpKind::Aggregate,
     ];
 
     pub fn label(self) -> &'static str {
@@ -67,7 +65,6 @@ impl OpKind {
             OpKind::CoveringScan => "covering_scan",
             OpKind::InlProbe => "inl_probe",
             OpKind::HashJoin => "hash_join",
-            OpKind::Aggregate => "aggregate",
         }
     }
 }
@@ -123,11 +120,11 @@ impl OpSample {
 
 /// A strategy for executing physical plans.
 ///
-/// `execute` takes `&mut self` because a timed executor accumulates
-/// samples between calls and an untimed one memoises the counts it has
-/// taken. Wrapping an untimed executor to time it from outside times
-/// replays too: a repeated (query instance, plan shape) pair costs a
-/// lookup and a pricing, not its operators.
+/// `execute` takes `&mut self` because the executor memoises the counts it
+/// has taken and a timed one accumulates samples between calls. Wrapping
+/// an executor to time it from outside times replays too: a repeated
+/// (query instance, plan shape) pair costs a lookup and a pricing, not its
+/// operators.
 pub trait ExecutionBackend: Send {
     /// The backend family, always `Simulated`. Kept only for wrappers
     /// that still forward it.
@@ -170,10 +167,9 @@ pub fn simulated(cost: CostModel) -> Box<dyn ExecutionBackend> {
     Box::new(Executor::new(cost))
 }
 
-/// The [`Executor`] timing every operator on `timer`, boxed: with an
-/// enabled timer it runs every operator in full on every call and records
-/// an [`OpSample`] per operator, while reporting the same prices as
-/// [`simulated`] bit for bit.
+/// The [`Executor`] timing each operator it runs on `timer`, boxed: it
+/// runs what [`simulated`] runs, records an [`OpSample`] per operator run,
+/// and reports the same prices bit for bit.
 pub fn timed(cost: CostModel, timer: BudgetTimer) -> Box<dyn ExecutionBackend> {
     Box::new(Executor::timed(cost, timer))
 }

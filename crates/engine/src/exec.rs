@@ -13,39 +13,38 @@
 //! reward shaping consumes: which index served which table, how long the
 //! access took, and what a full table scan cost when one was performed.
 //!
-//! An untimed executor ([`Executor::new`]) does only the work those counts
-//! need. A join step emits the row ids of only the tables a later step keys
-//! on, so the last step counts its output without writing it. A
-//! non-covering seek does not gather its columns from the heap, and the
-//! aggregate does not sum the payload: only a clock could see that work.
-//! A hash join whose inner access reads every row of its table (a full or
-//! covering scan with no predicate on the table) neither scans nor builds:
-//! its outer tuples probe a join table over all the table's rows in row
-//! order, built on first use and kept per (table, key column). Its output
-//! is the one a scan and an inner build would give.
+//! The counting pass does only the work those counts need. A join step
+//! emits the row ids of only the tables a later step keys on, so the last
+//! step counts its output without writing it. A non-covering seek's heap
+//! fetches and the aggregate are priced from counts, so no operator gathers
+//! columns from the heap or sums the payload. A hash join whose inner
+//! access reads every row of its table (a full or covering scan with no
+//! predicate on the table) neither scans nor builds: its outer tuples probe
+//! a join table over all the table's rows in row order, built on first use
+//! and kept per (table, key column). Its output is the one a scan and an
+//! inner build would give.
 //! The counts depend only on the immutable base data, the query instance
 //! and the plan's shape; drift moves only the live sizes the price reads.
-//! So the untimed executor also memoises them. The key is exact: the
-//! query's predicates, joins, payload and aggregation, each access's
-//! table, method, covering flag and index *definition*, and each step's
-//! algorithm and join predicate. A repeated pair is priced again at today's
-//! live sizes without running an operator. Keying on the definition, not
-//! the index id, lets an index dropped and re-created under a new id
-//! replay. The memo, kept join tables included, lives and dies with its
-//! executor. It holds the catalog's `Arc<BaseData>` and empties itself
-//! when it meets another base, and each miss adds one entry (and at most
-//! one interned shape).
+//! So the executor also memoises them. The key is exact: the query's
+//! predicates, joins, payload and aggregation, each access's table, method,
+//! covering flag and index *definition*, and each step's algorithm and join
+//! predicate. A repeated pair is priced again at today's live sizes without
+//! running an operator. Keying on the definition, not the index id, lets an
+//! index dropped and re-created under a new id replay. The memo, kept join
+//! tables included, lives and dies with its executor. It holds the
+//! catalog's `Arc<BaseData>` and empties itself when it meets another base,
+//! and each miss adds one entry (and at most one interned shape).
 //!
 //! An executor built with an enabled [`BudgetTimer`] ([`Executor::timed`])
-//! memoises nothing, keeps no join table and runs every operator in full
-//! on every call: each hash join scans its inner side and builds on the
-//! smaller input, each join step emits every table's row ids, seeks gather
-//! from the heap and the aggregate sums the payload. It times each
-//! operator with one `mark`/`elapsed_secs` pair and records an
-//! [`OpSample`] pairing the operator's work counters with both its price
-//! and the measured seconds.
-//! The timer only observes: the execution reports the price, so a timed
-//! run is bit-identical to an untimed one.
+//! runs the same program: the timer only observes. It times each operator
+//! the counting pass runs with one `mark`/`elapsed_secs` pair and records
+//! an [`OpSample`] pairing the operator's work counters with its price and
+//! the measured seconds, in plan order. A replay runs no operator and
+//! leaves no sample. A hash join over a whole table leaves its join's
+//! sample, with the kept table's first build timed inside it, and none for
+//! the inner access; the aggregate runs nothing and leaves none. The
+//! execution reports the price, so a timed run is bit-identical to an
+//! untimed one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -131,8 +130,8 @@ pub struct Executor {
     /// Samples recorded since the last drain; stays unallocated when the
     /// timer is disabled.
     samples: Vec<OpSample>,
-    /// Counts of earlier executions, replayed when the timer is disabled;
-    /// stays empty when it is enabled.
+    /// Counts of earlier executions, replayed, and the join tables kept
+    /// over whole tables.
     memo: Memo,
 }
 
@@ -190,8 +189,14 @@ struct AccessCounts {
 /// step before it emitted.
 #[derive(Debug, Clone, Copy)]
 enum StepCounts {
-    /// A hash join: the inner access it built on, and its output tuples.
-    Hash { inner: AccessCounts, out_rows: u64 },
+    /// A hash join: the inner access it built on, whether a kept join
+    /// table served that access instead of running it, and its output
+    /// tuples.
+    Hash {
+        inner: AccessCounts,
+        kept: bool,
+        out_rows: u64,
+    },
     /// Index-nested-loop probes: the leaf entries they matched and the
     /// tuples they emitted.
     Inl { matched: u64, out_rows: u64 },
@@ -204,8 +209,8 @@ struct Counts {
     steps: Box<[StepCounts]>,
 }
 
-/// The counts of untimed executions over one base, by (query instance,
-/// plan shape), and the join tables kept over its tables.
+/// The counts of executions over one base, by (query instance, plan
+/// shape), and the join tables kept over its tables.
 #[derive(Debug, Default)]
 struct Memo {
     /// The base every count here was taken over.
@@ -330,10 +335,9 @@ impl Executor {
         Executor::timed(cost, BudgetTimer::disabled())
     }
 
-    /// An executor that also times every operator on `timer` into an
-    /// [`OpSample`] and still reports the price. With an enabled timer it
-    /// runs every operator in full on every call, including the work only
-    /// the clock sees, and replays and keeps nothing.
+    /// The same executor, also timing each operator it runs on `timer`
+    /// into an [`OpSample`]. It runs, keeps and replays exactly what
+    /// [`Executor::new`] does and reports the same price.
     pub fn timed(cost: CostModel, timer: BudgetTimer) -> Self {
         Executor {
             cost,
@@ -370,33 +374,32 @@ impl Executor {
     /// Panics if the plan references indexes that are not materialised —
     /// plans must be produced against the same catalog state.
     pub fn execute(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> QueryExecution {
-        if !self.timer.is_enabled() {
-            if let Some(counts) = self.memo.get(catalog, query, plan) {
-                return price(&self.cost, catalog, query, plan, counts, |price| price);
-            }
-            let counts = self.count(catalog, query, plan);
-            let execution = price(&self.cost, catalog, query, plan, &counts, |price| price);
-            self.memo.insert(counts);
-            return execution;
+        if let Some(counts) = self.memo.get(catalog, query, plan) {
+            return price(&self.cost, catalog, query, plan, counts, |price| price);
         }
         let first = self.samples.len();
         let counts = self.count(catalog, query, plan);
-        let mut samples = self.samples[first..].iter_mut();
-        price(&self.cost, catalog, query, plan, &counts, |price| {
-            let sample = samples.next().expect("one sample per priced operator");
-            sample.sim_s = price.secs();
-            price
-        })
+        let execution = if self.timer.is_enabled() {
+            let mut samples = self.samples[first..].iter_mut();
+            price(&self.cost, catalog, query, plan, &counts, |price| {
+                let sample = samples.next().expect("one sample per operator run");
+                sample.sim_s = price.secs();
+                price
+            })
+        } else {
+            price(&self.cost, catalog, query, plan, &counts, |price| price)
+        };
+        self.memo.insert(counts);
+        execution
     }
 
     /// The counting pass: run `plan` for `query` over the base data and
-    /// return the counts its price reads. Untimed, a join step emits the
-    /// row ids of only the tables a later step keys on, so the last step
-    /// only counts its output, and a hash join whose inner scan reads every
-    /// row probes the kept table over them. Timed, every step emits every
-    /// table's row ids, and each operator leaves one sample, in plan order.
+    /// return the counts its price reads. A join step emits the row ids of
+    /// only the tables a later step keys on, so the last step only counts
+    /// its output, and a hash join whose inner scan reads every row probes
+    /// the kept table over them. Each operator run leaves one sample when
+    /// timed, in plan order.
     fn count(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Counts {
-        let full = self.timer.is_enabled();
         let driver_table = catalog.table(plan.driver.table);
         let preds = query.predicates_on(plan.driver.table);
         let (rows, driver) =
@@ -426,7 +429,7 @@ impl Executor {
                 .tables
                 .iter()
                 .chain([&step.access.table])
-                .map(|&t| full || keyed_later(plan, i, t))
+                .map(|&t| keyed_later(plan, i, t))
                 .collect();
 
             let (columns, counts) = match step.algo {
@@ -438,12 +441,13 @@ impl Executor {
                     );
                     let outer_keys = outer_keys.data();
                     let inner_keys = inner_table.column(inner_col.ordinal).data();
-                    let (columns, inner, len) = if !full
-                        && reads_every_row(catalog, query, step, &inner_preds)
-                    {
+                    let kept = reads_every_row(catalog, query, step, &inner_preds);
+                    let (columns, inner, len) = if kept {
                         // The scan would emit every row, ascending: probe
                         // the kept table over them, as an inner build over
-                        // them would be probed.
+                        // them would be probed. Its first build is timed
+                        // with the join.
+                        self.timer.mark();
                         let table = self.memo.join_table(inner_col, inner_keys);
                         let (columns, len) =
                             probe_with_outer(table, &inter.columns, outer_pos, outer_keys, &keep);
@@ -462,11 +466,9 @@ impl Executor {
                         );
 
                         // Build on the smaller input, probe with the other.
-                        // The price and the sample keep the cost model's
-                        // roles, build = inner rows and probe = outer
-                        // tuples, whichever side is built. The build table
-                        // and the hit list are dropped inside `hash_join`,
-                        // so their teardown is timed with the join.
+                        // The build table and the hit list are dropped
+                        // inside `hash_join`, so their teardown is timed
+                        // with the join.
                         self.timer.mark();
                         let (columns, len) = hash_join(
                             &inter.columns,
@@ -476,16 +478,26 @@ impl Executor {
                             inner_keys,
                             &keep,
                         );
-                        self.close(OpSample {
-                            build_rows: inner.rows_out,
-                            probe_rows: inter.len as u64,
-                            out_rows: len as u64,
-                            ..OpSample::with_op(OpKind::HashJoin)
-                        });
                         (columns, inner, len)
                     };
+                    // The price and the sample keep the cost model's roles,
+                    // build = inner rows and probe = outer tuples, whichever
+                    // side is built.
+                    self.close(OpSample {
+                        build_rows: inner.rows_out,
+                        probe_rows: inter.len as u64,
+                        out_rows: len as u64,
+                        ..OpSample::with_op(OpKind::HashJoin)
+                    });
                     let out_rows = len as u64;
-                    (columns, StepCounts::Hash { inner, out_rows })
+                    (
+                        columns,
+                        StepCounts::Hash {
+                            inner,
+                            kept,
+                            out_rows,
+                        },
+                    )
                 }
                 JoinAlgo::IndexNestedLoop => {
                     let index = catalog
@@ -541,26 +553,6 @@ impl Executor {
             );
             steps.push(counts);
         }
-
-        if full && query.aggregated {
-            // Sum every payload column over the joined row ids: the work
-            // `agg_row_s` prices, which only the clock sees.
-            self.timer.mark();
-            for pc in &query.payload {
-                if let Some(pos) = inter.table_pos(pc.table) {
-                    let col = catalog.table(pc.table).column(pc.ordinal).data();
-                    let sum = inter.columns[pos]
-                        .iter()
-                        .fold(0i64, |acc, &r| acc.wrapping_add(col[r as usize]));
-                    std::hint::black_box(sum);
-                }
-            }
-            self.close(OpSample {
-                rows: inter.len as u64,
-                out_rows: 1,
-                ..OpSample::with_op(OpKind::Aggregate)
-            });
-        }
         Counts {
             driver,
             steps: steps.into(),
@@ -590,7 +582,7 @@ impl Executor {
                 };
                 (rows, 0, sample)
             }
-            AccessMethod::IndexSeek { index, covering } => {
+            AccessMethod::IndexSeek { index, .. } => {
                 let ix = catalog
                     .index(*index)
                     .expect("plan references unmaterialised index");
@@ -604,16 +596,6 @@ impl Executor {
                 let matched = (e - s) as u64;
                 let mut rows = order[s..e].to_vec();
                 refine(table, &shape.residual, &mut rows);
-                // A non-covering seek fetches the columns the query needs
-                // from the heap: the work the random heap reads stand for,
-                // which only the clock sees.
-                if !covering && self.timer.is_enabled() {
-                    let mut fetched = Vec::new();
-                    for ord in query.columns_needed_on(table.id()) {
-                        table.column(ord).gather_into(&rows, &mut fetched);
-                        std::hint::black_box(fetched.as_slice());
-                    }
-                }
                 let sample = OpSample {
                     pages: leaves_spanned(ix, leaf_cap, s, e),
                     rows: matched,
@@ -702,8 +684,10 @@ fn keyed_later(plan: &Plan, i: usize, table: TableId) -> bool {
 /// Price `counts`, the counts of `plan` for `query`, at `catalog`'s live
 /// sizes and under the index ids `plan` names: the one path from counts to
 /// an execution, whether they were just taken or are replayed. `charge`
-/// sees each operator's price, in plan order, and returns it: a timed
-/// executor copies it into the operator's sample on the way.
+/// sees the price of each operator the counting pass runs, in plan order,
+/// and returns it: a timed executor copies it into the operator's sample on
+/// the way. An inner access a kept join table served and the aggregate run
+/// no operator, so their prices bypass it.
 fn price(
     cost: &CostModel,
     catalog: &Catalog,
@@ -724,14 +708,19 @@ fn price(
     let mut join_time = SimSeconds::ZERO;
     for (step, &step_counts) in plan.joins.iter().zip(&*counts.steps) {
         match step_counts {
-            StepCounts::Hash { inner, out_rows } => {
-                accesses.push(price_access(
-                    cost,
-                    catalog,
-                    &step.access,
-                    inner,
-                    &mut charge,
-                ));
+            StepCounts::Hash {
+                inner,
+                kept,
+                out_rows,
+            } => {
+                let access = &step.access;
+                accesses.push(if kept {
+                    // A kept join table served the inner side: the access
+                    // ran no operator.
+                    price_access(cost, catalog, access, inner, &mut |price| price)
+                } else {
+                    price_access(cost, catalog, access, inner, &mut charge)
+                });
                 join_time += charge(cost.hash_join(inner.rows_out, rows, out_rows));
             }
             StepCounts::Inl { matched, out_rows } => {
@@ -764,7 +753,7 @@ fn price(
         rows = step_counts.out_rows();
     }
     let agg_time = if query.aggregated {
-        charge(cost.aggregate(rows))
+        cost.aggregate(rows)
     } else {
         SimSeconds::ZERO
     };
@@ -1303,6 +1292,16 @@ mod tests {
     /// The join tables over a whole table that `exec` keeps.
     fn join_tables(exec: &Executor) -> usize {
         exec.memo.tables.len()
+    }
+
+    /// Every memo entry and kept join table of `exec`, rendered and
+    /// sorted: two executors holding the same state render alike.
+    fn memo_state(exec: &Executor) -> Vec<String> {
+        let counts = exec.memo.counts.iter().map(|(k, c)| format!("{k:?} {c:?}"));
+        let tables = exec.memo.tables.iter().map(|(k, t)| format!("{k:?} {t:?}"));
+        let mut state: Vec<String> = counts.chain(tables).collect();
+        state.sort();
+        state
     }
 
     /// Three-table catalog: `dim` (200 rows), `fact` (5000 rows) with
@@ -2165,16 +2164,15 @@ mod tests {
                 join: q3.joins[1],
                 est_rows_out: 0.0,
             });
-            // Untimed, the probes emit only `dim`'s row ids, the ones the
-            // `sub` join keys on; timed, they materialise `fact`'s too.
+            // The probes emit only `dim`'s row ids, the ones the `sub`
+            // join keys on, timed or not.
             let three = Executor::new(CostModel::unit_scale()).execute(&cat, &q3, &then_sub);
             assert_eq!(
                 three.result_rows, with_sub,
                 "{name}: sub joined after the probes"
             );
             let samples = timed.take_op_samples();
-            let materialised = timed.execute(&cat, &q3, &then_sub);
-            assert_same_execution(&three, &materialised, name);
+            assert_same_execution(&three, &timed.execute(&cat, &q3, &then_sub), name);
 
             let probe = samples.iter().find(|s| s.op == OpKind::InlProbe);
             let probe = probe.expect("an InlProbe sample");
@@ -2294,8 +2292,8 @@ mod tests {
     /// joins of `join_query` build opposite sides: `dim` driving, its ~20
     /// matching rows are the smaller input, and `fact` driving, the inner
     /// `dim` rows are. Four more plans, driven by a filtered `dim`, hash
-    /// join a table with no predicate on it, which an untimed executor
-    /// probes through a kept table: `fact` scanned whole and keyed on by a
+    /// join a table with no predicate on it, which the executor probes
+    /// through a kept table: `fact` scanned whole and keyed on by a
     /// later step, `fact` covering-scanned and only counted, `sub` scanned
     /// whole while only `dim`'s row ids go on, and `fact` on another key
     /// column.
@@ -2489,12 +2487,15 @@ mod tests {
         (rows, work)
     }
 
-    /// The samples a timed run of `plan` for `q` must leave, in plan
-    /// order, counted independently of the executor: accesses row by row,
-    /// joins as nested loops over (table, row id) tuples, and index entries
-    /// located by counting the keys that sort before them. A hash join
-    /// counts the inner rows as its build and the outer tuples as its
-    /// probe, whichever side the executor builds.
+    /// The samples a timed run of `plan` for `q` must leave on a miss, in
+    /// plan order, counted independently of the executor: accesses row by
+    /// row, joins as nested loops over (table, row id) tuples, and index
+    /// entries located by counting the keys that sort before them. A hash
+    /// join counts the inner rows as its build and the outer tuples as its
+    /// probe, whichever side the executor builds. An inner scan of a hash
+    /// join with no predicate on its table runs no operator, as a join
+    /// table kept over the whole table serves it, and neither does the
+    /// aggregate.
     fn reference_samples(cat: &Catalog, q: &Query, plan: &Plan) -> Vec<Work> {
         let (driver_rows, driver) = reference_access(cat, q, &plan.driver);
         let mut work = vec![driver];
@@ -2521,7 +2522,10 @@ mod tests {
             match step.algo {
                 JoinAlgo::Hash => {
                     let build = inner_rows.len() as u64;
-                    work.push(inner_work);
+                    let scan = !matches!(step.access.method, AccessMethod::IndexSeek { .. });
+                    if !(scan && q.predicates_on(step.access.table).is_empty()) {
+                        work.push(inner_work);
+                    }
                     work.push((OpKind::HashJoin, [0, 0, 0, build, probes, out]));
                 }
                 JoinAlgo::IndexNestedLoop => {
@@ -2539,9 +2543,6 @@ mod tests {
             tables.push(step.access.table);
             tuples = joined;
         }
-        if q.aggregated {
-            work.push((OpKind::Aggregate, [0, tuples.len() as u64, 0, 0, 0, 1]));
-        }
         work
     }
 
@@ -2556,19 +2557,23 @@ mod tests {
         assert!(exec.take_op_samples().is_empty());
     }
 
-    /// A timed executor reports the untimed prices and leaves one sample
-    /// per operator, in plan order, whose work counters match the
-    /// independent count and whose time is one scripted step: exactly one
-    /// `mark`/`elapsed_secs` pair per operator.
+    /// The timed and untimed executors run one program. The sweep runs
+    /// three times: the first pass misses, the second replays and the
+    /// third replays after drift. Each call reports the same execution on
+    /// both and on a fresh executor, which counts the pair afresh, bit for
+    /// bit, and leaves both with the same memo entries and join tables. So
+    /// a replay, drifted or not, gives what a fresh count gives, for every
+    /// operator kind. On a miss the timed executor leaves one sample per
+    /// operator it ran, in plan order, whose work counters match the
+    /// independent count, whose price is its operator's and whose time is
+    /// one scripted step: exactly one `mark`/`elapsed_secs` pair per
+    /// operator. A replay runs no operator and leaves no sample.
     #[test]
-    fn timed_simulated_is_bit_identical_and_samples_every_operator() {
+    fn timed_and_untimed_executors_run_one_program() {
         let mut cat = catalog();
         let sweep = operator_sweep(&mut cat);
         let mut plain = Executor::new(CostModel::unit_scale());
         let mut timed = Executor::timed(CostModel::unit_scale(), BudgetTimer::scripted(0.5));
-        // The untimed executor runs the first pass and replays the other
-        // two, the last after drift; the timed one runs every operator on
-        // every pass.
         for pass in 0..3 {
             if pass == 2 {
                 cat.apply_drift(TableId(0), 300, 20, 10);
@@ -2581,8 +2586,17 @@ mod tests {
                 let a = plain.execute(&cat, q, plan);
                 let b = timed.execute(&cat, q, plan);
                 assert_same_execution(&a, &b, &label);
+                let fresh = Executor::new(CostModel::unit_scale()).execute(&cat, q, plan);
+                assert_same_execution(&a, &fresh, &format!("{label}, fresh"));
+                assert_eq!(memo_state(&plain), memo_state(&timed), "{label}: memo");
+                let entries = if pass == 0 { i + 1 } else { sweep.len() };
+                assert_eq!(memo_entries(&timed), entries, "{label}: memo entries");
                 let samples = timed.take_op_samples();
                 assert!(timed.take_op_samples().is_empty(), "{label}: samples drain");
+                if pass > 0 {
+                    assert!(samples.is_empty(), "{label}: a replay leaves no sample");
+                    continue;
+                }
                 let work: Vec<Work> = samples
                     .iter()
                     .map(|s| {
@@ -2592,46 +2606,43 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(work, reference_samples(&cat, q, plan), "{label}");
+                // A join's sample carries its step's share of the join
+                // time, any other sample the time of one access.
+                let mut join_time = SimSeconds::ZERO;
                 for s in &samples {
                     assert_eq!(s.measured_s, 0.5, "{label}: {:?} time", s.op);
                     if s.op == OpKind::HashJoin {
+                        join_time += SimSeconds::new(s.sim_s);
                         // The executor builds the smaller input: the inner
                         // rows in the first case, the outer tuples in the
                         // second.
                         built.0 |= s.build_rows < s.probe_rows;
                         built.1 |= s.build_rows > s.probe_rows;
+                    } else {
+                        let price = s.sim_s.to_bits();
+                        let priced = b.accesses.iter().any(|a| a.time.secs().to_bits() == price);
+                        assert!(priced, "{label}: {:?} price", s.op);
                     }
                 }
-                // Each access's sample carries exactly the price it was
-                // charged.
-                for access in &b.accesses {
-                    assert!(samples
-                        .iter()
-                        .any(|s| s.sim_s.to_bits() == access.time.secs().to_bits()));
-                }
+                assert_eq!(
+                    join_time.secs().to_bits(),
+                    b.join_time.secs().to_bits(),
+                    "{label}: join price"
+                );
                 ops.extend(samples.iter().map(|s| s.op));
             }
-            for op in OpKind::ALL {
-                assert!(ops.contains(&op), "pass {pass}: no {op:?} sample");
+            if pass == 0 {
+                for op in OpKind::ALL {
+                    assert!(ops.contains(&op), "no {op:?} sample");
+                }
+                assert_eq!(built, (true, true), "hash joins build both sides");
             }
-            assert_eq!(
-                built,
-                (true, true),
-                "pass {pass}: hash joins build both sides"
-            );
-            assert_eq!(memo_entries(&plain), sweep.len(), "pass {pass}");
-            assert_eq!(
-                join_tables(&plain),
-                3,
-                "pass {pass}: fact.f_dim, sub.s_dim and fact.f_key"
-            );
-            assert_eq!(memo_entries(&timed), 0, "a timed executor memoises nothing");
-            assert_eq!(
-                join_tables(&timed),
-                0,
-                "a timed executor keeps no join table"
-            );
         }
+        assert_eq!(
+            join_tables(&timed),
+            3,
+            "fact.f_dim, sub.s_dim and fact.f_key"
+        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! simulated-seconds divergence between plan-time estimates and run-time
 //! observations is therefore caused purely by cardinality misestimation —
 //! the phenomenon the paper's bandit exploits and the commercial advisor
-//! falls victim to. Built with an enabled timer, the same executor also
-//! times each operator into an [`OpSample`], next to the price it reports.
+//! falls victim to. Built with an enabled timer, the same executor runs the
+//! same program and also times each operator it runs into an [`OpSample`],
+//! next to the price it reports.
 
 pub mod backend;
 pub mod cost;

@@ -159,18 +159,6 @@ impl Column {
         }
         sel.truncate(n);
     }
-
-    /// Gather the codes of `rows` into `out` (cleared first). The heap-fetch
-    /// primitive of the executor's non-covering seeks: materialises the
-    /// selected values in selection order.
-    #[inline]
-    pub fn gather_into(&self, rows: &[u32], out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(rows.len());
-        for &r in rows {
-            out.push(self.data[r as usize]);
-        }
-    }
 }
 
 /// `hi − lo` for a non-empty range `[lo, hi]`, or `None` for an empty one.
@@ -282,14 +270,6 @@ mod tests {
             assert_eq!(sel, scalar_filter(&c, lo, hi, selection), "{case}");
             assert_eq!(sel.len(), retained, "{case}");
         }
-    }
-
-    #[test]
-    fn gather_into_follows_selection_order() {
-        let c = col(&[10, 20, 30, 40]);
-        let mut out = vec![99]; // must be cleared
-        c.gather_into(&[3, 0, 2], &mut out);
-        assert_eq!(out, vec![40, 10, 30]);
     }
 
     #[test]

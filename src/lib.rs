@@ -67,8 +67,9 @@ pub use dba_engine as engine;
 /// the cost-model price. [`simulated`](engine::simulated) builds the
 /// untimed executor; [`timed`](engine::timed) adds a
 /// [`BudgetTimer`](common::BudgetTimer) (`wall()` or a deterministic
-/// `scripted(step)`) that times every operator into an
-/// [`OpSample`](engine::OpSample) without changing a price. Sessions take
+/// `scripted(step)`) that times each operator the executor runs into an
+/// [`OpSample`](engine::OpSample), without changing what it runs or a
+/// price. Sessions take
 /// either via
 /// [`SessionBuilder::backend_boxed`](session::SessionBuilder::backend_boxed).
 pub mod backend {
