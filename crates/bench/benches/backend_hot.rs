@@ -1,16 +1,16 @@
 //! Criterion benchmarks for the executor's hot paths. Most time an
 //! executor on the wall-clock: vectorized batch heap scans, an index seek,
-//! a covering scan and hash joins built on either side. The executor runs
-//! one program, timed or not, and replays a repeated (query instance, plan
-//! shape) pair without running an operator, so each of these iterations
-//! runs on a fresh executor and pays the operator's whole work plus its
-//! clock reads and the memo's first insert; the executor is dropped
-//! outside the timed region. Each first asserts the
-//! operators its plan runs and the shape of the sample it names, so it
-//! measures the work it names. The whole-inner hash joins run on the
-//! untimed executor, which probes a join table kept over the whole inner
-//! table instead of scanning and building; they assert the join's output
-//! against a nested loop.
+//! a covering scan, hash joins built on either side and hash joins only
+//! counted. The executor runs one program, timed or not,
+//! and replays a repeated (query instance, plan shape) pair without
+//! running an operator, so each of these iterations runs on a fresh
+//! executor and pays the operator's whole work plus its clock reads and
+//! the memo's first insert; the executor is dropped outside the timed
+//! region. Each first asserts the operators its plan runs and the shape of
+//! the sample it names, so it measures the work it names. The whole-inner
+//! hash joins run on the untimed executor, which probes a join table kept
+//! over the whole inner table instead of scanning and building; they
+//! assert the join's output against a nested loop.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -63,15 +63,15 @@ fn wall_timed() -> Box<dyn ExecutionBackend> {
     dba_engine::timed(CostModel::unit_scale(), BudgetTimer::wall())
 }
 
-/// Run `plan` once on a fresh wall-timed executor and return the sample
-/// of its last operator, asserting that it ran exactly `ops`, in order.
-fn last_sample(catalog: &Catalog, q: &Query, plan: &Plan, ops: &[OpKind]) -> OpSample {
+/// Run `plan` once on a fresh wall-timed executor and return its
+/// samples, asserting that it ran exactly `ops`, in order.
+fn op_samples(catalog: &Catalog, q: &Query, plan: &Plan, ops: &[OpKind]) -> Vec<OpSample> {
     let mut backend = wall_timed();
     backend.execute(catalog, q, plan);
     let samples = backend.take_op_samples();
     let ran: Vec<OpKind> = samples.iter().map(|s| s.op).collect();
     assert_eq!(ran, ops, "the operators the plan runs");
-    samples[samples.len() - 1]
+    samples
 }
 
 /// Bench `name`: each iteration runs `plan` on a fresh wall-timed
@@ -114,7 +114,7 @@ fn bench_batch_scan(c: &mut Criterion) {
         (q, plan)
     };
     let shape = |q: &Query, plan: &Plan| {
-        let s = last_sample(&catalogs[0], q, plan, &[OpKind::SeqScan]);
+        let s = op_samples(&catalogs[0], q, plan, &[OpKind::SeqScan])[0];
         (s.rows, s.out_rows)
     };
 
@@ -164,7 +164,7 @@ fn bench_seek(c: &mut Criterion) {
     };
     assert!(!seek_plan.indexes_used().is_empty(), "must use the index");
 
-    let seek = last_sample(&catalog, &q, &seek_plan, &[OpKind::IndexSeek]);
+    let seek = op_samples(&catalog, &q, &seek_plan, &[OpKind::IndexSeek])[0];
     let matched = matching_rows(&catalog, 40_000, 40_100);
     assert_eq!(
         (seek.descents, seek.rows, seek.out_rows),
@@ -194,7 +194,7 @@ fn bench_covering_scan(c: &mut Criterion) {
         aggregated: false,
         est_cost: SimSeconds::ZERO,
     };
-    let scan = last_sample(&catalog, &q, &plan, &[OpKind::CoveringScan]);
+    let scan = op_samples(&catalog, &q, &plan, &[OpKind::CoveringScan])[0];
     assert_eq!(
         (scan.rows, scan.out_rows),
         (ROWS as u64, matching_rows(&catalog, 0, 49_999))
@@ -202,53 +202,98 @@ fn bench_covering_scan(c: &mut Criterion) {
     bench_fresh(c, "covering_scan_200k", &catalog, &q, &plan);
 }
 
-/// Timed hash join of a 20k-row dimension with a 200k-row fact table on
-/// its foreign key, so every fact key repeats about ten times. The plan is
-/// built by hand: both sides are full scans and the only join is the hash
-/// join. The inner side carries a predicate that keeps every row, so the
-/// executor scans it and builds a table for the join instead of probing
-/// one kept over the whole table. It builds on the smaller input, the 20k
-/// dimension rows in every bench. `fk` and `sparse` drive with the
-/// dimension, so they build on the outer side and probe with the fact
-/// rows; `small_build` drives with the fact table and builds the dimension
-/// as the inner side. `fk` and `small_build` join the dense keys, which
-/// span 0.1 codes per input row, so the build addresses its slots directly.
-/// `sparse` joins the same keys times 1,000, about 90 codes per input row,
-/// so the build maps its keys to slots instead. Whichever side is built,
-/// the sample counts the inner rows as the build and the outer tuples as
-/// the probe, as the cost model prices them.
+/// Timed hash joins of a 20k-row dimension with a 200k-row fact table on
+/// its foreign key, so every fact key repeats about ten times. The plans
+/// are built by hand, with full scans on both sides. The inner side
+/// carries a predicate that keeps every row, so the executor scans it
+/// instead of probing a join table kept over the whole table. Every fact
+/// row finds its one dimension row: the join's output is the whole fact
+/// table.
+///
+/// In `hash_join_{fk,sparse,small_build}_200k` a later step keys on the
+/// join's output, so the join builds a table and writes the dimension's
+/// row id of each output tuple: that step joins an 8-row table on `d_key`,
+/// read whole through a join table the fresh executor builds and keeps,
+/// and adds a count of the 200k tuples' keys against it. The join builds
+/// on the smaller input, the 20k dimension rows in every bench. `fk` and
+/// `sparse` drive with the dimension, so they build on the outer side and
+/// probe with the fact rows; `small_build` drives with the fact table and
+/// builds the dimension as the inner side. `fk` and `small_build` join the
+/// dense keys, which span 0.1 codes per input row, so the build addresses
+/// its slots directly. `sparse` joins the same keys times 1,000, about 90
+/// codes per input row, so the build maps its keys to slots instead.
+///
+/// In `hash_join_count_{dim,fact}_outer_200k` the join is the last step
+/// and only counts: the inner scan runs inside the join, which counts the
+/// outer tuples per key and streams the inner rows past them, writing no
+/// row id. `dim_outer` drives with the dimension, so it counts 20k tuples
+/// and streams 200k fact rows; `fact_outer` drives with the fact table, so
+/// it counts 200k tuples and streams 20k dimension rows. The join's sample
+/// holds its inner scan's work.
+///
+/// Whichever side is built or counted, the sample counts the inner rows as
+/// the build and the outer tuples as the probe, as the cost model prices
+/// them.
 fn bench_hash_join(c: &mut Criterion) {
+    // (bench, key spread, inner table, whether a later step keys on the
+    // join's output)
     let benches = [
-        ("hash_join_fk_200k", 1, FACT),
-        ("hash_join_sparse_200k", 1_000, FACT),
-        ("hash_join_small_build_200k", 1, DIM),
+        ("hash_join_fk_200k", 1, FACT, true),
+        ("hash_join_sparse_200k", 1_000, FACT, true),
+        ("hash_join_small_build_200k", 1, DIM, true),
+        ("hash_join_count_dim_outer_200k", 1, FACT, false),
+        ("hash_join_count_fact_outer_200k", 1, DIM, false),
     ];
-    for (name, spread, inner) in benches {
+    for (name, spread, inner, keyed_later) in benches {
         let catalog = join_catalog(spread);
         let driver = if inner == FACT { DIM } else { FACT };
         let every_row = Predicate::range(ColumnId::new(inner, 0), i64::MIN, i64::MAX);
-        let (q, plan) = scan_join(driver, inner, vec![every_row]);
-        // Every fact row finds its one dimension row: the output is the
-        // whole fact table.
-        let ops = [OpKind::SeqScan, OpKind::SeqScan, OpKind::HashJoin];
-        let hash = last_sample(&catalog, &q, &plan, &ops);
+        let (mut q, mut plan) = scan_join(driver, inner, vec![every_row]);
+        // The join over the 8-row table leaves no sample for its scan, and
+        // a join only counted runs its inner access inside it.
+        let ops: &[OpKind] = if keyed_later {
+            join_tiny_after(&mut q, &mut plan);
+            &[
+                OpKind::SeqScan,
+                OpKind::SeqScan,
+                OpKind::HashJoin,
+                OpKind::HashJoin,
+            ]
+        } else {
+            &[OpKind::SeqScan, OpKind::HashJoin]
+        };
+        let samples = op_samples(&catalog, &q, &plan, ops);
+        let hash = samples[ops.len() - 1 - usize::from(keyed_later)];
         let rows = |table| catalog.table(table).rows() as u64;
         assert_eq!(
-            (hash.build_rows, hash.probe_rows, hash.out_rows),
-            (rows(inner), rows(driver), ROWS as u64)
+            (hash.op, hash.build_rows, hash.probe_rows, hash.out_rows),
+            (OpKind::HashJoin, rows(inner), rows(driver), ROWS as u64),
+            "{name}"
         );
+        if !keyed_later {
+            // The inner scan's pages and rows.
+            let pages = catalog.table(inner).heap_pages();
+            assert_eq!((hash.pages, hash.rows), (pages, rows(inner)), "{name}");
+        }
+        if keyed_later {
+            // The fact rows whose dimension row's `d_key` is below 8.
+            let tiny = catalog.table(FACT).column(0).count_in_range(0, 7) as u64;
+            assert_eq!(samples[3].out_rows, tiny, "{name}: the later step");
+        }
         bench_fresh(c, name, &catalog, &q, &plan);
     }
 }
 
-/// The join benches' dimension and fact tables.
+/// The join benches' dimension and fact tables, and a table of 8 rows.
 const DIM: TableId = TableId(0);
 const FACT: TableId = TableId(1);
+const TINY: TableId = TableId(2);
 const DIM_ROWS: usize = 20_000;
 
 /// A 20k-row dimension, its `d_key` sequential, and a 200k-row fact table
 /// whose `f_dim` is a uniform foreign key into it. Both join on a copy of
-/// their key times `spread`, their second column.
+/// their key times `spread`, their second column. A third table holds the
+/// 8 sequential codes `t_key`.
 fn join_catalog(spread: i64) -> Catalog {
     let spread_key = ColumnSpec::new(
         "spread_key",
@@ -281,9 +326,18 @@ fn join_catalog(spread: i64) -> Catalog {
             spread_key,
         ],
     );
+    let tiny = TableSchema::new(
+        "tiny",
+        vec![ColumnSpec::new(
+            "t_key",
+            ColumnType::Int,
+            Distribution::Sequential,
+        )],
+    );
     Catalog::new(vec![
         TableBuilder::new(dim, DIM_ROWS).build(DIM, 5),
         TableBuilder::new(fact, ROWS).build(FACT, 5),
+        TableBuilder::new(tiny, 8).build(TINY, 5),
     ])
 }
 
@@ -318,6 +372,25 @@ fn scan_join(driver: TableId, inner: TableId, predicates: Vec<Predicate>) -> (Qu
         est_cost: SimSeconds::ZERO,
     };
     (q, plan)
+}
+
+/// Append to `plan` for `q` a last step that hash joins the 8-row table on
+/// `t_key = d_key`, reading it whole, so the step before writes the
+/// dimension's row id of each of its tuples.
+fn join_tiny_after(q: &mut Query, plan: &mut Plan) {
+    let join = JoinPred::new(ColumnId::new(TINY, 0), ColumnId::new(DIM, 0));
+    q.tables.push(TINY);
+    q.joins.push(join);
+    plan.joins.push(JoinStep {
+        access: TableAccess {
+            table: TINY,
+            method: AccessMethod::FullScan,
+            est_rows: 0.0,
+        },
+        algo: JoinAlgo::Hash,
+        join,
+        est_rows_out: 0.0,
+    });
 }
 
 /// Untimed hash join of the 200k-row fact table, with no predicate on it,

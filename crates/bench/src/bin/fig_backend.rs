@@ -12,11 +12,13 @@
 //! The timed runs leave behind per-operator [`OpSample`]s — physical work
 //! counters with both the measured wall-clock and the simulated price for
 //! the *same* operator — one per operator the session ran. A replayed
-//! query runs none; a hash join over a whole table times its probe of the
-//! kept join table (and the table's first build) and no inner scan; the
-//! aggregate runs nothing. From them the binary reports measured and
-//! simulated time per operator class. The timer only observes: no
-//! wall-clock reading reaches the results.
+//! query runs none; a hash join that is the plan's last step runs its
+//! inner scan or seek inside it, and its sample adds that access's work
+//! counters and price to the join's; a hash join over a whole table times
+//! its probe of the kept join table (and the table's first build) and no
+//! inner scan; the aggregate runs nothing. From them the binary reports
+//! measured and simulated time per operator class. The timer only
+//! observes: no wall-clock reading reaches the results.
 //!
 //! Writes `results/fig_backend.json`: the simulated trajectories and the
 //! sample count, so the document does not depend on the thread count.

@@ -96,7 +96,6 @@ fn first_degraded(result: &StreamResult) -> Option<&dba_bench::WindowRecord> {
 
 fn main() -> DbResult<()> {
     let env = ExperimentEnv::from_env();
-    let sf = if env.quick { env.sf.min(1.0) } else { env.sf };
     let budget_s = env.latency_budget.unwrap_or(DEFAULT_BUDGET_S);
     let kind = WorkloadKind::Shifting {
         groups: 4,
@@ -112,13 +111,14 @@ fn main() -> DbResult<()> {
 
     println!(
         "Streaming arrivals — TPC-H shifting + drift, budget {budget_s}s/window \
-         (sf={sf}, seed={}, {} rounds, {} windows/run)",
+         (sf={}, seed={}, {} rounds, {} windows/run)",
+        env.sf,
         env.seed,
         kind.rounds(),
         kind.rounds() * presets[0].windows_per_round()
     );
 
-    let bench = tpch(sf);
+    let bench = tpch(env.sf);
     let base = bench.build_catalog(env.seed)?;
     let stats = StatsCatalog::build(&base);
     let drift = stream_drift();
@@ -219,7 +219,7 @@ fn main() -> DbResult<()> {
             "scenario",
             "\"shifting+drift, streaming arrivals\"".to_string(),
         ),
-        ("sf", format!("{sf}")),
+        ("sf", format!("{}", env.sf)),
         ("seed", format!("{}", env.seed)),
         ("rounds", format!("{}", kind.rounds())),
         ("budget_s", format!("{budget_s}")),

@@ -14,15 +14,21 @@
 //! access took, and what a full table scan cost when one was performed.
 //!
 //! The counting pass does only the work those counts need. A join step
-//! emits the row ids of only the tables a later step keys on, so the last
-//! step counts its output without writing it. A non-covering seek's heap
-//! fetches and the aggregate are priced from counts, so no operator gathers
-//! columns from the heap or sums the payload. A hash join whose inner
-//! access reads every row of its table (a full or covering scan with no
-//! predicate on the table) neither scans nor builds: its outer tuples probe
-//! a join table over all the table's rows in row order, built on first use
-//! and kept per (table, key column). Its output is the one a scan and an
-//! inner build would give.
+//! emits the row ids of only the tables a later step keys on, and an
+//! operator whose output is only counted writes no row id at all: a plan
+//! with no join step counts its driver's matches, the last
+//! index-nested-loop step counts each probe's, and the last hash join
+//! counts its outer tuples per join key and streams its inner matches past
+//! those counts, building no join table. Every access streams its matches
+//! to what consumes them, a selection-vector batch at a time, and a seek's
+//! leaf range is copied only to be refined by a residual predicate. A
+//! non-covering seek's heap fetches and the aggregate are priced from
+//! counts, so no operator gathers columns from the heap or sums the
+//! payload. A hash join whose inner access reads every row of its table (a
+//! full or covering scan with no predicate on the table) neither scans nor
+//! builds: its outer tuples probe a join table over all the table's rows in
+//! row order, built on first use and kept per (table, key column). Its
+//! output is the one a scan and an inner build would give.
 //! The counts depend only on the immutable base data, the query instance
 //! and the plan's shape; drift moves only the live sizes the price reads.
 //! So the executor also memoises them. The key is exact: the query's
@@ -40,10 +46,14 @@
 //! the counting pass runs with one `mark`/`elapsed_secs` pair and records
 //! an [`OpSample`] pairing the operator's work counters with its price and
 //! the measured seconds, in plan order. A replay runs no operator and
-//! leaves no sample. A hash join over a whole table leaves its join's
-//! sample, with the kept table's first build timed inside it, and none for
-//! the inner access; the aggregate runs nothing and leaves none. The
-//! execution reports the price, so a timed run is bit-identical to an
+//! leaves no sample. A hash join that is the plan's last step runs its
+//! inner access inside the join and leaves one sample for both: the seek or
+//! scan is timed inside it, and its work counters and price are added to
+//! the join's. A hash join over a whole table leaves the join's sample,
+//! which times the kept table's probe (and first build) and holds no scan.
+//! Every other access, the driver among them, and every index-nested-loop
+//! step leave one sample each; the aggregate runs nothing and leaves none.
+//! The execution reports the price, so a timed run is bit-identical to an
 //! untimed one.
 
 use std::collections::HashMap;
@@ -55,7 +65,7 @@ use dba_storage::{BaseData, Catalog, Index, Table, PAGE_BYTES};
 
 use crate::backend::{OpKind, OpSample};
 use crate::cost::CostModel;
-use crate::plan::{seek_shape, AccessMethod, JoinAlgo, JoinStep, Plan, TableAccess};
+use crate::plan::{seek_shape, AccessMethod, JoinAlgo, JoinStep, Plan, SeekShape, TableAccess};
 use crate::query::{JoinPred, Predicate, Query};
 
 /// Rows per batch in the vectorized filter: one selection-vector refill
@@ -179,7 +189,7 @@ impl Intermediate {
 
 /// What one table access did: the leaf entries its seek matched (none for
 /// a scan) and the rows it emitted.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct AccessCounts {
     matched: u64,
     rows_out: u64,
@@ -187,14 +197,13 @@ struct AccessCounts {
 
 /// What one join step did. The tuples it probed with are the rows the
 /// step before it emitted.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum StepCounts {
-    /// A hash join: the inner access it built on, whether a kept join
-    /// table served that access instead of running it, and its output
-    /// tuples.
+    /// A hash join: the inner access it joined, where that access ran, and
+    /// its output tuples.
     Hash {
         inner: AccessCounts,
-        kept: bool,
+        ran: InnerRun,
         out_rows: u64,
     },
     /// Index-nested-loop probes: the leaf entries they matched and the
@@ -202,8 +211,22 @@ enum StepCounts {
     Inl { matched: u64, out_rows: u64 },
 }
 
+/// Where a hash join's inner access ran, and so which sample holds its
+/// work and price.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum InnerRun {
+    /// As an operator of its own, with its own sample.
+    Alone,
+    /// Inside the join, the last step's: the join's sample holds the
+    /// access's work counters, time and price too.
+    InJoin,
+    /// Nowhere: a kept join table over the whole table served the join,
+    /// whose sample holds the table's probe (and first build) only.
+    Kept,
+}
+
 /// The counts one execution's price reads, in plan order.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Counts {
     driver: AccessCounts,
     steps: Box<[StepCounts]>,
@@ -328,16 +351,21 @@ fn encode_shape(catalog: &Catalog, query: &Query, plan: &Plan, out: &mut Vec<u32
 
 impl Executor {
     /// The simulated executor: prices every operator and times none. It
-    /// runs only the work the price reads, probes a kept join table for a
-    /// hash join over a whole base table, and replays the counts of a
-    /// (query instance, plan shape) pair it has run over the same base.
+    /// runs only the work the price reads: an operator whose output is
+    /// only counted writes no row id, a hash join over a whole base table
+    /// probes a kept join table, and the counts of a (query instance, plan
+    /// shape) pair it has run over the same base are replayed.
     pub fn new(cost: CostModel) -> Self {
         Executor::timed(cost, BudgetTimer::disabled())
     }
 
     /// The same executor, also timing each operator it runs on `timer`
     /// into an [`OpSample`]. It runs, keeps and replays exactly what
-    /// [`Executor::new`] does and reports the same price.
+    /// [`Executor::new`] does and reports the same price. A hash join that
+    /// is the last step runs its inner access inside the join and leaves
+    /// one sample holding the work and price of both; one over a whole
+    /// table leaves only the join's. Every other access and
+    /// index-nested-loop step leaves one of its own.
     pub fn timed(cost: CostModel, timer: BudgetTimer) -> Self {
         Executor {
             cost,
@@ -395,15 +423,23 @@ impl Executor {
 
     /// The counting pass: run `plan` for `query` over the base data and
     /// return the counts its price reads. A join step emits the row ids of
-    /// only the tables a later step keys on, so the last step only counts
-    /// its output, and a hash join whose inner scan reads every row probes
-    /// the kept table over them. Each operator run leaves one sample when
-    /// timed, in plan order.
+    /// only the tables a later step keys on, and an operator whose output
+    /// is only counted writes none: a join-free plan's driver, the last
+    /// index-nested-loop step's probes and the last hash join, which
+    /// counts its outer tuples per join key ([`count_join`]). A hash join
+    /// whose inner scan reads every row probes the kept table over them.
+    /// Each operator run leaves one sample when timed, in plan order.
     fn count(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Counts {
-        let driver_table = catalog.table(plan.driver.table);
-        let preds = query.predicates_on(plan.driver.table);
-        let (rows, driver) =
-            self.run_access(catalog, driver_table, &plan.driver.method, &preds, query);
+        // The selection vector every access of this execution refills.
+        let mut batch = Vec::new();
+        let mut rows = Vec::new();
+        let driver = self.run_access(catalog, query, &plan.driver, |matches| {
+            if plan.joins.is_empty() {
+                matches.stream(&mut batch, |_| {})
+            } else {
+                matches.stream(&mut batch, |m| rows.extend_from_slice(m))
+            }
+        });
         let mut inter = Intermediate::single(plan.driver.table, rows);
         let mut steps = Vec::with_capacity(plan.joins.len());
 
@@ -424,13 +460,14 @@ impl Executor {
                 .side_on(step.access.table)
                 .expect("join step must reference the new table");
             // Which tables' row ids the step emits: the intermediate's,
-            // then the new table's.
+            // then the new table's. The last step emits none.
             let keep: Vec<bool> = inter
                 .tables
                 .iter()
                 .chain([&step.access.table])
                 .map(|&t| keyed_later(plan, i, t))
                 .collect();
+            let last = i + 1 == plan.joins.len();
 
             let (columns, counts) = match step.algo {
                 JoinAlgo::Hash => {
@@ -441,29 +478,49 @@ impl Executor {
                     );
                     let outer_keys = outer_keys.data();
                     let inner_keys = inner_table.column(inner_col.ordinal).data();
+                    let probe = &inter.columns[outer_pos];
+                    // The join's sample, with the work of an inner access
+                    // that runs inside it.
+                    let mut work = OpSample::with_op(OpKind::HashJoin);
                     let kept = reads_every_row(catalog, query, step, &inner_preds);
-                    let (columns, inner, len) = if kept {
+                    let (ran, columns, inner, len) = if kept {
                         // The scan would emit every row, ascending: probe
                         // the kept table over them, as an inner build over
                         // them would be probed. Its first build is timed
                         // with the join.
                         self.timer.mark();
                         let table = self.memo.join_table(inner_col, inner_keys);
-                        let (columns, len) =
-                            probe_with_outer(table, &inter.columns, outer_pos, outer_keys, &keep);
                         let inner = AccessCounts {
                             matched: 0,
                             rows_out: inner_table.rows() as u64,
                         };
-                        (columns, inner, len)
+                        let (columns, len) = if last {
+                            (Vec::new(), table.count(keys_of(probe, outer_keys)))
+                        } else {
+                            probe_with_outer(table, &inter.columns, outer_pos, outer_keys, &keep)
+                        };
+                        (InnerRun::Kept, columns, inner, len as u64)
+                    } else if last {
+                        // Only counted: the inner access runs inside the
+                        // join, its seek's leaf order sorted on first read
+                        // outside the timing, and streams its matches past
+                        // the outer tuples' per-key counts.
+                        let access = Access::new(catalog, query, &step.access, &inner_preds);
+                        self.timer.mark();
+                        let (matches, matched, sample) = access.open();
+                        let (rows_out, len) =
+                            count_join(probe, outer_keys, &matches, inner_keys, &mut batch);
+                        work = OpSample {
+                            op: OpKind::HashJoin,
+                            ..sample
+                        };
+                        let inner = AccessCounts { matched, rows_out };
+                        (InnerRun::InJoin, Vec::new(), inner, len)
                     } else {
-                        let (inner_rows, inner) = self.run_access(
-                            catalog,
-                            inner_table,
-                            &step.access.method,
-                            &inner_preds,
-                            query,
-                        );
+                        let mut inner_rows = Vec::new();
+                        let inner = self.run_access(catalog, query, &step.access, |matches| {
+                            matches.stream(&mut batch, |m| inner_rows.extend_from_slice(m))
+                        });
 
                         // Build on the smaller input, probe with the other.
                         // The build table and the hit list are dropped
@@ -478,24 +535,23 @@ impl Executor {
                             inner_keys,
                             &keep,
                         );
-                        (columns, inner, len)
+                        (InnerRun::Alone, columns, inner, len as u64)
                     };
                     // The price and the sample keep the cost model's roles,
                     // build = inner rows and probe = outer tuples, whichever
-                    // side is built.
+                    // side is built or counted.
                     self.close(OpSample {
                         build_rows: inner.rows_out,
                         probe_rows: inter.len as u64,
-                        out_rows: len as u64,
-                        ..OpSample::with_op(OpKind::HashJoin)
+                        out_rows: len,
+                        ..work
                     });
-                    let out_rows = len as u64;
                     (
                         columns,
                         StepCounts::Hash {
                             inner,
-                            kept,
-                            out_rows,
+                            ran,
+                            out_rows: len,
                         },
                     )
                 }
@@ -517,23 +573,24 @@ impl Executor {
                     let keep_inner = keep[inter.columns.len()];
                     let mut columns = vec![Vec::new(); outer.len() + usize::from(keep_inner)];
                     let (mut matched, mut out_rows, mut leaves) = (0u64, 0u64, 0u64);
-                    // Each probe's matches, refined in one reused buffer.
-                    let mut matches = Vec::new();
                     for (k, &r) in inter.columns[outer_pos].iter().enumerate() {
                         let key = outer_keys.value(r as usize);
                         let (s, e) = index.probe(inner_table, &[key], None);
                         matched += (e - s) as u64;
                         leaves += leaves_spanned(index, leaf_cap, s, e);
-                        matches.clear();
-                        matches.extend_from_slice(&order[s..e]);
-                        refine(inner_table, &inner_preds, &mut matches);
-                        out_rows += matches.len() as u64;
-                        for (col, filled) in outer.iter().zip(&mut columns) {
-                            filled.extend(std::iter::repeat_n(col[k], matches.len()));
-                        }
-                        if keep_inner {
-                            columns[outer.len()].extend_from_slice(&matches);
-                        }
+                        let matches = Matches {
+                            table: inner_table,
+                            range: Some(&order[s..e]),
+                            preds: &inner_preds,
+                        };
+                        out_rows += matches.stream(&mut batch, |rows| {
+                            for (col, filled) in outer.iter().zip(&mut columns) {
+                                filled.extend(std::iter::repeat_n(col[k], rows.len()));
+                            }
+                            if keep_inner {
+                                columns[outer.len()].extend_from_slice(rows);
+                            }
+                        });
                     }
                     self.close(OpSample {
                         pages: leaves,
@@ -559,74 +616,190 @@ impl Executor {
         }
     }
 
-    /// Run a single-table access, returning its matching row ids and
-    /// counts. Scans, covering scans among them, return the rows ascending.
-    /// A seek returns them in leaf order, by (key tuple, row id), so a range
-    /// seek's row ids need not ascend.
+    /// Run `access` for `query` as an operator of its own, timed when the
+    /// timer is: `run` streams or counts its [`Matches`] and returns how
+    /// many there were.
     fn run_access(
         &mut self,
         catalog: &Catalog,
-        table: &Table,
-        method: &AccessMethod,
-        preds: &[Predicate],
         query: &Query,
-    ) -> (Vec<u32>, AccessCounts) {
-        let (rows, matched, sample) = match method {
-            AccessMethod::FullScan => {
-                self.timer.mark();
-                let rows = batch_filter(table, preds);
-                let sample = OpSample {
-                    pages: table.heap_pages(),
-                    rows: table.rows() as u64,
-                    ..OpSample::with_op(OpKind::SeqScan)
-                };
-                (rows, 0, sample)
-            }
-            AccessMethod::IndexSeek { index, .. } => {
-                let ix = catalog
-                    .index(*index)
-                    .expect("plan references unmaterialised index");
-                let shape = seek_shape(ix.def(), preds);
-                let leaf_cap = leaf_capacity(table, ix);
-                // Sorts the leaf order on first read, outside the timing.
-                let order = ix.ordered_rows(table);
-
-                self.timer.mark();
-                let (s, e) = ix.probe(table, &shape.eq_values, shape.range);
-                let matched = (e - s) as u64;
-                let mut rows = order[s..e].to_vec();
-                refine(table, &shape.residual, &mut rows);
-                let sample = OpSample {
-                    pages: leaves_spanned(ix, leaf_cap, s, e),
-                    rows: matched,
-                    descents: 1,
-                    ..OpSample::with_op(OpKind::IndexSeek)
-                };
-                (rows, matched, sample)
-            }
-            AccessMethod::CoveringScan { index } => {
-                let ix = covering_index(catalog, *index, table.id(), query);
-
-                // The leaves hold every column the query reads and each row
-                // once, so filtering those columns in row order yields the
-                // scan's matches, ascending.
-                self.timer.mark();
-                let rows = batch_filter(table, preds);
-                let leaves = ix.rows().div_ceil(leaf_capacity(table, ix));
-                let sample = OpSample {
-                    pages: leaves as u64,
-                    rows: table.rows() as u64,
-                    ..OpSample::with_op(OpKind::CoveringScan)
-                };
-                (rows, 0, sample)
-            }
-        };
-        let rows_out = rows.len() as u64;
+        access: &TableAccess,
+        run: impl FnOnce(&Matches) -> u64,
+    ) -> AccessCounts {
+        let preds = query.predicates_on(access.table);
+        let access = Access::new(catalog, query, access, &preds);
+        self.timer.mark();
+        let (matches, matched, sample) = access.open();
+        let rows_out = run(&matches);
         self.close(OpSample {
             out_rows: rows_out,
             ..sample
         });
-        (rows, AccessCounts { matched, rows_out })
+        AccessCounts { matched, rows_out }
+    }
+}
+
+/// A table access made ready outside its operator's timing: its index is
+/// looked up and a seek's leaf order sorted on first read.
+enum Access<'a> {
+    /// A scan of every row, covering or not, and its sample's work.
+    Scan {
+        table: &'a Table,
+        preds: &'a [Predicate],
+        sample: OpSample,
+    },
+    /// A seek into `index`, whose leaf order is `order`.
+    Seek {
+        table: &'a Table,
+        index: &'a Index,
+        order: &'a [u32],
+        shape: SeekShape,
+    },
+}
+
+impl<'a> Access<'a> {
+    /// Ready `access` for `query`, whose predicates on its table are
+    /// `preds`.
+    fn new(
+        catalog: &'a Catalog,
+        query: &Query,
+        access: &TableAccess,
+        preds: &'a [Predicate],
+    ) -> Self {
+        let table = catalog.table(access.table);
+        let scan = |op, pages| Access::Scan {
+            table,
+            preds,
+            sample: OpSample {
+                pages,
+                rows: table.rows() as u64,
+                ..OpSample::with_op(op)
+            },
+        };
+        match access.method {
+            AccessMethod::FullScan => scan(OpKind::SeqScan, table.heap_pages()),
+            // The leaves hold every column the query reads and each row
+            // once, so filtering those columns in row order yields the
+            // scan's matches, ascending.
+            AccessMethod::CoveringScan { index } => {
+                let ix = covering_index(catalog, index, access.table, query);
+                let leaves = ix.rows().div_ceil(leaf_capacity(table, ix));
+                scan(OpKind::CoveringScan, leaves as u64)
+            }
+            AccessMethod::IndexSeek { index, .. } => {
+                let index = catalog
+                    .index(index)
+                    .expect("plan references unmaterialised index");
+                Access::Seek {
+                    table,
+                    index,
+                    // Sorts the leaf order on first read.
+                    order: index.ordered_rows(table),
+                    shape: seek_shape(index.def(), preds),
+                }
+            }
+        }
+    }
+
+    /// Start the access, a seek by descending its index: the rows it
+    /// filters, the leaf entries it matched (none for a scan), and its
+    /// sample's work counters bar its output.
+    fn open(&self) -> (Matches<'_>, u64, OpSample) {
+        match self {
+            Access::Scan {
+                table,
+                preds,
+                sample,
+            } => (
+                Matches {
+                    table,
+                    range: None,
+                    preds,
+                },
+                0,
+                *sample,
+            ),
+            Access::Seek {
+                table,
+                index,
+                order,
+                shape,
+            } => {
+                let (s, e) = index.probe(table, &shape.eq_values, shape.range);
+                let matched = (e - s) as u64;
+                let sample = OpSample {
+                    pages: leaves_spanned(index, leaf_capacity(table, index), s, e),
+                    rows: matched,
+                    descents: 1,
+                    ..OpSample::with_op(OpKind::IndexSeek)
+                };
+                let matches = Matches {
+                    table,
+                    range: Some(&order[s..e]),
+                    preds: &shape.residual,
+                };
+                (matches, matched, sample)
+            }
+        }
+    }
+}
+
+/// The rows one access emits, in its order: the rows of `table` that
+/// satisfy `preds`, ascending, or those of a leaf range, in leaf order.
+struct Matches<'a> {
+    table: &'a Table,
+    /// A seek's or an index-nested-loop probe's leaf range, or `None` for
+    /// every row of the table.
+    range: Option<&'a [u32]>,
+    preds: &'a [Predicate],
+}
+
+impl Matches<'_> {
+    /// The rows filtered: the table's, or the leaf range's.
+    fn candidates(&self) -> usize {
+        self.range.map_or(self.table.rows(), <[u32]>::len)
+    }
+
+    /// Pass the matches to `sink` in order, at most [`BATCH_ROWS`] at a
+    /// time, and return how many there were. A scan seeds the selection
+    /// vector `batch` per window from its first predicate and [`refine`]s
+    /// it with the rest. A leaf range goes to the sink in place, or is
+    /// copied into `batch` a window at a time only to be refined.
+    fn stream(&self, batch: &mut Vec<u32>, mut sink: impl FnMut(&[u32])) -> u64 {
+        let mut emitted = 0;
+        let mut emit = |rows: &[u32]| {
+            emitted += rows.len() as u64;
+            sink(rows);
+        };
+        match self.range {
+            Some(rows) if self.preds.is_empty() => emit(rows),
+            Some(rows) => {
+                for window in rows.chunks(BATCH_ROWS) {
+                    batch.clear();
+                    batch.extend_from_slice(window);
+                    refine(self.table, self.preds, batch);
+                    emit(batch);
+                }
+            }
+            None => {
+                let n = self.table.rows();
+                let seed = self.preds.split_first();
+                for start in (0..n).step_by(BATCH_ROWS) {
+                    let end = (start + BATCH_ROWS).min(n);
+                    batch.clear();
+                    match seed {
+                        Some((first, rest)) => {
+                            let column = self.table.column(first.column.ordinal);
+                            column.fill_matching_in(first.lo, first.hi, start, end, batch);
+                            refine(self.table, rest, batch);
+                        }
+                        None => batch.extend(start as u32..end as u32),
+                    }
+                    emit(batch);
+                }
+            }
+        }
+        emitted
     }
 }
 
@@ -686,8 +859,9 @@ fn keyed_later(plan: &Plan, i: usize, table: TableId) -> bool {
 /// an execution, whether they were just taken or are replayed. `charge`
 /// sees the price of each operator the counting pass runs, in plan order,
 /// and returns it: a timed executor copies it into the operator's sample on
-/// the way. An inner access a kept join table served and the aggregate run
-/// no operator, so their prices bypass it.
+/// the way. An inner access that ran inside its hash join is charged with
+/// the join, whose sample holds it. One that a kept join table served ran
+/// nowhere and the aggregate runs no operator, so their prices bypass it.
 fn price(
     cost: &CostModel,
     catalog: &Catalog,
@@ -710,18 +884,25 @@ fn price(
         match step_counts {
             StepCounts::Hash {
                 inner,
-                kept,
+                ran,
                 out_rows,
             } => {
                 let access = &step.access;
-                accesses.push(if kept {
-                    // A kept join table served the inner side: the access
-                    // ran no operator.
-                    price_access(cost, catalog, access, inner, &mut |price| price)
+                let join = cost.hash_join(inner.rows_out, rows, out_rows);
+                if ran == InnerRun::Alone {
+                    accesses.push(price_access(cost, catalog, access, inner, &mut charge));
+                    join_time += charge(join);
                 } else {
-                    price_access(cost, catalog, access, inner, &mut charge)
-                });
-                join_time += charge(cost.hash_join(inner.rows_out, rows, out_rows));
+                    let stats = price_access(cost, catalog, access, inner, &mut |price| price);
+                    // The join's sample holds an access run inside it.
+                    charge(if ran == InnerRun::InJoin {
+                        stats.time + join
+                    } else {
+                        join
+                    });
+                    accesses.push(stats);
+                    join_time += join;
+                }
             }
             StepCounts::Inl { matched, out_rows } => {
                 let index = step
@@ -858,25 +1039,128 @@ impl Hasher for KeyHasher {
 /// row of the probe side, the larger input. Counting both inputs, not the
 /// build side alone, keeps a small build direct when a large side probes
 /// it: a filtered `orders` slice keeps a wide span over its few rows, but
-/// not over the `lineitem` rows that probe it.
+/// not over the `lineitem` rows that probe it. A join whose output is only
+/// counted ([`count_join`]) holds no row and knows its inner rows only as
+/// the rows its inner access filters, every row of the table for a scan:
+/// its count array is at most 16 bytes per outer tuple and per row the
+/// access filters (twice those rows' 8-byte key codes), and is dropped
+/// when the step ends.
 const DIRECT_CODES_PER_ROW: u64 = 4;
 
-/// How a join key finds its slot in a [`JoinTable`].
+/// How a join key finds its slot: in a [`JoinTable`], the slot owning its
+/// build entries, and in [`KeyCounts`], its count. One more slot after the
+/// keys' slots is always empty: a key that no entry holds gets it, so a
+/// lookup reads a slot without branching on whether the key was found.
 #[derive(Debug)]
 enum SlotIndex {
-    /// Dense build keys: key `k`'s slot is `k - min`, one slot for each of
-    /// the `span` codes from `min`, whether any build entry holds it or not.
-    Direct { min: i64, span: u64 },
-    /// Sparse build keys: one slot per distinct key, in order of first
+    /// Dense keys: key `k`'s slot is `k - min`, one slot for each code of
+    /// the span from `min`, whether any entry holds it or not.
+    Direct { min: i64 },
+    /// Sparse keys: one slot per distinct key, in order of first
     /// appearance.
     Map(HashMap<i64, u32, BuildHasherDefault<KeyHasher>>),
 }
 
+impl SlotIndex {
+    /// Call `visit(id, slot)` for each `(id, key)` in order, with the key's
+    /// slot, or `empty`, the slot after the keys', for a key no entry
+    /// holds.
+    fn visit(
+        &self,
+        empty: u32,
+        probes: impl Iterator<Item = (u32, i64)>,
+        mut visit: impl FnMut(u32, u32),
+    ) {
+        match self {
+            // The empty slot is the span. A key below `min` wraps to
+            // `2^64 - (min - key)`, which is at least the span because the
+            // span ends by `i64::MAX`: one unsigned `min` sends keys off
+            // either end to the empty slot.
+            SlotIndex::Direct { min } => {
+                for (id, key) in probes {
+                    visit(
+                        id,
+                        (key.wrapping_sub(*min) as u64).min(u64::from(empty)) as u32,
+                    );
+                }
+            }
+            SlotIndex::Map(slots) => {
+                for (id, key) in probes {
+                    visit(id, slots.get(&key).copied().unwrap_or(empty));
+                }
+            }
+        }
+    }
+}
+
+/// Rows per join key: each key's slot, and each slot's count, the empty
+/// slot's last. A [`JoinTable`] builds from them; a join whose output is
+/// only counted sums them.
+#[derive(Debug)]
+struct KeyCounts {
+    index: SlotIndex,
+    counts: Vec<u32>,
+}
+
+impl KeyCounts {
+    /// No rows yet, under keys [`dense_span`] gave `span` for, or sparse
+    /// keys when it gave none, with room for `keys` of them.
+    fn new(span: Option<(i64, u64)>, keys: usize) -> Self {
+        match span {
+            Some((min, span)) => KeyCounts {
+                index: SlotIndex::Direct { min },
+                counts: vec![0; span as usize + 1],
+            },
+            None => KeyCounts {
+                index: SlotIndex::Map(HashMap::with_capacity_and_hasher(keys, Default::default())),
+                counts: vec![0],
+            },
+        }
+    }
+
+    /// Count one row under each of `keys`, which lie in the span, and pass
+    /// each one's slot to `slot`.
+    fn add(&mut self, keys: impl Iterator<Item = i64>, mut slot: impl FnMut(u32)) {
+        let counts = &mut self.counts;
+        match &mut self.index {
+            SlotIndex::Direct { min } => {
+                for key in keys {
+                    let s = key.wrapping_sub(*min) as u64 as usize;
+                    debug_assert!(s + 1 < counts.len(), "key {key} off the span");
+                    counts[s] += 1;
+                    slot(s as u32);
+                }
+            }
+            // A new key takes the empty slot, and a new empty slot follows.
+            SlotIndex::Map(slots) => {
+                for key in keys {
+                    let empty = (counts.len() - 1) as u32;
+                    let s = *slots.entry(key).or_insert(empty);
+                    if s == empty {
+                        counts.push(0);
+                    }
+                    counts[s as usize] += 1;
+                    slot(s);
+                }
+            }
+        }
+    }
+
+    /// The rows counted under each of `keys`, summed: none for a key no
+    /// row holds.
+    fn sum(&self, keys: impl Iterator<Item = i64>) -> u64 {
+        let mut sum = 0;
+        let empty = (self.counts.len() - 1) as u32;
+        self.index.visit(empty, keys.map(|key| (0, key)), |_, s| {
+            sum += u64::from(self.counts[s as usize]);
+        });
+        sum
+    }
+}
+
 /// The build side of one hash join in CSR form: `index` gives each key's
 /// slot, and slot `s` owns the build entries `rows[bounds[s]..bounds[s + 1]]`
-/// in build-input order. One more slot after the keys' slots is always
-/// empty: a probe key no build entry holds gets it, so a probe reads a slot
-/// and a hit flag without branching on whether the key was found.
+/// in build-input order. The empty slot owns none.
 #[derive(Debug)]
 struct JoinTable {
     index: SlotIndex,
@@ -889,38 +1173,19 @@ impl JoinTable {
     /// stored id and join key, for a join whose two inputs hold
     /// `input_rows` rows.
     fn build(len: usize, input_rows: usize, entry: impl Fn(usize) -> (u32, i64)) -> Self {
-        // Each entry's slot, and in `bounds` the entries of each slot, then
-        // the empty slot and one extra entry for the last end.
+        let keys = (0..len).map(|i| entry(i).1);
+        let mut counts = KeyCounts::new(dense_span(keys.clone(), input_rows), len);
         let mut slot_of = Vec::with_capacity(len);
-        let (index, mut bounds) = match dense_span((0..len).map(|i| entry(i).1), input_rows) {
-            Some((min, span)) => {
-                let mut bounds = vec![0u32; span as usize + 2];
-                for i in 0..len {
-                    let slot = entry(i).1.wrapping_sub(min) as u32;
-                    bounds[slot as usize] += 1;
-                    slot_of.push(slot);
-                }
-                (SlotIndex::Direct { min, span }, bounds)
-            }
-            None => {
-                let mut slots = HashMap::with_capacity_and_hasher(len, Default::default());
-                let mut bounds: Vec<u32> = Vec::new();
-                for i in 0..len {
-                    let fresh = bounds.len() as u32;
-                    let slot = *slots.entry(entry(i).1).or_insert(fresh);
-                    if slot == fresh {
-                        bounds.push(0);
-                    }
-                    bounds[slot as usize] += 1;
-                    slot_of.push(slot);
-                }
-                bounds.extend([0, 0]);
-                (SlotIndex::Map(slots), bounds)
-            }
-        };
-        // Running sums turn the counts into slot ends. Filling each slot
-        // backwards from its end keeps input order within the slot and
-        // leaves `bounds[s]` at its start; the extra entry is the last end.
+        counts.add(keys, |slot| slot_of.push(slot));
+        // Running sums turn the counts, and one more for the last end, into
+        // slot ends. Filling each slot backwards from its end keeps input
+        // order within the slot and leaves `bounds[s]` at its start; the
+        // extra entry is the last end.
+        let KeyCounts {
+            index,
+            counts: mut bounds,
+        } = counts;
+        bounds.push(0);
         let mut end = 0;
         for b in &mut bounds {
             end += *b;
@@ -985,23 +1250,9 @@ impl JoinTable {
 
     /// Call `visit(id, slot)` for each `(id, key)` in order, with the
     /// key's slot, or the empty slot for a key no build entry holds.
-    fn visit(&self, probes: impl Iterator<Item = (u32, i64)>, mut visit: impl FnMut(u32, u32)) {
-        match &self.index {
-            // A key below `min` wraps to `2^64 - (min - key)`, which is at
-            // least `span` because the span ends by `i64::MAX`: one unsigned
-            // `min` sends keys off either end to the empty slot `span`.
-            SlotIndex::Direct { min, span } => {
-                for (id, key) in probes {
-                    visit(id, (key.wrapping_sub(*min) as u64).min(*span) as u32);
-                }
-            }
-            SlotIndex::Map(slots) => {
-                let empty = (self.bounds.len() - 2) as u32;
-                for (id, key) in probes {
-                    visit(id, slots.get(&key).copied().unwrap_or(empty));
-                }
-            }
-        }
+    fn visit(&self, probes: impl Iterator<Item = (u32, i64)>, visit: impl FnMut(u32, u32)) {
+        let empty = (self.bounds.len() - 2) as u32;
+        self.index.visit(empty, probes, visit);
     }
 
     fn slot_rows(&self, slot: u32) -> &[u32] {
@@ -1029,6 +1280,35 @@ fn dense_span(mut keys: impl Iterator<Item = i64>, input_rows: usize) -> Option<
         }
     }
     Some((min, max.abs_diff(min) + 1))
+}
+
+/// Count a hash join whose output is only counted: the tuples whose row
+/// ids on the join's outer table are `probe`, keyed by `outer_keys`, with
+/// the rows `inner` emits, keyed by `inner_keys`. Returns the inner rows
+/// and the output tuples. The outer tuples are counted per key and the
+/// inner matches stream past those counts, so no row id is written and no
+/// join table built. Keys spanning at most [`DIRECT_CODES_PER_ROW`] codes
+/// per outer tuple and per row the inner access filters are direct
+/// addressed.
+fn count_join(
+    probe: &[u32],
+    outer_keys: &[i64],
+    inner: &Matches,
+    inner_keys: &[i64],
+    batch: &mut Vec<u32>,
+) -> (u64, u64) {
+    let outer = keys_of(probe, outer_keys);
+    let span = dense_span(outer.clone(), probe.len() + inner.candidates());
+    let mut counts = KeyCounts::new(span, 0);
+    counts.add(outer, |_| {});
+    let mut out = 0;
+    let rows_out = inner.stream(batch, |rows| out += counts.sum(keys_of(rows, inner_keys)));
+    (rows_out, out)
+}
+
+/// The join keys of `rows`, by row id in `keys`.
+fn keys_of<'a>(rows: &'a [u32], keys: &'a [i64]) -> impl Iterator<Item = i64> + Clone + 'a {
+    rows.iter().map(|&r| keys[r as usize])
 }
 
 /// The input a hash join builds its table on.
@@ -1073,7 +1353,8 @@ type Joined = (Vec<Vec<u32>>, usize);
 /// length and the columns `keep` flags: the outer columns, then the inner
 /// row-id column (the last flag). They come out probe-major and, within one
 /// outer tuple, in `inner_rows` order: a nested loop's output exactly,
-/// whichever side is built. With no flag set, the join only counts.
+/// whichever side is built. A join whose output is only counted takes
+/// [`count_join`] instead.
 fn hash_join(
     outer: &[Vec<u32>],
     key_col: usize,
@@ -1112,12 +1393,6 @@ fn probe_with_outer(
 ) -> Joined {
     let probe = &outer[key_col];
     let mut out = Vec::new();
-    if !keep.contains(&true) {
-        return (
-            out,
-            table.count(probe.iter().map(|&r| outer_keys[r as usize])),
-        );
-    }
     let (hits, len) = table.probe(
         probe
             .iter()
@@ -1156,12 +1431,6 @@ fn probe_with_inner(
     keep: &[bool],
 ) -> Joined {
     let mut out = Vec::new();
-    if !keep.contains(&true) {
-        return (
-            out,
-            table.count(inner_rows.iter().map(|&r| inner_keys[r as usize])),
-        );
-    }
     let (hits, len) = table.probe(inner_rows.iter().map(|&r| (r, inner_keys[r as usize])));
     // Each tuple's output rows.
     let mut rows_of = vec![0usize; outer[key_col].len()];
@@ -1216,27 +1485,6 @@ fn leaves_spanned(index: &Index, leaf_cap: usize, start: usize, end: usize) -> u
     }
 }
 
-/// Row ids of `table` matching all `preds`, ascending: seed a selection
-/// vector per [`BATCH_ROWS`] window from the first predicate, then
-/// [`refine`] it with the rest.
-fn batch_filter(table: &Table, preds: &[Predicate]) -> Vec<u32> {
-    let n = table.rows();
-    let Some((first, rest)) = preds.split_first() else {
-        return (0..n as u32).collect();
-    };
-    let seed = table.column(first.column.ordinal);
-    let mut out = Vec::new();
-    let mut batch = Vec::with_capacity(BATCH_ROWS.min(n));
-    for start in (0..n).step_by(BATCH_ROWS) {
-        let end = (start + BATCH_ROWS).min(n);
-        batch.clear();
-        seed.fill_matching_in(first.lo, first.hi, start, end, &mut batch);
-        refine(table, rest, &mut batch);
-        out.extend_from_slice(&batch);
-    }
-    out
-}
-
 /// Keep the rows of the selection vector `sel` that satisfy all `preds`,
 /// in order: one branch-free pass per predicate.
 fn refine(table: &Table, preds: &[Predicate], sel: &mut Vec<u32>) {
@@ -1261,6 +1509,21 @@ mod tests {
         preds
             .iter()
             .all(|p| p.matches(table.column(p.column.ordinal).value(r as usize)))
+    }
+
+    /// The rows `access` emits for `q`, run as an operator of its own, and
+    /// its counts.
+    fn access_rows(
+        exec: &mut Executor,
+        cat: &Catalog,
+        q: &Query,
+        access: &TableAccess,
+    ) -> (Vec<u32>, AccessCounts) {
+        let mut rows = Vec::new();
+        let counts = exec.run_access(cat, q, access, |matches| {
+            matches.stream(&mut Vec::new(), |m| rows.extend_from_slice(m))
+        });
+        (rows, counts)
     }
 
     /// Assert that `a` and `b` report the same execution, bit for bit.
@@ -1478,16 +1741,22 @@ mod tests {
 
             let q = single_table_query(preds.clone(), vec![col(1, 0)]);
             let mut exec = Executor::new(CostModel::unit_scale());
-            let seek = AccessMethod::IndexSeek {
+            let access = |method| TableAccess {
+                table: TableId(1),
+                method,
+                est_rows: 0.0,
+            };
+            let seek = access(AccessMethod::IndexSeek {
                 index: meta.id,
                 covering: false,
-            };
-            let (got, counts) = exec.run_access(&cat, t, &seek, &preds, &q);
+            });
+            let (got, counts) = access_rows(&mut exec, &cat, &q, &seek);
             assert_eq!(got, want, "{name}: leaf order");
             assert_eq!(counts.matched, (e - s) as u64, "{name}");
             assert_eq!(counts.rows_out, want.len() as u64, "{name}");
             // The scan returns the same rows, ascending.
-            let (scanned, _) = exec.run_access(&cat, t, &AccessMethod::FullScan, &preds, &q);
+            let scan = access(AccessMethod::FullScan);
+            let (scanned, _) = access_rows(&mut exec, &cat, &q, &scan);
             let mut sorted = got;
             sorted.sort_unstable();
             assert_eq!(sorted, scanned, "{name}: the scan's rows");
@@ -1704,13 +1973,12 @@ mod tests {
         }
 
         /// Check `join`'s output against the nested loop, keeping every
-        /// column, only a count, and every other column.
+        /// column and every other column.
         fn check_output(&self, join: impl Fn(&[bool]) -> Joined) {
             let want = self.nested_loop();
             let columns = want.len();
             let masks = [
                 vec![true; columns],
-                vec![false; columns],
                 (0..columns).map(|c| c % 2 == 0).collect(),
                 (0..columns).map(|c| c % 2 == 1).collect(),
             ];
@@ -1726,11 +1994,43 @@ mod tests {
             }
         }
 
-        /// Check the side and path of the table the join builds, and its
-        /// output against the nested loop. When the inner rows are every
-        /// inner row, also check a table kept over them, probed with the
-        /// outer tuples as a hash join over a whole table probes it.
+        /// Check [`count_join`] against the nested loop: the inner rows
+        /// passed on as a seek's leaf range passes them, and when they are
+        /// every inner row, as a scan with no predicate emits them.
+        fn check_count(&self) {
+            let key = ColumnSpec::new("k", ColumnType::Int, Distribution::Sequential);
+            let schema = TableSchema::new("inner", vec![key]);
+            let table = TableBuilder::new(schema, self.inner_keys.len()).build(TableId(0), 0);
+            let mut ranges = vec![Some(self.inner_rows.as_slice())];
+            if self.every_inner_row() {
+                ranges.push(None);
+            }
+            for range in ranges {
+                let inner = Matches {
+                    table: &table,
+                    range,
+                    preds: &[],
+                };
+                let probe = &self.outer[self.key_col];
+                let counted = count_join(
+                    probe,
+                    &self.outer_keys,
+                    &inner,
+                    &self.inner_keys,
+                    &mut Vec::new(),
+                );
+                let want = (self.inner_rows.len() as u64, self.out_rows as u64);
+                assert_eq!(counted, want, "{}: range {}", self.name, range.is_some());
+            }
+        }
+
+        /// Check the side and path of the table the join builds, its output
+        /// against the nested loop, and the count a join only counted
+        /// takes. When the inner rows are every inner row, also check a
+        /// table kept over them, probed with the outer tuples as a hash
+        /// join over a whole table probes it.
         fn check(&self) {
+            self.check_count();
             let (side, table) = build_smaller_side(
                 &self.outer,
                 self.key_col,
@@ -1997,8 +2297,10 @@ mod tests {
     fn hash_join_equals_a_nested_loop_over_a_seeded_sweep() {
         let mut draw = Draws(0);
         // Joins per (built side, slot path): [inner, outer][direct, map],
-        // and joins over every inner row, checked on a kept table too.
-        let mut seen = [[0; 2]; 2];
+        // per slot path of the outer tuples' counts when the join is only
+        // counted, and joins over every inner row, checked on a kept table
+        // too.
+        let (mut seen, mut counted) = ([[0; 2]; 2], [0; 2]);
         let mut whole = 0;
         for _ in 0..300 {
             // A key domain: dense codes, codes 1,000 apart, or codes 2^40
@@ -2034,20 +2336,21 @@ mod tests {
             } else {
                 Side::Outer
             };
-            let (build_rows, build_keys) = match side {
-                Side::Inner => (&inner_rows, &inner_keys),
-                Side::Outer => (&outer[key_col], &outer_keys),
-            };
-            let built: Vec<i128> = build_rows
-                .iter()
-                .map(|&r| i128::from(build_keys[r as usize]))
-                .collect();
             let input_rows = (outer[key_col].len() + inner_rows.len()) as i128;
-            let path = match (built.iter().min(), built.iter().max()) {
-                (Some(min), Some(max)) if max - min + 1 > 4 * input_rows => Path::Map,
-                _ => Path::Direct,
+            let path_of = |rows: &[u32], keys: &[i64]| {
+                let keys: Vec<i128> = rows.iter().map(|&r| i128::from(keys[r as usize])).collect();
+                match (keys.iter().min(), keys.iter().max()) {
+                    (Some(min), Some(max)) if max - min + 1 > 4 * input_rows => Path::Map,
+                    _ => Path::Direct,
+                }
+            };
+            let path = match side {
+                Side::Inner => path_of(&inner_rows, &inner_keys),
+                Side::Outer => path_of(&outer[key_col], &outer_keys),
             };
             seen[usize::from(side == Side::Outer)][usize::from(path == Path::Map)] += 1;
+            // Counted, the outer tuples are, under the same addressing rule.
+            counted[usize::from(path_of(&outer[key_col], &outer_keys) == Path::Map)] += 1;
 
             let mut case = JoinCase {
                 name: "seeded sweep",
@@ -2067,6 +2370,10 @@ mod tests {
         assert!(
             seen.iter().flatten().all(|&joins| joins >= 20),
             "every side and path is swept: {seen:?}"
+        );
+        assert!(
+            counted.iter().all(|&joins| joins >= 20),
+            "every counted path is swept: {counted:?}"
         );
         assert!(whole >= 20, "{whole} joins over every inner row");
     }
@@ -2266,9 +2573,13 @@ mod tests {
                 .filter(|&r| row_matches(t, r, &preds))
                 .collect();
             want.sort_unstable();
-            let method = AccessMethod::CoveringScan { index: meta.id };
+            let access = TableAccess {
+                table: TableId(1),
+                method: AccessMethod::CoveringScan { index: meta.id },
+                est_rows: 0.0,
+            };
             let mut exec = Executor::new(CostModel::unit_scale());
-            let (got, counts) = exec.run_access(&cat, t, &method, &preds, &q);
+            let (got, counts) = access_rows(&mut exec, &cat, &q, &access);
             assert_eq!(got, want, "{name}");
             assert_eq!(counts.rows_out, want.len() as u64, "{name}");
             match matching {
@@ -2289,14 +2600,19 @@ mod tests {
 
     /// One plan per operator class over the three-table catalog: every
     /// access method, both join algorithms, and an aggregate. The two hash
-    /// joins of `join_query` build opposite sides: `dim` driving, its ~20
-    /// matching rows are the smaller input, and `fact` driving, the inner
-    /// `dim` rows are. Four more plans, driven by a filtered `dim`, hash
-    /// join a table with no predicate on it, which the executor probes
-    /// through a kept table: `fact` scanned whole and keyed on by a
-    /// later step, `fact` covering-scanned and only counted, `sub` scanned
-    /// whole while only `dim`'s row ids go on, and `fact` on another key
-    /// column.
+    /// joins of `join_query` are last steps, only counted: `dim` driving,
+    /// its ~20 matching rows are counted and the `fact` rows stream past
+    /// them, and `fact` driving, its rows are counted and the 200 `dim`
+    /// rows its inner scan filters stream past. Four plans,
+    /// driven by a filtered `dim`, hash join a table with no predicate on
+    /// it, which the executor probes through a kept table: `fact` scanned
+    /// whole and keyed on by a later step, `fact` covering-scanned and only
+    /// counted, `sub` scanned whole while only `dim`'s row ids go on, and
+    /// `fact` on another key column. Four more hash join a filtered inner
+    /// side: two as the first of two steps, which build a join table on
+    /// the outer `dim` rows and on the inner ones (`fact` driving), and two
+    /// as the last step, whose inner access runs inside the join: a seek
+    /// with a residual predicate and a filtered covering scan.
     fn operator_sweep(cat: &mut Catalog) -> Vec<(Query, Plan)> {
         let seek_ix = cat
             .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
@@ -2334,6 +2650,7 @@ mod tests {
             .unwrap();
         let (d_key, f_key, f_dim, f_val, s_dim) =
             (col(0, 0), col(1, 0), col(1, 1), col(1, 2), col(2, 0));
+        let range = Predicate::range;
         let dim_query = |tables: &[u32], predicates, joins, payload| Query {
             id: QueryId(0),
             template: TemplateId(0),
@@ -2343,11 +2660,11 @@ mod tests {
             payload,
             aggregated: true,
         };
-        // Step `i` hash joins `q.tables[i + 1]` on `q.joins[i]`, read by
-        // `methods[i]`.
+        // A scan of `q.tables[0]` drives; step `i` hash joins
+        // `q.tables[i + 1]` on `q.joins[i]`, read by `methods[i]`.
         let hash_steps = |q: &Query, methods: Vec<AccessMethod>| Plan {
             driver: TableAccess {
-                table: TableId(0),
+                table: q.tables[0],
                 method: AccessMethod::FullScan,
                 est_rows: 0.0,
             },
@@ -2367,7 +2684,7 @@ mod tests {
             est_cost: SimSeconds::ZERO,
         };
         let scan = AccessMethod::FullScan;
-        let whole = [
+        let hash_plans = [
             (
                 dim_query(
                     &[0, 1, 2],
@@ -2397,7 +2714,46 @@ mod tests {
             ),
             (
                 dim_query(&[0, 1], vec![], vec![JoinPred::new(d_key, f_key)], vec![]),
-                vec![scan],
+                vec![scan.clone()],
+            ),
+            (
+                dim_query(
+                    &[0, 1, 2],
+                    vec![range(f_val, 0, 499), range(s_dim, 0, 99)],
+                    vec![JoinPred::new(d_key, f_dim), JoinPred::new(s_dim, f_dim)],
+                    vec![],
+                ),
+                vec![scan.clone(), scan.clone()],
+            ),
+            (
+                dim_query(
+                    &[1, 0, 2],
+                    vec![range(f_val, 0, 499), range(s_dim, 0, 99)],
+                    vec![JoinPred::new(d_key, f_dim), JoinPred::new(s_dim, d_key)],
+                    vec![],
+                ),
+                vec![scan.clone(), scan],
+            ),
+            (
+                dim_query(
+                    &[0, 1],
+                    vec![range(f_val, 0, 499), range(f_key, 1000, 3999)],
+                    vec![JoinPred::new(d_key, f_dim)],
+                    vec![],
+                ),
+                vec![AccessMethod::IndexSeek {
+                    index: seek_ix.id,
+                    covering: false,
+                }],
+            ),
+            (
+                dim_query(
+                    &[0, 1],
+                    vec![range(f_key, 0, 2999)],
+                    vec![JoinPred::new(d_key, f_dim)],
+                    vec![],
+                ),
+                vec![AccessMethod::CoveringScan { index: fk_cover.id }],
             ),
         ]
         .map(|(q, methods)| {
@@ -2425,7 +2781,7 @@ mod tests {
             (jq.clone(), fact_driven),
             (jq, inl),
         ];
-        sweep.extend(whole);
+        sweep.extend(hash_plans);
         sweep
     }
 
@@ -2433,12 +2789,13 @@ mod tests {
     /// build rows, probe rows and out rows.
     type Work = (OpKind, [u64; 6]);
 
-    /// The leaf pages holding index entries `[start, end)`, `cap` to a
-    /// leaf: the one a miss lands on when the range is empty.
-    fn leaves_holding(start: usize, end: usize, cap: usize) -> u64 {
+    /// The leaf pages holding entries `[start, end)` of an index of
+    /// `entries` entries, `cap` to a leaf: the one a miss lands on when
+    /// the range is empty, and none in an empty index.
+    fn leaves_holding(start: usize, end: usize, cap: usize, entries: usize) -> u64 {
         let mut leaves: Vec<usize> = (start..end).map(|e| e / cap).collect();
         leaves.dedup();
-        leaves.len().max(1) as u64
+        leaves.len().max(usize::from(entries > 0)) as u64
     }
 
     /// The entries of `index`, keyed on one column of `table`, whose key
@@ -2474,34 +2831,48 @@ mod tests {
                     .find(|p| p.column.ordinal == key)
                     .map_or((i64::MIN, i64::MAX), |p| (p.lo, p.hi));
                 let (start, end) = key_range(table, ix, lo, hi);
-                let pages = leaves_holding(start, end, leaf_capacity(table, ix));
+                let pages = leaves_holding(start, end, leaf_capacity(table, ix), ix.rows());
                 let matched = (end - start) as u64;
                 (OpKind::IndexSeek, [pages, matched, 1, 0, 0, out])
             }
             AccessMethod::CoveringScan { index } => {
                 let ix = cat.index(index).unwrap();
-                let pages = leaves_holding(0, ix.rows(), leaf_capacity(table, ix));
+                let pages = leaves_holding(0, ix.rows(), leaf_capacity(table, ix), ix.rows());
                 (OpKind::CoveringScan, [pages, all, 0, 0, 0, out])
             }
         };
         (rows, work)
     }
 
-    /// The samples a timed run of `plan` for `q` must leave on a miss, in
-    /// plan order, counted independently of the executor: accesses row by
-    /// row, joins as nested loops over (table, row id) tuples, and index
-    /// entries located by counting the keys that sort before them. A hash
-    /// join counts the inner rows as its build and the outer tuples as its
-    /// probe, whichever side the executor builds. An inner scan of a hash
-    /// join with no predicate on its table runs no operator, as a join
-    /// table kept over the whole table serves it, and neither does the
-    /// aggregate.
-    fn reference_samples(cat: &Catalog, q: &Query, plan: &Plan) -> Vec<Work> {
+    /// The counts of one access from its reference rows and work: a
+    /// seek's matched entries are its sample's rows.
+    fn access_counts(rows: &[u32], (op, work): Work) -> AccessCounts {
+        AccessCounts {
+            matched: if op == OpKind::IndexSeek { work[1] } else { 0 },
+            rows_out: rows.len() as u64,
+        }
+    }
+
+    /// Run `plan` for `q` by brute force, independently of the executor:
+    /// the counts its counting pass must return, and the samples a timed
+    /// run must leave on a miss, in plan order. Accesses filter row by row,
+    /// joins are nested loops over (table, row id) tuples, and index
+    /// entries are located by counting the keys that sort before them. A
+    /// hash join counts the inner rows as its build and the outer tuples as
+    /// its probe, whichever side the executor builds or counts. The inner
+    /// access of a hash join leaves no sample of its own when it runs
+    /// inside the join, the last step, whose sample then counts the
+    /// access's pages, rows and descents too, or when a kept join table
+    /// serves it, reading a whole table with no predicate on it; the
+    /// aggregate leaves none either.
+    fn reference(cat: &Catalog, q: &Query, plan: &Plan) -> (Counts, Vec<Work>) {
         let (driver_rows, driver) = reference_access(cat, q, &plan.driver);
+        let driver_counts = access_counts(&driver_rows, driver);
         let mut work = vec![driver];
+        let mut steps = Vec::new();
         let mut tables = vec![plan.driver.table];
         let mut tuples: Vec<Vec<u32>> = driver_rows.into_iter().map(|r| vec![r]).collect();
-        for step in &plan.joins {
+        for (i, step) in plan.joins.iter().enumerate() {
             let inner = cat.table(step.access.table);
             let outer_col = step.join.other_side(step.access.table).unwrap();
             let inner_key = inner.column(step.join.side_on(step.access.table).unwrap().ordinal);
@@ -2523,10 +2894,30 @@ mod tests {
                 JoinAlgo::Hash => {
                     let build = inner_rows.len() as u64;
                     let scan = !matches!(step.access.method, AccessMethod::IndexSeek { .. });
-                    if !(scan && q.predicates_on(step.access.table).is_empty()) {
-                        work.push(inner_work);
-                    }
-                    work.push((OpKind::HashJoin, [0, 0, 0, build, probes, out]));
+                    let ran = if scan && q.predicates_on(step.access.table).is_empty() {
+                        InnerRun::Kept
+                    } else if i + 1 == plan.joins.len() {
+                        InnerRun::InJoin
+                    } else {
+                        InnerRun::Alone
+                    };
+                    let [pages, rows, descents, ..] = inner_work.1;
+                    let access = match ran {
+                        InnerRun::Alone => {
+                            work.push(inner_work);
+                            [0; 3]
+                        }
+                        InnerRun::InJoin => [pages, rows, descents],
+                        InnerRun::Kept => [0; 3],
+                    };
+                    let join = [build, probes, out];
+                    let counters = [access, join].concat().try_into().unwrap();
+                    work.push((OpKind::HashJoin, counters));
+                    steps.push(StepCounts::Hash {
+                        inner: access_counts(&inner_rows, inner_work),
+                        ran,
+                        out_rows: out,
+                    });
                 }
                 JoinAlgo::IndexNestedLoop => {
                     let ix = cat.index(step.access.method.index_id().unwrap()).unwrap();
@@ -2534,16 +2925,24 @@ mod tests {
                     let (mut pages, mut matched) = (0, 0);
                     for tuple in &tuples {
                         let (start, end) = key_range(inner, ix, key_of(tuple), key_of(tuple));
-                        pages += leaves_holding(start, end, cap);
+                        pages += leaves_holding(start, end, cap, ix.rows());
                         matched += (end - start) as u64;
                     }
                     work.push((OpKind::InlProbe, [pages, matched, probes, 0, 0, out]));
+                    steps.push(StepCounts::Inl {
+                        matched,
+                        out_rows: out,
+                    });
                 }
             }
             tables.push(step.access.table);
             tuples = joined;
         }
-        work
+        let counts = Counts {
+            driver: driver_counts,
+            steps: steps.into(),
+        };
+        (counts, work)
     }
 
     #[test]
@@ -2565,7 +2964,8 @@ mod tests {
     /// a replay, drifted or not, gives what a fresh count gives, for every
     /// operator kind. On a miss the timed executor leaves one sample per
     /// operator it ran, in plan order, whose work counters match the
-    /// independent count, whose price is its operator's and whose time is
+    /// independent count (as a fresh executor's counts do), whose price is
+    /// its operator's and whose time is
     /// one scripted step: exactly one `mark`/`elapsed_secs` pair per
     /// operator. A replay runs no operator and leaves no sample.
     #[test]
@@ -2605,17 +3005,33 @@ mod tests {
                         (s.op, [counts, join].concat().try_into().unwrap())
                     })
                     .collect();
-                assert_eq!(work, reference_samples(&cat, q, plan), "{label}");
+                let (counts, reference_work) = reference(&cat, q, plan);
+                assert_eq!(work, reference_work, "{label}");
+                let fresh = Executor::new(CostModel::unit_scale()).count(&cat, q, plan);
+                assert_eq!(fresh, counts, "{label}: counts");
                 // A join's sample carries its step's share of the join
-                // time, any other sample the time of one access.
+                // time, and the price of an inner access that ran inside
+                // it; any other sample the time of one access.
                 let mut join_time = SimSeconds::ZERO;
+                let mut step = 0;
                 for s in &samples {
                     assert_eq!(s.measured_s, 0.5, "{label}: {:?} time", s.op);
+                    step += usize::from(s.op == OpKind::InlProbe);
                     if s.op == OpKind::HashJoin {
-                        join_time += SimSeconds::new(s.sim_s);
-                        // The executor builds the smaller input: the inner
-                        // rows in the first case, the outer tuples in the
-                        // second.
+                        let join = plain.cost.hash_join(s.build_rows, s.probe_rows, s.out_rows);
+                        join_time += join;
+                        let price = match counts.steps[step] {
+                            StepCounts::Hash {
+                                ran: InnerRun::InJoin,
+                                ..
+                            } => b.accesses[step + 1].time + join,
+                            _ => join,
+                        };
+                        assert_eq!(s.sim_s.to_bits(), price.secs().to_bits(), "{label}: join");
+                        step += 1;
+                        // Fewer inner rows than outer tuples, and more: the
+                        // sweep builds either side, and counts with either
+                        // input the larger.
                         built.0 |= s.build_rows < s.probe_rows;
                         built.1 |= s.build_rows > s.probe_rows;
                     } else {
@@ -2635,7 +3051,7 @@ mod tests {
                 for op in OpKind::ALL {
                     assert!(ops.contains(&op), "no {op:?} sample");
                 }
-                assert_eq!(built, (true, true), "hash joins build both sides");
+                assert_eq!(built, (true, true), "hash joins on both sides");
             }
         }
         assert_eq!(
@@ -2643,6 +3059,301 @@ mod tests {
             3,
             "fact.f_dim, sub.s_dim and fact.f_key"
         );
+    }
+
+    /// The join-key domains of the count sweep.
+    #[derive(Clone, Copy, Debug)]
+    enum Keys {
+        /// Codes near zero, from an offset of the table's own.
+        Dense,
+        /// Multiples of 2^40, one per value of the table's `s`.
+        Sparse,
+        /// Codes from `i64::MIN`.
+        Low,
+        /// Codes up to `i64::MAX`.
+        High,
+    }
+
+    impl Keys {
+        fn draw(d: &mut Draws) -> Keys {
+            [Keys::Dense, Keys::Sparse, Keys::Low, Keys::High][d.below(4) as usize]
+        }
+
+        /// A table's join-key distribution in this domain, spanning up to
+        /// 40 codes unless sparse.
+        fn distribution(self, d: &mut Draws) -> Distribution {
+            let width = d.below(40) as i64;
+            match self {
+                Keys::Dense => {
+                    let lo = d.below(7) as i64 - 3;
+                    Distribution::Uniform { lo, hi: lo + width }
+                }
+                Keys::Sparse => Distribution::Correlated {
+                    source: 0,
+                    a: 1 << 40,
+                    b: 0,
+                    m: i64::MAX,
+                    noise: 0,
+                },
+                Keys::Low => Distribution::Uniform {
+                    lo: i64::MIN,
+                    hi: i64::MIN + width,
+                },
+                Keys::High => Distribution::Uniform {
+                    lo: i64::MAX - width,
+                    hi: i64::MAX,
+                },
+            }
+        }
+    }
+
+    /// One seeded case of the count sweep: up to three tables of columns
+    /// `s` (uniform in 0..=9), the join key `k`, `v` (0..=99) and `w`
+    /// (0..=9), each with a seek index on `v`, an index on `k` and one on
+    /// `k` covering every column, and a plan of up to two join steps, each
+    /// joining the next table's `k` with an earlier one's. Accesses and
+    /// algorithms are drawn at random, and each table gets up to three
+    /// predicates on `s`, `v` and `w`, some of them empty ranges.
+    /// Also returns each table's key domain: one for every table in two
+    /// cases of three, else one each.
+    fn sweep_case(d: &mut Draws) -> (Catalog, Query, Plan, Vec<Keys>) {
+        let tables = 1 + d.below(3) as u32;
+        let shared = (d.below(3) > 0).then(|| Keys::draw(d));
+        let domains: Vec<Keys> = (0..tables)
+            .map(|_| shared.unwrap_or_else(|| Keys::draw(d)))
+            .collect();
+        let mut cat = Catalog::new(
+            (0..tables)
+                .map(|t| {
+                    let keys = domains[t as usize];
+                    let int = |name, dist| ColumnSpec::new(name, ColumnType::Int, dist);
+                    let schema = TableSchema::new(
+                        format!("t{t}"),
+                        vec![
+                            int("s", Distribution::Uniform { lo: 0, hi: 9 }),
+                            int("k", keys.distribution(d)),
+                            int("v", Distribution::Uniform { lo: 0, hi: 99 }),
+                            int("w", Distribution::Uniform { lo: 0, hi: 9 }),
+                        ],
+                    );
+                    let rows = if d.below(6) == 0 {
+                        d.below(3)
+                    } else {
+                        1 + d.below(80)
+                    };
+                    TableBuilder::new(schema, rows as usize).build(TableId(t), d.below(1000))
+                })
+                .collect(),
+        );
+        let indexes: Vec<[IndexId; 3]> = (0..tables)
+            .map(|t| {
+                [
+                    (vec![2], vec![]),
+                    (vec![1], vec![]),
+                    (vec![1], vec![0, 2, 3]),
+                ]
+                .map(|(key, include)| {
+                    let def = IndexDef::new(TableId(t), key, include);
+                    cat.create_index(def).unwrap().id
+                })
+            })
+            .collect();
+        let mut predicates = Vec::new();
+        for t in 0..tables {
+            for (c, max) in [(0, 9), (2, 99), (3, 9)] {
+                if d.below(3) == 0 {
+                    let lo = d.below(max / 2 + 1) as i64;
+                    let hi = lo + d.below(max + 1) as i64 - (max / 8) as i64;
+                    predicates.push(Predicate::range(col(t, c), lo, hi));
+                }
+            }
+        }
+        let access = |d: &mut Draws, t: u32| {
+            let [seek, _, cover] = indexes[t as usize];
+            let method = match d.below(3) {
+                0 => AccessMethod::FullScan,
+                1 => AccessMethod::CoveringScan { index: cover },
+                _ => AccessMethod::IndexSeek {
+                    index: seek,
+                    covering: false,
+                },
+            };
+            TableAccess {
+                table: TableId(t),
+                method,
+                est_rows: 0.0,
+            }
+        };
+        let driver = access(d, 0);
+        let mut joins = Vec::new();
+        let mut steps = Vec::new();
+        for t in 1..tables {
+            let join = JoinPred::new(col(t, 1), col(d.below(u64::from(t)) as u32, 1));
+            let (algo, access) = if d.below(3) == 0 {
+                let [_, key, cover] = indexes[t as usize];
+                let covering = d.below(2) == 0;
+                let method = AccessMethod::IndexSeek {
+                    index: if covering { cover } else { key },
+                    covering,
+                };
+                let access = TableAccess {
+                    table: TableId(t),
+                    method,
+                    est_rows: 0.0,
+                };
+                (JoinAlgo::IndexNestedLoop, access)
+            } else {
+                (JoinAlgo::Hash, access(d, t))
+            };
+            joins.push(join);
+            steps.push(JoinStep {
+                access,
+                algo,
+                join,
+                est_rows_out: 0.0,
+            });
+        }
+        let aggregated = d.below(2) == 0;
+        let q = Query {
+            id: QueryId(0),
+            template: TemplateId(0),
+            tables: (0..tables).map(TableId).collect(),
+            predicates,
+            joins,
+            payload: vec![],
+            aggregated,
+        };
+        let plan = Plan {
+            driver,
+            joins: steps,
+            aggregated,
+            est_cost: SimSeconds::ZERO,
+        };
+        (cat, q, plan, domains)
+    }
+
+    /// A seeded sweep of the counting pass, whose operators only count
+    /// what no later step reads: every field of each access's and step's
+    /// counts, the priced execution (bit for bit) and a timed run's samples
+    /// match a nested-loop reference. It covers join-free plans, last hash
+    /// joins over each inner access method (a seek with a residual
+    /// predicate among them) on dense, sparse and `i64`-extreme keys,
+    /// outers with more tuples than the inner table,
+    /// last index-nested-loop joins with and without inner predicates, and
+    /// 0, 1 and 2+ predicates with empty ranges (`lo > hi`).
+    #[test]
+    fn count_only_operators_match_a_nested_loop_over_a_seeded_sweep() {
+        let cost = CostModel::unit_scale();
+        let mut d = Draws(1 << 32);
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        for case in 0..2000 {
+            let (cat, q, plan, domains) = sweep_case(&mut d);
+            let label = format!("case {case}: {q:?} {plan:?}");
+            let (want, samples) = reference(&cat, &q, &plan);
+            let counts = Executor::new(cost.clone()).count(&cat, &q, &plan);
+            assert_eq!(counts, want, "{label}");
+            let priced = price(&cost, &cat, &q, &plan, &want, |price| price);
+            let got = Executor::new(cost.clone()).execute(&cat, &q, &plan);
+            assert_same_execution(&got, &priced, &label);
+            let mut timed = Executor::timed(cost.clone(), BudgetTimer::scripted(0.5));
+            timed.execute(&cat, &q, &plan);
+            let work: Vec<Work> = timed
+                .take_op_samples()
+                .iter()
+                .map(|s| {
+                    let w = [s.pages, s.rows, s.descents];
+                    let join = [s.build_rows, s.probe_rows, s.out_rows];
+                    (s.op, [w, join].concat().try_into().unwrap())
+                })
+                .collect();
+            assert_eq!(work, samples, "{label}");
+
+            // What the case covered.
+            let mut cover = |what: String| *seen.entry(what).or_default() += 1;
+            if q.predicates.iter().any(|p| p.lo > p.hi) {
+                cover("an empty range".into());
+            }
+            for access in [&plan.driver]
+                .into_iter()
+                .chain(plan.joins.iter().map(|s| &s.access))
+            {
+                let preds = q.predicates_on(access.table);
+                if let AccessMethod::IndexSeek { index, .. } = access.method {
+                    let shape = seek_shape(cat.index(index).unwrap().def(), &preds);
+                    if !shape.residual.is_empty() {
+                        cover("a seek with a residual predicate".into());
+                    }
+                }
+                cover(format!("{} predicates", preds.len().min(2)));
+            }
+            let method = |access: &TableAccess| match access.method {
+                AccessMethod::FullScan => "scan",
+                AccessMethod::CoveringScan { .. } => "covering scan",
+                AccessMethod::IndexSeek { .. } => "seek",
+            };
+            let Some((last, step)) = want.steps.last().zip(plan.joins.last()) else {
+                cover(format!("a join-free plan over a {}", method(&plan.driver)));
+                continue;
+            };
+            let outer = match want.steps.len() {
+                1 => want.driver.rows_out,
+                n => want.steps[n - 2].out_rows(),
+            };
+            let inner_rows = cat.table(step.access.table).rows() as u64;
+            let preds = q.predicates_on(step.access.table).len();
+            let (outer_domain, inner_domain) = {
+                let outer = step.join.other_side(step.access.table).unwrap().table;
+                (
+                    domains[outer.raw() as usize],
+                    domains[step.access.table.raw() as usize],
+                )
+            };
+            let method = method(&step.access);
+            match *last {
+                StepCounts::Inl { .. } => {
+                    cover(format!("a last INL step, {} predicates", preds.min(1)))
+                }
+                StepCounts::Hash { .. } if method == "seek" || preds > 0 => {
+                    cover(format!("a last hash step over a {method}"));
+                    if outer > inner_rows {
+                        cover("an outer with more tuples than the inner table".into());
+                    }
+                    cover(format!(
+                        "{outer_domain:?} keys counted against {inner_domain:?}"
+                    ));
+                    if last.out_rows() > 0 {
+                        cover(format!("matches on {inner_domain:?} keys"));
+                    }
+                }
+                StepCounts::Hash { .. } => cover("a last hash step over a whole table".into()),
+            }
+        }
+        for (what, cases) in [
+            ("an empty range", 50),
+            ("a seek with a residual predicate", 50),
+            ("0 predicates", 50),
+            ("1 predicates", 50),
+            ("2 predicates", 50),
+            ("a join-free plan over a scan", 20),
+            ("a join-free plan over a covering scan", 20),
+            ("a join-free plan over a seek", 20),
+            ("a last INL step, 0 predicates", 20),
+            ("a last INL step, 1 predicates", 20),
+            ("a last hash step over a scan", 20),
+            ("a last hash step over a covering scan", 20),
+            ("a last hash step over a seek", 20),
+            ("a last hash step over a whole table", 20),
+            ("an outer with more tuples than the inner table", 20),
+            ("matches on Dense keys", 20),
+            ("matches on Sparse keys", 20),
+            ("matches on Low keys", 20),
+            ("matches on High keys", 20),
+            ("Low keys counted against High", 2),
+            ("High keys counted against Low", 2),
+        ] {
+            let got = seen.get(what).copied().unwrap_or(0);
+            assert!(got >= cases, "{what}: {got} cases, {seen:?}");
+        }
     }
 
     #[test]
@@ -2785,6 +3496,8 @@ mod tests {
         assert!(measured.take_op_samples().is_empty(), "samples drain");
     }
 
+    /// A scan's batch filter streams every matching row, ascending, in
+    /// windows of at most [`BATCH_ROWS`], with no predicate too.
     #[test]
     fn batch_filter_is_ascending_and_complete() {
         let cat = catalog();
@@ -2796,8 +3509,22 @@ mod tests {
         let want: Vec<u32> = (0..t.rows() as u32)
             .filter(|&r| row_matches(t, r, &preds))
             .collect();
-        assert_eq!(batch_filter(t, &preds), want);
-        assert_eq!(batch_filter(t, &[]).len(), t.rows());
+        for (preds, want) in [(&preds[..], want), (&[], (0..t.rows() as u32).collect())] {
+            let scan = Matches {
+                table: t,
+                range: None,
+                preds,
+            };
+            let (mut got, mut windows) = (Vec::new(), 0);
+            let n = scan.stream(&mut Vec::new(), |rows| {
+                assert!(rows.len() <= BATCH_ROWS);
+                got.extend_from_slice(rows);
+                windows += 1;
+            });
+            assert_eq!(got, want);
+            assert_eq!(n, want.len() as u64);
+            assert_eq!(windows, t.rows().div_ceil(BATCH_ROWS));
+        }
     }
 
     #[test]
