@@ -1,16 +1,17 @@
 //! Criterion benchmarks for the executor's hot paths. Most time an
 //! executor on the wall-clock: vectorized batch heap scans, an index seek,
-//! a covering scan, hash joins built on either side and hash joins only
-//! counted. The executor runs one program, timed or not,
+//! a covering scan, hash joins whose output a later step keys on and hash
+//! joins only counted. The executor runs one program, timed or not,
 //! and replays a repeated (query instance, plan shape) pair without
 //! running an operator, so each of these iterations runs on a fresh
 //! executor and pays the operator's whole work plus its clock reads and
 //! the memo's first insert; the executor is dropped outside the timed
 //! region. Each first asserts the operators its plan runs and the shape of
 //! the sample it names, so it measures the work it names. The whole-inner
-//! hash joins run on the untimed executor, which probes a join table kept
-//! over the whole inner table instead of scanning and building; they
-//! assert the join's output against a nested loop.
+//! hash joins run on the untimed executor, which reads a join table kept
+//! over the whole inner table instead of scanning; they assert the
+//! operators a timed run of their plan runs, and the join's output against
+//! a nested loop.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -211,29 +212,30 @@ fn bench_covering_scan(c: &mut Criterion) {
 /// table.
 ///
 /// In `hash_join_{fk,sparse,small_build}_200k` a later step keys on the
-/// join's output, so the join builds a table and writes the dimension's
-/// row id of each output tuple: that step joins an 8-row table on `d_key`,
-/// read whole through a join table the fresh executor builds and keeps,
-/// and adds a count of the 200k tuples' keys against it. The join builds
-/// on the smaller input, the 20k dimension rows in every bench. `fk` and
-/// `sparse` drive with the dimension, so they build on the outer side and
-/// probe with the fact rows; `small_build` drives with the fact table and
-/// builds the dimension as the inner side. `fk` and `small_build` join the
-/// dense keys, which span 0.1 codes per input row, so the build addresses
-/// its slots directly. `sparse` joins the same keys times 1,000, about 90
-/// codes per input row, so the build maps its keys to slots instead.
+/// dimension's `d_key`, so the join emits a weighted `d_key` tuple per
+/// pair it joins: that step joins an 8-row table on `t_key = d_key`, read
+/// whole through a join table the fresh executor builds and keeps, and
+/// counts the tuples' keys against it. `fk` and `sparse` drive with the
+/// dimension, whose 20k tuples carry `d_key` beside the join key: the join
+/// lists the 200k fact rows by key and emits each dimension tuple once,
+/// weighted by its key's rows. `fk` joins the dense keys, which span 0.1
+/// codes per input row, so the listing addresses its slots directly;
+/// `sparse` joins the same keys times 1,000, about 90 codes per input row,
+/// so it maps keys to slots instead. `small_build` drives with the fact
+/// table, whose 200k one-code tuples are their join keys: their weights
+/// are summed into 20k keys, and each inner dimension row joins its key's
+/// sum and emits its `d_key`.
 ///
 /// In `hash_join_count_{dim,fact}_outer_200k` the join is the last step
-/// and only counts: the inner scan runs inside the join, which counts the
-/// outer tuples per key and streams the inner rows past them, writing no
-/// row id. `dim_outer` drives with the dimension, so it counts 20k tuples
-/// and streams 200k fact rows; `fact_outer` drives with the fact table, so
-/// it counts 200k tuples and streams 20k dimension rows. The join's sample
-/// holds its inner scan's work.
+/// and only counts: the outer weights are summed per key and each inner
+/// row adds its key's sum. `dim_outer` drives with the dimension, so it
+/// sums 20k outer tuples and streams 200k fact rows; `fact_outer` drives
+/// with the fact table, so it sums 200k outer tuples and streams 20k
+/// dimension rows.
 ///
-/// Whichever side is built or counted, the sample counts the inner rows as
-/// the build and the outer tuples as the probe, as the cost model prices
-/// them.
+/// In every bench the inner scan runs inside the join, whose sample holds
+/// its work and counts the inner rows as the build and the outer tuples as
+/// the probe, as the cost model prices them.
 fn bench_hash_join(c: &mut Criterion) {
     // (bench, key spread, inner table, whether a later step keys on the
     // join's output)
@@ -244,41 +246,34 @@ fn bench_hash_join(c: &mut Criterion) {
         ("hash_join_count_dim_outer_200k", 1, FACT, false),
         ("hash_join_count_fact_outer_200k", 1, DIM, false),
     ];
-    for (name, spread, inner, keyed_later) in benches {
+    for (name, spread, inner, later_step) in benches {
         let catalog = join_catalog(spread);
         let driver = if inner == FACT { DIM } else { FACT };
         let every_row = Predicate::range(ColumnId::new(inner, 0), i64::MIN, i64::MAX);
         let (mut q, mut plan) = scan_join(driver, inner, vec![every_row]);
-        // The join over the 8-row table leaves no sample for its scan, and
-        // a join only counted runs its inner access inside it.
-        let ops: &[OpKind] = if keyed_later {
+        // Each join runs its inner scan inside it; the join over the 8-row
+        // table reads a kept table and leaves no scan either.
+        let ops: &[OpKind] = if later_step {
             join_tiny_after(&mut q, &mut plan);
-            &[
-                OpKind::SeqScan,
-                OpKind::SeqScan,
-                OpKind::HashJoin,
-                OpKind::HashJoin,
-            ]
+            &[OpKind::SeqScan, OpKind::HashJoin, OpKind::HashJoin]
         } else {
             &[OpKind::SeqScan, OpKind::HashJoin]
         };
         let samples = op_samples(&catalog, &q, &plan, ops);
-        let hash = samples[ops.len() - 1 - usize::from(keyed_later)];
+        let hash = samples[1];
         let rows = |table| catalog.table(table).rows() as u64;
+        let pages = catalog.table(inner).heap_pages();
         assert_eq!(
-            (hash.op, hash.build_rows, hash.probe_rows, hash.out_rows),
-            (OpKind::HashJoin, rows(inner), rows(driver), ROWS as u64),
+            (hash.build_rows, hash.probe_rows, hash.out_rows),
+            (rows(inner), rows(driver), ROWS as u64),
             "{name}"
         );
-        if !keyed_later {
-            // The inner scan's pages and rows.
-            let pages = catalog.table(inner).heap_pages();
-            assert_eq!((hash.pages, hash.rows), (pages, rows(inner)), "{name}");
-        }
-        if keyed_later {
+        // The inner scan's pages and rows.
+        assert_eq!((hash.pages, hash.rows), (pages, rows(inner)), "{name}");
+        if later_step {
             // The fact rows whose dimension row's `d_key` is below 8.
             let tiny = catalog.table(FACT).column(0).count_in_range(0, 7) as u64;
-            assert_eq!(samples[3].out_rows, tiny, "{name}: the later step");
+            assert_eq!(samples[2].out_rows, tiny, "{name}: the later step");
         }
         bench_fresh(c, name, &catalog, &q, &plan);
     }
@@ -375,8 +370,8 @@ fn scan_join(driver: TableId, inner: TableId, predicates: Vec<Predicate>) -> (Qu
 }
 
 /// Append to `plan` for `q` a last step that hash joins the 8-row table on
-/// `t_key = d_key`, reading it whole, so the step before writes the
-/// dimension's row id of each of its tuples.
+/// `t_key = d_key`, reading it whole, so the step before emits the
+/// dimension's `d_key` with each of its tuples.
 fn join_tiny_after(q: &mut Query, plan: &mut Plan) {
     let join = JoinPred::new(ColumnId::new(TINY, 0), ColumnId::new(DIM, 0));
     q.tables.push(TINY);
@@ -395,9 +390,9 @@ fn join_tiny_after(q: &mut Query, plan: &mut Plan) {
 
 /// Untimed hash join of the 200k-row fact table, with no predicate on it,
 /// driven by the dense-key dimension filtered to about 1% by a range on
-/// `d_key`; the join only counts its output. The untimed executor probes a
-/// join table it keeps over every fact row instead of scanning and
-/// building. `executor_hash_join_whole_inner_200k` gives each sample a
+/// `d_key`; the join only counts its output. The untimed executor reads a
+/// join table it keeps over every fact row, counted by key, instead of
+/// scanning. `executor_hash_join_whole_inner_200k` gives each sample a
 /// fresh executor, which builds that table once. The warm bench keeps one
 /// executor and moves the dimension's range on every iteration, so the memo
 /// misses but the join table is kept.
@@ -421,6 +416,9 @@ fn bench_hash_join_whole_inner(c: &mut Criterion) {
     };
     let width = DIM_ROWS as i64 / 100;
     let (q, plan) = query(5_000, 5_000 + width - 1);
+    // A kept table serves the join: the scan of the fact table never runs.
+    let join = op_samples(&catalog, &q, &plan, &[OpKind::SeqScan, OpKind::HashJoin])[1];
+    assert_eq!((join.pages, join.rows), (0, 0), "no inner scan");
     let first = dba_engine::simulated(cost.clone()).execute(&catalog, &q, &plan);
     assert_eq!(first.result_rows, nested_loop(5_000, 5_000 + width - 1));
     c.bench_function("executor_hash_join_whole_inner_200k", |b| {

@@ -9,16 +9,18 @@
 //! prices, so its trajectory must be bit-identical to the untimed one:
 //! timing perturbs no published number.
 //!
-//! The timed runs leave behind per-operator [`OpSample`]s — physical work
-//! counters with both the measured wall-clock and the simulated price for
-//! the *same* operator — one per operator the session ran. A replayed
-//! query runs none; a hash join that is the plan's last step runs its
-//! inner scan or seek inside it, and its sample adds that access's work
-//! counters and price to the join's; a hash join over a whole table times
-//! its probe of the kept join table (and the table's first build) and no
-//! inner scan; the aggregate runs nothing. From them the binary reports
-//! measured and simulated time per operator class. The timer only
-//! observes: no wall-clock reading reaches the results.
+//! The timed runs leave behind per-operator [`OpSample`]s — work counters
+//! with both the measured wall-clock and the simulated price for the
+//! *same* operator — one per operator the session ran. The counters are
+//! the priced counts, over join tuples, while an operator works once per
+//! weighted key tuple of its input, so a join's measured time follows the
+//! tuples it touched, not the counters. A replayed query runs none; a hash
+//! join runs its inner scan or seek inside it, and its sample adds that
+//! access's work counters and price to the join's; a hash join over a
+//! whole table times its read of the kept join table (and the table's
+//! first build) and no inner scan; the aggregate runs nothing. From them
+//! the binary reports measured and simulated time per operator class. The
+//! timer only observes: no wall-clock reading reaches the results.
 //!
 //! Writes `results/fig_backend.json`: the simulated trajectories and the
 //! sample count, so the document does not depend on the thread count.

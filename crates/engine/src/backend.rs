@@ -72,20 +72,27 @@ impl OpKind {
 /// One operator execution paired with the work it performed, its price
 /// and the time its timer observed.
 ///
-/// `sim_s` is what the cost model charges for the access and `measured_s`
-/// what the executor's clock observed, so divergence is computable per
-/// sample without re-running. The work counters describe what the operator
-/// physically did; under drift they differ from the priced work by design:
-/// the cost model prices the live (accounting-grown) heap, the operator
-/// can only touch materialised rows.
+/// `sim_s` is what the cost model charges for the operator and
+/// `measured_s` what the executor's clock observed, so divergence is
+/// computable per sample without re-running. The work counters are the
+/// counts the price reads, over join tuples and the materialised rows; a
+/// join does its physical work once per weighted key tuple of its input,
+/// so a join's counters can exceed what it touched by far. Under drift the
+/// counters differ from the priced sizes by design: the cost model prices
+/// the live (accounting-grown) heap, the operator can only touch
+/// materialised rows. A hash join's sample also holds the work and price of
+/// the inner access it runs, unless a kept join table served it.
 #[derive(Debug, Clone, Copy)]
 pub struct OpSample {
     pub op: OpKind,
-    /// Heap or leaf pages physically touched.
+    /// Heap or leaf pages read: an index-nested-loop step's, summed over
+    /// its outer tuples.
     pub pages: u64,
-    /// Rows pushed through the operator's CPU loop.
+    /// Rows filtered, or leaf entries matched: an index-nested-loop
+    /// step's, summed over its outer tuples.
     pub rows: u64,
-    /// Index probes (root-to-leaf descents) performed.
+    /// Index probes (root-to-leaf descents), one per outer tuple for an
+    /// index-nested-loop step.
     pub descents: u64,
     /// Hash-join inner input rows, which the cost model prices as the
     /// build, whichever side the executor builds its table on.
@@ -93,7 +100,7 @@ pub struct OpSample {
     /// Hash-join outer input tuples, which the cost model prices as the
     /// probe, whichever side the executor builds its table on.
     pub probe_rows: u64,
-    /// Rows emitted.
+    /// Rows, or join tuples, emitted.
     pub out_rows: u64,
     /// Simulated seconds the [`CostModel`] charges for this access.
     pub sim_s: f64,

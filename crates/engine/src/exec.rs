@@ -3,32 +3,44 @@
 //! Execution is *actual*: every predicate is evaluated over the stored codes
 //! by one selection-vector filter, seeks probe the sorted index and refine
 //! the leaf range, covering scans filter the columns their index holds, and
-//! joins match real row ids. Each execution takes two passes. A counting
-//! pass returns the counts the shared [`CostModel`] reads, per operator in
-//! plan order: rows out, matched leaf entries, probes, and hash-join build,
-//! probe and output rows. One pricing function then turns those
-//! **observed** counts into a [`QueryExecution`], at the catalog's live
+//! joins match real join-key codes. Each execution takes two passes. A
+//! counting pass returns the counts the shared [`CostModel`] reads, per
+//! operator in plan order: rows out, matched leaf entries, probes, and
+//! hash-join build, probe and output rows. One pricing function then turns
+//! those **observed** counts into a [`QueryExecution`], at the catalog's live
 //! sizes and under the index ids the plan names. The per-access statistics
 //! it emits ([`AccessStats`]) are exactly the observations the paper's
 //! reward shaping consumes: which index served which table, how long the
 //! access took, and what a full table scan cost when one was performed.
 //!
-//! The counting pass does only the work those counts need. A join step
-//! emits the row ids of only the tables a later step keys on, and an
-//! operator whose output is only counted writes no row id at all: a plan
-//! with no join step counts its driver's matches, the last
-//! index-nested-loop step counts each probe's, and the last hash join
-//! counts its outer tuples per join key and streams its inner matches past
-//! those counts, building no join table. Every access streams its matches
-//! to what consumes them, a selection-vector batch at a time, and a seek's
-//! leaf range is copied only to be refined by a residual predicate. A
-//! non-covering seek's heap fetches and the aggregate are priced from
-//! counts, so no operator gathers columns from the heap or sums the
-//! payload. A hash join whose inner access reads every row of its table (a
+//! The counting pass does only the work those counts need, and every count
+//! it takes is a sum over join tuples. So it carries each intermediate of a
+//! left-deep join as tuples of the join-key codes that later steps read,
+//! each weighted by the join tuples it stands for: the driver emits the
+//! codes the steps read on its table, and every join step joins each outer
+//! tuple with its key's inner rows, multiplies the weights and emits the
+//! codes the steps after it read. The last step emits none, so its output
+//! is one weight, and so is a join-free plan's driver. Every count is an
+//! exact `u64` sum of weights times per-key counts, the count a
+//! row-at-a-time join takes; a sum or product past `u64` panics rather
+//! than wrap. A hash step runs its inner access inside the join. When
+//! later steps read no outer code but the key (one-code tuples are their
+//! keys, and the last step reads none), it sums the outer weights per key
+//! and joins each inner row with its key's sum as the rows stream; else it
+//! lists the inner rows by key in a join table, and each outer tuple joins
+//! the rows under its key. A step that pairs each outer tuple with inner
+//! rows, or probes an index for it, first merges equal tuples, summing
+//! their weights; so an intermediate holds at most one tuple per distinct
+//! combination of codes and inner row, however many join tuples it stands
+//! for. A hash step whose inner access reads every row of its table (a
 //! full or covering scan with no predicate on the table) neither scans nor
-//! builds: its outer tuples probe a join table over all the table's rows in
-//! row order, built on first use and kept per (table, key column). Its
-//! output is the one a scan and an inner build would give.
+//! lists: its outer tuples read a join table listing all the table's rows
+//! by key, built on first use and kept per (table, key column). Every
+//! access streams its matches to what consumes them, a selection-vector
+//! batch at a time, and a seek's leaf range is copied only to be refined by
+//! a residual predicate. A non-covering seek's heap fetches and the
+//! aggregate are priced from counts, so no operator gathers columns from
+//! the heap or sums the payload.
 //! The counts depend only on the immutable base data, the query instance
 //! and the plan's shape; drift moves only the live sizes the price reads.
 //! So the executor also memoises them. The key is exact: the query's
@@ -46,15 +58,14 @@
 //! the counting pass runs with one `mark`/`elapsed_secs` pair and records
 //! an [`OpSample`] pairing the operator's work counters with its price and
 //! the measured seconds, in plan order. A replay runs no operator and
-//! leaves no sample. A hash join that is the plan's last step runs its
-//! inner access inside the join and leaves one sample for both: the seek or
-//! scan is timed inside it, and its work counters and price are added to
-//! the join's. A hash join over a whole table leaves the join's sample,
-//! which times the kept table's probe (and first build) and holds no scan.
-//! Every other access, the driver among them, and every index-nested-loop
-//! step leave one sample each; the aggregate runs nothing and leaves none.
-//! The execution reports the price, so a timed run is bit-identical to an
-//! untimed one.
+//! leaves no sample. The driver's access and every join step leave one
+//! sample each; the aggregate runs nothing and leaves none. A hash step's
+//! sample times its inner access too and adds the access's work counters
+//! and price to its own, unless a kept table served it: then it times the
+//! kept table's probe (and first build) and holds no scan. The work
+//! counters are the priced counts, over join tuples, while a step does its
+//! work once per tuple of its intermediate. The execution reports the
+//! price, so a timed run is bit-identical to an untimed one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -145,46 +156,158 @@ pub struct Executor {
     memo: Memo,
 }
 
-/// Intermediate relation during left-deep join execution: parallel vectors
-/// of row ids, one per already-joined table that is still read.
-struct Intermediate {
-    tables: Vec<TableId>,
-    /// `columns[i][k]` = row id in `tables[i]` for output tuple `k`.
-    columns: Vec<Vec<u32>>,
-    len: usize,
+/// An intermediate relation of a left-deep join: tuples of the key codes
+/// later steps read, a fixed number of codes each, and the join tuples
+/// each stands for. A tuple may repeat until a step merges them.
+#[derive(Debug, Default)]
+struct Groups {
+    keys: Vec<i64>,
+    weights: Vec<u64>,
 }
 
-impl Intermediate {
-    fn single(table: TableId, rows: Vec<u32>) -> Self {
-        let len = rows.len();
-        Intermediate {
-            tables: vec![table],
-            columns: vec![rows],
-            len,
+impl Groups {
+    /// Each tuple of `width` codes with its weight.
+    fn iter(&self, width: usize) -> impl Iterator<Item = (&[i64], u64)> {
+        let tuple = move |g: usize| &self.keys[g * width..(g + 1) * width];
+        self.weights
+            .iter()
+            .enumerate()
+            .map(move |(g, &w)| (tuple(g), w))
+    }
+
+    /// The `k`th code of each tuple of `width` codes, numbered in order.
+    fn column(&self, width: usize, k: usize) -> impl Iterator<Item = (u32, i64)> + Clone + '_ {
+        let codes = self.keys.get(k..).unwrap_or_default().iter().step_by(width);
+        (0..).zip(codes.copied())
+    }
+
+    /// The tuples of `width` codes in `self`, each once, with the weights
+    /// of its copies summed, in order of first appearance. Dense one-code
+    /// tuples find their group by direct addressing, the rest by hashing.
+    fn merged(self, width: usize) -> Groups {
+        let n = self.weights.len();
+        let mut out = Groups::default();
+        let mut add = |g: &mut usize, tuple: &[i64], w: u64| {
+            if *g == 0 {
+                out.keys.extend_from_slice(tuple);
+                out.weights.push(0);
+                *g = out.weights.len();
+            }
+            plus(&mut out.weights[*g - 1], w);
+        };
+        let span = (width == 1).then(|| dense_span(self.keys.iter().copied(), n));
+        // Each tuple's group plus one, or 0 before its first appearance.
+        match span.flatten() {
+            Some((min, span)) => {
+                let mut groups = vec![0; span as usize];
+                for (key, w) in self.iter(1) {
+                    let g = key[0].wrapping_sub(min) as u64 as usize;
+                    add(&mut groups[g], key, w);
+                }
+            }
+            None => {
+                let mut groups: HashMap<&[i64], usize, BuildHasherDefault<KeyHasher>> =
+                    HashMap::with_capacity_and_hasher(n, Default::default());
+                for (tuple, w) in self.iter(width) {
+                    add(groups.entry(tuple).or_default(), tuple, w);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Where one code of a join step's output tuple comes from: a code of the
+/// outer tuple, or one of the inner columns later steps read.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Outer(usize),
+    Inner(usize),
+}
+
+/// A join step's output: a tuple of the key codes the steps after it read
+/// for each outer tuple and the inner rows it joins, made as `sources`
+/// says, with the join tuples it stands for, and the join tuples in all.
+struct Output {
+    sources: Vec<Source>,
+    tuples: Groups,
+    total: u64,
+}
+
+impl Output {
+    /// No join tuple yet.
+    fn new(sources: Vec<Source>) -> Self {
+        Output {
+            sources,
+            tuples: Groups::default(),
+            total: 0,
         }
     }
 
-    fn table_pos(&self, table: TableId) -> Option<usize> {
-        self.tables.iter().position(|&t| t == table)
+    /// Add `w` join tuples of `outer` joined with an inner row whose code
+    /// in the `k`th inner column later steps read is `inner(k)`.
+    #[inline]
+    fn add(&mut self, outer: &[i64], inner: impl Fn(usize) -> i64, w: u64) {
+        plus(&mut self.total, w);
+        let code = |source: &Source| match *source {
+            Source::Outer(k) => outer[k],
+            Source::Inner(k) => inner(k),
+        };
+        match &self.sources[..] {
+            [] => return,
+            [source] => self.tuples.keys.push(code(source)),
+            sources => self.tuples.keys.extend(sources.iter().map(code)),
+        }
+        self.tuples.weights.push(w);
     }
 
-    /// The intermediate a join step with `next` leaves: `columns` holds
-    /// the row ids of the tables `keep` flags, this one's then `next`, and
-    /// `len` tuples.
-    fn joined(self, next: TableId, keep: &[bool], columns: Vec<Vec<u32>>, len: usize) -> Self {
-        let tables = self
-            .tables
-            .into_iter()
-            .chain([next])
-            .zip(keep)
-            .filter_map(|(t, &k)| k.then_some(t))
-            .collect();
-        Intermediate {
-            tables,
-            columns,
-            len,
+    /// Add `w` join tuples of `outer` joined with each of the inner `rows`,
+    /// whose codes in the inner columns later steps read are in `codes`.
+    fn add_rows(&mut self, outer: &[i64], rows: &[u32], codes: &[&[i64]], w: u64) {
+        if let ([Source::Inner(0)], [column]) = (&self.sources[..], codes) {
+            // The output tuple is the inner code: gather it.
+            plus(&mut self.total, times(w, rows.len() as u64));
+            let tuples = &mut self.tuples;
+            tuples.keys.extend(rows.iter().map(|&r| column[r as usize]));
+            tuples.weights.resize(tuples.weights.len() + rows.len(), w);
+            return;
+        }
+        for &r in rows {
+            self.add(outer, |k| codes[k][r as usize], w);
         }
     }
+
+    /// The output tuples, and the join tuples in all. Tuples of no code
+    /// all merge into one, which stands for every join tuple.
+    fn finish(self) -> (Groups, u64) {
+        let Output {
+            sources,
+            mut tuples,
+            total,
+        } = self;
+        if sources.is_empty() {
+            tuples.weights.push(total);
+        }
+        (tuples, total)
+    }
+}
+
+/// The inner codes of a join step whose later steps read none.
+fn no_code(_: usize) -> i64 {
+    unreachable!("no later step reads an inner code")
+}
+
+/// `w × n`, exact: a per-tuple count `n` over the `w` join tuples a group
+/// stands for.
+#[inline]
+fn times(w: u64, n: u64) -> u64 {
+    w.checked_mul(n).expect("join counts fit a u64")
+}
+
+/// `*sum += n`, exact.
+#[inline]
+fn plus(sum: &mut u64, n: u64) {
+    *sum = sum.checked_add(n).expect("join counts fit a u64");
 }
 
 /// What one table access did: the leaf entries its seek matched (none for
@@ -199,30 +322,17 @@ struct AccessCounts {
 /// step before it emitted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StepCounts {
-    /// A hash join: the inner access it joined, where that access ran, and
-    /// its output tuples.
+    /// A hash join: the inner access it joined, whether a kept table over
+    /// the whole inner table served it (else the access ran inside the
+    /// join), and its output tuples.
     Hash {
         inner: AccessCounts,
-        ran: InnerRun,
+        kept: bool,
         out_rows: u64,
     },
     /// Index-nested-loop probes: the leaf entries they matched and the
     /// tuples they emitted.
     Inl { matched: u64, out_rows: u64 },
-}
-
-/// Where a hash join's inner access ran, and so which sample holds its
-/// work and price.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum InnerRun {
-    /// As an operator of its own, with its own sample.
-    Alone,
-    /// Inside the join, the last step's: the join's sample holds the
-    /// access's work counters, time and price too.
-    InJoin,
-    /// Nowhere: a kept join table over the whole table served the join,
-    /// whose sample holds the table's probe (and first build) only.
-    Kept,
 }
 
 /// The counts one execution's price reads, in plan order.
@@ -351,21 +461,20 @@ fn encode_shape(catalog: &Catalog, query: &Query, plan: &Plan, out: &mut Vec<u32
 
 impl Executor {
     /// The simulated executor: prices every operator and times none. It
-    /// runs only the work the price reads: an operator whose output is
-    /// only counted writes no row id, a hash join over a whole base table
-    /// probes a kept join table, and the counts of a (query instance, plan
-    /// shape) pair it has run over the same base are replayed.
+    /// runs only the work the price reads: its join steps count join
+    /// tuples by join key, a hash join over a whole base table reads a
+    /// kept join table, and the counts of a (query instance, plan shape)
+    /// pair it has run over the same base are replayed.
     pub fn new(cost: CostModel) -> Self {
         Executor::timed(cost, BudgetTimer::disabled())
     }
 
     /// The same executor, also timing each operator it runs on `timer`
     /// into an [`OpSample`]. It runs, keeps and replays exactly what
-    /// [`Executor::new`] does and reports the same price. A hash join that
-    /// is the last step runs its inner access inside the join and leaves
-    /// one sample holding the work and price of both; one over a whole
-    /// table leaves only the join's. Every other access and
-    /// index-nested-loop step leaves one of its own.
+    /// [`Executor::new`] does and reports the same price. The driver's
+    /// access and each join step leave one sample; a hash step's holds the
+    /// work and price of its inner access too, unless a kept table over the
+    /// whole inner table served it.
     pub fn timed(cost: CostModel, timer: BudgetTimer) -> Self {
         Executor {
             cost,
@@ -422,137 +531,161 @@ impl Executor {
     }
 
     /// The counting pass: run `plan` for `query` over the base data and
-    /// return the counts its price reads. A join step emits the row ids of
-    /// only the tables a later step keys on, and an operator whose output
-    /// is only counted writes none: a join-free plan's driver, the last
-    /// index-nested-loop step's probes and the last hash join, which
-    /// counts its outer tuples per join key ([`count_join`]). A hash join
-    /// whose inner scan reads every row probes the kept table over them.
-    /// Each operator run leaves one sample when timed, in plan order.
+    /// return the counts its price reads. The driver emits the key codes
+    /// the join steps read on its table, and each step the codes the steps
+    /// after it read ([`later_keys`]), each tuple weighted by the join
+    /// tuples it stands for. Each operator run leaves one sample when
+    /// timed, in plan order.
     fn count(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Counts {
         // The selection vector every access of this execution refills.
         let mut batch = Vec::new();
-        let mut rows = Vec::new();
+        let mut keys = later_keys(plan, 0);
+        let mut groups = Groups::default();
         let driver = self.run_access(catalog, query, &plan.driver, |matches| {
-            if plan.joins.is_empty() {
-                matches.stream(&mut batch, |_| {})
-            } else {
-                matches.stream(&mut batch, |m| rows.extend_from_slice(m))
+            let table = catalog.table(plan.driver.table);
+            let codes: Vec<&[i64]> = keys
+                .iter()
+                .map(|c| table.column(c.ordinal).data())
+                .collect();
+            let n = matches.stream(&mut batch, |m| {
+                match codes[..] {
+                    [] => return,
+                    [column] => groups.keys.extend(m.iter().map(|&r| column[r as usize])),
+                    _ => {
+                        for &r in m {
+                            groups
+                                .keys
+                                .extend(codes.iter().map(|column| column[r as usize]));
+                        }
+                    }
+                }
+                groups.weights.resize(groups.weights.len() + m.len(), 1);
+            });
+            if codes.is_empty() {
+                // Keyed by nothing: one tuple stands for every match.
+                groups.weights.push(n);
             }
+            n
         });
-        let mut inter = Intermediate::single(plan.driver.table, rows);
+        let mut tuples = driver.rows_out;
         let mut steps = Vec::with_capacity(plan.joins.len());
 
         for (i, step) in plan.joins.iter().enumerate() {
             let inner_table = catalog.table(step.access.table);
             let inner_preds = query.predicates_on(step.access.table);
+            let width = keys.len();
             // The outer side of this join lives on an already-joined table.
             let outer_col = step
                 .join
                 .other_side(step.access.table)
                 .expect("join step must connect to the new table");
-            let outer_pos = inter
-                .table_pos(outer_col.table)
+            let p = keys
+                .iter()
+                .position(|&c| c == outer_col)
                 .expect("left-deep plan: outer table must already be joined");
-            let outer_keys = catalog.table(outer_col.table).column(outer_col.ordinal);
             let inner_col = step
                 .join
                 .side_on(step.access.table)
                 .expect("join step must reference the new table");
-            // Which tables' row ids the step emits: the intermediate's,
-            // then the new table's. The last step emits none.
-            let keep: Vec<bool> = inter
-                .tables
+            // Each code the steps after this one read comes from the outer
+            // tuple, the inner join column's too (it equals the outer
+            // key), or from the inner row.
+            let next = later_keys(plan, i + 1);
+            let mut inner_codes: Vec<&[i64]> = Vec::new();
+            let sources = next
                 .iter()
-                .chain([&step.access.table])
-                .map(|&t| keyed_later(plan, i, t))
+                .map(|&c| match keys.iter().position(|&k| k == c) {
+                    Some(k) => Source::Outer(k),
+                    None if c == inner_col => Source::Outer(p),
+                    None => {
+                        inner_codes.push(inner_table.column(c.ordinal).data());
+                        Source::Inner(inner_codes.len() - 1)
+                    }
+                })
                 .collect();
-            let last = i + 1 == plan.joins.len();
+            let inner_keys = inner_table.column(inner_col.ordinal).data();
+            let hash = step.algo == JoinAlgo::Hash;
+            let kept = hash && reads_every_row(catalog, query, step, &inner_preds);
+            // When a hash step's inner access runs inside it and later steps
+            // read no outer code but the key (one-code tuples are their keys,
+            // and the last step reads none), each inner row makes its output
+            // tuple with its key's summed outer weight. Else the step lists
+            // the inner rows by key, and each outer tuple makes its output
+            // tuples from the rows under its key.
+            let by_row = (width == 1 && !inner_codes.is_empty()) || next.is_empty();
+            // A step that meets each outer tuple more than once, pairing it
+            // with inner rows or probing an index for it, merges equal
+            // tuples first. Any other step meets each tuple once, where a
+            // merge would cost what it saves.
+            let merge = !hash || (!inner_codes.is_empty() && (kept || !by_row));
 
-            let (columns, counts) = match step.algo {
+            let (counts, out) = match step.algo {
                 JoinAlgo::Hash => {
-                    // A join table and its hits number the outer tuples.
-                    assert!(
-                        u32::try_from(inter.len).is_ok(),
-                        "intermediate tuples are indexed by u32"
-                    );
-                    let outer_keys = outer_keys.data();
-                    let inner_keys = inner_table.column(inner_col.ordinal).data();
-                    let probe = &inter.columns[outer_pos];
-                    // The join's sample, with the work of an inner access
-                    // that runs inside it.
-                    let mut work = OpSample::with_op(OpKind::HashJoin);
-                    let kept = reads_every_row(catalog, query, step, &inner_preds);
-                    let (ran, columns, inner, len) = if kept {
-                        // The scan would emit every row, ascending: probe
-                        // the kept table over them, as an inner build over
-                        // them would be probed. Its first build is timed
-                        // with the join.
-                        self.timer.mark();
-                        let table = self.memo.join_table(inner_col, inner_keys);
-                        let inner = AccessCounts {
-                            matched: 0,
-                            rows_out: inner_table.rows() as u64,
-                        };
-                        let (columns, len) = if last {
-                            (Vec::new(), table.count(keys_of(probe, outer_keys)))
-                        } else {
-                            probe_with_outer(table, &inter.columns, outer_pos, outer_keys, &keep)
-                        };
-                        (InnerRun::Kept, columns, inner, len as u64)
-                    } else if last {
-                        // Only counted: the inner access runs inside the
-                        // join, its seek's leaf order sorted on first read
-                        // outside the timing, and streams its matches past
-                        // the outer tuples' per-key counts.
-                        let access = Access::new(catalog, query, &step.access, &inner_preds);
-                        self.timer.mark();
-                        let (matches, matched, sample) = access.open();
-                        let (rows_out, len) =
-                            count_join(probe, outer_keys, &matches, inner_keys, &mut batch);
-                        work = OpSample {
-                            op: OpKind::HashJoin,
-                            ..sample
-                        };
-                        let inner = AccessCounts { matched, rows_out };
-                        (InnerRun::InJoin, Vec::new(), inner, len)
-                    } else {
-                        let mut inner_rows = Vec::new();
-                        let inner = self.run_access(catalog, query, &step.access, |matches| {
-                            matches.stream(&mut batch, |m| inner_rows.extend_from_slice(m))
-                        });
-
-                        // Build on the smaller input, probe with the other.
-                        // The build table and the hit list are dropped
-                        // inside `hash_join`, so their teardown is timed
-                        // with the join.
-                        self.timer.mark();
-                        let (columns, len) = hash_join(
-                            &inter.columns,
-                            outer_pos,
-                            outer_keys,
-                            &inner_rows,
-                            inner_keys,
-                            &keep,
-                        );
-                        (InnerRun::Alone, columns, inner, len as u64)
+                    let access =
+                        (!kept).then(|| Access::new(catalog, query, &step.access, &inner_preds));
+                    let mut out = Output::new(sources);
+                    self.timer.mark();
+                    if merge {
+                        groups = groups.merged(width);
+                    }
+                    let (inner, work) = match &access {
+                        // The scan would emit every row: read the table kept
+                        // over them, whose first build is timed with the
+                        // join.
+                        None => {
+                            let table = self.memo.join_table(inner_col, inner_keys);
+                            table.join(&groups, width, p, &inner_codes, &mut out);
+                            let inner = AccessCounts {
+                                matched: 0,
+                                rows_out: inner_table.rows() as u64,
+                            };
+                            (inner, OpSample::with_op(OpKind::HashJoin))
+                        }
+                        // The inner access runs inside the join, its seek's
+                        // leaf order sorted on first read outside the
+                        // timing. Its matches stream past the outer weights
+                        // summed by key, each joining its key's sum, or are
+                        // listed by key, each outer tuple joining its key's
+                        // rows.
+                        Some(access) => {
+                            let (matches, matched, sample) = access.open();
+                            let input_rows = groups.weights.len() + matches.candidates();
+                            let rows_out = if by_row {
+                                let sums = KeyCounts::sums(&groups, width, p, input_rows);
+                                matches.stream(&mut batch, |rows| {
+                                    sums.join(rows, inner_keys, &inner_codes, &mut out)
+                                })
+                            } else {
+                                let mut rows = Vec::new();
+                                let rows_out =
+                                    matches.stream(&mut batch, |m| rows.extend_from_slice(m));
+                                let table = JoinTable::over(&rows, inner_keys, input_rows);
+                                table.join(&groups, width, p, &inner_codes, &mut out);
+                                rows_out
+                            };
+                            let work = OpSample {
+                                op: OpKind::HashJoin,
+                                ..sample
+                            };
+                            (AccessCounts { matched, rows_out }, work)
+                        }
                     };
-                    // The price and the sample keep the cost model's roles,
-                    // build = inner rows and probe = outer tuples, whichever
-                    // side is built or counted.
+                    let (out, out_rows) = out.finish();
+                    // The price and the sample keep the cost model's roles:
+                    // build = inner rows and probe = outer tuples.
                     self.close(OpSample {
                         build_rows: inner.rows_out,
-                        probe_rows: inter.len as u64,
-                        out_rows: len,
+                        probe_rows: tuples,
+                        out_rows,
                         ..work
                     });
                     (
-                        columns,
                         StepCounts::Hash {
                             inner,
-                            ran,
-                            out_rows: len,
+                            kept,
+                            out_rows,
                         },
+                        out,
                     )
                 }
                 JoinAlgo::IndexNestedLoop => {
@@ -568,46 +701,46 @@ impl Executor {
                     let order = index.ordered_rows(inner_table);
 
                     self.timer.mark();
+                    if merge {
+                        groups = groups.merged(width);
+                    }
                     let leaf_cap = leaf_capacity(inner_table, index);
-                    let outer: Vec<_> = kept(&inter.columns, &keep).collect();
-                    let keep_inner = keep[inter.columns.len()];
-                    let mut columns = vec![Vec::new(); outer.len() + usize::from(keep_inner)];
+                    let mut out = Output::new(sources);
                     let (mut matched, mut out_rows, mut leaves) = (0u64, 0u64, 0u64);
-                    for (k, &r) in inter.columns[outer_pos].iter().enumerate() {
-                        let key = outer_keys.value(r as usize);
-                        let (s, e) = index.probe(inner_table, &[key], None);
-                        matched += (e - s) as u64;
-                        leaves += leaves_spanned(index, leaf_cap, s, e);
+                    // Each outer tuple probes once for the tuples it
+                    // stands for.
+                    for (outer, w) in groups.iter(width) {
+                        let (s, e) = index.probe(inner_table, &[outer[p]], None);
+                        plus(&mut matched, times(w, (e - s) as u64));
+                        plus(&mut leaves, times(w, leaves_spanned(index, leaf_cap, s, e)));
                         let matches = Matches {
                             table: inner_table,
                             range: Some(&order[s..e]),
                             preds: &inner_preds,
                         };
-                        out_rows += matches.stream(&mut batch, |rows| {
-                            for (col, filled) in outer.iter().zip(&mut columns) {
-                                filled.extend(std::iter::repeat_n(col[k], rows.len()));
-                            }
-                            if keep_inner {
-                                columns[outer.len()].extend_from_slice(rows);
+                        let emitted = matches.stream(&mut batch, |rows| {
+                            if !inner_codes.is_empty() {
+                                out.add_rows(outer, rows, &inner_codes, w);
                             }
                         });
+                        if inner_codes.is_empty() && emitted > 0 {
+                            out.add(outer, no_code, times(w, emitted));
+                        }
+                        plus(&mut out_rows, times(w, emitted));
                     }
                     self.close(OpSample {
                         pages: leaves,
                         rows: matched,
-                        descents: inter.len as u64,
+                        descents: tuples,
                         out_rows,
                         ..OpSample::with_op(OpKind::InlProbe)
                     });
-                    (columns, StepCounts::Inl { matched, out_rows })
+                    (StepCounts::Inl { matched, out_rows }, out.finish().0)
                 }
             };
-            inter = inter.joined(
-                step.access.table,
-                &keep,
-                columns,
-                counts.out_rows() as usize,
-            );
+            groups = out;
+            keys = next;
+            tuples = counts.out_rows();
             steps.push(counts);
         }
         Counts {
@@ -845,13 +978,24 @@ fn reads_every_row(catalog: &Catalog, query: &Query, step: &JoinStep, preds: &[P
         }
 }
 
-/// Whether a join step of `plan` after step `i` keys on `table`'s rows.
-fn keyed_later(plan: &Plan, i: usize, table: TableId) -> bool {
-    plan.joins[i + 1..].iter().any(|s| {
-        s.join
+/// The key columns an intermediate holds before step `step` of `plan`:
+/// the columns that step and the steps after it key on, on the tables
+/// already joined, each once, in step order. None after the last step.
+fn later_keys(plan: &Plan, step: usize) -> Vec<ColumnId> {
+    let joined: Vec<TableId> = std::iter::once(plan.driver.table)
+        .chain(plan.joins[..step].iter().map(|s| s.access.table))
+        .collect();
+    let mut keys = Vec::new();
+    for s in &plan.joins[step..] {
+        let c = s
+            .join
             .other_side(s.access.table)
-            .is_some_and(|c| c.table == table)
-    })
+            .expect("join step must connect to the new table");
+        if joined.contains(&c.table) && !keys.contains(&c) {
+            keys.push(c);
+        }
+    }
+    keys
 }
 
 /// Price `counts`, the counts of `plan` for `query`, at `catalog`'s live
@@ -859,9 +1003,9 @@ fn keyed_later(plan: &Plan, i: usize, table: TableId) -> bool {
 /// an execution, whether they were just taken or are replayed. `charge`
 /// sees the price of each operator the counting pass runs, in plan order,
 /// and returns it: a timed executor copies it into the operator's sample on
-/// the way. An inner access that ran inside its hash join is charged with
-/// the join, whose sample holds it. One that a kept join table served ran
-/// nowhere and the aggregate runs no operator, so their prices bypass it.
+/// the way. A hash join's inner access ran inside the join, which is
+/// charged with it, or nowhere when a kept join table served it; the
+/// aggregate runs no operator. Their prices bypass `charge`.
 fn price(
     cost: &CostModel,
     catalog: &Catalog,
@@ -884,25 +1028,14 @@ fn price(
         match step_counts {
             StepCounts::Hash {
                 inner,
-                ran,
+                kept,
                 out_rows,
             } => {
-                let access = &step.access;
                 let join = cost.hash_join(inner.rows_out, rows, out_rows);
-                if ran == InnerRun::Alone {
-                    accesses.push(price_access(cost, catalog, access, inner, &mut charge));
-                    join_time += charge(join);
-                } else {
-                    let stats = price_access(cost, catalog, access, inner, &mut |price| price);
-                    // The join's sample holds an access run inside it.
-                    charge(if ran == InnerRun::InJoin {
-                        stats.time + join
-                    } else {
-                        join
-                    });
-                    accesses.push(stats);
-                    join_time += join;
-                }
+                let stats = price_access(cost, catalog, &step.access, inner, &mut |price| price);
+                charge(if kept { join } else { stats.time + join });
+                accesses.push(stats);
+                join_time += join;
             }
             StepCounts::Inl { matched, out_rows } => {
                 let index = step
@@ -1017,8 +1150,14 @@ fn leaf_row_bytes(catalog: &Catalog, id: IndexId, table: TableId) -> u64 {
 struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("join keys are i64 and hash through write_i64")
+    /// A tuple of codes hashes as its length and its codes' bytes: each
+    /// 8-byte word is folded into the hash so far.
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..word.len()].copy_from_slice(word);
+            self.write_i64((self.0 ^ u64::from_ne_bytes(w)) as i64);
+        }
     }
 
     #[inline]
@@ -1032,25 +1171,23 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Build keys spanning at most this many codes per row of the join's two
-/// inputs together are direct addressed. That bounds the slot array at 4
-/// `u32` bounds, 16 bytes, per input row, at most twice what the join holds
-/// anyway: a 4-byte row id per input row, and an 8-byte candidate hit per
-/// row of the probe side, the larger input. Counting both inputs, not the
-/// build side alone, keeps a small build direct when a large side probes
-/// it: a filtered `orders` slice keeps a wide span over its few rows, but
-/// not over the `lineitem` rows that probe it. A join whose output is only
-/// counted ([`count_join`]) holds no row and knows its inner rows only as
-/// the rows its inner access filters, every row of the table for a scan:
-/// its count array is at most 16 bytes per outer tuple and per row the
-/// access filters (twice those rows' 8-byte key codes), and is dropped
-/// when the step ends.
+/// Keys spanning at most this many codes per input row are direct
+/// addressed, one slot per code of the span: a `u32` start per slot in a
+/// [`JoinTable`] (three while it is built, at most 48 bytes per input row),
+/// a `u64` sum per slot in a [`KeyCounts`] of weights, and a `usize` group
+/// per slot when a step merges its tuples (at most 32 bytes each). A merge
+/// counts the tuples it merges as its inputs, and a join table the rows it
+/// lists. Sums over a step's outer tuples count every row the inner access
+/// filters as an input too: a filtered `orders` slice keeps a wide span
+/// over its few keys, but not over the `lineitem` rows that look them up.
+/// Such a slot array lives until the step ends; a kept table's as long as
+/// the table.
 const DIRECT_CODES_PER_ROW: u64 = 4;
 
-/// How a join key finds its slot: in a [`JoinTable`], the slot owning its
-/// build entries, and in [`KeyCounts`], its count. One more slot after the
-/// keys' slots is always empty: a key that no entry holds gets it, so a
-/// lookup reads a slot without branching on whether the key was found.
+/// How a join key finds its slot in a [`KeyCounts`] or a [`JoinTable`]. One
+/// more slot after the keys' slots is always empty: a key that no entry
+/// holds gets it, so a lookup reads a slot without branching on whether the
+/// key was found.
 #[derive(Debug)]
 enum SlotIndex {
     /// Dense keys: key `k`'s slot is `k - min`, one slot for each code of
@@ -1065,6 +1202,7 @@ impl SlotIndex {
     /// Call `visit(id, slot)` for each `(id, key)` in order, with the key's
     /// slot, or `empty`, the slot after the keys', for a key no entry
     /// holds.
+    #[inline]
     fn visit(
         &self,
         empty: u32,
@@ -1093,172 +1231,205 @@ impl SlotIndex {
     }
 }
 
-/// Rows per join key: each key's slot, and each slot's count, the empty
-/// slot's last. A [`JoinTable`] builds from them; a join whose output is
-/// only counted sums them.
+/// A count or sum per join key: each key's slot, and each slot's count,
+/// the empty slot's last.
 #[derive(Debug)]
-struct KeyCounts {
+struct KeyCounts<C> {
     index: SlotIndex,
-    counts: Vec<u32>,
+    counts: Vec<C>,
 }
 
-impl KeyCounts {
-    /// No rows yet, under keys [`dense_span`] gave `span` for, or sparse
-    /// keys when it gave none, with room for `keys` of them.
+impl<C: Copy + Default> KeyCounts<C> {
+    /// None yet, under keys [`dense_span`] gave `span` for, or sparse keys
+    /// when it gave none, with room for `keys` of them.
     fn new(span: Option<(i64, u64)>, keys: usize) -> Self {
         match span {
             Some((min, span)) => KeyCounts {
                 index: SlotIndex::Direct { min },
-                counts: vec![0; span as usize + 1],
+                counts: vec![C::default(); span as usize + 1],
             },
             None => KeyCounts {
                 index: SlotIndex::Map(HashMap::with_capacity_and_hasher(keys, Default::default())),
-                counts: vec![0],
+                counts: vec![C::default()],
             },
         }
     }
 
-    /// Count one row under each of `keys`, which lie in the span, and pass
-    /// each one's slot to `slot`.
-    fn add(&mut self, keys: impl Iterator<Item = i64>, mut slot: impl FnMut(u32)) {
-        let counts = &mut self.counts;
+    /// The slot of `key`, which lies in the span. A sparse key not seen
+    /// before takes the empty slot, and a new empty slot follows.
+    #[inline]
+    fn slot(&mut self, key: i64) -> usize {
         match &mut self.index {
             SlotIndex::Direct { min } => {
-                for key in keys {
-                    let s = key.wrapping_sub(*min) as u64 as usize;
-                    debug_assert!(s + 1 < counts.len(), "key {key} off the span");
-                    counts[s] += 1;
-                    slot(s as u32);
-                }
+                let s = key.wrapping_sub(*min) as u64 as usize;
+                debug_assert!(s + 1 < self.counts.len(), "key {key} off the span");
+                s
             }
-            // A new key takes the empty slot, and a new empty slot follows.
             SlotIndex::Map(slots) => {
-                for key in keys {
-                    let empty = (counts.len() - 1) as u32;
-                    let s = *slots.entry(key).or_insert(empty);
-                    if s == empty {
-                        counts.push(0);
-                    }
-                    counts[s as usize] += 1;
-                    slot(s);
+                let empty = self.counts.len() - 1;
+                let s = *slots.entry(key).or_insert(empty as u32) as usize;
+                if s == empty {
+                    self.counts.push(C::default());
                 }
+                s
             }
         }
     }
-
-    /// The rows counted under each of `keys`, summed: none for a key no
-    /// row holds.
-    fn sum(&self, keys: impl Iterator<Item = i64>) -> u64 {
-        let mut sum = 0;
-        let empty = (self.counts.len() - 1) as u32;
-        self.index.visit(empty, keys.map(|key| (0, key)), |_, s| {
-            sum += u64::from(self.counts[s as usize]);
-        });
-        sum
-    }
 }
 
-/// The build side of one hash join in CSR form: `index` gives each key's
-/// slot, and slot `s` owns the build entries `rows[bounds[s]..bounds[s + 1]]`
-/// in build-input order. The empty slot owns none.
+/// A hash step's inner rows by join key, kept over a whole table or over
+/// the rows an access streams: `index` gives each key's slot, and slot `s`
+/// lists its rows in row order as `listed[starts[s]..starts[s + 1]]`, the
+/// empty slot's last at none.
 #[derive(Debug)]
 struct JoinTable {
     index: SlotIndex,
-    bounds: Vec<u32>,
-    rows: Vec<u32>,
+    starts: Vec<u32>,
+    listed: Vec<u32>,
 }
 
 impl JoinTable {
-    /// Build over `len` entries, where `entry(i)` is the `i`th entry's
-    /// stored id and join key, for a join whose two inputs hold
-    /// `input_rows` rows.
-    fn build(len: usize, input_rows: usize, entry: impl Fn(usize) -> (u32, i64)) -> Self {
-        let keys = (0..len).map(|i| entry(i).1);
-        let mut counts = KeyCounts::new(dense_span(keys.clone(), input_rows), len);
-        let mut slot_of = Vec::with_capacity(len);
-        counts.add(keys, |slot| slot_of.push(slot));
-        // Running sums turn the counts, and one more for the last end, into
-        // slot ends. Filling each slot backwards from its end keeps input
-        // order within the slot and leaves `bounds[s]` at its start; the
-        // extra entry is the last end.
-        let KeyCounts {
-            index,
-            counts: mut bounds,
-        } = counts;
-        bounds.push(0);
-        let mut end = 0;
-        for b in &mut bounds {
-            end += *b;
-            *b = end;
-        }
-        let mut grouped = vec![0u32; len];
-        for (i, &slot) in slot_of.iter().enumerate().rev() {
-            let b = &mut bounds[slot as usize];
-            *b -= 1;
-            grouped[*b as usize] = entry(i).0;
+    /// The table listing `rows`, in order, whose join keys by row id are
+    /// `keys`, for a join whose two inputs hold `input_rows` rows.
+    fn over(rows: &[u32], keys: &[i64], input_rows: usize) -> Self {
+        let key_of = |&r: &u32| keys[r as usize];
+        let span = dense_span(rows.iter().map(key_of), input_rows);
+        let mut per_slot = KeyCounts::new(span, rows.len());
+        let slots: Vec<u32> = rows
+            .iter()
+            .map(|r| {
+                let s = per_slot.slot(key_of(r));
+                per_slot.counts[s] += 1;
+                s as u32
+            })
+            .collect();
+        let starts = starts(&per_slot.counts);
+        let mut next = starts.clone();
+        let mut listed = vec![0; rows.len()];
+        for (&r, &s) in rows.iter().zip(&slots) {
+            listed[next[s as usize] as usize] = r;
+            next[s as usize] += 1;
         }
         JoinTable {
-            index,
-            bounds,
-            rows: grouped,
+            index: per_slot.index,
+            starts,
+            listed,
         }
     }
 
-    /// A table over every row of a base table whose join key codes are
-    /// `keys`, row `r` under `keys[r]`, in row order: the entries an inner
-    /// build over a scan of all the rows holds.
+    /// The table over every row of a base table whose join keys are `keys`,
+    /// row `r` under `keys[r]`: what a scan of all the rows lists.
     fn over_rows(keys: &[i64]) -> Self {
-        let n = keys.len();
-        let mut table = JoinTable::build(n, n, |r| (r as u32, keys[r]));
-        // A map-addressed build reserves room for a key per row, and the
+        let all: Vec<u32> = (0..keys.len() as u32).collect();
+        let mut table = JoinTable::over(&all, keys, keys.len());
+        // A map-addressed index reserves room for a key per row, and the
         // table is kept: shrink it to the distinct keys it holds.
         if let SlotIndex::Map(slots) = &mut table.index {
             slots.shrink_to_fit();
-            table.bounds.shrink_to_fit();
         }
         table
     }
 
-    /// Probe with each `(id, key)` in order. Returns the `(id, slot)` hits
-    /// in probe order and the output rows they make, one per build entry
-    /// in each hit's slot. A key that no build entry holds gets the empty
-    /// slot, and every probe writes its candidate hit while the cursor
-    /// moves past hits only, so the direct path takes no data-dependent
-    /// branch.
-    fn probe(&self, probes: impl ExactSizeIterator<Item = (u32, i64)>) -> (Vec<(u32, u32)>, usize) {
-        let mut hits = vec![(0u32, 0u32); probes.len()];
-        let (mut n, mut len) = (0, 0);
-        self.visit(probes, |id, slot| {
-            let (start, end) = (self.bounds[slot as usize], self.bounds[slot as usize + 1]);
-            hits[n] = (id, slot);
-            n += usize::from(start < end);
-            len += (end - start) as usize;
+    /// The rows slot `s` lists.
+    fn slot(&self, s: u32) -> &[u32] {
+        let s = s as usize;
+        &self.listed[self.starts[s] as usize..self.starts[s + 1] as usize]
+    }
+
+    /// Join each tuple of `outer` (`width` codes each, the join key at `p`)
+    /// with the rows under its key, into `out`: all at once when no later
+    /// step reads inner codes, else row by row with its codes in `codes`.
+    fn join(&self, outer: &Groups, width: usize, p: usize, codes: &[&[i64]], out: &mut Output) {
+        let empty = (self.starts.len() - 2) as u32;
+        let probes = || outer.column(width, p);
+        if out.sources.is_empty() {
+            // The last step: every join tuple is only counted.
+            let mut sum = 0;
+            self.index.visit(empty, probes(), |g, s| {
+                let n = self.slot(s).len() as u64;
+                plus(&mut sum, times(outer.weights[g as usize], n));
+            });
+            out.add(&[], no_code, sum);
+            return;
+        }
+        // The output's length, so that it is allocated once.
+        let mut len = outer.weights.len();
+        if !codes.is_empty() {
+            len = 0;
+            self.index
+                .visit(empty, probes(), |_, s| len += self.slot(s).len());
+        }
+        out.tuples.keys.reserve(len * out.sources.len());
+        out.tuples.weights.reserve(len);
+        self.index.visit(empty, probes(), |g, s| {
+            let g = g as usize;
+            let (tuple, w) = (&outer.keys[g * width..(g + 1) * width], outer.weights[g]);
+            let rows = self.slot(s);
+            if rows.is_empty() {
+                return;
+            }
+            if codes.is_empty() {
+                out.add(tuple, no_code, times(w, rows.len() as u64));
+            } else {
+                out.add_rows(tuple, rows, codes, w);
+            }
         });
-        hits.truncate(n);
-        (hits, len)
+    }
+}
+
+impl KeyCounts<u64> {
+    /// The weights of the tuples of `outer` (`width` codes each, the join
+    /// key at `p`) summed per key, for a join whose two inputs hold
+    /// `input_rows` rows.
+    fn sums(outer: &Groups, width: usize, p: usize, input_rows: usize) -> Self {
+        let keys = outer.column(width, p).map(|(_, k)| k);
+        let mut sums = KeyCounts::new(dense_span(keys.clone(), input_rows), outer.weights.len());
+        for (key, &w) in keys.zip(&outer.weights) {
+            let s = sums.slot(key);
+            plus(&mut sums.counts[s], w);
+        }
+        sums
     }
 
-    /// The output rows a probe with each of `keys` makes, with no hit
-    /// recorded.
-    fn count(&self, keys: impl Iterator<Item = i64>) -> usize {
-        let mut len = 0;
-        self.visit(keys.map(|key| (0, key)), |_, slot| {
-            len += (self.bounds[slot as usize + 1] - self.bounds[slot as usize]) as usize;
+    /// Join each of the inner `rows`, whose join keys by row id are `keys`
+    /// and whose codes later steps read are in `codes`, with its key's
+    /// sum, into `out`, which reads no outer code but the key. A row under
+    /// no outer key is dropped.
+    fn join(&self, rows: &[u32], keys: &[i64], codes: &[&[i64]], out: &mut Output) {
+        let empty = (self.counts.len() - 1) as u32;
+        let probes = rows.iter().map(|&r| (r, keys[r as usize]));
+        if out.sources.is_empty() {
+            // The last step: every join tuple is only counted.
+            let mut sum = 0;
+            self.index.visit(empty, probes, |_, s| {
+                plus(&mut sum, self.counts[s as usize]);
+            });
+            out.add(&[], no_code, sum);
+            return;
+        }
+        self.index.visit(empty, probes, |r, s| {
+            let (r, w) = (r as usize, self.counts[s as usize]);
+            if w > 0 {
+                out.add(&[keys[r]], |k| codes[k][r], w);
+            }
         });
-        len
     }
+}
 
-    /// Call `visit(id, slot)` for each `(id, key)` in order, with the
-    /// key's slot, or the empty slot for a key no build entry holds.
-    fn visit(&self, probes: impl Iterator<Item = (u32, i64)>, visit: impl FnMut(u32, u32)) {
-        let empty = (self.bounds.len() - 2) as u32;
-        self.index.visit(empty, probes, visit);
-    }
-
-    fn slot_rows(&self, slot: u32) -> &[u32] {
-        let s = slot as usize;
-        &self.rows[self.bounds[s] as usize..self.bounds[s + 1] as usize]
-    }
+/// Each slot's start when slot `s` holds `sizes[s]` entries, laid out in
+/// slot order, and the end of the last.
+fn starts(sizes: &[u32]) -> Vec<u32> {
+    let mut end = 0;
+    let mut bounds: Vec<u32> = sizes
+        .iter()
+        .map(|&c| {
+            let start = end;
+            end += c;
+            start
+        })
+        .collect();
+    bounds.push(end);
+    bounds
 }
 
 /// The least of `keys` and the number of codes from it to the greatest,
@@ -1280,191 +1451,6 @@ fn dense_span(mut keys: impl Iterator<Item = i64>, input_rows: usize) -> Option<
         }
     }
     Some((min, max.abs_diff(min) + 1))
-}
-
-/// Count a hash join whose output is only counted: the tuples whose row
-/// ids on the join's outer table are `probe`, keyed by `outer_keys`, with
-/// the rows `inner` emits, keyed by `inner_keys`. Returns the inner rows
-/// and the output tuples. The outer tuples are counted per key and the
-/// inner matches stream past those counts, so no row id is written and no
-/// join table built. Keys spanning at most [`DIRECT_CODES_PER_ROW`] codes
-/// per outer tuple and per row the inner access filters are direct
-/// addressed.
-fn count_join(
-    probe: &[u32],
-    outer_keys: &[i64],
-    inner: &Matches,
-    inner_keys: &[i64],
-    batch: &mut Vec<u32>,
-) -> (u64, u64) {
-    let outer = keys_of(probe, outer_keys);
-    let span = dense_span(outer.clone(), probe.len() + inner.candidates());
-    let mut counts = KeyCounts::new(span, 0);
-    counts.add(outer, |_| {});
-    let mut out = 0;
-    let rows_out = inner.stream(batch, |rows| out += counts.sum(keys_of(rows, inner_keys)));
-    (rows_out, out)
-}
-
-/// The join keys of `rows`, by row id in `keys`.
-fn keys_of<'a>(rows: &'a [u32], keys: &'a [i64]) -> impl Iterator<Item = i64> + Clone + 'a {
-    rows.iter().map(|&r| keys[r as usize])
-}
-
-/// The input a hash join builds its table on.
-#[derive(Debug, PartialEq)]
-enum Side {
-    Inner,
-    Outer,
-}
-
-/// Build the join's table on whichever input has fewer rows, the inner one
-/// on a tie. An inner table stores inner row `r` under `inner_keys[r]`; an
-/// outer table stores tuple number `k` under `outer_keys[outer[key_col][k]]`.
-fn build_smaller_side(
-    outer: &[Vec<u32>],
-    key_col: usize,
-    outer_keys: &[i64],
-    inner_rows: &[u32],
-    inner_keys: &[i64],
-) -> (Side, JoinTable) {
-    let probe = &outer[key_col];
-    let input_rows = probe.len() + inner_rows.len();
-    if inner_rows.len() <= probe.len() {
-        let table = JoinTable::build(inner_rows.len(), input_rows, |i| {
-            let r = inner_rows[i];
-            (r, inner_keys[r as usize])
-        });
-        (Side::Inner, table)
-    } else {
-        let table = JoinTable::build(probe.len(), input_rows, |k| {
-            (k as u32, outer_keys[probe[k] as usize])
-        });
-        (Side::Outer, table)
-    }
-}
-
-/// The columns one join emits and its output length.
-type Joined = (Vec<Vec<u32>>, usize);
-
-/// Hash-join the intermediate `outer` (row-id columns) with the rows
-/// `inner_rows`: outer tuple `k` matches inner row `r` when
-/// `outer_keys[outer[key_col][k]] == inner_keys[r]`. Returns the output
-/// length and the columns `keep` flags: the outer columns, then the inner
-/// row-id column (the last flag). They come out probe-major and, within one
-/// outer tuple, in `inner_rows` order: a nested loop's output exactly,
-/// whichever side is built. A join whose output is only counted takes
-/// [`count_join`] instead.
-fn hash_join(
-    outer: &[Vec<u32>],
-    key_col: usize,
-    outer_keys: &[i64],
-    inner_rows: &[u32],
-    inner_keys: &[i64],
-    keep: &[bool],
-) -> Joined {
-    debug_assert_eq!(keep.len(), outer.len() + 1, "one flag per output column");
-    match build_smaller_side(outer, key_col, outer_keys, inner_rows, inner_keys) {
-        (Side::Inner, table) => probe_with_outer(&table, outer, key_col, outer_keys, keep),
-        (Side::Outer, table) => {
-            probe_with_inner(table, outer, key_col, inner_rows, inner_keys, keep)
-        }
-    }
-}
-
-/// The columns of `outer` that `keep` flags.
-fn kept<'a>(outer: &'a [Vec<u32>], keep: &'a [bool]) -> impl Iterator<Item = &'a Vec<u32>> {
-    outer
-        .iter()
-        .zip(keep)
-        .filter_map(|(col, &k)| k.then_some(col))
-}
-
-/// Probe an inner-row `table`, built for this join or kept over a whole
-/// table, with each outer tuple in order: the hits come out probe-major, so
-/// each kept output column fills in one pass into capacity reserved for the
-/// output length.
-fn probe_with_outer(
-    table: &JoinTable,
-    outer: &[Vec<u32>],
-    key_col: usize,
-    outer_keys: &[i64],
-    keep: &[bool],
-) -> Joined {
-    let probe = &outer[key_col];
-    let mut out = Vec::new();
-    let (hits, len) = table.probe(
-        probe
-            .iter()
-            .enumerate()
-            .map(|(k, &r)| (k as u32, outer_keys[r as usize])),
-    );
-    for col in kept(outer, keep) {
-        let mut filled = Vec::with_capacity(len);
-        for &(k, slot) in &hits {
-            let n = table.slot_rows(slot).len();
-            filled.extend(std::iter::repeat_n(col[k as usize], n));
-        }
-        out.push(filled);
-    }
-    if keep[outer.len()] {
-        let mut filled = Vec::with_capacity(len);
-        for &(_, slot) in &hits {
-            filled.extend_from_slice(table.slot_rows(slot));
-        }
-        out.push(filled);
-    }
-    (out, len)
-}
-
-/// Probe an outer-tuple `table` with each inner row in order, then lay the
-/// kept output out probe-major: tuple `k` emits one row for each inner hit
-/// on its slot, in inner order. A count gives each tuple its output rows;
-/// for the inner column, a prefix sum and a scatter give each hit its
-/// place among the rows of every tuple it matches.
-fn probe_with_inner(
-    table: JoinTable,
-    outer: &[Vec<u32>],
-    key_col: usize,
-    inner_rows: &[u32],
-    inner_keys: &[i64],
-    keep: &[bool],
-) -> Joined {
-    let mut out = Vec::new();
-    let (hits, len) = table.probe(inner_rows.iter().map(|&r| (r, inner_keys[r as usize])));
-    // Each tuple's output rows.
-    let mut rows_of = vec![0usize; outer[key_col].len()];
-    for &(_, slot) in &hits {
-        for &k in table.slot_rows(slot) {
-            rows_of[k as usize] += 1;
-        }
-    }
-    for col in kept(outer, keep) {
-        let mut filled = Vec::with_capacity(len);
-        for (&v, &n) in col.iter().zip(&rows_of) {
-            filled.extend(std::iter::repeat_n(v, n));
-        }
-        out.push(filled);
-    }
-    if keep[outer.len()] {
-        // Each tuple's first output position. Each hit takes the next
-        // position of every tuple it matches.
-        let mut at = rows_of;
-        let mut next = 0;
-        for a in &mut at {
-            (*a, next) = (next, next + *a);
-        }
-        let mut inner_col = vec![0u32; len];
-        for &(r, slot) in &hits {
-            for &k in table.slot_rows(slot) {
-                let a = &mut at[k as usize];
-                inner_col[*a] = r;
-                *a += 1;
-            }
-        }
-        out.push(inner_col);
-    }
-    (out, len)
 }
 
 /// Entries per physical leaf page of `index` (at least 8).
@@ -1502,6 +1488,7 @@ mod tests {
     use crate::query::JoinPred;
     use dba_common::{ColumnId, TemplateId};
     use dba_storage::{ColumnSpec, ColumnType, Distribution, IndexDef, TableBuilder, TableSchema};
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Whether row `r` of `table` satisfies all `preds`: the row-at-a-time
     /// reference the executor's selection-vector filter is checked against.
@@ -1567,9 +1554,10 @@ mod tests {
         state
     }
 
-    /// Three-table catalog: `dim` (200 rows), `fact` (5000 rows) with
-    /// fact.f_dim a uniform FK into dim, and `sub` (300 rows) with sub.s_dim
-    /// one too.
+    /// Four-table catalog: `dim` (200 rows), `fact` (5000 rows) with
+    /// fact.f_dim a uniform FK into dim, `sub` (300 rows) with sub.s_dim
+    /// one too, and `aux` (50 rows) with aux.a_val uniform in 0..=999, as
+    /// fact.f_val is.
     fn catalog() -> Catalog {
         catalog_with_fact_rows(5000)
     }
@@ -1578,7 +1566,7 @@ mod tests {
         generated_catalog(fact_rows, 5)
     }
 
-    /// The three-table catalog with `fact_rows` fact rows, its data
+    /// The four-table catalog with `fact_rows` fact rows, its data
     /// generated from `seed`.
     fn generated_catalog(fact_rows: usize, seed: u64) -> Catalog {
         let dim = TableSchema::new(
@@ -1616,10 +1604,19 @@ mod tests {
                 Distribution::FkUniform { parent_rows: 200 },
             )],
         );
+        let aux = TableSchema::new(
+            "aux",
+            vec![ColumnSpec::new(
+                "a_val",
+                ColumnType::Int,
+                Distribution::Uniform { lo: 0, hi: 999 },
+            )],
+        );
         Catalog::new(vec![
             TableBuilder::new(dim, 200).build(TableId(0), seed),
             TableBuilder::new(fact, fact_rows).build(TableId(1), seed),
             TableBuilder::new(sub, 300).build(TableId(2), seed),
+            TableBuilder::new(aux, 50).build(TableId(3), seed),
         ])
     }
 
@@ -1919,48 +1916,129 @@ mod tests {
         assert!(result.agg_time.secs() > 0.0);
     }
 
-    /// One [`hash_join`] input, the output length it must produce and the
-    /// table it must build.
+    /// One grouped hash step: its outer tuples, copies included, the inner
+    /// rows it streams, the join tuples it must make, and how its two kinds
+    /// of join table must address their keys.
     struct JoinCase {
         name: &'static str,
-        /// Outer row-id columns and the one holding the join-key rows.
-        outer: Vec<Vec<u32>>,
-        key_col: usize,
-        /// Join keys by outer row id.
-        outer_keys: Vec<i64>,
-        /// Inner rows in inner-input order.
+        /// Outer tuples of `width` codes, the join key at `key`.
+        outer: Vec<Vec<i64>>,
+        width: usize,
+        key: usize,
+        /// Inner rows in inner-input order, and each row's join key by row
+        /// id.
         inner_rows: Vec<u32>,
-        /// Join keys by inner row id.
         inner_keys: Vec<i64>,
-        out_rows: usize,
-        /// The input the join must build on.
-        side: Side,
-        /// How the built table must index its keys.
-        path: Path,
+        out_rows: u64,
+        /// How the outer weights summed by key, and a table listing the
+        /// inner rows by their own keys, address the keys.
+        summed: Path,
+        listed: Path,
     }
 
-    /// The two ways a [`JoinTable`] finds a key's slot.
-    #[derive(Debug, PartialEq)]
+    /// The two ways a join table finds a key's slot.
+    #[derive(Debug, PartialEq, Clone, Copy)]
     enum Path {
         Direct,
         Map,
     }
 
+    fn path_of(index: &SlotIndex) -> Path {
+        match index {
+            SlotIndex::Direct { .. } => Path::Direct,
+            SlotIndex::Map(_) => Path::Map,
+        }
+    }
+
+    /// Outer tuples from row-id columns: tuple `k` holds the join key of
+    /// row `columns[key][k]` (by `keys`) at `key`, and its other row ids as
+    /// codes.
+    fn tuples(columns: &[Vec<u32>], key: usize, keys: &[i64]) -> Vec<Vec<i64>> {
+        (0..columns[0].len())
+            .map(|k| {
+                let code = |(c, col): (usize, &Vec<u32>)| {
+                    if c == key {
+                        keys[col[k] as usize]
+                    } else {
+                        i64::from(col[k])
+                    }
+                };
+                columns.iter().enumerate().map(code).collect()
+            })
+            .collect()
+    }
+
+    /// Tuples of `width` codes with their weights summed per tuple.
+    fn weight_map(groups: &Groups, width: usize) -> BTreeMap<Vec<i64>, u64> {
+        let mut map = BTreeMap::new();
+        for (tuple, w) in groups.iter(width) {
+            *map.entry(tuple.to_vec()).or_default() += w;
+        }
+        map
+    }
+
+    /// How a merge addresses tuples of `width` codes: 0 direct (dense
+    /// one-code tuples), 1 hashed (sparse one-code tuples and longer ones).
+    fn merge_path(groups: &Groups, width: usize) -> usize {
+        if width > 1 {
+            return 1;
+        }
+        let keys: Vec<i128> = groups.keys.iter().map(|&k| i128::from(k)).collect();
+        let n = 4 * groups.weights.len() as i128;
+        match (keys.iter().min(), keys.iter().max()) {
+            (Some(min), Some(max)) if max - min >= n.min(i128::from(u32::MAX)) => 1,
+            _ => 0,
+        }
+    }
+
+    /// What a sweep of join cases covered: the key sums' and the listed
+    /// tables' paths (direct, map), merges by [`merge_path`], and joins over
+    /// every inner row.
+    #[derive(Debug, Default)]
+    struct JoinCover {
+        listed: [usize; 2],
+        summed: [usize; 2],
+        merges: [usize; 2],
+        whole: usize,
+    }
+
     impl JoinCase {
-        /// The reference output: the same inputs joined by a nested loop.
-        fn nested_loop(&self) -> Vec<Vec<u32>> {
-            let mut out = vec![Vec::new(); self.outer.len() + 1];
-            for (k, &o) in self.outer[self.key_col].iter().enumerate() {
+        /// The outer tuples as an intermediate: each distinct tuple once,
+        /// weighted by its copies, when `merged`, else each copy with
+        /// weight 1.
+        fn groups(&self, merged: bool) -> Groups {
+            let mut copies: Vec<(&[i64], u64)> = self.outer.iter().map(|t| (&t[..], 1)).collect();
+            if merged {
+                let mut map: BTreeMap<&[i64], u64> = BTreeMap::new();
+                for (tuple, w) in copies {
+                    *map.entry(tuple).or_default() += w;
+                }
+                copies = map.into_iter().collect();
+            }
+            Groups {
+                keys: copies.iter().flat_map(|(t, _)| t.iter().copied()).collect(),
+                weights: copies.iter().map(|&(_, w)| w).collect(),
+            }
+        }
+
+        /// The reference: a nested loop over every copy of every outer
+        /// tuple and every inner row, counting the join tuples under each
+        /// output tuple that `sources` makes. An inner code is the inner
+        /// row's id.
+        fn nested_loop(&self, sources: &[Source]) -> BTreeMap<Vec<i64>, u64> {
+            let mut map = BTreeMap::new();
+            for tuple in &self.outer {
                 for &r in &self.inner_rows {
-                    if self.outer_keys[o as usize] == self.inner_keys[r as usize] {
-                        for (c, col) in self.outer.iter().enumerate() {
-                            out[c].push(col[k]);
-                        }
-                        out[self.outer.len()].push(r);
+                    if self.inner_keys[r as usize] == tuple[self.key] {
+                        let out = sources.iter().map(|source| match *source {
+                            Source::Outer(k) => tuple[k],
+                            Source::Inner(_) => i64::from(r),
+                        });
+                        *map.entry(out.collect()).or_default() += 1;
                     }
                 }
             }
-            out
+            map
         }
 
         /// Whether the inner rows are every inner row, in row order, as a
@@ -1972,93 +2050,100 @@ mod tests {
                 .eq(0..self.inner_keys.len() as u32)
         }
 
-        /// Check `join`'s output against the nested loop, keeping every
-        /// column and every other column.
-        fn check_output(&self, join: impl Fn(&[bool]) -> Joined) {
-            let want = self.nested_loop();
-            let columns = want.len();
-            let masks = [
-                vec![true; columns],
-                (0..columns).map(|c| c % 2 == 0).collect(),
-                (0..columns).map(|c| c % 2 == 1).collect(),
-            ];
-            for keep in masks {
-                let (got, len) = join(&keep);
-                let kept: Vec<_> = want
-                    .iter()
-                    .zip(&keep)
-                    .filter_map(|(col, &k)| k.then_some(col.clone()))
-                    .collect();
-                assert_eq!(got, kept, "{}: {keep:?}", self.name);
-                assert_eq!(len, self.out_rows, "{}: {keep:?}", self.name);
-            }
-        }
-
-        /// Check [`count_join`] against the nested loop: the inner rows
-        /// passed on as a seek's leaf range passes them, and when they are
-        /// every inner row, as a scan with no predicate emits them.
-        fn check_count(&self) {
+        /// Run the step on merged and on unmerged outer tuples, with output
+        /// tuples of no code, of the outer key, of the inner code and of
+        /// every outer code and the inner one. The outer tuples join the
+        /// inner rows listed by key; an output reading no outer code but
+        /// the key also streams the inner rows past the outer weights
+        /// summed by key; and when the inner rows are every inner row, the
+        /// outer tuples also join a table kept over the whole inner table.
+        /// Each output tuple's weight, summed over its copies, must equal
+        /// the nested loop's join tuples under it, before and after a merge,
+        /// which must leave each tuple once. The merged outer tuples' key
+        /// sums and the listing must address their keys as `summed` and
+        /// `listed` say.
+        fn check(&self, cover: &mut JoinCover) {
             let key = ColumnSpec::new("k", ColumnType::Int, Distribution::Sequential);
             let schema = TableSchema::new("inner", vec![key]);
             let table = TableBuilder::new(schema, self.inner_keys.len()).build(TableId(0), 0);
-            let mut ranges = vec![Some(self.inner_rows.as_slice())];
-            if self.every_inner_row() {
-                ranges.push(None);
-            }
-            for range in ranges {
-                let inner = Matches {
-                    table: &table,
-                    range,
-                    preds: &[],
-                };
-                let probe = &self.outer[self.key_col];
-                let counted = count_join(
-                    probe,
-                    &self.outer_keys,
-                    &inner,
-                    &self.inner_keys,
-                    &mut Vec::new(),
-                );
-                let want = (self.inner_rows.len() as u64, self.out_rows as u64);
-                assert_eq!(counted, want, "{}: range {}", self.name, range.is_some());
-            }
-        }
-
-        /// Check the side and path of the table the join builds, its output
-        /// against the nested loop, and the count a join only counted
-        /// takes. When the inner rows are every inner row, also check a
-        /// table kept over them, probed with the outer tuples as a hash
-        /// join over a whole table probes it.
-        fn check(&self) {
-            self.check_count();
-            let (side, table) = build_smaller_side(
-                &self.outer,
-                self.key_col,
-                &self.outer_keys,
-                &self.inner_rows,
-                &self.inner_keys,
-            );
-            let path = match table.index {
-                SlotIndex::Direct { .. } => Path::Direct,
-                SlotIndex::Map(_) => Path::Map,
-            };
-            assert_eq!(side, self.side, "{}", self.name);
-            assert_eq!(path, self.path, "{}", self.name);
-            self.check_output(|keep| {
-                hash_join(
-                    &self.outer,
-                    self.key_col,
-                    &self.outer_keys,
-                    &self.inner_rows,
-                    &self.inner_keys,
-                    keep,
-                )
-            });
-            if self.every_inner_row() {
-                let table = JoinTable::over_rows(&self.inner_keys);
-                self.check_output(|keep| {
-                    probe_with_outer(&table, &self.outer, self.key_col, &self.outer_keys, keep)
-                });
+            let ids: Vec<i64> = (0..self.inner_keys.len() as i64).collect();
+            let all_outer = (0..self.width).map(Source::Outer);
+            let source_sets = [
+                vec![],
+                vec![Source::Outer(self.key)],
+                vec![Source::Inner(0)],
+                all_outer.chain([Source::Inner(0)]).collect(),
+            ];
+            for merged in [true, false] {
+                let groups = self.groups(merged);
+                let input_rows = groups.weights.len() + self.inner_rows.len();
+                for sources in &source_sets {
+                    let label = format!("{}: merged {merged}, {sources:?}", self.name);
+                    let codes: Vec<&[i64]> = match sources.last() {
+                        Some(Source::Inner(_)) => vec![&ids],
+                        _ => vec![],
+                    };
+                    let inner = Matches {
+                        table: &table,
+                        range: Some(&self.inner_rows),
+                        preds: &[],
+                    };
+                    let join = |joined: &JoinTable| {
+                        let mut out = Output::new(sources.clone());
+                        joined.join(&groups, self.width, self.key, &codes, &mut out);
+                        out.finish()
+                    };
+                    let listed = JoinTable::over(&self.inner_rows, &self.inner_keys, input_rows);
+                    let path = path_of(&listed.index);
+                    if merged {
+                        assert_eq!(path, self.listed, "{label}: listed path");
+                        cover.listed[usize::from(path == Path::Map)] += 1;
+                    }
+                    let mut outputs = vec![join(&listed)];
+                    // An output reading no outer code but the key.
+                    if (self.width == 1 && !codes.is_empty()) || sources.is_empty() {
+                        let sums = KeyCounts::sums(&groups, self.width, self.key, input_rows);
+                        let path = path_of(&sums.index);
+                        if merged {
+                            assert_eq!(path, self.summed, "{label}: summed path");
+                            cover.summed[usize::from(path == Path::Map)] += 1;
+                        }
+                        let mut out = Output::new(sources.clone());
+                        let streamed = inner.stream(&mut Vec::new(), |rows| {
+                            sums.join(rows, &self.inner_keys, &codes, &mut out)
+                        });
+                        assert_eq!(streamed, self.inner_rows.len() as u64, "{label}");
+                        outputs.push(out.finish());
+                    }
+                    if self.every_inner_row() {
+                        outputs.push(join(&JoinTable::over_rows(&self.inner_keys)));
+                        cover.whole += 1;
+                    }
+                    let want = self.nested_loop(sources);
+                    for (got, total) in outputs {
+                        let width = sources.len();
+                        assert_eq!(total, self.out_rows, "{label}: join tuples");
+                        let sum: u64 = got.weights.iter().sum();
+                        assert_eq!(sum, total, "{label}: the tuples' weights");
+                        let mut got_map = weight_map(&got, width);
+                        // No tuple of weight 0: the nested loop lists none.
+                        got_map.retain(|_, w| *w > 0);
+                        assert_eq!(got_map, want, "{label}");
+                        let path = merge_path(&got, width);
+                        let once = got.merged(width);
+                        assert_eq!(
+                            once.weights.len(),
+                            weight_map(&once, width).len(),
+                            "{label}: merged once"
+                        );
+                        let mut once_map = weight_map(&once, width);
+                        once_map.retain(|_, w| *w > 0);
+                        assert_eq!(once_map, want, "{label}: merged");
+                        if width > 0 {
+                            cover.merges[path] += 1;
+                        }
+                    }
+                }
             }
         }
     }
@@ -2066,219 +2151,256 @@ mod tests {
     #[test]
     fn hash_join_output_equals_a_nested_loop() {
         let stride = |k: i64| k << 32;
+        let case = |name, columns: Vec<Vec<u32>>, key, keys: Vec<i64>, inner_rows, inner_keys| {
+            let outer = tuples(&columns, key, &keys);
+            JoinCase {
+                name,
+                outer,
+                width: columns.len(),
+                key,
+                inner_rows,
+                inner_keys,
+                out_rows: 0,
+                summed: Path::Direct,
+                listed: Path::Direct,
+            }
+        };
+        let (d, m) = (Path::Direct, Path::Map);
         let cases = [
-            JoinCase {
-                name: "duplicate keys on both sides, inner side larger",
-                outer: vec![vec![4, 0, 2, 1, 3]],
-                key_col: 0,
-                outer_keys: vec![5, 7, 5, 9, 7],
-                inner_rows: vec![5, 3, 1, 0, 2, 4],
-                inner_keys: vec![7, 5, 7, 5, 1, 5],
-                out_rows: 10,
-                side: Side::Outer,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "equal sizes build the inner side",
-                outer: vec![vec![0, 1, 2]],
-                key_col: 0,
-                outer_keys: vec![1, 2, 2],
-                inner_rows: vec![2, 0, 1],
-                inner_keys: vec![2, 1, 2],
-                out_rows: 5,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "probe keys with no match",
-                outer: vec![vec![0, 1, 2, 3]],
-                key_col: 0,
-                outer_keys: vec![1, 2, 3, 4],
-                inner_rows: vec![2, 0, 1],
-                inner_keys: vec![3, 30, 40],
-                out_rows: 1,
-                side: Side::Inner,
-                path: Path::Map,
-            },
-            JoinCase {
-                name: "empty inner side",
-                outer: vec![vec![0, 1, 2]],
-                key_col: 0,
-                outer_keys: vec![1, 2, 3],
-                inner_rows: vec![],
-                inner_keys: vec![1, 2, 3],
-                out_rows: 0,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "empty outer side, non-empty inner",
-                outer: vec![vec![]],
-                key_col: 0,
-                outer_keys: vec![1, 2],
-                inner_rows: vec![0, 1],
-                inner_keys: vec![1, 2],
-                out_rows: 0,
-                side: Side::Outer,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "two-column intermediate, equal sizes",
-                outer: vec![vec![3, 1, 0, 2], vec![2, 4, 0, 4]],
-                key_col: 1,
-                outer_keys: vec![8, -1, 6, 9, 8],
-                inner_rows: vec![1, 3, 0, 2],
-                inner_keys: vec![8, 6, 8, 7],
-                out_rows: 7,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "two-column intermediate repeating outer row ids, inner side larger",
-                outer: vec![vec![1, 1, 0, 2], vec![3, 0, 3, 3]],
-                key_col: 1,
-                outer_keys: vec![5, 9, 9, 7],
-                inner_rows: vec![4, 0, 2, 1, 5, 3],
-                inner_keys: vec![7, 5, 8, 7, 5, 7],
-                out_rows: 11,
-                side: Side::Outer,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "extreme keys, inner side larger",
-                outer: vec![vec![0, 1, 2, 3, 4]],
-                key_col: 0,
-                outer_keys: vec![i64::MIN, -1, 0, i64::MAX, i64::MIN],
-                inner_rows: vec![0, 1, 2, 3, 4, 5],
-                inner_keys: vec![i64::MAX, 0, -1, i64::MIN, 1, i64::MAX],
-                out_rows: 6,
-                side: Side::Outer,
-                path: Path::Map,
-            },
-            JoinCase {
-                name: "stride keys sharing their low 32 bits, inner side larger",
-                outer: vec![(0..64).rev().collect()],
-                key_col: 0,
-                outer_keys: (0..64).map(stride).collect(),
-                inner_rows: (0..96).collect(),
-                inner_keys: (0..96).map(|k| stride(k % 48)).collect(),
-                out_rows: 96,
-                side: Side::Outer,
-                path: Path::Map,
-            },
-            JoinCase {
-                name: "inner build spanning exactly 4 codes per input row",
-                outer: vec![vec![0, 1, 2, 3]],
-                key_col: 0,
-                outer_keys: vec![37, 10, 15, 16],
-                inner_rows: vec![0, 1, 2],
-                inner_keys: vec![10, 37, 15],
-                out_rows: 3,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "inner build spanning one code more than 4 per input row",
-                outer: vec![vec![0, 1, 2, 3]],
-                key_col: 0,
-                outer_keys: vec![38, 10, 15, 16],
-                inner_rows: vec![0, 1, 2],
-                inner_keys: vec![10, 38, 15],
-                out_rows: 3,
-                side: Side::Inner,
-                path: Path::Map,
-            },
-            JoinCase {
-                name: "outer build spanning exactly 4 codes per input row",
-                outer: vec![vec![0, 1, 2]],
-                key_col: 0,
-                outer_keys: vec![10, 37, 15],
-                inner_rows: vec![0, 1, 2, 3],
-                inner_keys: vec![37, 10, 15, 16],
-                out_rows: 3,
-                side: Side::Outer,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "outer build spanning one code more than 4 per input row",
-                outer: vec![vec![0, 1, 2]],
-                key_col: 0,
-                outer_keys: vec![10, 38, 15],
-                inner_rows: vec![0, 1, 2, 3],
-                inner_keys: vec![38, 10, 15, 16],
-                out_rows: 3,
-                side: Side::Outer,
-                path: Path::Map,
-            },
-            JoinCase {
-                name: "negative codes",
-                outer: vec![vec![0, 1, 2, 3, 4]],
-                key_col: 0,
-                outer_keys: vec![-3, -7, -4, 0, -8],
-                inner_rows: vec![3, 1, 0, 2],
-                inner_keys: vec![-7, -3, -5, -3],
-                out_rows: 3,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "outer probe keys below, above and on empty slots inside the span",
-                outer: vec![(0..8).collect()],
-                key_col: 0,
-                outer_keys: vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
-                inner_rows: vec![0, 1, 2, 3],
-                inner_keys: vec![100, 103, 100, 105],
-                out_rows: 3,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "inner probe keys below, above and on empty slots inside the span",
-                outer: vec![vec![0, 1, 2, 3]],
-                key_col: 0,
-                outer_keys: vec![100, 103, 100, 105],
-                inner_rows: (0..8).collect(),
-                inner_keys: vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
-                out_rows: 3,
-                side: Side::Outer,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "one key repeated",
-                outer: vec![vec![0, 1, 2, 3]],
-                key_col: 0,
-                outer_keys: vec![42, 41, 43, 42],
-                inner_rows: vec![4, 2, 0, 1, 3],
-                inner_keys: vec![42; 5],
-                out_rows: 10,
-                side: Side::Outer,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "direct span ending at i64::MAX",
-                outer: vec![vec![0, 1, 2, 3]],
-                key_col: 0,
-                outer_keys: vec![i64::MAX, i64::MIN, i64::MAX - 1, i64::MAX - 3],
-                inner_rows: vec![0, 1],
-                inner_keys: vec![i64::MAX, i64::MAX - 2],
-                out_rows: 1,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
-            JoinCase {
-                name: "direct span starting at i64::MIN",
-                outer: vec![vec![0, 1, 2]],
-                key_col: 0,
-                outer_keys: vec![i64::MAX, i64::MIN + 2, i64::MIN],
-                inner_rows: vec![1, 0],
-                inner_keys: vec![i64::MIN, i64::MIN + 1],
-                out_rows: 1,
-                side: Side::Inner,
-                path: Path::Direct,
-            },
+            (
+                case(
+                    "duplicate keys on both sides",
+                    vec![vec![4, 0, 2, 1, 3]],
+                    0,
+                    vec![5, 7, 5, 9, 7],
+                    vec![5, 3, 1, 0, 2, 4],
+                    vec![7, 5, 7, 5, 1, 5],
+                ),
+                10,
+                (d, d),
+            ),
+            (
+                case(
+                    "equal sizes",
+                    vec![vec![0, 1, 2]],
+                    0,
+                    vec![1, 2, 2],
+                    vec![2, 0, 1],
+                    vec![2, 1, 2],
+                ),
+                5,
+                (d, d),
+            ),
+            (
+                case(
+                    "probe keys with no match",
+                    vec![vec![0, 1, 2, 3]],
+                    0,
+                    vec![1, 2, 3, 4],
+                    vec![2, 0, 1],
+                    vec![3, 30, 40],
+                ),
+                1,
+                (d, m),
+            ),
+            (
+                case(
+                    "empty inner side",
+                    vec![vec![0, 1, 2]],
+                    0,
+                    vec![1, 2, 3],
+                    vec![],
+                    vec![1, 2, 3],
+                ),
+                0,
+                (d, d),
+            ),
+            (
+                case(
+                    "empty outer side, non-empty inner",
+                    vec![vec![]],
+                    0,
+                    vec![1, 2],
+                    vec![0, 1],
+                    vec![1, 2],
+                ),
+                0,
+                (d, d),
+            ),
+            (
+                case(
+                    "two-code intermediate, equal sizes",
+                    vec![vec![3, 1, 0, 2], vec![2, 4, 0, 4]],
+                    1,
+                    vec![8, -1, 6, 9, 8],
+                    vec![1, 3, 0, 2],
+                    vec![8, 6, 8, 7],
+                ),
+                7,
+                (d, d),
+            ),
+            (
+                case(
+                    "two-code intermediate repeating outer row ids",
+                    vec![vec![1, 1, 0, 2], vec![3, 0, 3, 3]],
+                    1,
+                    vec![5, 9, 9, 7],
+                    vec![4, 0, 2, 1, 5, 3],
+                    vec![7, 5, 8, 7, 5, 7],
+                ),
+                11,
+                (d, d),
+            ),
+            (
+                case(
+                    "extreme keys",
+                    vec![vec![0, 1, 2, 3, 4]],
+                    0,
+                    vec![i64::MIN, -1, 0, i64::MAX, i64::MIN],
+                    vec![0, 1, 2, 3, 4, 5],
+                    vec![i64::MAX, 0, -1, i64::MIN, 1, i64::MAX],
+                ),
+                6,
+                (m, m),
+            ),
+            (
+                case(
+                    "stride keys sharing their low 32 bits",
+                    vec![(0..64).rev().collect()],
+                    0,
+                    (0..64).map(stride).collect(),
+                    (0..96).collect(),
+                    (0..96).map(|k| stride(k % 48)).collect(),
+                ),
+                96,
+                (m, m),
+            ),
+            (
+                case(
+                    "keys spanning exactly 4 codes per input row",
+                    vec![vec![0, 1, 2, 3]],
+                    0,
+                    vec![37, 10, 15, 16],
+                    vec![0, 1, 2],
+                    vec![10, 37, 15],
+                ),
+                3,
+                (d, d),
+            ),
+            (
+                case(
+                    "keys spanning one code more than 4 per input row",
+                    vec![vec![0, 1, 2, 3]],
+                    0,
+                    vec![38, 10, 15, 16],
+                    vec![0, 1, 2],
+                    vec![10, 38, 15],
+                ),
+                3,
+                (m, m),
+            ),
+            (
+                case(
+                    "more inner rows, keys spanning exactly 4 codes per input row",
+                    vec![vec![0, 1, 2]],
+                    0,
+                    vec![10, 37, 15],
+                    vec![0, 1, 2, 3],
+                    vec![37, 10, 15, 16],
+                ),
+                3,
+                (d, d),
+            ),
+            (
+                case(
+                    "more inner rows, keys spanning one code more than 4 per input row",
+                    vec![vec![0, 1, 2]],
+                    0,
+                    vec![10, 38, 15],
+                    vec![0, 1, 2, 3],
+                    vec![38, 10, 15, 16],
+                ),
+                3,
+                (m, m),
+            ),
+            (
+                case(
+                    "negative codes",
+                    vec![vec![0, 1, 2, 3, 4]],
+                    0,
+                    vec![-3, -7, -4, 0, -8],
+                    vec![3, 1, 0, 2],
+                    vec![-7, -3, -5, -3],
+                ),
+                3,
+                (d, d),
+            ),
+            (
+                case(
+                    "outer keys below, above and on empty slots inside the inner span",
+                    vec![(0..8).collect()],
+                    0,
+                    vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
+                    vec![0, 1, 2, 3],
+                    vec![100, 103, 100, 105],
+                ),
+                3,
+                (m, d),
+            ),
+            (
+                case(
+                    "inner keys below, above and on empty slots inside the outer span",
+                    vec![vec![0, 1, 2, 3]],
+                    0,
+                    vec![100, 103, 100, 105],
+                    (0..8).collect(),
+                    vec![99, 106, 101, 104, 105, 100, i64::MIN, i64::MAX],
+                ),
+                3,
+                (d, m),
+            ),
+            (
+                case(
+                    "one key repeated",
+                    vec![vec![0, 1, 2, 3]],
+                    0,
+                    vec![42, 41, 43, 42],
+                    vec![4, 2, 0, 1, 3],
+                    vec![42; 5],
+                ),
+                10,
+                (d, d),
+            ),
+            (
+                case(
+                    "direct inner span ending at i64::MAX",
+                    vec![vec![0, 1, 2, 3]],
+                    0,
+                    vec![i64::MAX, i64::MIN, i64::MAX - 1, i64::MAX - 3],
+                    vec![0, 1],
+                    vec![i64::MAX, i64::MAX - 2],
+                ),
+                1,
+                (m, d),
+            ),
+            (
+                case(
+                    "direct inner span starting at i64::MIN",
+                    vec![vec![0, 1, 2]],
+                    0,
+                    vec![i64::MAX, i64::MIN + 2, i64::MIN],
+                    vec![1, 0],
+                    vec![i64::MIN, i64::MIN + 1],
+                ),
+                1,
+                (m, d),
+            ),
         ];
-        for case in &cases {
-            case.check();
+        let mut cover = JoinCover::default();
+        for (mut case, out_rows, (summed, listed)) in cases {
+            case.out_rows = out_rows;
+            (case.summed, case.listed) = (summed, listed);
+            case.check(&mut cover);
         }
     }
 
@@ -2296,12 +2418,7 @@ mod tests {
     #[test]
     fn hash_join_equals_a_nested_loop_over_a_seeded_sweep() {
         let mut draw = Draws(0);
-        // Joins per (built side, slot path): [inner, outer][direct, map],
-        // per slot path of the outer tuples' counts when the join is only
-        // counted, and joins over every inner row, checked on a kept table
-        // too.
-        let (mut seen, mut counted) = ([[0; 2]; 2], [0; 2]);
-        let mut whole = 0;
+        let mut cover = JoinCover::default();
         for _ in 0..300 {
             // A key domain: dense codes, codes 1,000 apart, or codes 2^40
             // apart from far below zero.
@@ -2313,13 +2430,24 @@ mod tests {
             let domain = 1 + draw.below(400);
             let key = |d: &mut Draws| base + gap * d.below(domain) as i64;
 
-            let outer_base = 1 + draw.below(300);
-            let outer_keys: Vec<i64> = (0..outer_base).map(|_| key(&mut draw)).collect();
-            let (columns, tuples) = (1 + draw.below(3), draw.below(301));
-            let outer: Vec<Vec<u32>> = (0..columns)
-                .map(|_| (0..tuples).map(|_| draw.below(outer_base) as u32).collect())
+            // Outer tuples of 1 to 3 codes, the key at any of them, the
+            // others from a few values so that tuples repeat.
+            let width = 1 + draw.below(3) as usize;
+            let at = draw.below(width as u64) as usize;
+            let copies = draw.below(301);
+            let outer: Vec<Vec<i64>> = (0..copies)
+                .map(|_| {
+                    (0..width)
+                        .map(|c| {
+                            if c == at {
+                                key(&mut draw)
+                            } else {
+                                draw.below(4) as i64
+                            }
+                        })
+                        .collect()
+                })
                 .collect();
-            let key_col = draw.below(columns) as usize;
             let inner_base = draw.below(301) as u32;
             let inner_keys: Vec<i64> = (0..inner_base).map(|_| key(&mut draw)).collect();
             // All inner rows, or about 3/4 or 1/2 of them in row order, as a
@@ -2329,51 +2457,48 @@ mod tests {
                 .filter(|_| draw.below(4) >= dropped)
                 .collect();
 
-            // The smaller input is built, the inner one on a tie, and keys
-            // spanning at most 4 codes per input row are direct addressed.
-            let side = if inner_rows.len() <= outer[key_col].len() {
-                Side::Inner
-            } else {
-                Side::Outer
-            };
-            let input_rows = (outer[key_col].len() + inner_rows.len()) as i128;
-            let path_of = |rows: &[u32], keys: &[i64]| {
-                let keys: Vec<i128> = rows.iter().map(|&r| i128::from(keys[r as usize])).collect();
+            // Keys spanning at most 4 codes per input row are direct
+            // addressed: the distinct outer tuples and the inner rows.
+            let distinct: BTreeSet<&Vec<i64>> = outer.iter().collect();
+            let input_rows = (distinct.len() + inner_rows.len()) as i128;
+            let path_of_keys = |keys: Vec<i64>| {
+                let keys: Vec<i128> = keys.into_iter().map(i128::from).collect();
                 match (keys.iter().min(), keys.iter().max()) {
                     (Some(min), Some(max)) if max - min + 1 > 4 * input_rows => Path::Map,
                     _ => Path::Direct,
                 }
             };
-            let path = match side {
-                Side::Inner => path_of(&inner_rows, &inner_keys),
-                Side::Outer => path_of(&outer[key_col], &outer_keys),
-            };
-            seen[usize::from(side == Side::Outer)][usize::from(path == Path::Map)] += 1;
-            // Counted, the outer tuples are, under the same addressing rule.
-            counted[usize::from(path_of(&outer[key_col], &outer_keys) == Path::Map)] += 1;
-
+            let summed = path_of_keys(distinct.iter().map(|t| t[at]).collect());
+            let listed = path_of_keys(inner_rows.iter().map(|&r| inner_keys[r as usize]).collect());
             let mut case = JoinCase {
                 name: "seeded sweep",
                 outer,
-                key_col,
-                outer_keys,
+                width,
+                key: at,
                 inner_rows,
                 inner_keys,
                 out_rows: 0,
-                side,
-                path,
+                summed,
+                listed,
             };
-            case.out_rows = case.nested_loop()[0].len();
-            case.check();
-            whole += usize::from(case.every_inner_row());
+            case.out_rows = case.nested_loop(&[]).values().sum();
+            case.check(&mut cover);
+        }
+        let JoinCover {
+            listed,
+            summed,
+            merges,
+            whole,
+        } = cover;
+        for (what, joins) in [("summed", summed), ("listed", listed)] {
+            assert!(
+                joins.iter().all(|&n| n >= 20),
+                "every {what} path is swept: {joins:?} (direct, map)"
+            );
         }
         assert!(
-            seen.iter().flatten().all(|&joins| joins >= 20),
-            "every side and path is swept: {seen:?}"
-        );
-        assert!(
-            counted.iter().all(|&joins| joins >= 20),
-            "every counted path is swept: {counted:?}"
+            merges.iter().all(|&n| n >= 20),
+            "every merge path is swept: {merges:?} (direct, hashed)"
         );
         assert!(whole >= 20, "{whole} joins over every inner row");
     }
@@ -2471,8 +2596,8 @@ mod tests {
                 join: q3.joins[1],
                 est_rows_out: 0.0,
             });
-            // The probes emit only `dim`'s row ids, the ones the `sub`
-            // join keys on, timed or not.
+            // The probes emit `dim`'s key codes, the ones the `sub` join
+            // keys on, timed or not.
             let three = Executor::new(CostModel::unit_scale()).execute(&cat, &q3, &then_sub);
             assert_eq!(
                 three.result_rows, with_sub,
@@ -2489,6 +2614,49 @@ mod tests {
                 "{name}"
             );
             assert_eq!(out_rows, want, "{name}");
+
+            // Later steps key on the probes' inner table (`aux` on
+            // fact.f_val), on their outer one (`sub` on dim.d_key) or on
+            // both: each count and sample matches the materialising
+            // reference.
+            let hash_step = |table, join| JoinStep {
+                access: TableAccess {
+                    table: TableId(table),
+                    method: AccessMethod::FullScan,
+                    est_rows: 0.0,
+                },
+                algo: JoinAlgo::Hash,
+                join,
+                est_rows_out: 0.0,
+            };
+            let (on_dim, on_fact) = (
+                JoinPred::new(col(2, 0), col(0, 0)),
+                JoinPred::new(col(3, 0), col(1, 2)),
+            );
+            for later in [
+                vec![(2, on_dim)],
+                vec![(3, on_fact)],
+                vec![(2, on_dim), (3, on_fact)],
+            ] {
+                let (mut wide_q, mut wide_plan) = (q.clone(), inl_plan.clone());
+                for &(table, join) in &later {
+                    wide_q.tables.push(TableId(table));
+                    wide_q.joins.push(join);
+                    wide_plan.joins.push(hash_step(table, join));
+                }
+                let label = format!("{name}, then {later:?}");
+                let (counts, work) = reference(&cat, &wide_q, &wide_plan);
+                let got = Executor::new(CostModel::unit_scale()).count(&cat, &wide_q, &wide_plan);
+                assert_eq!(got, counts, "{label}");
+                let mut timed =
+                    Executor::timed(CostModel::unit_scale(), BudgetTimer::scripted(1e-6));
+                let execution = timed.execute(&cat, &wide_q, &wide_plan);
+                let plain =
+                    Executor::new(CostModel::unit_scale()).execute(&cat, &wide_q, &wide_plan);
+                assert_same_execution(&execution, &plain, &label);
+                let sampled: Vec<Work> = timed.take_op_samples().iter().map(work_of).collect();
+                assert_eq!(sampled, work, "{label}");
+            }
         }
     }
 
@@ -2598,21 +2766,23 @@ mod tests {
         assert_eq!(result.result_rows, 5000);
     }
 
-    /// One plan per operator class over the three-table catalog: every
-    /// access method, both join algorithms, and an aggregate. The two hash
-    /// joins of `join_query` are last steps, only counted: `dim` driving,
-    /// its ~20 matching rows are counted and the `fact` rows stream past
-    /// them, and `fact` driving, its rows are counted and the 200 `dim`
-    /// rows its inner scan filters stream past. Four plans,
-    /// driven by a filtered `dim`, hash join a table with no predicate on
-    /// it, which the executor probes through a kept table: `fact` scanned
-    /// whole and keyed on by a later step, `fact` covering-scanned and only
-    /// counted, `sub` scanned whole while only `dim`'s row ids go on, and
-    /// `fact` on another key column. Four more hash join a filtered inner
-    /// side: two as the first of two steps, which build a join table on
-    /// the outer `dim` rows and on the inner ones (`fact` driving), and two
-    /// as the last step, whose inner access runs inside the join: a seek
-    /// with a residual predicate and a filtered covering scan.
+    /// One plan per operator class over the catalog: every access method,
+    /// both join algorithms, and an aggregate. The two hash joins of
+    /// `join_query` are last steps, only counted: `dim` driving, the `fact`
+    /// rows stream past the weights of its ~20 matching keys, and `fact`
+    /// driving, the 200 `dim` rows its inner scan filters stream past its
+    /// keys' weights. Four plans, driven by a filtered `dim`, hash join a table with
+    /// no predicate on it, which the executor reads through a kept table:
+    /// `fact` scanned whole and keyed on by a later step through its join
+    /// column, `fact` covering-scanned and only counted, `sub` scanned
+    /// whole while only `dim`'s keys go on, and `fact` on another key
+    /// column. Four more hash join a filtered inner side, whose access runs
+    /// inside the join: two as the first of two steps, whose matches are
+    /// listed by key for each outer tuple to join (`dim` driving, a later
+    /// step keying on the join column) and stream past the outer weights
+    /// summed by key (`fact` driving, a later step keying on `dim`), and
+    /// two as the last step: a seek with a residual predicate and a
+    /// filtered covering scan.
     fn operator_sweep(cat: &mut Catalog) -> Vec<(Query, Plan)> {
         let seek_ix = cat
             .create_index(IndexDef::new(TableId(1), vec![2], vec![]))
@@ -2789,6 +2959,19 @@ mod tests {
     /// build rows, probe rows and out rows.
     type Work = (OpKind, [u64; 6]);
 
+    /// A sample's [`Work`].
+    fn work_of(s: &OpSample) -> Work {
+        let counters = [
+            s.pages,
+            s.rows,
+            s.descents,
+            s.build_rows,
+            s.probe_rows,
+            s.out_rows,
+        ];
+        (s.op, counters)
+    }
+
     /// The leaf pages holding entries `[start, end)` of an index of
     /// `entries` entries, `cap` to a leaf: the one a miss lands on when
     /// the range is empty, and none in an empty index.
@@ -2856,15 +3039,13 @@ mod tests {
     /// Run `plan` for `q` by brute force, independently of the executor:
     /// the counts its counting pass must return, and the samples a timed
     /// run must leave on a miss, in plan order. Accesses filter row by row,
-    /// joins are nested loops over (table, row id) tuples, and index
-    /// entries are located by counting the keys that sort before them. A
-    /// hash join counts the inner rows as its build and the outer tuples as
-    /// its probe, whichever side the executor builds or counts. The inner
-    /// access of a hash join leaves no sample of its own when it runs
-    /// inside the join, the last step, whose sample then counts the
-    /// access's pages, rows and descents too, or when a kept join table
-    /// serves it, reading a whole table with no predicate on it; the
-    /// aggregate leaves none either.
+    /// joins are nested loops over materialised (table, row id) tuples, and
+    /// index entries are located by counting the keys that sort before
+    /// them. A hash join counts the inner rows as its build and the outer
+    /// tuples as its probe. Its inner access leaves no sample of its own:
+    /// the join's sample counts the access's pages, rows and descents too,
+    /// unless a kept join table serves it, reading a whole table with no
+    /// predicate on it. The aggregate leaves no sample either.
     fn reference(cat: &Catalog, q: &Query, plan: &Plan) -> (Counts, Vec<Work>) {
         let (driver_rows, driver) = reference_access(cat, q, &plan.driver);
         let driver_counts = access_counts(&driver_rows, driver);
@@ -2872,7 +3053,7 @@ mod tests {
         let mut steps = Vec::new();
         let mut tables = vec![plan.driver.table];
         let mut tuples: Vec<Vec<u32>> = driver_rows.into_iter().map(|r| vec![r]).collect();
-        for (i, step) in plan.joins.iter().enumerate() {
+        for step in &plan.joins {
             let inner = cat.table(step.access.table);
             let outer_col = step.join.other_side(step.access.table).unwrap();
             let inner_key = inner.column(step.join.side_on(step.access.table).unwrap().ordinal);
@@ -2894,28 +3075,19 @@ mod tests {
                 JoinAlgo::Hash => {
                     let build = inner_rows.len() as u64;
                     let scan = !matches!(step.access.method, AccessMethod::IndexSeek { .. });
-                    let ran = if scan && q.predicates_on(step.access.table).is_empty() {
-                        InnerRun::Kept
-                    } else if i + 1 == plan.joins.len() {
-                        InnerRun::InJoin
-                    } else {
-                        InnerRun::Alone
-                    };
+                    let kept = scan && q.predicates_on(step.access.table).is_empty();
                     let [pages, rows, descents, ..] = inner_work.1;
-                    let access = match ran {
-                        InnerRun::Alone => {
-                            work.push(inner_work);
-                            [0; 3]
-                        }
-                        InnerRun::InJoin => [pages, rows, descents],
-                        InnerRun::Kept => [0; 3],
+                    let access = if kept {
+                        [0; 3]
+                    } else {
+                        [pages, rows, descents]
                     };
                     let join = [build, probes, out];
                     let counters = [access, join].concat().try_into().unwrap();
                     work.push((OpKind::HashJoin, counters));
                     steps.push(StepCounts::Hash {
                         inner: access_counts(&inner_rows, inner_work),
-                        ran,
+                        kept,
                         out_rows: out,
                     });
                 }
@@ -2980,7 +3152,7 @@ mod tests {
                 cat.apply_drift(TableId(1), 20_000, 500, 700);
             }
             let mut ops = Vec::new();
-            let mut built = (false, false);
+            let mut larger = (false, false);
             for (i, (q, plan)) in sweep.iter().enumerate() {
                 let label = format!("pass {pass}, plan {i}");
                 let a = plain.execute(&cat, q, plan);
@@ -2997,48 +3169,47 @@ mod tests {
                     assert!(samples.is_empty(), "{label}: a replay leaves no sample");
                     continue;
                 }
-                let work: Vec<Work> = samples
-                    .iter()
-                    .map(|s| {
-                        let counts = [s.pages, s.rows, s.descents];
-                        let join = [s.build_rows, s.probe_rows, s.out_rows];
-                        (s.op, [counts, join].concat().try_into().unwrap())
-                    })
-                    .collect();
+                let work: Vec<Work> = samples.iter().map(work_of).collect();
                 let (counts, reference_work) = reference(&cat, q, plan);
                 assert_eq!(work, reference_work, "{label}");
                 let fresh = Executor::new(CostModel::unit_scale()).count(&cat, q, plan);
                 assert_eq!(fresh, counts, "{label}: counts");
-                // A join's sample carries its step's share of the join
-                // time, and the price of an inner access that ran inside
-                // it; any other sample the time of one access.
+                // A hash join's sample carries its step's share of the
+                // join time, and the price of an inner access that ran
+                // inside it; any other sample the time of one access.
                 let mut join_time = SimSeconds::ZERO;
-                let mut step = 0;
                 for s in &samples {
                     assert_eq!(s.measured_s, 0.5, "{label}: {:?} time", s.op);
-                    step += usize::from(s.op == OpKind::InlProbe);
-                    if s.op == OpKind::HashJoin {
-                        let join = plain.cost.hash_join(s.build_rows, s.probe_rows, s.out_rows);
-                        join_time += join;
-                        let price = match counts.steps[step] {
-                            StepCounts::Hash {
-                                ran: InnerRun::InJoin,
-                                ..
-                            } => b.accesses[step + 1].time + join,
-                            _ => join,
-                        };
-                        assert_eq!(s.sim_s.to_bits(), price.secs().to_bits(), "{label}: join");
-                        step += 1;
-                        // Fewer inner rows than outer tuples, and more: the
-                        // sweep builds either side, and counts with either
-                        // input the larger.
-                        built.0 |= s.build_rows < s.probe_rows;
-                        built.1 |= s.build_rows > s.probe_rows;
-                    } else {
-                        let price = s.sim_s.to_bits();
-                        let priced = b.accesses.iter().any(|a| a.time.secs().to_bits() == price);
-                        assert!(priced, "{label}: {:?} price", s.op);
-                    }
+                }
+                let price_bits = |t: SimSeconds| t.secs().to_bits();
+                let (driver, steps) = samples.split_first().expect("a driver sample");
+                assert_eq!(
+                    driver.sim_s.to_bits(),
+                    price_bits(b.accesses[0].time),
+                    "{label}"
+                );
+                for ((s, step), access) in steps.iter().zip(&*counts.steps).zip(&b.accesses[1..]) {
+                    let price = match *step {
+                        StepCounts::Hash { kept, .. } => {
+                            let join = plain.cost.hash_join(s.build_rows, s.probe_rows, s.out_rows);
+                            join_time += join;
+                            // Fewer inner rows than outer tuples, and more.
+                            larger.0 |= s.build_rows < s.probe_rows;
+                            larger.1 |= s.build_rows > s.probe_rows;
+                            if kept {
+                                join
+                            } else {
+                                access.time + join
+                            }
+                        }
+                        StepCounts::Inl { .. } => access.time,
+                    };
+                    assert_eq!(
+                        s.sim_s.to_bits(),
+                        price_bits(price),
+                        "{label}: {:?} price",
+                        s.op
+                    );
                 }
                 assert_eq!(
                     join_time.secs().to_bits(),
@@ -3051,7 +3222,7 @@ mod tests {
                 for op in OpKind::ALL {
                     assert!(ops.contains(&op), "no {op:?} sample");
                 }
-                assert_eq!(built, (true, true), "hash joins on both sides");
+                assert_eq!(larger, (true, true), "hash joins with either input larger");
             }
         }
         assert_eq!(
@@ -3107,17 +3278,19 @@ mod tests {
         }
     }
 
-    /// One seeded case of the count sweep: up to three tables of columns
-    /// `s` (uniform in 0..=9), the join key `k`, `v` (0..=99) and `w`
-    /// (0..=9), each with a seek index on `v`, an index on `k` and one on
-    /// `k` covering every column, and a plan of up to two join steps, each
-    /// joining the next table's `k` with an earlier one's. Accesses and
-    /// algorithms are drawn at random, and each table gets up to three
-    /// predicates on `s`, `v` and `w`, some of them empty ranges.
-    /// Also returns each table's key domain: one for every table in two
-    /// cases of three, else one each.
+    /// One seeded case of the count sweep: up to four tables of columns
+    /// `s` (uniform in 0..=9), the join keys `k` and `j`, `v` (0..=99) and
+    /// `w` (0..=9), each with a seek index on `v`, an index on `k` and one
+    /// on `k` covering every column, and a plan of up to three join steps,
+    /// each joining the next table's `k` or `j` (`k` for an
+    /// index-nested-loop step) with an earlier one's. So a later step keys
+    /// on a step's inner table, on its outer tables, or on both. Accesses
+    /// and algorithms are drawn at random, and each table gets up to three
+    /// predicates on `s`, `v` and `w`, some of them empty ranges. Also
+    /// returns each table's key domain: one for every table in two cases of
+    /// three, else one each.
     fn sweep_case(d: &mut Draws) -> (Catalog, Query, Plan, Vec<Keys>) {
-        let tables = 1 + d.below(3) as u32;
+        let tables = 1 + d.below(4) as u32;
         let shared = (d.below(3) > 0).then(|| Keys::draw(d));
         let domains: Vec<Keys> = (0..tables)
             .map(|_| shared.unwrap_or_else(|| Keys::draw(d)))
@@ -3134,6 +3307,7 @@ mod tests {
                             int("k", keys.distribution(d)),
                             int("v", Distribution::Uniform { lo: 0, hi: 99 }),
                             int("w", Distribution::Uniform { lo: 0, hi: 9 }),
+                            int("j", keys.distribution(d)),
                         ],
                     );
                     let rows = if d.below(6) == 0 {
@@ -3150,7 +3324,7 @@ mod tests {
                 [
                     (vec![2], vec![]),
                     (vec![1], vec![]),
-                    (vec![1], vec![0, 2, 3]),
+                    (vec![1], vec![0, 2, 3, 4]),
                 ]
                 .map(|(key, include)| {
                     let def = IndexDef::new(TableId(t), key, include);
@@ -3188,8 +3362,11 @@ mod tests {
         let mut joins = Vec::new();
         let mut steps = Vec::new();
         for t in 1..tables {
-            let join = JoinPred::new(col(t, 1), col(d.below(u64::from(t)) as u32, 1));
-            let (algo, access) = if d.below(3) == 0 {
+            let inl = d.below(3) == 0;
+            let key = |d: &mut Draws| [1, 4][d.below(2) as usize];
+            let inner = if inl { 1 } else { key(d) };
+            let join = JoinPred::new(col(t, inner), col(d.below(u64::from(t)) as u32, key(d)));
+            let (algo, access) = if inl {
                 let [_, key, cover] = indexes[t as usize];
                 let covering = d.below(2) == 0;
                 let method = AccessMethod::IndexSeek {
@@ -3232,15 +3409,16 @@ mod tests {
         (cat, q, plan, domains)
     }
 
-    /// A seeded sweep of the counting pass, whose operators only count
-    /// what no later step reads: every field of each access's and step's
-    /// counts, the priced execution (bit for bit) and a timed run's samples
-    /// match a nested-loop reference. It covers join-free plans, last hash
-    /// joins over each inner access method (a seek with a residual
-    /// predicate among them) on dense, sparse and `i64`-extreme keys,
-    /// outers with more tuples than the inner table,
-    /// last index-nested-loop joins with and without inner predicates, and
-    /// 0, 1 and 2+ predicates with empty ranges (`lo > hi`).
+    /// A seeded sweep of the counting pass, whose steps carry weighted
+    /// key tuples: every field of each access's and step's counts, the
+    /// priced execution (bit for bit) and a timed run's samples match a
+    /// materialising nested-loop reference. It covers join-free plans, last
+    /// hash joins over each inner access method (a seek with a residual
+    /// predicate among them) on dense, sparse and `i64`-extreme keys, outers
+    /// with more tuples than the inner table, last index-nested-loop joins
+    /// with and without inner predicates, three- and four-table plans in
+    /// which later steps key on a step's inner table, its outer tables or
+    /// both, and 0, 1 and 2+ predicates with empty ranges (`lo > hi`).
     #[test]
     fn count_only_operators_match_a_nested_loop_over_a_seeded_sweep() {
         let cost = CostModel::unit_scale();
@@ -3257,15 +3435,7 @@ mod tests {
             assert_same_execution(&got, &priced, &label);
             let mut timed = Executor::timed(cost.clone(), BudgetTimer::scripted(0.5));
             timed.execute(&cat, &q, &plan);
-            let work: Vec<Work> = timed
-                .take_op_samples()
-                .iter()
-                .map(|s| {
-                    let w = [s.pages, s.rows, s.descents];
-                    let join = [s.build_rows, s.probe_rows, s.out_rows];
-                    (s.op, [w, join].concat().try_into().unwrap())
-                })
-                .collect();
+            let work: Vec<Work> = timed.take_op_samples().iter().map(work_of).collect();
             assert_eq!(work, samples, "{label}");
 
             // What the case covered.
@@ -3285,6 +3455,23 @@ mod tests {
                     }
                 }
                 cover(format!("{} predicates", preds.len().min(2)));
+            }
+            // Which tables the steps after a step key on: its inner table,
+            // the tables before it, or both.
+            for (i, step) in plan.joins.iter().enumerate() {
+                let later = later_keys(&plan, i + 1);
+                let inner = later.iter().any(|c| c.table == step.access.table);
+                let outer = later.iter().any(|c| c.table != step.access.table);
+                let on = match (inner, outer) {
+                    (true, true) => "both",
+                    (true, false) => "the inner table",
+                    (false, true) => "the outer tables",
+                    (false, false) => continue,
+                };
+                cover(format!(
+                    "a {:?} step whose later steps key on {on}",
+                    step.algo
+                ));
             }
             let method = |access: &TableAccess| match access.method {
                 AccessMethod::FullScan => "scan",
@@ -3350,6 +3537,18 @@ mod tests {
             ("matches on High keys", 20),
             ("Low keys counted against High", 2),
             ("High keys counted against Low", 2),
+            ("a Hash step whose later steps key on the inner table", 20),
+            ("a Hash step whose later steps key on the outer tables", 20),
+            ("a Hash step whose later steps key on both", 20),
+            (
+                "a IndexNestedLoop step whose later steps key on the inner table",
+                20,
+            ),
+            (
+                "a IndexNestedLoop step whose later steps key on the outer tables",
+                20,
+            ),
+            ("a IndexNestedLoop step whose later steps key on both", 5),
         ] {
             let got = seen.get(what).copied().unwrap_or(0);
             assert!(got >= cases, "{what}: {got} cases, {seen:?}");
