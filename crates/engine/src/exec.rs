@@ -35,12 +35,22 @@
 //! for. A hash step whose inner access reads every row of its table (a
 //! full or covering scan with no predicate on the table) neither scans nor
 //! lists: its outer tuples read a join table listing all the table's rows
-//! by key, built on first use and kept per (table, key column). Every
-//! access streams its matches to what consumes them, a selection-vector
-//! batch at a time, and a seek's leaf range is copied only to be refined by
-//! a residual predicate. A non-covering seek's heap fetches and the
-//! aggregate are priced from counts, so no operator gathers columns from
-//! the heap or sums the payload.
+//! by key, built on first use and kept per (table, key column). A hash
+//! step whose inner access scans a whole table under predicates probes
+//! that kept table too when its outer tuples are few: when they, and the
+//! rows their keys list there summed tuple by tuple as the tuples stand
+//! (an exact bound on the pairs it makes), each number under the table's
+//! rows over `PROBE_DIVISOR` (8). Each outer tuple then pairs with the rows
+//! its key lists that satisfy the predicates, as an index-nested-loop
+//! step's probes pair, and the scan's matches are only counted; the step's
+//! counts stay the scan's. Every access streams its matches to what
+//! consumes them, a selection-vector window at a time, into one window
+//! buffer the executor keeps, and a seek's leaf range is copied only to be
+//! refined by a residual predicate. An access whose matches are only counted (a
+//! join-free plan's driver, a probing step's scan) counts a scan with one
+//! predicate by a kernel that fills no selection vector. A non-covering
+//! seek's heap fetches and the aggregate are priced from counts, so no
+//! operator gathers columns from the heap or sums the payload.
 //! The counts depend only on the immutable base data, the query instance
 //! and the plan's shape; drift moves only the live sizes the price reads.
 //! So the executor also memoises them. The key is exact: the query's
@@ -62,7 +72,10 @@
 //! sample each; the aggregate runs nothing and leaves none. A hash step's
 //! sample times its inner access too and adds the access's work counters
 //! and price to its own, unless a kept table served it: then it times the
-//! kept table's probe (and first build) and holds no scan. The work
+//! kept table's probe (and first build) and holds no scan. A step that
+//! probes a kept table for a filtered scan times the probe, the count and
+//! any first build, and holds the scan's work and price, which its counts
+//! price. The work
 //! counters are the priced counts, over join tuples, while a step does its
 //! work once per tuple of its intermediate. The execution reports the
 //! price, so a timed run is bit-identical to an untimed one.
@@ -154,6 +167,14 @@ pub struct Executor {
     /// Counts of earlier executions, replayed, and the join tables kept
     /// over whole tables.
     memo: Memo,
+    /// The selection-vector window every access fills, [`BATCH_ROWS`] rows
+    /// long once the first counting pass has sized it.
+    window: Vec<u32>,
+    /// Each probe decision of a hash step over a filtered scan of a whole
+    /// table, in the order taken: the outer tuples as they stood, the join
+    /// key's position in them, and whether the step probed.
+    #[cfg(test)]
+    probes: Vec<(Vec<Vec<i64>>, usize, bool)>,
 }
 
 /// An intermediate relation of a left-deep join: tuples of the key codes
@@ -274,6 +295,37 @@ impl Output {
         }
         for &r in rows {
             self.add(outer, |k| codes[k][r as usize], w);
+        }
+    }
+
+    /// Join each of the `outer` tuples, with the join tuples it stands
+    /// for, with the rows `rows_of` gives it that satisfy `preds` on
+    /// `table`, refined a window at a time in `batch`; later steps read the
+    /// inner codes in `codes`. An index-nested-loop step's probes and a
+    /// hash step's probes of a kept join table both pair this way.
+    fn pair<'a, 'r>(
+        &mut self,
+        outer: impl Iterator<Item = (&'a [i64], u64)>,
+        table: &Table,
+        preds: &[Predicate],
+        codes: &[&[i64]],
+        batch: &mut [u32],
+        mut rows_of: impl FnMut(&[i64], u64) -> &'r [u32],
+    ) {
+        for (tuple, w) in outer {
+            let matches = Matches {
+                table,
+                range: Some(rows_of(tuple, w)),
+                preds,
+            };
+            let emitted = matches.stream(batch, |rows| {
+                if !codes.is_empty() {
+                    self.add_rows(tuple, rows, codes, w);
+                }
+            });
+            if codes.is_empty() && emitted > 0 {
+                self.add(tuple, no_code, times(w, emitted));
+            }
         }
     }
 
@@ -404,6 +456,29 @@ impl Memo {
             .entry(column)
             .or_insert_with(|| JoinTable::over_rows(keys))
     }
+
+    /// The join table over every row of `column`'s table, whose codes are
+    /// `keys`, when a hash step whose inner access scans that table under a
+    /// predicate should probe it for `outer`'s tuples (`width` codes each,
+    /// the join key at `p`) instead: when the tuples number under the
+    /// table's rows over [`PROBE_DIVISOR`], and so do the rows their keys
+    /// list there, summed tuple by tuple as the tuples stand. The table is
+    /// built only for outer tuples that few.
+    fn probed(
+        &mut self,
+        column: ColumnId,
+        keys: &[i64],
+        outer: &Groups,
+        width: usize,
+        p: usize,
+    ) -> Option<&JoinTable> {
+        let limit = keys.len() / PROBE_DIVISOR;
+        if outer.weights.len() >= limit {
+            return None;
+        }
+        let table = self.join_table(column, keys);
+        (table.listed_under(outer, width, p) < limit).then_some(table)
+    }
 }
 
 /// Append to `out` the memo key of `query` and `plan` bar the predicates'
@@ -462,9 +537,14 @@ fn encode_shape(catalog: &Catalog, query: &Query, plan: &Plan, out: &mut Vec<u32
 impl Executor {
     /// The simulated executor: prices every operator and times none. It
     /// runs only the work the price reads: its join steps count join
-    /// tuples by join key, a hash join over a whole base table reads a
-    /// kept join table, and the counts of a (query instance, plan shape)
-    /// pair it has run over the same base are replayed.
+    /// tuples by join key, and a hash join over a whole base table reads a
+    /// kept join table. A hash join over a filtered scan of a whole table
+    /// probes that kept table instead when its outer tuples, and the rows
+    /// their keys list there, number under 1/8 of the table's rows
+    /// (`PROBE_DIVISOR`); it then only counts the scan's matches. A scan
+    /// with one predicate whose matches are only counted fills no selection
+    /// vector. The counts of a (query instance, plan shape) pair it has run
+    /// over the same base are replayed.
     pub fn new(cost: CostModel) -> Self {
         Executor::timed(cost, BudgetTimer::disabled())
     }
@@ -474,13 +554,17 @@ impl Executor {
     /// [`Executor::new`] does and reports the same price. The driver's
     /// access and each join step leave one sample; a hash step's holds the
     /// work and price of its inner access too, unless a kept table over the
-    /// whole inner table served it.
+    /// whole inner table served it. A step that probed a kept table for a
+    /// filtered scan holds the scan's, as its counts do.
     pub fn timed(cost: CostModel, timer: BudgetTimer) -> Self {
         Executor {
             cost,
             timer,
             samples: Vec::new(),
             memo: Memo::default(),
+            window: Vec::new(),
+            #[cfg(test)]
+            probes: Vec::new(),
         }
     }
 
@@ -537,8 +621,8 @@ impl Executor {
     /// tuples it stands for. Each operator run leaves one sample when
     /// timed, in plan order.
     fn count(&mut self, catalog: &Catalog, query: &Query, plan: &Plan) -> Counts {
-        // The selection vector every access of this execution refills.
-        let mut batch = Vec::new();
+        let mut batch = std::mem::take(&mut self.window);
+        batch.resize(BATCH_ROWS, 0);
         let mut keys = later_keys(plan, 0);
         let mut groups = Groups::default();
         let driver = self.run_access(catalog, query, &plan.driver, |matches| {
@@ -547,25 +631,22 @@ impl Executor {
                 .iter()
                 .map(|c| table.column(c.ordinal).data())
                 .collect();
-            let n = matches.stream(&mut batch, |m| {
-                match codes[..] {
-                    [] => return,
-                    [column] => groups.keys.extend(m.iter().map(|&r| column[r as usize])),
-                    _ => {
-                        for &r in m {
-                            groups
-                                .keys
-                                .extend(codes.iter().map(|column| column[r as usize]));
-                        }
+            if codes.is_empty() {
+                // A join-free plan: its matches are only counted.
+                return matches.count(&mut batch);
+            }
+            matches.stream(&mut batch, |m| {
+                if let [column] = codes[..] {
+                    groups.keys.extend(m.iter().map(|&r| column[r as usize]));
+                } else {
+                    for &r in m {
+                        groups
+                            .keys
+                            .extend(codes.iter().map(|column| column[r as usize]));
                     }
                 }
                 groups.weights.resize(groups.weights.len() + m.len(), 1);
-            });
-            if codes.is_empty() {
-                // Keyed by nothing: one tuple stands for every match.
-                groups.weights.push(n);
-            }
-            n
+            })
         });
         let mut tuples = driver.rows_out;
         let mut steps = Vec::with_capacity(plan.joins.len());
@@ -616,7 +697,9 @@ impl Executor {
             // A step that meets each outer tuple more than once, pairing it
             // with inner rows or probing an index for it, merges equal
             // tuples first. Any other step meets each tuple once, where a
-            // merge would cost what it saves.
+            // merge would cost what it saves. A hash step that probes a
+            // kept table for a filtered scan does not merge either: its
+            // pairs, copies included, are too few to need it.
             let merge = !hash || (!inner_codes.is_empty() && (kept || !by_row));
 
             let (counts, out) = match step.algo {
@@ -625,14 +708,14 @@ impl Executor {
                         (!kept).then(|| Access::new(catalog, query, &step.access, &inner_preds));
                     let mut out = Output::new(sources);
                     self.timer.mark();
-                    if merge {
-                        groups = groups.merged(width);
-                    }
                     let (inner, work) = match &access {
                         // The scan would emit every row: read the table kept
                         // over them, whose first build is timed with the
                         // join.
                         None => {
+                            if merge {
+                                groups = groups.merged(width);
+                            }
                             let table = self.memo.join_table(inner_col, inner_keys);
                             table.join(&groups, width, p, &inner_codes, &mut out);
                             let inner = AccessCounts {
@@ -643,25 +726,58 @@ impl Executor {
                         }
                         // The inner access runs inside the join, its seek's
                         // leaf order sorted on first read outside the
-                        // timing. Its matches stream past the outer weights
-                        // summed by key, each joining its key's sum, or are
-                        // listed by key, each outer tuple joining its key's
-                        // rows.
+                        // timing.
                         Some(access) => {
                             let (matches, matched, sample) = access.open();
-                            let input_rows = groups.weights.len() + matches.candidates();
-                            let rows_out = if by_row {
-                                let sums = KeyCounts::sums(&groups, width, p, input_rows);
-                                matches.stream(&mut batch, |rows| {
-                                    sums.join(rows, inner_keys, &inner_codes, &mut out)
-                                })
-                            } else {
-                                let mut rows = Vec::new();
-                                let rows_out =
-                                    matches.stream(&mut batch, |m| rows.extend_from_slice(m));
-                                let table = JoinTable::over(&rows, inner_keys, input_rows);
-                                table.join(&groups, width, p, &inner_codes, &mut out);
-                                rows_out
+                            let probed = match matches.range {
+                                None => self.memo.probed(inner_col, inner_keys, &groups, width, p),
+                                Some(_) => None,
+                            };
+                            #[cfg(test)]
+                            if matches.range.is_none() {
+                                let tuples = groups.iter(width).map(|(t, _)| t.to_vec());
+                                self.probes.push((tuples.collect(), p, probed.is_some()));
+                            }
+                            let rows_out = match probed {
+                                // Few rows are listed under the outer keys:
+                                // each outer tuple, as it stands, pairs with
+                                // the rows its key lists that the scan
+                                // would emit, and the scan's matches are
+                                // only counted.
+                                Some(table) => {
+                                    out.pair(
+                                        groups.iter(width),
+                                        inner_table,
+                                        &inner_preds,
+                                        &inner_codes,
+                                        &mut batch,
+                                        |outer, _| table.rows_under(outer[p]),
+                                    );
+                                    matches.count(&mut batch)
+                                }
+                                // The matches stream past the outer weights
+                                // summed by key, each joining its key's sum,
+                                // or are listed by key, each outer tuple
+                                // joining its key's rows.
+                                None => {
+                                    if merge {
+                                        groups = groups.merged(width);
+                                    }
+                                    let input_rows = groups.weights.len() + matches.candidates();
+                                    if by_row {
+                                        let sums = KeyCounts::sums(&groups, width, p, input_rows);
+                                        matches.stream(&mut batch, |rows| {
+                                            sums.join(rows, inner_keys, &inner_codes, &mut out)
+                                        })
+                                    } else {
+                                        let mut rows = Vec::new();
+                                        let rows_out = matches
+                                            .stream(&mut batch, |m| rows.extend_from_slice(m));
+                                        let table = JoinTable::over(&rows, inner_keys, input_rows);
+                                        table.join(&groups, width, p, &inner_codes, &mut out);
+                                        rows_out
+                                    }
+                                }
                             };
                             let work = OpSample {
                                 op: OpKind::HashJoin,
@@ -706,28 +822,23 @@ impl Executor {
                     }
                     let leaf_cap = leaf_capacity(inner_table, index);
                     let mut out = Output::new(sources);
-                    let (mut matched, mut out_rows, mut leaves) = (0u64, 0u64, 0u64);
+                    let (mut matched, mut leaves) = (0u64, 0u64);
                     // Each outer tuple probes once for the tuples it
                     // stands for.
-                    for (outer, w) in groups.iter(width) {
-                        let (s, e) = index.probe(inner_table, &[outer[p]], None);
-                        plus(&mut matched, times(w, (e - s) as u64));
-                        plus(&mut leaves, times(w, leaves_spanned(index, leaf_cap, s, e)));
-                        let matches = Matches {
-                            table: inner_table,
-                            range: Some(&order[s..e]),
-                            preds: &inner_preds,
-                        };
-                        let emitted = matches.stream(&mut batch, |rows| {
-                            if !inner_codes.is_empty() {
-                                out.add_rows(outer, rows, &inner_codes, w);
-                            }
-                        });
-                        if inner_codes.is_empty() && emitted > 0 {
-                            out.add(outer, no_code, times(w, emitted));
-                        }
-                        plus(&mut out_rows, times(w, emitted));
-                    }
+                    out.pair(
+                        groups.iter(width),
+                        inner_table,
+                        &inner_preds,
+                        &inner_codes,
+                        &mut batch,
+                        |outer, w| {
+                            let (s, e) = index.probe(inner_table, &[outer[p]], None);
+                            plus(&mut matched, times(w, (e - s) as u64));
+                            plus(&mut leaves, times(w, leaves_spanned(index, leaf_cap, s, e)));
+                            &order[s..e]
+                        },
+                    );
+                    let (out, out_rows) = out.finish();
                     self.close(OpSample {
                         pages: leaves,
                         rows: matched,
@@ -735,7 +846,7 @@ impl Executor {
                         out_rows,
                         ..OpSample::with_op(OpKind::InlProbe)
                     });
-                    (StepCounts::Inl { matched, out_rows }, out.finish().0)
+                    (StepCounts::Inl { matched, out_rows }, out)
                 }
             };
             groups = out;
@@ -743,6 +854,7 @@ impl Executor {
             tuples = counts.out_rows();
             steps.push(counts);
         }
+        self.window = batch;
         Counts {
             driver,
             steps: steps.into(),
@@ -894,11 +1006,12 @@ impl Matches<'_> {
     }
 
     /// Pass the matches to `sink` in order, at most [`BATCH_ROWS`] at a
-    /// time, and return how many there were. A scan seeds the selection
-    /// vector `batch` per window from its first predicate and [`refine`]s
-    /// it with the rest. A leaf range goes to the sink in place, or is
-    /// copied into `batch` a window at a time only to be refined.
-    fn stream(&self, batch: &mut Vec<u32>, mut sink: impl FnMut(&[u32])) -> u64 {
+    /// time, and return how many there were. A scan fills the front of the
+    /// window `batch`, [`BATCH_ROWS`] rows long, from its first predicate
+    /// per window and [`refine`]s it with the rest. A leaf range goes to the
+    /// sink in place, or is copied into `batch` a window at a time only to
+    /// be refined.
+    fn stream(&self, batch: &mut [u32], mut sink: impl FnMut(&[u32])) -> u64 {
         let mut emitted = 0;
         let mut emit = |rows: &[u32]| {
             emitted += rows.len() as u64;
@@ -908,31 +1021,52 @@ impl Matches<'_> {
             Some(rows) if self.preds.is_empty() => emit(rows),
             Some(rows) => {
                 for window in rows.chunks(BATCH_ROWS) {
-                    batch.clear();
-                    batch.extend_from_slice(window);
-                    refine(self.table, self.preds, batch);
-                    emit(batch);
+                    let sel = &mut batch[..window.len()];
+                    sel.copy_from_slice(window);
+                    let n = refine(self.table, self.preds, sel);
+                    emit(&sel[..n]);
                 }
             }
             None => {
                 let n = self.table.rows();
                 let seed = self.preds.split_first();
                 for start in (0..n).step_by(BATCH_ROWS) {
-                    let end = (start + BATCH_ROWS).min(n);
-                    batch.clear();
-                    match seed {
+                    let sel = &mut batch[..BATCH_ROWS.min(n - start)];
+                    let kept = match seed {
                         Some((first, rest)) => {
                             let column = self.table.column(first.column.ordinal);
-                            column.fill_matching_in(first.lo, first.hi, start, end, batch);
-                            refine(self.table, rest, batch);
+                            let seeded = column.fill_matching_in(first.lo, first.hi, start, sel);
+                            refine(self.table, rest, &mut sel[..seeded])
                         }
-                        None => batch.extend(start as u32..end as u32),
-                    }
-                    emit(batch);
+                        None => {
+                            let rows = start as u32..(start + sel.len()) as u32;
+                            for (slot, r) in sel.iter_mut().zip(rows) {
+                                *slot = r;
+                            }
+                            sel.len()
+                        }
+                    };
+                    emit(&sel[..kept]);
                 }
             }
         }
         emitted
+    }
+
+    /// How many matches [`Matches::stream`] passes, when only their count
+    /// is read. A scan with one predicate counts them through
+    /// [`dba_storage::Column::count_in_range`] and fills no selection
+    /// vector, and a scan with none counts its table's rows; any other
+    /// access streams them through `batch`.
+    fn count(&self, batch: &mut [u32]) -> u64 {
+        match (self.range, self.preds) {
+            (None, []) => self.table.rows() as u64,
+            (None, [p]) => {
+                let column = self.table.column(p.column.ordinal);
+                column.count_in_range(p.lo, p.hi) as u64
+            }
+            _ => self.stream(batch, |_| {}),
+        }
     }
 }
 
@@ -1184,6 +1318,18 @@ impl Hasher for KeyHasher {
 /// the table.
 const DIRECT_CODES_PER_ROW: u64 = 4;
 
+/// A hash step whose inner access scans a whole table under a predicate
+/// probes the join table kept over every row of that table instead, when
+/// its outer tuples number under the table's rows divided by this, and so
+/// do the rows their keys list there, summed tuple by tuple as the tuples
+/// stand (an exact bound on the pairs it makes before filtering them). It
+/// then filters only the rows it pairs, where a scan filters every row and
+/// lists or sums what it keeps; the scan's matches are still counted, by a
+/// kernel that fills no selection vector when there is one predicate. A
+/// filtered table's join table is built only for a step whose outer tuples
+/// are that few, and then kept as a whole-table inner's is.
+const PROBE_DIVISOR: usize = 8;
+
 /// How a join key finds its slot in a [`KeyCounts`] or a [`JoinTable`]. One
 /// more slot after the keys' slots is always empty: a key that no entry
 /// holds gets it, so a lookup reads a slot without branching on whether the
@@ -1336,11 +1482,36 @@ impl JoinTable {
         &self.listed[self.starts[s] as usize..self.starts[s + 1] as usize]
     }
 
+    /// The slot after the keys', which lists no row.
+    fn empty(&self) -> u32 {
+        (self.starts.len() - 2) as u32
+    }
+
+    /// The rows listed under `key`.
+    fn rows_under(&self, key: i64) -> &[u32] {
+        let mut slot = self.empty();
+        self.index
+            .visit(slot, std::iter::once((0, key)), |_, s| slot = s);
+        self.slot(slot)
+    }
+
+    /// The rows the keys of `outer`'s tuples (`width` codes each, the join
+    /// key at `p`) list, summed tuple by tuple: the pairs that joining
+    /// each tuple with its key's rows makes.
+    fn listed_under(&self, outer: &Groups, width: usize, p: usize) -> usize {
+        let mut listed = 0;
+        self.index
+            .visit(self.empty(), outer.column(width, p), |_, s| {
+                listed += self.slot(s).len()
+            });
+        listed
+    }
+
     /// Join each tuple of `outer` (`width` codes each, the join key at `p`)
     /// with the rows under its key, into `out`: all at once when no later
     /// step reads inner codes, else row by row with its codes in `codes`.
     fn join(&self, outer: &Groups, width: usize, p: usize, codes: &[&[i64]], out: &mut Output) {
-        let empty = (self.starts.len() - 2) as u32;
+        let empty = self.empty();
         let probes = || outer.column(width, p);
         if out.sources.is_empty() {
             // The last step: every join tuple is only counted.
@@ -1355,9 +1526,7 @@ impl JoinTable {
         // The output's length, so that it is allocated once.
         let mut len = outer.weights.len();
         if !codes.is_empty() {
-            len = 0;
-            self.index
-                .visit(empty, probes(), |_, s| len += self.slot(s).len());
+            len = self.listed_under(outer, width, p);
         }
         out.tuples.keys.reserve(len * out.sources.len());
         out.tuples.weights.reserve(len);
@@ -1471,14 +1640,14 @@ fn leaves_spanned(index: &Index, leaf_cap: usize, start: usize, end: usize) -> u
     }
 }
 
-/// Keep the rows of the selection vector `sel` that satisfy all `preds`,
-/// in order: one branch-free pass per predicate.
-fn refine(table: &Table, preds: &[Predicate], sel: &mut Vec<u32>) {
-    for p in preds {
-        table
-            .column(p.column.ordinal)
-            .retain_matching(p.lo, p.hi, sel);
-    }
+/// Keep the rows of the selection vector `sel` that satisfy all `preds` at
+/// its front, in order, and return how many there are: one branch-free
+/// pass per predicate over the rows the last one kept.
+fn refine(table: &Table, preds: &[Predicate], sel: &mut [u32]) -> usize {
+    preds.iter().fold(sel.len(), |kept, p| {
+        let column = table.column(p.column.ordinal);
+        column.retain_matching(p.lo, p.hi, &mut sel[..kept])
+    })
 }
 
 #[cfg(test)]
@@ -1508,7 +1677,7 @@ mod tests {
     ) -> (Vec<u32>, AccessCounts) {
         let mut rows = Vec::new();
         let counts = exec.run_access(cat, q, access, |matches| {
-            matches.stream(&mut Vec::new(), |m| rows.extend_from_slice(m))
+            matches.stream(&mut [0; BATCH_ROWS], |m| rows.extend_from_slice(m))
         });
         (rows, counts)
     }
@@ -1655,7 +1824,10 @@ mod tests {
         let q = single_table_query(vec![Predicate::range(col(1, 2), 0, 99)], vec![col(1, 0)]);
         let mut exec = Executor::new(CostModel::unit_scale());
         let result = exec.execute(&cat, &q, &scan_plan(TableId(1), 0.0));
-        let truth = cat.table(TableId(1)).column(2).count_in_range(0, 99) as u64;
+        let fact = cat.table(TableId(1));
+        let truth = (0..fact.rows() as u32)
+            .filter(|&r| row_matches(fact, r, &q.predicates))
+            .count() as u64;
         assert_eq!(result.result_rows, truth);
         assert!(result.accesses[0].is_full_scan);
         assert!(result.total.secs() > 0.0);
@@ -3225,10 +3397,22 @@ mod tests {
                 assert_eq!(larger, (true, true), "hash joins with either input larger");
             }
         }
+        // Four filtered scans of `fact` meet the 24 `dim` rows with
+        // `d_attr = 3` (or 19 tuples after `sub`) and probe the table kept
+        // over fact.f_dim; `sub`'s filtered scans meet too many rows under
+        // those keys, or too many tuples, and `dim`'s filtered scans meet
+        // 2,469 `fact` tuples, so no table is built over dim.d_key.
+        let probed = timed.probes.iter().filter(|(_, _, probed)| *probed).count();
+        assert_eq!(
+            (probed, timed.probes.len()),
+            (4, 9),
+            "steps probed, of those that could"
+        );
         assert_eq!(
             join_tables(&timed),
             3,
-            "fact.f_dim, sub.s_dim and fact.f_key"
+            "fact.f_dim (whole and probed), sub.s_dim (whole, and built for a probe \
+             decision) and fact.f_key"
         );
     }
 
@@ -3251,9 +3435,9 @@ mod tests {
         }
 
         /// A table's join-key distribution in this domain, spanning up to
-        /// 40 codes unless sparse.
-        fn distribution(self, d: &mut Draws) -> Distribution {
-            let width = d.below(40) as i64;
+        /// 40 codes more than `spread` unless sparse.
+        fn distribution(self, d: &mut Draws, spread: u64) -> Distribution {
+            let width = (d.below(40) + spread) as i64;
             match self {
                 Keys::Dense => {
                     let lo = d.below(7) as i64 - 3;
@@ -3280,7 +3464,9 @@ mod tests {
 
     /// One seeded case of the count sweep: up to four tables of columns
     /// `s` (uniform in 0..=9), the join keys `k` and `j`, `v` (0..=99) and
-    /// `w` (0..=9), each with a seek index on `v`, an index on `k` and one
+    /// `w` (0..=9), one in six of them long (100 to 399 rows, its keys
+    /// spread over a code or more per row, so that a short outer side can
+    /// probe it), each with a seek index on `v`, an index on `k` and one
     /// on `k` covering every column, and a plan of up to three join steps,
     /// each joining the next table's `k` or `j` (`k` for an
     /// index-nested-loop step) with an earlier one's. So a later step keys
@@ -3299,22 +3485,27 @@ mod tests {
             (0..tables)
                 .map(|t| {
                     let keys = domains[t as usize];
+                    // A long table's join keys spread over a code or more
+                    // per row, so that each key lists few of its rows.
+                    let (rows, spread) = match d.below(6) {
+                        0 => (d.below(3), 0),
+                        1 => {
+                            let rows = 100 + d.below(300);
+                            (rows, rows)
+                        }
+                        _ => (1 + d.below(80), 0),
+                    };
                     let int = |name, dist| ColumnSpec::new(name, ColumnType::Int, dist);
                     let schema = TableSchema::new(
                         format!("t{t}"),
                         vec![
                             int("s", Distribution::Uniform { lo: 0, hi: 9 }),
-                            int("k", keys.distribution(d)),
+                            int("k", keys.distribution(d, spread)),
                             int("v", Distribution::Uniform { lo: 0, hi: 99 }),
                             int("w", Distribution::Uniform { lo: 0, hi: 9 }),
-                            int("j", keys.distribution(d)),
+                            int("j", keys.distribution(d, spread)),
                         ],
                     );
-                    let rows = if d.below(6) == 0 {
-                        d.below(3)
-                    } else {
-                        1 + d.below(80)
-                    };
                     TableBuilder::new(schema, rows as usize).build(TableId(t), d.below(1000))
                 })
                 .collect(),
@@ -3418,17 +3609,23 @@ mod tests {
     /// with more tuples than the inner table, last index-nested-loop joins
     /// with and without inner predicates, three- and four-table plans in
     /// which later steps key on a step's inner table, its outer tables or
-    /// both, and 0, 1 and 2+ predicates with empty ranges (`lo > hi`).
+    /// both, and 0, 1 and 2+ predicates with empty ranges (`lo > hi`). Each
+    /// probe decision of a hash step over a filtered whole-table scan is
+    /// checked against the rows its outer keys list, counted row by row,
+    /// and the sweep keeps floors on steps on both sides of the bound, and
+    /// on probes over duplicate outer tuples, over keys listing no row, as
+    /// a last step and as a middle step emitting inner codes.
     #[test]
     fn count_only_operators_match_a_nested_loop_over_a_seeded_sweep() {
         let cost = CostModel::unit_scale();
         let mut d = Draws(1 << 32);
         let mut seen: HashMap<String, usize> = HashMap::new();
-        for case in 0..2000 {
+        for case in 0..3000 {
             let (cat, q, plan, domains) = sweep_case(&mut d);
             let label = format!("case {case}: {q:?} {plan:?}");
             let (want, samples) = reference(&cat, &q, &plan);
-            let counts = Executor::new(cost.clone()).count(&cat, &q, &plan);
+            let mut exec = Executor::new(cost.clone());
+            let counts = exec.count(&cat, &q, &plan);
             assert_eq!(counts, want, "{label}");
             let priced = price(&cost, &cat, &q, &plan, &want, |price| price);
             let got = Executor::new(cost.clone()).execute(&cat, &q, &plan);
@@ -3440,6 +3637,64 @@ mod tests {
 
             // What the case covered.
             let mut cover = |what: String| *seen.entry(what).or_default() += 1;
+            // Each probe decision, taken by a hash step over a filtered scan
+            // of a whole table, probes exactly when the outer tuples, and
+            // the rows their keys list in the whole inner table (counted
+            // row by row), each number under the table's rows over
+            // `PROBE_DIVISOR`.
+            let filtered_scans = plan.joins.iter().enumerate().filter(|(_, step)| {
+                step.algo == JoinAlgo::Hash
+                    && !matches!(step.access.method, AccessMethod::IndexSeek { .. })
+                    && !q.predicates_on(step.access.table).is_empty()
+            });
+            let decisions: Vec<_> = filtered_scans.zip(&exec.probes).collect();
+            assert_eq!(decisions.len(), exec.probes.len(), "{label}: decisions");
+            for ((i, step), (tuples, p, probed)) in decisions {
+                let inner = cat.table(step.access.table);
+                let key = inner.column(step.join.side_on(step.access.table).unwrap().ordinal);
+                let listed: Vec<usize> = tuples
+                    .iter()
+                    .map(|t| key.data().iter().filter(|&&k| k == t[*p]).count())
+                    .collect();
+                let limit = inner.rows() / PROBE_DIVISOR;
+                let bound: usize = listed.iter().sum();
+                let probes = tuples.len() < limit && bound < limit;
+                assert_eq!(*probed, probes, "{label}: step {i} probes");
+                let repeats = tuples
+                    .iter()
+                    .enumerate()
+                    .any(|(a, t)| tuples[..a].contains(t));
+                if repeats {
+                    cover("a bound summed over duplicate outer tuples".into());
+                }
+                if !probes {
+                    cover(if tuples.len() < limit {
+                        "a step that scans, its bound over".into()
+                    } else {
+                        "a step that scans, its outer tuples over".into()
+                    });
+                    continue;
+                }
+                if tuples.is_empty() {
+                    cover("a step that probes with no outer tuple".into());
+                    continue;
+                }
+                cover("a step that probes".into());
+                if listed.contains(&0) {
+                    cover("a probing step whose outer key lists no row".into());
+                }
+                if repeats {
+                    cover("a probing step over duplicate outer tuples".into());
+                }
+                if i + 1 == plan.joins.len() {
+                    cover("a last step that probes".into());
+                } else if later_keys(&plan, i + 1)
+                    .iter()
+                    .any(|c| c.table == step.access.table)
+                {
+                    cover("a middle step that probes and emits inner codes".into());
+                }
+            }
             if q.predicates.iter().any(|p| p.lo > p.hi) {
                 cover("an empty range".into());
             }
@@ -3549,6 +3804,15 @@ mod tests {
                 20,
             ),
             ("a IndexNestedLoop step whose later steps key on both", 5),
+            ("a step that probes", 20),
+            ("a step that probes with no outer tuple", 20),
+            ("a step that scans, its bound over", 20),
+            ("a step that scans, its outer tuples over", 20),
+            ("a bound summed over duplicate outer tuples", 20),
+            ("a probing step over duplicate outer tuples", 20),
+            ("a probing step whose outer key lists no row", 20),
+            ("a last step that probes", 20),
+            ("a middle step that probes and emits inner codes", 20),
         ] {
             let got = seen.get(what).copied().unwrap_or(0);
             assert!(got >= cases, "{what}: {got} cases, {seen:?}");
@@ -3715,7 +3979,7 @@ mod tests {
                 preds,
             };
             let (mut got, mut windows) = (Vec::new(), 0);
-            let n = scan.stream(&mut Vec::new(), |rows| {
+            let n = scan.stream(&mut [0; BATCH_ROWS], |rows| {
                 assert!(rows.len() <= BATCH_ROWS);
                 got.extend_from_slice(rows);
                 windows += 1;

@@ -88,12 +88,21 @@ impl Column {
         self.data[row]
     }
 
-    /// Count rows whose code lies in `[lo, hi]` (inclusive): the exact row
-    /// count that tests and the `whatif_vs_observed` example hold estimates
-    /// against. The executor does not call it; its scans filter through
-    /// [`Column::fill_matching_in`].
+    /// Count rows whose code lies in `[lo, hi]` (inclusive): one pass that
+    /// adds each row's match test and writes nothing, so it takes no
+    /// data-dependent branch and fills no selection vector. The executor
+    /// counts a scan with one predicate through it where only the count is
+    /// read: a join-free plan's driver, and the inner table of a hash step
+    /// that probes a kept join table. The `whatif_vs_observed` example
+    /// holds estimates against it.
     pub fn count_in_range(&self, lo: i64, hi: i64) -> usize {
-        self.data.iter().filter(|&&v| v >= lo && v <= hi).count()
+        let Some(width) = range_width(lo, hi) else {
+            return 0;
+        };
+        self.data
+            .iter()
+            .map(|&v| usize::from(v.wrapping_sub(lo) as u64 <= width))
+            .sum()
     }
 
     /// Minimum and maximum code, or `None` for an empty column.
@@ -120,36 +129,36 @@ impl Column {
         sorted.len()
     }
 
-    /// Append the row ids in `[start, end)` whose code lies in `[lo, hi]`
-    /// (inclusive) to `out`. The batch-scan seed: one tight pass over a
-    /// contiguous slice producing an ascending selection vector. Every row
-    /// id is written and the cursor advances only past matches, so the
-    /// pass takes no data-dependent branch.
+    /// Write the row ids in `[start, start + window.len())` whose code lies
+    /// in `[lo, hi]` (inclusive) to the front of `window`, ascending, and
+    /// return how many there are. The batch-scan seed: one tight pass over
+    /// a contiguous slice into a buffer the caller sized once. Every row id
+    /// is written and the cursor advances only past matches, so the pass
+    /// takes no data-dependent branch; what lies past the matches is left
+    /// unspecified.
     #[inline]
-    pub fn fill_matching_in(&self, lo: i64, hi: i64, start: usize, end: usize, out: &mut Vec<u32>) {
+    pub fn fill_matching_in(&self, lo: i64, hi: i64, start: usize, window: &mut [u32]) -> usize {
         let Some(width) = range_width(lo, hi) else {
-            return;
+            return 0;
         };
-        let base = out.len();
-        out.resize(base + (end - start), 0);
-        let sel = &mut out[base..];
+        let end = start + window.len();
         let mut n = 0;
-        for (off, &v) in self.data[start..end].iter().enumerate() {
-            sel[n] = (start + off) as u32;
+        for (r, &v) in (start as u32..end as u32).zip(&self.data[start..end]) {
+            window[n] = r;
             n += usize::from(v.wrapping_sub(lo) as u64 <= width);
         }
-        out.truncate(base + n);
+        n
     }
 
-    /// Retain only the selected rows whose code lies in `[lo, hi]`
-    /// (inclusive). Refines a selection vector in place, preserving order,
-    /// without a data-dependent branch: each row is written back at the
-    /// cursor, which advances only past matches.
+    /// Keep the rows of the selection vector `sel` whose code lies in
+    /// `[lo, hi]` (inclusive) at its front, in order, and return how many
+    /// there are. Refines in place without a data-dependent branch: each
+    /// row is written back at the cursor, which advances only past
+    /// matches; what lies past the kept rows is left unspecified.
     #[inline]
-    pub fn retain_matching(&self, lo: i64, hi: i64, sel: &mut Vec<u32>) {
+    pub fn retain_matching(&self, lo: i64, hi: i64, sel: &mut [u32]) -> usize {
         let Some(width) = range_width(lo, hi) else {
-            sel.clear();
-            return;
+            return 0;
         };
         let mut n = 0;
         for i in 0..sel.len() {
@@ -157,7 +166,7 @@ impl Column {
             sel[n] = r;
             n += usize::from(self.data[r as usize].wrapping_sub(lo) as u64 <= width);
         }
-        sel.truncate(n);
+        n
     }
 }
 
@@ -175,15 +184,6 @@ mod tests {
 
     fn col(values: &[i64]) -> Column {
         Column::new("c", ColumnType::Int, values.to_vec())
-    }
-
-    #[test]
-    fn count_in_range_inclusive_bounds() {
-        let c = col(&[1, 2, 3, 4, 5, 5, 5]);
-        assert_eq!(c.count_in_range(2, 4), 3);
-        assert_eq!(c.count_in_range(5, 5), 3);
-        assert_eq!(c.count_in_range(6, 10), 0);
-        assert_eq!(c.count_in_range(i64::MIN, i64::MAX), 7);
     }
 
     #[test]
@@ -207,11 +207,45 @@ mod tests {
     const CODES: [i64; 11] = [5, 1, 9, 5, 2, 7, 5, 0, i64::MIN, i64::MAX, -3];
 
     #[test]
+    fn count_in_range_inclusive_bounds() {
+        let c = col(&[1, 2, 3, 4, 5, 5, 5]);
+        assert_eq!(c.count_in_range(2, 4), 3);
+        assert_eq!(c.count_in_range(5, 5), 3);
+        assert_eq!(c.count_in_range(6, 10), 0);
+        assert_eq!(c.count_in_range(i64::MIN, i64::MAX), 7);
+
+        // The kernel code table, against the scalar reference filter.
+        let c = col(&CODES);
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        // (case, lo, hi, rows counted)
+        let cases: [(&str, i64, i64, usize); 9] = [
+            ("a middle range", 2, 7, 5),
+            ("a range up to i64::MAX", 5, i64::MAX, 6),
+            ("a range from i64::MIN", i64::MIN, 0, 3),
+            ("the whole i64 range", i64::MIN, i64::MAX, c.len()),
+            ("a single value", 5, 5, 3),
+            ("i64::MIN alone", i64::MIN, i64::MIN, 1),
+            ("i64::MAX alone", i64::MAX, i64::MAX, 1),
+            ("an empty range, lo > hi", 7, 2, 0),
+            ("no row matching", 100, 200, 0),
+        ];
+        for (case, lo, hi, counted) in cases {
+            let got = c.count_in_range(lo, hi);
+            assert_eq!(got, scalar_filter(&c, lo, hi, &all).len(), "{case}");
+            assert_eq!(got, counted, "{case}");
+        }
+        // An empty window: a column of no rows counts none.
+        for (lo, hi) in [(i64::MIN, i64::MAX), (5, 5), (7, 2)] {
+            assert_eq!(col(&[]).count_in_range(lo, hi), 0, "{lo}..={hi}");
+        }
+    }
+
+    #[test]
     fn fill_matching_in_matches_scalar_filter() {
         let c = col(&CODES);
         let n = c.len();
-        // (case, lo, hi, window start, window end, rows already in `out`,
-        // rows the window adds)
+        // (case, lo, hi, window start, window end, stale rows at the front
+        // of the window buffer, rows the window fills)
         type Case = (&'static str, i64, i64, usize, usize, &'static [u32], usize);
         let cases: [Case; 10] = [
             ("a middle range", 2, 7, 0, n, &[], 5),
@@ -221,25 +255,28 @@ mod tests {
             ("a single value", 5, 5, 0, n, &[], 3),
             ("a single extreme value", i64::MIN, i64::MIN, 0, n, &[], 1),
             ("a window not starting at row 0", 2, 7, 3, 9, &[], 4),
-            ("rows already in out", 2, 7, 4, n, &[99, 3, 1], 3),
+            ("stale rows in the buffer", 2, 7, 4, n, &[99, 3, 1], 3),
             ("no row matching", 100, 200, 0, n, &[], 0),
             ("an empty window", i64::MIN, i64::MAX, 5, 5, &[7], 0),
         ];
-        for (case, lo, hi, start, end, prefix, added) in cases {
-            let mut out = prefix.to_vec();
-            c.fill_matching_in(lo, hi, start, end, &mut out);
-            let window: Vec<u32> = (start as u32..end as u32).collect();
-            let mut expected = prefix.to_vec();
-            expected.extend(scalar_filter(&c, lo, hi, &window));
-            assert_eq!(out, expected, "{case}");
-            assert_eq!(out.len() - prefix.len(), added, "{case}");
+        for (case, lo, hi, start, end, stale, filled) in cases {
+            // The buffer holds what an earlier window left in it.
+            let mut window = vec![u32::MAX; end - start];
+            let front = stale.len().min(window.len());
+            window[..front].copy_from_slice(&stale[..front]);
+            let got = c.fill_matching_in(lo, hi, start, &mut window);
+            let rows: Vec<u32> = (start as u32..end as u32).collect();
+            assert_eq!(window[..got], scalar_filter(&c, lo, hi, &rows), "{case}");
+            assert_eq!(got, filled, "{case}");
         }
 
         // Batch windows concatenate to the full result.
         let all: Vec<u32> = (0..n as u32).collect();
-        let mut batched = Vec::new();
-        c.fill_matching_in(2, 7, 0, 3, &mut batched);
-        c.fill_matching_in(2, 7, 3, n, &mut batched);
+        let mut window = vec![0; n];
+        let first = c.fill_matching_in(2, 7, 0, &mut window[..3]);
+        let mut batched = window[..first].to_vec();
+        let rest = c.fill_matching_in(2, 7, 3, &mut window[..n - 3]);
+        batched.extend_from_slice(&window[..rest]);
         assert_eq!(batched, scalar_filter(&c, 2, 7, &all));
     }
 
@@ -266,10 +303,16 @@ mod tests {
         ];
         for (case, lo, hi, selection, retained) in cases {
             let mut sel = selection.to_vec();
-            c.retain_matching(lo, hi, &mut sel);
-            assert_eq!(sel, scalar_filter(&c, lo, hi, selection), "{case}");
-            assert_eq!(sel.len(), retained, "{case}");
+            let got = c.retain_matching(lo, hi, &mut sel);
+            assert_eq!(sel[..got], scalar_filter(&c, lo, hi, selection), "{case}");
+            assert_eq!(got, retained, "{case}");
         }
+
+        // Refining a prefix leaves the rows after it alone.
+        let mut sel = [0, 1, 2, 3, 4, 5];
+        let got = c.retain_matching(5, 5, &mut sel[..4]);
+        assert_eq!(sel[..got], [0, 3]);
+        assert_eq!(sel[4..], [4, 5]);
     }
 
     #[test]
