@@ -23,12 +23,14 @@
 //!   (default 0.5) so near-zero components cannot trip on rounding.
 //!
 //! When a drift is *intentional* (the trajectory legitimately moved),
-//! refresh the committed baseline:
+//! refresh the committed baselines, `paper_figures`' too (CI diffs its
+//! quick document byte for byte, though it has no rows here yet):
 //!
 //! ```text
 //! cp results/fig9_htap.json BENCH_fig9_htap.json
 //! cp results/fig_safety.json BENCH_fig_safety.json
 //! cp results/fig_stream.json BENCH_fig_stream.json
+//! cp results/paper_figures.json BENCH_paper_figures.json
 //! ```
 
 use std::process::ExitCode;

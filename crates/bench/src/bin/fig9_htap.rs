@@ -158,7 +158,7 @@ fn main() -> DbResult<()> {
         println!("WARNING: {tuner} held indexes in round {round} but paid no maintenance");
     }
 
-    let (header, rows) = series_rows(&results);
+    let (header, rows) = series_rows(&results, 4);
     write_csv("results/fig9_htap.csv", &header, &rows).expect("write csv");
     let (theader, trows) = totals_rows(&results);
     write_csv("results/fig9_htap_totals.csv", &theader, &trows).expect("write totals csv");

@@ -166,7 +166,7 @@ fn main() -> DbResult<()> {
         }
     }
 
-    let (header, rows) = series_rows(&results);
+    let (header, rows) = series_rows(&results, 4);
     write_csv("results/fig_safety.csv", &header, &rows).expect("write csv");
     let (theader, trows) = totals_rows(&results);
     write_csv("results/fig_safety_totals.csv", &theader, &trows).expect("write totals csv");

@@ -31,9 +31,9 @@ fn main() {
     ] {
         for &sf in sfs {
             let bench = build(sf);
-            let results = run_benchmark_suite(&bench, kind, &tuners, env.seed)
+            let results = run_benchmark_suite(&bench, &[kind], &tuners, env.seed)
                 .unwrap_or_else(|e| panic!("{name} SF{sf}: {e}"));
-            let (pd, mab) = (&results[0], &results[1]);
+            let (pd, mab) = (&results[0][0], &results[0][1]);
             println!(
                 "{:<12} {:>5} {:>12} {:>12}",
                 name,

@@ -3,7 +3,8 @@
 //!
 //! The driving loop itself lives in `dba-session`; this module only maps
 //! environment knobs to workload configurations and fans sessions out
-//! over tuner sets, sharing generated data so comparisons are fair.
+//! over (workload, tuner) sets, sharing generated data so comparisons are
+//! fair.
 //!
 //! Suites fan out across **threads**: sessions fork the generated data and
 //! ANALYZE output by `Arc` (zero-copy), every session is `Send`, and each
@@ -293,7 +294,8 @@ pub fn run_stream_one(
 
 /// Suite worker count: `DBA_THREADS` if set (≥1; `1` forces the
 /// sequential path), otherwise every available core. The effective fan-out
-/// is additionally capped by the number of tuners in the suite.
+/// is additionally capped by the number of (workload, tuner) sessions in
+/// the suite.
 pub fn suite_threads() -> usize {
     env_knob("DBA_THREADS", "a thread count >= 1", |&n| n >= 1).unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -302,39 +304,51 @@ pub fn suite_threads() -> usize {
     })
 }
 
-/// Run a set of tuners over one benchmark/workload, sharing generated
-/// data and statistics, fanned out over [`suite_threads`] workers.
+/// Run a set of tuners over each of `workloads` on one benchmark, sharing
+/// generated data and statistics, fanned out over [`suite_threads`]
+/// workers. Returns one result list per workload, in tuner order.
 pub fn run_benchmark_suite(
     benchmark: &Benchmark,
-    workload: WorkloadKind,
+    workloads: &[WorkloadKind],
     tuners: &[TunerKind],
     seed: u64,
-) -> DbResult<Vec<RunResult>> {
-    run_suite_threaded(benchmark, workload, None, tuners, seed, suite_threads())
+) -> DbResult<Vec<Vec<RunResult>>> {
+    run_suite_threaded(benchmark, workloads, None, tuners, seed, suite_threads())
 }
 
-/// The suite runner with an explicit worker count. `threads == 1` runs the
-/// plain sequential loop; more workers fan the tuners out over
-/// `std::thread::scope`, sharing one generated catalog and one ANALYZE
-/// output by reference (sessions fork them by `Arc`). Results come back in
-/// tuner order and are **bit-identical** to the sequential path: every
-/// session is seeded, self-contained and side-effect free, so scheduling
-/// cannot leak into the numbers.
+/// The suite runner with an explicit worker count. It builds one catalog
+/// and one ANALYZE output for the benchmark and runs every (workload,
+/// tuner) session over them: `threads == 1` runs the plain sequential
+/// loop, and more workers fan the sessions out over `std::thread::scope`,
+/// sharing the catalog and statistics by reference (sessions fork them by
+/// `Arc`). Results come back as one list per workload, in tuner order, and
+/// are **bit-identical** to the sequential path and to each workload run
+/// alone: every session is seeded, self-contained and side-effect free,
+/// so neither scheduling nor the sessions beside it can leak into the
+/// numbers.
 pub fn run_suite_threaded(
     benchmark: &Benchmark,
-    workload: WorkloadKind,
+    workloads: &[WorkloadKind],
     drift: Option<&DataDrift>,
     tuners: &[TunerKind],
     seed: u64,
     threads: usize,
-) -> DbResult<Vec<RunResult>> {
+) -> DbResult<Vec<Vec<RunResult>>> {
     let base = benchmark.build_catalog(seed)?;
     let stats = StatsCatalog::build(&base);
-    parallel_map_ordered(tuners, threads, |&tuner| {
+    let sessions: Vec<(WorkloadKind, TunerKind)> = workloads
+        .iter()
+        .flat_map(|&workload| tuners.iter().map(move |&tuner| (workload, tuner)))
+        .collect();
+    let mut runs = parallel_map_ordered(&sessions, threads, |&(workload, tuner)| {
         run_one_with_drift(benchmark, &base, &stats, workload, drift, tuner, seed)
     })
     .into_iter()
-    .collect()
+    .collect::<DbResult<Vec<_>>>()?;
+    Ok(workloads
+        .iter()
+        .map(|_| runs.drain(..tuners.len()).collect())
+        .collect())
 }
 
 /// Order-preserving parallel map over `items` with at most `threads`
@@ -345,8 +359,8 @@ pub fn run_suite_threaded(
 /// propagates when the scope joins.
 ///
 /// This is the one place suite fan-out threading lives — the suite
-/// runners and the fig/table binaries that need per-run introspection
-/// (e.g. `fig9_htap`) all map through it.
+/// runner and the fig binaries that need per-run introspection (e.g.
+/// `fig9_htap`) all map through it.
 pub fn parallel_map_ordered<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -398,9 +412,9 @@ mod tests {
         let bench = ssb(0.02);
         let kind = WorkloadKind::Static { rounds: 6 };
         let results =
-            run_benchmark_suite(&bench, kind, &[TunerKind::NoIndex, TunerKind::Mab], 7).unwrap();
-        let noindex = &results[0];
-        let mab = &results[1];
+            run_benchmark_suite(&bench, &[kind], &[TunerKind::NoIndex, TunerKind::Mab], 7).unwrap();
+        let noindex = &results[0][0];
+        let mab = &results[0][1];
         assert_eq!(noindex.rounds.len(), 6);
         assert!(
             mab.final_round_execution().secs() < noindex.final_round_execution().secs(),
@@ -423,9 +437,9 @@ mod tests {
     fn runs_are_deterministic() {
         let bench = ssb(0.02);
         let kind = WorkloadKind::Static { rounds: 4 };
-        let a = run_benchmark_suite(&bench, kind, &[TunerKind::Mab], 9).unwrap();
-        let b = run_benchmark_suite(&bench, kind, &[TunerKind::Mab], 9).unwrap();
-        for (ra, rb) in a[0].rounds.iter().zip(&b[0].rounds) {
+        let a = run_benchmark_suite(&bench, &[kind], &[TunerKind::Mab], 9).unwrap();
+        let b = run_benchmark_suite(&bench, &[kind], &[TunerKind::Mab], 9).unwrap();
+        for (ra, rb) in a[0][0].rounds.iter().zip(&b[0][0].rounds) {
             assert_eq!(ra.execution.secs(), rb.execution.secs());
             assert_eq!(ra.creation.secs(), rb.creation.secs());
         }
@@ -469,44 +483,39 @@ mod tests {
         }
     }
 
-    /// The tentpole determinism contract: a parallel suite is bit-identical
-    /// to the sequential path across every scenario axis — static,
-    /// shifting, random, and dynamic-data drift.
+    /// The determinism contract: a parallel suite is bit-identical to the
+    /// sequential path across every scenario axis — static, shifting,
+    /// random, and dynamic-data drift. The first three run in one call
+    /// over one shared catalog, as the paper-figures runner runs them, and
+    /// each must equal its kind run alone on a fresh catalog on one thread,
+    /// so no session may leak state into a base shared across kinds.
     #[test]
     fn parallel_suite_is_bit_identical_to_sequential() {
         let bench = ssb(0.02);
         let tuners = [TunerKind::NoIndex, TunerKind::PdTool, TunerKind::Mab];
-        let scenarios: Vec<(&str, WorkloadKind, Option<DataDrift>)> = vec![
-            ("static", WorkloadKind::Static { rounds: 4 }, None),
-            (
-                "shifting",
-                WorkloadKind::Shifting {
-                    groups: 2,
-                    rounds_per_group: 2,
-                },
-                None,
-            ),
-            (
-                "random",
-                WorkloadKind::Random {
-                    rounds: 4,
-                    queries_per_round: 5,
-                },
-                None,
-            ),
-            (
-                "drift",
-                WorkloadKind::Static { rounds: 4 },
-                Some(DataDrift::uniform(dba_session::DriftRates::new(
-                    0.05, 0.02, 0.02,
-                ))),
-            ),
+        let kinds = [
+            WorkloadKind::Static { rounds: 4 },
+            WorkloadKind::Shifting {
+                groups: 2,
+                rounds_per_group: 2,
+            },
+            WorkloadKind::Random {
+                rounds: 4,
+                queries_per_round: 5,
+            },
         ];
-        for (name, workload, drift) in &scenarios {
-            let seq = run_suite_threaded(&bench, *workload, drift.as_ref(), &tuners, 7, 1).unwrap();
-            let par = run_suite_threaded(&bench, *workload, drift.as_ref(), &tuners, 7, 3).unwrap();
-            assert_bit_identical(name, &seq, &par);
+        let shared = run_suite_threaded(&bench, &kinds, None, &tuners, 7, 3).unwrap();
+        assert_eq!(shared.len(), kinds.len());
+        for (workload, par) in kinds.iter().zip(&shared) {
+            let seq = run_suite_threaded(&bench, &[*workload], None, &tuners, 7, 1).unwrap();
+            assert_bit_identical(workload.label(), &seq[0], par);
         }
+
+        let drift = DataDrift::uniform(dba_session::DriftRates::new(0.05, 0.02, 0.02));
+        let static4 = [WorkloadKind::Static { rounds: 4 }];
+        let seq = run_suite_threaded(&bench, &static4, Some(&drift), &tuners, 7, 1).unwrap();
+        let par = run_suite_threaded(&bench, &static4, Some(&drift), &tuners, 7, 3).unwrap();
+        assert_bit_identical("drift", &seq[0], &par[0]);
     }
 
     /// Streaming determinism across suite fan-out: the same set of
@@ -566,8 +575,8 @@ mod tests {
             groups: 2,
             rounds_per_group: 3,
         };
-        let results = run_benchmark_suite(&bench, kind, &[TunerKind::PdTool], 11).unwrap();
-        let pd = &results[0];
+        let results = run_benchmark_suite(&bench, &[kind], &[TunerKind::PdTool], 11).unwrap();
+        let pd = &results[0][0];
         assert_eq!(pd.rounds.len(), 6);
         // PDTool invokes after each workload change: rounds 2 and 5
         // (0-based 1 and 4) carry recommendation spikes.

@@ -1,13 +1,17 @@
 //! The experiment harness: drives every tuner through every workload type
 //! on every benchmark and regenerates the paper's tables and figures.
 //!
-//! Each `src/bin/*` binary reproduces one artefact (Figures 2-8, Tables
-//! I-II, plus the `fig9_htap`, `fig_safety`, `fig_stream` and
-//! `fig_backend` extensions) by printing the same rows/series the paper
-//! reports and writing CSVs under `results/`. The four extensions write a
-//! results JSON there too (`fig_backend` writes only the JSON), and
-//! `check_baselines` diffs the first three against the committed
-//! `BENCH_*.json`. Runs are deterministic given `DBA_SEED`.
+//! The `src/bin/*` binaries reproduce the paper's artefacts by printing
+//! the same rows/series the paper reports and writing CSVs under
+//! `results/`: `paper_figures` runs each (workload, benchmark) suite of
+//! Figures 2-7 and Table I once and prints all seven from those runs,
+//! `fig8_ddqn` and `table2_scale` reproduce Figure 8 and Table II, and
+//! `fig9_htap`, `fig_safety`, `fig_stream` and `fig_backend` are
+//! extensions. `paper_figures` and the four extensions write a results
+//! JSON there too (`fig_backend` writes only the JSON), and
+//! `check_baselines` diffs the totals of `fig9_htap`, `fig_safety` and
+//! `fig_stream` against the committed `BENCH_*.json`. Runs are
+//! deterministic given `DBA_SEED`.
 //!
 //! Environment knobs (read by the binaries):
 //! * `DBA_SF` — scale factor, finite and positive (default 10, the paper's

@@ -20,31 +20,21 @@ pub fn write_csv(path: &str, header: &str, rows: &[String]) -> std::io::Result<(
     Ok(())
 }
 
-/// Print a per-round convergence series (one paper-figure panel): columns
-/// are tuners, rows are rounds, values are total time per round in
-/// (simulated) seconds.
+/// Print a per-round convergence series (one paper-figure panel): the
+/// [`series_rows`] layout to 2 decimals.
 pub fn print_series(title: &str, results: &[RunResult]) {
     println!("\n# {title}");
-    print!("round");
-    for r in results {
-        print!(",{}", r.tuner);
-    }
-    println!();
-    let rounds = results.iter().map(|r| r.rounds.len()).max().unwrap_or(0);
-    for i in 0..rounds {
-        print!("{}", i + 1);
-        for r in results {
-            match r.rounds.get(i) {
-                Some(rec) => print!(",{:.2}", rec.total().secs()),
-                None => print!(","),
-            }
-        }
-        println!();
+    let (header, rows) = series_rows(results, 2);
+    println!("{header}");
+    for row in rows {
+        println!("{row}");
     }
 }
 
-/// Convergence series as CSV rows (same layout as [`print_series`]).
-pub fn series_rows(results: &[RunResult]) -> (String, Vec<String>) {
+/// A per-round convergence series: columns are tuners, rows are rounds,
+/// values are total time per round in (simulated) seconds to `decimals`
+/// places.
+pub fn series_rows(results: &[RunResult], decimals: usize) -> (String, Vec<String>) {
     let mut header = String::from("round");
     for r in results {
         header.push(',');
@@ -56,7 +46,7 @@ pub fn series_rows(results: &[RunResult]) -> (String, Vec<String>) {
             let mut row = format!("{}", i + 1);
             for r in results {
                 match r.rounds.get(i) {
-                    Some(rec) => row.push_str(&format!(",{:.4}", rec.total().secs())),
+                    Some(rec) => row.push_str(&format!(",{:.*}", decimals, rec.total().secs())),
                     None => row.push(','),
                 }
             }
@@ -381,7 +371,7 @@ mod tests {
     fn series_rows_align_rounds() {
         let a = result("A", &[(1.0, 0.0, 2.0), (0.0, 0.0, 1.0)]);
         let b = result("B", &[(0.0, 0.0, 5.0)]);
-        let (header, rows) = series_rows(&[a, b]);
+        let (header, rows) = series_rows(&[a, b], 4);
         assert_eq!(header, "round,A,B");
         assert_eq!(rows.len(), 2);
         assert!(rows[0].starts_with("1,3.0000,5.0000"));

@@ -8,19 +8,13 @@ use std::process::Command;
 
 /// Each binary and the table its first catalog build refuses: SSB's
 /// `lineorder` or TPC-H's `customer`.
-const BINARIES: [(&str, &str); 12] = [
-    (env!("CARGO_BIN_EXE_fig2_static_convergence"), "lineorder"),
-    (env!("CARGO_BIN_EXE_fig3_static_totals"), "lineorder"),
-    (env!("CARGO_BIN_EXE_fig4_shifting_convergence"), "lineorder"),
-    (env!("CARGO_BIN_EXE_fig5_shifting_totals"), "lineorder"),
-    (env!("CARGO_BIN_EXE_fig6_random_convergence"), "lineorder"),
-    (env!("CARGO_BIN_EXE_fig7_random_totals"), "lineorder"),
+const BINARIES: [(&str, &str); 6] = [
+    (env!("CARGO_BIN_EXE_paper_figures"), "lineorder"),
     (env!("CARGO_BIN_EXE_fig8_ddqn"), "customer"),
     (env!("CARGO_BIN_EXE_fig9_htap"), "customer"),
     (env!("CARGO_BIN_EXE_fig_safety"), "lineorder"),
     (env!("CARGO_BIN_EXE_fig_stream"), "customer"),
     (env!("CARGO_BIN_EXE_fig_backend"), "lineorder"),
-    (env!("CARGO_BIN_EXE_table1_breakdown"), "lineorder"),
 ];
 
 #[test]
